@@ -85,10 +85,9 @@ Workload ProductPruningWorkload(std::size_t domain,
 }
 
 std::uint64_t RunOnce(const Workload& w, BoundedSearchEngine engine,
-                      std::uint64_t* candidates, unsigned threads = 0) {
+                      std::uint64_t* candidates) {
   BoundedSearchOptions options = w.options;
   options.engine = engine;
-  options.threads = threads;
   Result<BoundedSearchResult> result =
       FindCounterexample(w.scheme, w.premises, w.conclusion, options);
   CCFP_CHECK(result.ok());
@@ -100,24 +99,22 @@ std::uint64_t RunOnce(const Workload& w, BoundedSearchEngine engine,
 
 void BM_BoundedSearch(benchmark::State& state) {
   const std::size_t workload = static_cast<std::size_t>(state.range(0));
-  const std::size_t engine_id = static_cast<std::size_t>(state.range(1));
+  const bool id_space = state.range(1) != 0;
   Workload w = workload == 0   ? TransitiveFdWorkload(3, 3)
                : workload == 1 ? Theorem44Workload(3, 3)
                                : ProductPruningWorkload(3, 3);
-  BoundedSearchEngine engine = engine_id == 0 ? BoundedSearchEngine::kLegacy
-                               : engine_id == 1
-                                   ? BoundedSearchEngine::kIdSpace
-                                   : BoundedSearchEngine::kParallel;
+  BoundedSearchEngine engine = id_space ? BoundedSearchEngine::kIdSpace
+                                        : BoundedSearchEngine::kLegacy;
   std::uint64_t candidates = 0;
   for (auto _ : state) {
-    RunOnce(w, engine, &candidates, engine_id == 2 ? 4 : 0);
+    RunOnce(w, engine, &candidates);
   }
-  state.counters["engine"] = static_cast<double>(engine_id);
+  state.counters["idspace"] = id_space ? 1 : 0;
   state.counters["candidates"] = static_cast<double>(candidates);
 }
 
 BENCHMARK(BM_BoundedSearch)
-    ->ArgsProduct({{0, 1, 2}, {0, 1, 2}})
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 /// Times each workload under both engines and writes
@@ -157,29 +154,6 @@ void EmitJsonReport(bool smoke) {
                  static_cast<unsigned long long>(candidates[1]),
                  static_cast<double>(wall[0]) /
                      static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
-    // Sequential-vs-parallel pairs: the id-space engine above is the
-    // sequential baseline; the parallel engine runs the same workload at
-    // each thread count. Scaling is hardware-bound — on a single-core
-    // host all counts time roughly like the baseline plus pool overhead.
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      std::uint64_t parallel_candidates = 0;
-      std::uint64_t parallel_wall = MedianWallNs(smoke ? 1 : 5, [&] {
-        RunOnce(w, BoundedSearchEngine::kParallel, &parallel_candidates,
-                threads);
-      });
-      reporter.AddThreaded(std::string(w.name) + "_parallel",
-                           w.options.domain_size, parallel_wall,
-                           parallel_candidates, threads);
-      std::fprintf(stderr,
-                   "%s d=%zu: parallel t=%u %.2f ms (%llu boundaries), "
-                   "vs id-space %.2fx\n",
-                   w.name, w.options.domain_size, threads,
-                   parallel_wall / 1e6,
-                   static_cast<unsigned long long>(parallel_candidates),
-                   static_cast<double>(wall[1]) /
-                       static_cast<double>(
-                           parallel_wall == 0 ? 1 : parallel_wall));
-    }
   }
   reporter.WriteFile();
 }

@@ -12,11 +12,9 @@
 #include "bench/reporter.h"
 #include "chase/workspace_chase.h"
 #include "core/workspace.h"
-#include "util/budget.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/strings.h"
-#include "util/task_pool.h"
 #include "verify/verifier.h"
 
 namespace ccfp {
@@ -186,12 +184,9 @@ void BenchChaseRounds(BenchReporter& reporter, bool smoke) {
                    static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
 }
 
-/// Workload C: sequential-vs-parallel CatchUp pairs — the append-rounds
-/// workload drained via CatchUp() (the baseline entry) and via
-/// CatchUpParallel at 1/2/4/8 executors (AddThreaded entries). Scaling is
-/// hardware-bound: on a single-core host every thread count times roughly
-/// like the baseline plus fan-out overhead.
-void BenchParallelCatchUp(BenchReporter& reporter, bool smoke) {
+/// Workload C: the append-rounds workload drained via CatchUp() on a wide
+/// base — the verifier catch-up layer on its own.
+void BenchCatchUp(BenchReporter& reporter, bool smoke) {
   const std::size_t arity = 10;
   const std::size_t base = smoke ? 64 : 3000;
   const std::size_t rounds = smoke ? 4 : 160;
@@ -200,7 +195,7 @@ void BenchParallelCatchUp(BenchReporter& reporter, bool smoke) {
   SchemePtr scheme = MakeSingleRelationScheme(arity);
   std::uint64_t checks = universe.size() * rounds;
 
-  auto run = [&](TaskPool* pool) {
+  auto run = [&] {
     SplitMix64 rng(7);
     InternedWorkspace ws(scheme);
     for (std::size_t i = 0; i < base; ++i) {
@@ -216,39 +211,23 @@ void BenchParallelCatchUp(BenchReporter& reporter, bool smoke) {
       for (std::size_t d = 0; d < delta; ++d) {
         AppendRandomTuple(ws, rng, arity, 800);
       }
-      if (pool != nullptr) {
-        Status st = verifier.CatchUpParallel(Budget::Unlimited(), *pool);
-        CCFP_CHECK(st.ok());
-      } else {
-        verifier.CatchUp();
-      }
+      verifier.CatchUp();
       for (WatchId id : ids) satisfied += verifier.Satisfies(id);
     }
     benchmark::DoNotOptimize(satisfied);
   };
 
-  std::uint64_t seq_wall = MedianWallNs(smoke ? 1 : 3, [&] { run(nullptr); });
+  std::uint64_t seq_wall = MedianWallNs(smoke ? 1 : 3, run);
   reporter.Add("catchup_sequential", universe.size(), seq_wall, checks);
   std::fprintf(stderr, "catchup (universe %zu): sequential %.2f ms\n",
                universe.size(), seq_wall / 1e6);
-  for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    TaskPool pool(threads);
-    std::uint64_t wall = MedianWallNs(smoke ? 1 : 3, [&] { run(&pool); });
-    reporter.AddThreaded("catchup_parallel", universe.size(), wall, checks,
-                         threads);
-    std::fprintf(stderr,
-                 "catchup parallel t=%u: %.2f ms (%.2fx vs sequential)\n",
-                 threads, wall / 1e6,
-                 static_cast<double>(seq_wall) /
-                     static_cast<double>(wall == 0 ? 1 : wall));
-  }
 }
 
 void EmitJsonReport(bool smoke) {
   BenchReporter reporter("verify");
   BenchAppendRounds(reporter, smoke);
   BenchChaseRounds(reporter, smoke);
-  BenchParallelCatchUp(reporter, smoke);
+  BenchCatchUp(reporter, smoke);
   reporter.WriteFile();
 }
 

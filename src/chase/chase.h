@@ -49,13 +49,6 @@ struct ChaseOptions {
   /// just at round boundaries) by the workspace-backed engine.
   std::optional<std::chrono::steady_clock::time_point> deadline;
   ChaseEngine engine = ChaseEngine::kIncremental;
-  /// Workspace-backed engine only: executors for the parallel FD-fixpoint
-  /// probe rounds (see WorkspaceChase). 1 = fully sequential; chase
-  /// outcomes are byte-identical at every value. Ignored when `pool` set.
-  unsigned threads = 1;
-  /// Workspace-backed engine only: run probe rounds on this caller-owned
-  /// pool instead of a transient one per Run. Not owned.
-  TaskPool* pool = nullptr;
   /// Optional cooperative cancellation token (not owned): the workspace
   /// engine polls `cancel->exhausted()` at every budget checkpoint and
   /// stops resumably with ResourceExhausted once another racer marked it.

@@ -1,10 +1,7 @@
 #include "chase/workspace_chase.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <optional>
-#include <thread>
 #include <utility>
 
 #include "util/check.h"
@@ -122,9 +119,7 @@ Status WorkspaceChase::ProbeFd(std::uint32_t fd_id, RelId rel,
                                std::uint32_t idx) {
   const Fd& fd = fds_[fd_id];
   IdTuple key = ws_->CanonicalProjection(rel, idx, fd.lhs);
-  FdIndexShard& index =
-      fd_index_[fd_id][IdTupleHash{}(key) & (kFdIndexShards - 1)];
-  auto [it, inserted] = index.try_emplace(std::move(key), idx);
+  auto [it, inserted] = fd_index_[fd_id].try_emplace(std::move(key), idx);
   if (inserted || it->second == idx) return Status::OK();
   std::uint32_t rep = it->second;
   // The entry may be stale: the representative's key can have drifted
@@ -145,7 +140,7 @@ Status WorkspaceChase::ProbeFd(std::uint32_t fd_id, RelId rel,
       failed_ = true;
       return Status::OK();
     }
-    ++fd_merges_;
+    ++last_run_.fd_merges;
     // Dirty every slot that stores the losing id — the delta the merge
     // actually touches — then hand its occurrence list to the winner.
     // This must happen *before* the budget check: a ResourceExhausted
@@ -156,44 +151,9 @@ Status WorkspaceChase::ProbeFd(std::uint32_t fd_id, RelId rel,
       EnqueueFdDirty(ref.rel, ref.idx);
     }
     ws_->RerouteOccurrences(u.loser, u.winner);
-    if (++steps_ > options_->max_steps) {
+    if (++last_run_.steps > options_->max_steps) {
       return Status::ResourceExhausted("chase step budget exhausted");
     }
-  }
-  return Status::OK();
-}
-
-/// Pops and fully processes the front dirty slot: re-canonicalize,
-/// re-deduplicate, and re-probe it against every FD on its relation.
-Status WorkspaceChase::DrainOneFdSlot() {
-  // Checked per slot, *inside* the FD fixpoint: one huge round can no
-  // longer blow past the deadline or the byte ceiling unobserved.
-  // Checking before the pop keeps exhaustion trivially resumable.
-  CCFP_RETURN_NOT_OK(BudgetCheckpoint());
-  WorkspaceTupleRef ref = fd_dirty_.front();
-  fd_dirty_.pop_front();
-  queued_[ref.rel][ref.idx] = 0;
-  if (!ws_->alive(ref.rel, ref.idx)) return Status::OK();
-  InternedWorkspace::CanonOutcome c =
-      ws_->CanonicalizeTuple(ref.rel, ref.idx);
-  if (c == InternedWorkspace::CanonOutcome::kKilled) return Status::OK();
-  if (c == InternedWorkspace::CanonOutcome::kRewritten) {
-    RegisterRhsProjections(ref.rel, ref.idx);
-    for (std::uint32_t ind_id : inds_by_lhs_rel_[ref.rel]) {
-      ind_states_[ind_id].dirty.push_back(ref.idx);
-    }
-  }
-  for (std::uint32_t fd_id : fds_by_rel_[ref.rel]) {
-    Status st = ProbeFd(fd_id, ref.rel, ref.idx);
-    if (!st.ok()) {
-      // Budget tripped mid-slot: requeue so a later Run with a larger
-      // budget re-probes this slot from its first FD (probes are
-      // idempotent once their merge is in the union-find).
-      EnqueueFdDirty(ref.rel, ref.idx);
-      return st;
-    }
-    if (failed_) return Status::OK();
-    if (!ws_->alive(ref.rel, ref.idx)) break;  // merged away by its probe
   }
   return Status::OK();
 }
@@ -202,195 +162,14 @@ Status WorkspaceChase::DrainOneFdSlot() {
 /// re-probe each touched slot until the FD fixpoint is reached.
 Status WorkspaceChase::DrainFdDirty() {
   while (!fd_dirty_.empty() && !failed_) {
-    CCFP_RETURN_NOT_OK(DrainOneFdSlot());
-  }
-  return Status::OK();
-}
-
-Status WorkspaceChase::DrainFdDirtyParallel(TaskPool& pool) {
-  while (!fd_dirty_.empty() && !failed_) {
-    if (fd_dirty_.size() < kMinParallelFdRound || fds_.empty()) {
-      // Too little work to amortize the snapshot + fork/join; drain one
-      // slot and re-check (a merge cascade can regrow the queue past the
-      // threshold, re-entering the parallel path mid-drain).
-      CCFP_RETURN_NOT_OK(DrainOneFdSlot());
-      continue;
-    }
-    CCFP_RETURN_NOT_OK(ParallelFdRound(pool));
-  }
-  return Status::OK();
-}
-
-/// One parallel FD round over the current queue snapshot.
-///
-/// Shape: (a) a *serial* pre-pass canonicalizes every queued slot — the
-/// union-find is only ever mutated single-threaded; (b) workers compute
-/// canonical lhs keys over the now-frozen union-find and speculatively
-/// probe the per-(FD, shard) indexes they exclusively own; (c) if no probe
-/// found merge work anywhere, the speculative inserts ARE the sequential
-/// result (same keys, same within-shard round order, cross-shard keys
-/// disjoint) and the round is done; otherwise every insert is rolled back
-/// and the round replays through the ordinary sequential probe path, so
-/// merge value-pairs — and hence the final database bytes — are identical
-/// to the sequential engine. Stale index representatives also force the
-/// replay: a takeover changes rep identity, which can reorder later merge
-/// pairs.
-Status WorkspaceChase::ParallelFdRound(TaskPool& pool) {
-  // Snapshot the round; queued_ flags stay SET so merge-time re-enqueues
-  // of still-pending round slots no-op, exactly as when the slots sat in
-  // the deque.
-  std::vector<WorkspaceTupleRef> round(fd_dirty_.begin(), fd_dirty_.end());
-  fd_dirty_.clear();
-
-  // --- Serial pre-pass: canonicalize, register projections, build the
-  // live list. Nothing is probed yet, so a budget trip restores the whole
-  // round (earlier canonicalizations are idempotent on resume).
-  std::vector<WorkspaceTupleRef> live;
-  live.reserve(round.size());
-  std::vector<WorkspaceTupleRef> dead;
-  for (const WorkspaceTupleRef& ref : round) {
-    Status st = BudgetCheckpoint();
-    if (!st.ok()) {
-      fd_dirty_.assign(round.begin(), round.end());
-      return st;
-    }
-    if (!ws_->alive(ref.rel, ref.idx)) {
-      dead.push_back(ref);
-      continue;
-    }
-    InternedWorkspace::CanonOutcome c =
-        ws_->CanonicalizeTuple(ref.rel, ref.idx);
-    if (c == InternedWorkspace::CanonOutcome::kKilled) {
-      dead.push_back(ref);
-      continue;
-    }
-    if (c == InternedWorkspace::CanonOutcome::kRewritten) {
-      RegisterRhsProjections(ref.rel, ref.idx);
-      for (std::uint32_t ind_id : inds_by_lhs_rel_[ref.rel]) {
-        ind_states_[ind_id].dirty.push_back(ref.idx);
-      }
-    }
-    live.push_back(ref);
-  }
-  // Dead slots leave the round exactly as a sequential pop would drop
-  // them. Their flags were kept set until here so the exhausted-pre-pass
-  // restore above stays flag/deque consistent.
-  for (const WorkspaceTupleRef& ref : dead) queued_[ref.rel][ref.idx] = 0;
-  if (live.empty()) return Status::OK();
-
-  // --- Stage 1 (parallel, frozen reads): canonical lhs key + shard hash
-  // per (live slot, FD). The pre-pass left every live tuple canonical and
-  // no merge runs before the replay decision, so read-only union-find
-  // traversal is race-free.
-  struct Probe {
-    IdTuple key;
-    std::size_t hash = 0;
-    std::uint32_t fd_id = 0;
-    std::uint32_t live_idx = 0;  // index into `live` — the round order
-  };
-  std::vector<std::vector<Probe>> per_slot(live.size());
-  pool.ParallelFor(live.size(), [&](std::size_t i) {
-    const WorkspaceTupleRef& ref = live[i];
-    for (std::uint32_t fd_id : fds_by_rel_[ref.rel]) {
-      Probe p;
-      p.fd_id = fd_id;
-      p.live_idx = static_cast<std::uint32_t>(i);
-      ws_->CanonicalProjectionReadOnly(ref.rel, ref.idx, fds_[fd_id].lhs,
-                                       p.key);
-      p.hash = IdTupleHash{}(p.key);
-      per_slot[i].push_back(std::move(p));
-    }
-  });
-
-  // Group probes by (FD, shard), preserving round order within each group.
-  std::vector<std::vector<Probe*>> buckets(fds_.size() * kFdIndexShards);
-  for (std::vector<Probe>& slot_probes : per_slot) {
-    for (Probe& p : slot_probes) {
-      buckets[p.fd_id * kFdIndexShards + (p.hash & (kFdIndexShards - 1))]
-          .push_back(&p);
-    }
-  }
-  std::vector<std::uint32_t> active;
-  for (std::uint32_t b = 0; b < buckets.size(); ++b) {
-    if (!buckets[b].empty()) active.push_back(b);
-  }
-
-  // --- Stage 2 (parallel, exclusive shard ownership): speculative
-  // try_emplace in round order, with a per-task undo log. Any hit that
-  // would merge — or a stale representative — flags the round for replay.
-  std::atomic<bool> replay{false};
-  std::vector<std::vector<Probe*>> undo(active.size());
-  pool.ParallelFor(active.size(), [&](std::size_t a) {
-    std::uint32_t b = active[a];
-    std::uint32_t fd_id = b / kFdIndexShards;
-    const Fd& fd = fds_[fd_id];
-    FdIndexShard& index = fd_index_[fd_id][b % kFdIndexShards];
-    for (Probe* p : buckets[b]) {
-      if (replay.load(std::memory_order_relaxed)) return;
-      const WorkspaceTupleRef& ref = live[p->live_idx];
-      auto [it, inserted] = index.try_emplace(p->key, ref.idx);
-      if (inserted) {
-        undo[a].push_back(p);
-        continue;
-      }
-      if (it->second == ref.idx) continue;
-      IdTuple rep_key;
-      ws_->CanonicalProjectionReadOnly(ref.rel, it->second, fd.lhs,
-                                       rep_key);
-      if (rep_key != it->first) {
-        replay.store(true, std::memory_order_relaxed);
-        return;
-      }
-      const IdTuple& t = ws_->tuple(ref.rel, ref.idx);
-      const IdTuple& rep_t = ws_->tuple(ref.rel, it->second);
-      for (AttrId y : fd.rhs) {
-        if (ws_->CanonReadOnly(t[y]) != ws_->CanonReadOnly(rep_t[y])) {
-          replay.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    }
-  });
-
-  if (!replay.load(std::memory_order_acquire)) {
-    // No merge anywhere: the speculative inserts are exactly what the
-    // sequential probes would have left behind. Keep them; the round is
-    // fully processed.
-    for (const WorkspaceTupleRef& ref : live) queued_[ref.rel][ref.idx] = 0;
-    return Status::OK();
-  }
-  // Roll every insert back — try_emplace was the only mutation, so this
-  // restores the round-start index byte-for-byte — then replay the round
-  // through the authoritative sequential path.
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    std::uint32_t b = active[a];
-    FdIndexShard& index = fd_index_[b / kFdIndexShards][b % kFdIndexShards];
-    for (Probe* p : undo[a]) index.erase(p->key);
-  }
-  return ReplayRoundSequential(live);
-}
-
-/// Sequential replay of a parallel round that found merge work: the same
-/// per-slot processing as DrainOneFdSlot, over the live list in round
-/// order. The tail-restore bookkeeping reproduces the sequential queue
-/// exactly — sequential resume order is [unprocessed round slots,
-/// merge-added slots, interrupted slot], and merge-added slots are already
-/// in the deque, so the tail goes to the *front* and the interrupted slot
-/// (re-enqueued by the normal path) lands at the back.
-Status WorkspaceChase::ReplayRoundSequential(
-    const std::vector<WorkspaceTupleRef>& live) {
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    Status st = BudgetCheckpoint();
-    if (!st.ok()) {
-      fd_dirty_.insert(fd_dirty_.begin(), live.begin() + i, live.end());
-      return st;
-    }
-    WorkspaceTupleRef ref = live[i];
+    // Checked per slot, *inside* the FD fixpoint: one huge round can no
+    // longer blow past the deadline or the byte ceiling unobserved.
+    // Checking before the pop keeps exhaustion trivially resumable.
+    CCFP_RETURN_NOT_OK(BudgetCheckpoint());
+    WorkspaceTupleRef ref = fd_dirty_.front();
+    fd_dirty_.pop_front();
     queued_[ref.rel][ref.idx] = 0;
     if (!ws_->alive(ref.rel, ref.idx)) continue;
-    // Usually kUnchanged (the pre-pass canonicalized this slot); an
-    // earlier replayed slot's merge can have re-dirtied it, in which case
-    // this is the sequential engine's own catch-up step.
     InternedWorkspace::CanonOutcome c =
         ws_->CanonicalizeTuple(ref.rel, ref.idx);
     if (c == InternedWorkspace::CanonOutcome::kKilled) continue;
@@ -401,18 +180,15 @@ Status WorkspaceChase::ReplayRoundSequential(
       }
     }
     for (std::uint32_t fd_id : fds_by_rel_[ref.rel]) {
-      Status probe = ProbeFd(fd_id, ref.rel, ref.idx);
-      if (!probe.ok()) {
+      Status st = ProbeFd(fd_id, ref.rel, ref.idx);
+      if (!st.ok()) {
+        // Budget tripped mid-slot: requeue so a later Run with a larger
+        // budget re-probes this slot from its first FD (probes are
+        // idempotent once their merge is in the union-find).
         EnqueueFdDirty(ref.rel, ref.idx);
-        fd_dirty_.insert(fd_dirty_.begin(), live.begin() + i + 1,
-                         live.end());
-        return probe;
+        return st;
       }
-      if (failed_) {
-        fd_dirty_.insert(fd_dirty_.begin(), live.begin() + i + 1,
-                         live.end());
-        return Status::OK();
-      }
+      if (failed_) return Status::OK();
       if (!ws_->alive(ref.rel, ref.idx)) break;  // merged away by its probe
     }
   }
@@ -451,8 +227,8 @@ Status WorkspaceChase::ProbeInd(std::uint32_t ind_id, std::uint32_t idx,
     std::uint32_t new_idx =
         static_cast<std::uint32_t>(ws_->size(ind.rhs_rel)) - 1;
     AdmitSlot(ind.rhs_rel, new_idx);
-    ++ind_tuples_;
-    if (++steps_ > options_->max_steps ||
+    ++last_run_.ind_tuples;
+    if (++last_run_.steps > options_->max_steps ||
         ws_->TotalAliveTuples() > options_->max_tuples) {
       return Status::ResourceExhausted("chase budget exhausted");
     }
@@ -497,25 +273,10 @@ Status WorkspaceChase::IndPass(bool* any) {
 
 Result<WorkspaceChaseStats> WorkspaceChase::Run(const ChaseOptions& options) {
   options_ = &options;
-  fd_merges_ = ind_tuples_ = steps_ = 0;
-  // Executor selection: a caller-owned pool wins; otherwise threads > 1
-  // (or 0 = hardware concurrency) spins up a transient pool for this Run.
-  TaskPool* pool = options.pool;
-  std::optional<TaskPool> local_pool;
-  if (pool == nullptr && options.threads != 1) {
-    unsigned n = options.threads != 0 ? options.threads
-                                      : std::thread::hardware_concurrency();
-    if (n > 1) {
-      local_pool.emplace(n);
-      pool = &*local_pool;
-    }
-  }
+  last_run_ = WorkspaceChaseStats{};
   AdmitAppended();
   while (!failed_) {
-    Status drained = pool != nullptr && pool->threads() > 1
-                         ? DrainFdDirtyParallel(*pool)
-                         : DrainFdDirty();
-    CCFP_RETURN_NOT_OK(drained);
+    CCFP_RETURN_NOT_OK(DrainFdDirty());
     if (failed_) break;
     bool any = false;
     CCFP_RETURN_NOT_OK(IndPass(&any));
@@ -529,12 +290,9 @@ Result<WorkspaceChaseStats> WorkspaceChase::Run(const ChaseOptions& options) {
     admit_cursor_[rel] = ws_->EventCount(rel);
     ws_->AdvanceFeedCursor(feed_cursor_, rel, admit_cursor_[rel]);
   }
-  WorkspaceChaseStats stats;
-  stats.outcome = failed_ ? ChaseOutcome::kFailed : ChaseOutcome::kFixpoint;
-  stats.fd_merges = fd_merges_;
-  stats.ind_tuples = ind_tuples_;
-  stats.steps = steps_;
-  return stats;
+  last_run_.outcome =
+      failed_ ? ChaseOutcome::kFailed : ChaseOutcome::kFixpoint;
+  return last_run_;
 }
 
 }  // namespace ccfp

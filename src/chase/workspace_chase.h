@@ -1,7 +1,6 @@
 #ifndef CCFP_CHASE_WORKSPACE_CHASE_H_
 #define CCFP_CHASE_WORKSPACE_CHASE_H_
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
@@ -12,7 +11,6 @@
 #include "core/dependency.h"
 #include "core/workspace.h"
 #include "util/status.h"
-#include "util/task_pool.h"
 
 namespace ccfp {
 
@@ -41,22 +39,6 @@ struct WorkspaceChaseStats {
 /// construction and the last Run() except by appending tuples; after a Run
 /// returns kFixpoint every tuple is canonical, so workspace model checking
 /// (Satisfies / partitions) is valid until the next append.
-///
-/// Parallelism (ChaseOptions::threads / ::pool): when a pool is available,
-/// the FD-fixpoint inner rounds split each dirty round across workers —
-/// canonical lhs keys are computed over a *frozen* union-find (the round's
-/// serial pre-pass canonicalized every live slot, so read-only root lookups
-/// are race-free), and the per-FD key index is partitioned into hash shards
-/// so no two tasks ever touch one open-addressed map. All union-find
-/// mutation stays single-threaded: a round that discovers any merge
-/// candidate (or a stale index representative, whose takeover identity can
-/// reorder merge pairs) rolls its speculative inserts back and replays the
-/// round through the sequential probe path, in round order. Chase outcomes
-/// — verdict, final database bytes, fd_merges/ind_tuples/steps — are
-/// therefore identical to the sequential engine at every thread count; the
-/// only observable difference is that the change feed may carry extra
-/// idempotent per-slot rewrite events (a replayed round canonicalizes in
-/// the pre-pass and again at its sequential turn).
 ///
 /// The chase is itself a consumer of the workspace *change feed*: between
 /// Runs it admits outside appends by replaying the feed from its cursor
@@ -100,6 +82,11 @@ class WorkspaceChase {
   /// (tuples may be stale).
   Result<WorkspaceChaseStats> Run(const ChaseOptions& options);
 
+  /// The counters of the most recent Run, readable on *both* return
+  /// paths: after a ResourceExhausted Run they say how much work the
+  /// interrupted call actually did (its `outcome` is then meaningless).
+  const WorkspaceChaseStats& last_run() const { return last_run_; }
+
  private:
   struct IndState {
     /// Canonical rhs projections present in the rhs relation. Insert-only:
@@ -128,23 +115,7 @@ class WorkspaceChase {
   /// own moves and already tracked by its worklists).
   void AdmitAppended();
   Status ProbeFd(std::uint32_t fd_id, RelId rel, std::uint32_t idx);
-  /// Pops and fully processes the front dirty slot (canonicalize,
-  /// re-register, probe every FD on its relation) — the sequential unit
-  /// both drain paths are built from.
-  Status DrainOneFdSlot();
   Status DrainFdDirty();
-  /// Parallel drain: snapshots the queue into rounds and runs each round
-  /// through ParallelFdRound; small rounds fall back to DrainOneFdSlot.
-  Status DrainFdDirtyParallel(TaskPool& pool);
-  /// One parallel round: serial canonicalization pre-pass, parallel frozen
-  /// key probe over sharded indexes, then either keep the speculative
-  /// inserts (no merge anywhere — provably identical to sequential) or
-  /// roll back and replay the round sequentially.
-  Status ParallelFdRound(TaskPool& pool);
-  /// The authoritative sequential replay of a parallel round that found
-  /// merge work. Restores the unprocessed tail to the queue *front* on a
-  /// budget trip so resume order matches the sequential engine exactly.
-  Status ReplayRoundSequential(const std::vector<WorkspaceTupleRef>& live);
   Status ProbeInd(std::uint32_t ind_id, std::uint32_t idx, bool* any);
   Status IndPass(bool* any);
 
@@ -152,20 +123,8 @@ class WorkspaceChase {
   std::vector<Fd> fds_;
   std::vector<Ind> inds_;
 
-  /// The per-FD lhs-key index is split into kFdIndexShards hash shards
-  /// (shard = IdTupleHash(key) & (kFdIndexShards - 1)) so a parallel round
-  /// can hand each (FD, shard) to one task with exclusive ownership —
-  /// equal keys always land in the same shard, so the speculative inserts
-  /// see exactly the collisions the sequential probe would.
-  static constexpr std::uint32_t kFdIndexShards = 16;
-  /// Rounds smaller than this are drained sequentially: the fork/join and
-  /// snapshot overhead dwarfs the probe work.
-  static constexpr std::size_t kMinParallelFdRound = 32;
-  using FdIndexShard =
-      std::unordered_map<IdTuple, std::uint32_t, IdTupleHash>;
-
   std::vector<std::vector<std::uint32_t>> fds_by_rel_;
-  std::vector<std::array<FdIndexShard, kFdIndexShards>>
+  std::vector<std::unordered_map<IdTuple, std::uint32_t, IdTupleHash>>
       fd_index_;  // per FD: canonical lhs key -> representative slot
   std::vector<IndState> ind_states_;
   std::vector<std::vector<std::uint32_t>> inds_by_lhs_rel_;
@@ -180,9 +139,7 @@ class WorkspaceChase {
 
   // Per-Run budget counters (reset by Run).
   const ChaseOptions* options_ = nullptr;
-  std::uint64_t fd_merges_ = 0;
-  std::uint64_t ind_tuples_ = 0;
-  std::uint64_t steps_ = 0;
+  WorkspaceChaseStats last_run_;
   std::uint64_t checkpoint_tick_ = 0;
 };
 

@@ -124,15 +124,6 @@ class DenseUnionFind {
     return x;
   }
 
-  /// Same root as Find, but performs no path halving — a pure read. The
-  /// parallel engines' frozen probe phases use this so concurrent lookups
-  /// on a quiescent structure are race-free; sequential callers should
-  /// keep using Find for its compaction.
-  ValueId FindReadOnly(ValueId x) const {
-    while (parent_[x] != x) x = parent_[x];
-    return x;
-  }
-
   /// The semantically preferred member of x's class: its constant if one
   /// was merged in, else its lowest-labeled null. This is what the class
   /// prints as — identical to the naive engine's merge preference.

@@ -252,13 +252,6 @@ IdTuple InternedWorkspace::CanonicalProjection(
   return out;
 }
 
-void InternedWorkspace::CanonicalProjectionReadOnly(
-    RelId rel, std::uint32_t idx, const std::vector<AttrId>& cols,
-    IdTuple& out) const {
-  const IdTuple& t = rels_[rel].tuples[idx];
-  for (AttrId c : cols) out.push_back(uf_.FindReadOnly(t[c]));
-}
-
 void InternedWorkspace::ExtendPartition(RelId rel,
                                         const std::vector<AttrId>& cols,
                                         CachedPartition& cp) const {

@@ -389,17 +389,6 @@ class InternedWorkspace {
   IdTuple CanonicalProjection(RelId rel, std::uint32_t idx,
                               const std::vector<AttrId>& cols) const;
 
-  /// Same projection through the non-compacting union-find read
-  /// (DenseUnionFind::FindReadOnly), appended into `out`. Safe to call
-  /// from parallel readers while no thread mutates the workspace; the
-  /// sequential engines keep the compacting variant above.
-  void CanonicalProjectionReadOnly(RelId rel, std::uint32_t idx,
-                                   const std::vector<AttrId>& cols,
-                                   IdTuple& out) const;
-
-  /// Read-only Canon (no path halving) for frozen parallel probe phases.
-  ValueId CanonReadOnly(ValueId id) const { return uf_.FindReadOnly(id); }
-
   /// --- partitions ---------------------------------------------------------
 
   /// The partition of `rel` by the column sequence `cols`, maintained under

@@ -370,17 +370,6 @@ std::vector<RelId> DepRels(const Dependency& dep) {
   return {dep.mvd().rel};
 }
 
-/// State shared by every task of one kParallel search: the winning task
-/// index (lowest wins — the deterministic reduction) and the shared
-/// candidate meter. A task abandons its subtree only when a *strictly
-/// lower* index has found a counterexample, so the minimum-index winner's
-/// DFS-first witness is exactly the sequential engine's global first.
-struct ParallelSearchControl {
-  static constexpr std::uint32_t kNoTask = UINT32_MAX;
-  std::atomic<std::uint32_t> best_task{kNoTask};
-  SharedBudgetMeter* meter = nullptr;
-};
-
 class IdSpaceSearcher {
  public:
   IdSpaceSearcher(SchemePtr scheme, const std::vector<Dependency>& premises,
@@ -427,40 +416,6 @@ class IdSpaceSearcher {
     Enumerate(0, 0, 0);
     result_.exhausted = !budget_hit_;
     return std::move(result_);
-  }
-
-  /// --- kParallel task API (driver in ParallelSearch below) ---------------
-
-  void SetParallelControl(ParallelSearchControl* control,
-                          std::uint32_t task_index) {
-    control_ = control;
-    task_index_ = task_index;
-  }
-
-  /// Task 0: the subtree where relation 0 stays empty — the sequential
-  /// engine's first boundary and everything under it.
-  void RunRootTask() { Boundary(0); }
-
-  /// Task `code + 1`: the subtree where relation 0's lowest included code
-  /// is `code`. Mirrors one iteration of the sequential top-level loop.
-  void RunBranchTask(std::uint32_t code) {
-    IncludeCode(0, code);
-    bool dead = false;
-    for (DepState* d : monotone_by_rel_[0]) {
-      if (!d->Satisfied()) {
-        dead = true;
-        break;
-      }
-    }
-    if (!dead) Enumerate(0, code + 1, 1);
-    ExcludeCode(0, code);
-  }
-
-  std::uint64_t root_space() const { return space_.empty() ? 0 : space_[0]; }
-  std::uint64_t candidates_tested() const { return result_.candidates_tested; }
-  bool found() const { return result_.counterexample.has_value(); }
-  std::optional<Database> TakeCounterexample() {
-    return std::move(result_.counterexample);
   }
 
  private:
@@ -564,20 +519,7 @@ class IdSpaceSearcher {
       stop_ = true;
       return;
     }
-    if (control_ != nullptr) {
-      // A strictly lower-indexed sibling holds the winning counterexample:
-      // nothing this task could find can win the reduction, so abandon.
-      if (control_->best_task.load(std::memory_order_relaxed) < task_index_) {
-        stop_ = true;
-        return;
-      }
-      ++result_.candidates_tested;
-      if (!control_->meter->Charge()) {
-        budget_hit_ = true;
-        stop_ = true;
-        return;
-      }
-    } else if (++result_.candidates_tested > options_.max_candidates) {
+    if (++result_.candidates_tested > options_.max_candidates) {
       budget_hit_ = true;
       stop_ = true;
       return;
@@ -592,14 +534,6 @@ class IdSpaceSearcher {
       // Every premise passed its final check and the conclusion was
       // violated at its final check: a genuine counterexample.
       result_.counterexample = BuildDatabase();
-      if (control_ != nullptr) {
-        // CAS-min: claim the win unless a lower-indexed task beat us.
-        std::uint32_t cur = control_->best_task.load(std::memory_order_relaxed);
-        while (task_index_ < cur &&
-               !control_->best_task.compare_exchange_weak(
-                   cur, task_index_, std::memory_order_acq_rel)) {
-        }
-      }
       stop_ = true;
       return;
     }
@@ -667,93 +601,7 @@ class IdSpaceSearcher {
   BoundedSearchResult result_;
   bool stop_ = false;
   bool budget_hit_ = false;
-
-  /// kParallel only: shared cancellation/budget state and this searcher's
-  /// task index in the deterministic reduction order.
-  ParallelSearchControl* control_ = nullptr;
-  std::uint32_t task_index_ = 0;
 };
-
-/// kParallel driver: decompose the candidate tree at relation 0, run one
-/// IdSpaceSearcher per subtree on the pool, reduce lowest-index-first.
-Result<BoundedSearchResult> ParallelSearch(
-    const SchemePtr& scheme, const std::vector<Dependency>& premises,
-    const Dependency& conclusion, const BoundedSearchOptions& options) {
-  // All per-task searchers compile through one shared key-table cache so
-  // the tables are built once; construction stays on this thread and the
-  // tasks only read the (immutable, stably-referenced) tables.
-  BoundedSearchWorkspace local_workspace;
-  BoundedSearchOptions task_options = options;
-  if (task_options.workspace == nullptr) {
-    task_options.workspace = &local_workspace;
-  }
-
-  auto probe = std::make_unique<IdSpaceSearcher>(scheme, premises, conclusion,
-                                                 task_options);
-  if (!probe->feasible()) {
-    // Same fallback as kIdSpace: the key tables would not fit.
-    return LegacySearch(scheme, premises, conclusion, options);
-  }
-  if (scheme->size() == 0) return probe->Run();
-
-  std::size_t branches = options.max_tuples_per_relation > 0
-                             ? static_cast<std::size_t>(probe->root_space())
-                             : 0;
-  std::size_t tasks = 1 + branches;
-
-  Budget meter_budget;
-  meter_budget.steps = options.max_candidates;
-  SharedBudgetMeter meter(meter_budget, options.max_candidates);
-  ParallelSearchControl control;
-  control.meter = &meter;
-
-  std::vector<std::unique_ptr<IdSpaceSearcher>> searchers;
-  searchers.reserve(tasks);
-  searchers.push_back(std::move(probe));
-  for (std::size_t i = 1; i < tasks; ++i) {
-    searchers.push_back(std::make_unique<IdSpaceSearcher>(
-        scheme, premises, conclusion, task_options));
-  }
-  for (std::size_t i = 0; i < tasks; ++i) {
-    searchers[i]->SetParallelControl(&control, static_cast<std::uint32_t>(i));
-  }
-
-  auto run_tasks = [&](TaskPool& pool) {
-    pool.ParallelFor(tasks, [&](std::size_t i) {
-      if (i == 0) {
-        searchers[0]->RunRootTask();
-      } else {
-        searchers[i]->RunBranchTask(static_cast<std::uint32_t>(i - 1));
-      }
-    });
-  };
-  if (options.pool != nullptr) {
-    run_tasks(*options.pool);
-  } else {
-    unsigned threads = options.threads != 0
-                           ? options.threads
-                           : std::max(1u, std::thread::hardware_concurrency());
-    TaskPool pool(threads);
-    run_tasks(pool);
-  }
-
-  // Deterministic reduction on the joining thread: sum the per-task
-  // counters in index order, then take the lowest-index winner's witness.
-  BoundedSearchResult result;
-  for (const auto& searcher : searchers) {
-    result.candidates_tested += searcher->candidates_tested();
-  }
-  std::uint32_t best = control.best_task.load(std::memory_order_acquire);
-  if (best != ParallelSearchControl::kNoTask) {
-    result.counterexample = searchers[best]->TakeCounterexample();
-  }
-  result.exhausted = !meter.exhausted();
-  if (options.cancel != nullptr && options.cancel->exhausted()) {
-    // Cancelled mid-scan: whatever was not found cannot be ruled out.
-    result.exhausted = false;
-  }
-  return result;
-}
 
 }  // namespace
 
@@ -847,9 +695,6 @@ Result<BoundedSearchResult> FindCounterexample(
     BoundedSearchResult cancelled;
     cancelled.exhausted = false;
     return cancelled;
-  }
-  if (options.engine == BoundedSearchEngine::kParallel) {
-    return ParallelSearch(scheme, premises, conclusion, options);
   }
   if (options.engine == BoundedSearchEngine::kIdSpace) {
     IdSpaceSearcher searcher(scheme, premises, conclusion, options);

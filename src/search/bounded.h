@@ -109,17 +109,6 @@ enum class BoundedSearchEngine : std::uint8_t {
   /// reference and as the fallback when the precomputed key tables would
   /// not fit in memory.
   kLegacy = 1,
-  /// The id-space engine with the top of the candidate tree split into
-  /// stealable tasks on a work-stealing TaskPool: relation 0's empty
-  /// subtree plus one subtree per lowest included code. Each task carries
-  /// its own counter scratch over shared read-only key tables; the first
-  /// counterexample cancels siblings through an atomic flag, and the
-  /// *lowest* task index wins the reduction, so verdicts and witnesses are
-  /// identical to kIdSpace at every thread count. Candidate budgets are
-  /// charged through one shared atomic meter — exhaustion anywhere drains
-  /// every task and surfaces as the usual non-exhausted result. Falls back
-  /// to kLegacy exactly where kIdSpace does.
-  kParallel = 2,
 };
 
 struct BoundedSearchOptions {
@@ -143,12 +132,6 @@ struct BoundedSearchOptions {
   /// same scheme (see BoundedSearchWorkspace). Null: each search compiles
   /// its own tables. Not owned; must outlive the search.
   BoundedSearchWorkspace* workspace = nullptr;
-  /// kParallel only: executor count for the transient pool (0 = hardware
-  /// concurrency). Ignored when `pool` is set.
-  unsigned threads = 0;
-  /// kParallel only: run on this caller-owned pool instead of spinning up
-  /// a transient one per search. Not owned; must outlive the search.
-  TaskPool* pool = nullptr;
   /// Optional cooperative cancellation token (not owned): the engines
   /// poll `cancel->exhausted()` at candidate checkpoints and stop early
   /// with `exhausted == false` (surfaced as ResourceExhausted — unknown,

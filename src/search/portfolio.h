@@ -142,8 +142,8 @@ struct PortfolioResult {
 ///     exactly the report a sequential sweep produces by never launching
 ///     them.
 /// The wall-clock deadline stays stage-granular (rungs are not
-/// deadline-gated mid-scan), the same approximation tier as the rest of
-/// the parallel engines (docs/parallelism.md).
+/// deadline-gated mid-scan) — deadline trips are the one timing-dependent
+/// outcome (docs/parallelism.md).
 class RefutationPortfolio {
  public:
   RefutationPortfolio(SchemePtr scheme, std::vector<Dependency> premises,

@@ -569,7 +569,7 @@ void ImplicationSolver::SolveMixed(const Dependency& target,
         WorkspaceChase chase(&ws, fds_, inds_);
         Result<WorkspaceChaseStats> run =
             chase.Run(ChaseOptions::FromBudget(slice));
-        if (FinishChase(target, slice, ws, run, unknown_notes, v)) return;
+        if (FinishChase(target, ws, chase, run, unknown_notes, v)) return;
       }
     }
     if (DeadlineExpired(budget, v, "search")) return;
@@ -640,7 +640,7 @@ bool ImplicationSolver::SolveMixedRaced(const Dependency& target,
   // happens below, never inside the tasks. A decisive chase discards the
   // portfolio result entirely: its (possibly cancellation-truncated,
   // timing-dependent) rung counters never surface.
-  if (FinishChase(target, slice, ws, *chase_run, unknown_notes, v)) {
+  if (FinishChase(target, ws, chase, *chase_run, unknown_notes, v)) {
     return true;
   }
   search_summary = FinishPortfolio(target, std::move(*portfolio_run), v);
@@ -648,16 +648,17 @@ bool ImplicationSolver::SolveMixedRaced(const Dependency& target,
 }
 
 bool ImplicationSolver::FinishChase(const Dependency& target,
-                                    const Budget& slice,
                                     InternedWorkspace& ws,
+                                    const WorkspaceChase& chase,
                                     const Result<WorkspaceChaseStats>& run,
                                     std::vector<std::string>& unknown_notes,
                                     Verdict& v) {
   StageReport r{"chase", "workspace-chase (universal model)",
                 ImplicationVerdict::kUnknown, "", {}};
+  r.used.steps = chase.last_run().steps;
+  r.used.tuples = chase.last_run().ind_tuples;
   if (!run.ok()) {
     r.note = run.status().ToString();
-    r.used.steps = slice.steps;
     unknown_notes.push_back(StrCat("chase: ", r.note));
     PushStage(v, std::move(r));
     return false;
@@ -668,8 +669,6 @@ bool ImplicationSolver::FinishChase(const Dependency& target,
     PushStage(v, std::move(r));
     return false;
   }
-  r.used.steps = run->steps;
-  r.used.tuples = run->ind_tuples;
   v.chase_stats = *run;
   bool holds = ws.Satisfies(target);
   v.engine = r.engine;

@@ -268,9 +268,11 @@ class ImplicationSolver {
                        std::vector<std::string>& unknown_notes,
                        std::string& search_summary, Verdict& v);
   /// Folds a finished chase probe into the verdict (the shared tail of
-  /// the sequential and raced stage 2). True iff decisive.
-  bool FinishChase(const Dependency& target, const Budget& slice,
-                   InternedWorkspace& ws,
+  /// the sequential and raced stage 2). True iff decisive. The stage's
+  /// budget use is the chase's own counters (`chase.last_run()`), on the
+  /// exhausted path too.
+  bool FinishChase(const Dependency& target, InternedWorkspace& ws,
+                   const WorkspaceChase& chase,
                    const Result<WorkspaceChaseStats>& run,
                    std::vector<std::string>& unknown_notes, Verdict& v);
   /// Folds a finished portfolio run into the verdict (the shared tail of

@@ -97,21 +97,6 @@ void TaskPool::WorkerLoop(unsigned self) {
   tls_pool = nullptr;
 }
 
-void TaskPool::ParallelFor(std::size_t n,
-                           const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (n == 1 || workers_.empty()) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  TaskGroup group(this);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    group.Spawn([&body, i] { body(i); });
-  }
-  body(n - 1);  // the caller takes one index before helping drain the rest
-  group.Wait();
-}
-
 void TaskGroup::Spawn(std::function<void()> fn) {
   pending_.fetch_add(1, std::memory_order_relaxed);
   pool_->Submit([this, fn = std::move(fn)] {

@@ -17,20 +17,21 @@
 
 namespace ccfp {
 
-/// A small work-stealing thread pool for the fan-out hot paths (bounded
-/// search subtrees, verifier catch-up shards, chase probe rounds).
+/// A small work-stealing thread pool. Its consumers are the refutation
+/// portfolio (search/portfolio.h: one task per bounded-search ladder rung,
+/// plus the chase in the solver's raced mixed route) and the solver
+/// service (service/service.h: one pool shared by every session).
 ///
 /// Ownership model: the pool owns its worker threads; it never owns the
-/// data a task touches. Callers fork work with `ParallelFor` or a
-/// `TaskGroup` and join before the borrowed data goes out of scope — no
-/// task outlives the call that spawned it.
+/// data a task touches. Callers fork work with a `TaskGroup` and join
+/// before the borrowed data goes out of scope — no task outlives the call
+/// that spawned it.
 ///
 /// A pool constructed with `threads` provides `threads` executors total:
 /// `threads - 1` dedicated workers plus the caller itself, which helps run
 /// queued tasks while it waits. `TaskPool(1)` therefore spawns no threads
-/// at all and degenerates to exact sequential execution on the caller —
-/// the property tests use that to push the parallel code paths through the
-/// differential suites unchanged.
+/// at all and runs every spawned task inline on the caller, in submission
+/// order — exact sequential execution.
 ///
 /// Scheduling: each worker keeps a deque; owners push and pop at the
 /// front (LIFO, cache-warm), thieves steal from the back (FIFO, coarse).
@@ -51,11 +52,6 @@ class TaskPool {
 
   /// Total executors (dedicated workers + the joining caller).
   unsigned threads() const { return static_cast<unsigned>(workers_.size()) + 1; }
-
-  /// Runs `body(i)` for every i in [0, n). Blocks until all complete; the
-  /// caller executes tasks too. Any executor may run any index — bodies
-  /// must only write state they own (per-index slots are the usual shape).
-  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& body);
 
  private:
   friend class TaskGroup;
@@ -124,8 +120,9 @@ class TaskGroup {
 class SharedBudgetMeter {
  public:
   /// `step_ceiling` is whichever Budget axis the consumer meters through
-  /// the shared counter (candidates for bounded search, events for the
-  /// verifier); the deadline always comes from `budget`. `parent` (not
+  /// the shared counter (a service session's lifetime steps; UINT64_MAX
+  /// for a pure cancellation token); the deadline always comes from
+  /// `budget`. `parent` (not
   /// owned; may be null) chains this meter under an outer one: parent
   /// exhaustion is exhaustion here too.
   SharedBudgetMeter(const Budget& budget, std::uint64_t step_ceiling,

@@ -795,218 +795,6 @@ Status IncrementalVerifier::CatchUp(const Budget& budget) {
   return Status::OK();
 }
 
-void IncrementalVerifier::BuildCatchUpShards() {
-  if (shard_watchers_ == watchers_.size() &&
-      shard_counters_ == counters_.size() &&
-      shard_trackers_ == trackers_.size()) {
-    return;
-  }
-  shard_watchers_ = watchers_.size();
-  shard_counters_ = counters_.size();
-  shard_trackers_ = trackers_.size();
-
-  // Node space: counters, then trackers, then the feed-subscribed
-  // watchers (Rd/Emvd). FdWatchers replay nothing (pure count reads) and
-  // IndWatchers are driven entirely through their trackers' callbacks, so
-  // neither gets a node of its own.
-  std::size_t nc = counters_.size();
-  std::size_t nt = trackers_.size();
-  std::unordered_map<WatchId, std::size_t> watcher_node;
-  for (const std::vector<WatchId>& subs : by_rel_) {
-    for (WatchId id : subs) {
-      watcher_node.emplace(id, nc + nt + watcher_node.size());
-    }
-  }
-  std::vector<std::size_t> parent(nc + nt + watcher_node.size());
-  for (std::size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
-  auto unite = [&](std::size_t a, std::size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  };
-
-  // A composed counter and its counter sources must share a task (the
-  // source's group_of array is read mid-replay). Sources are identified
-  // by the group vector they expose.
-  std::unordered_map<const std::vector<std::uint32_t>*, std::size_t>
-      groups_node;
-  for (std::size_t i = 0; i < nc; ++i) {
-    groups_node.emplace(&counters_[i]->group_of, i);
-  }
-  for (std::size_t i = 0; i < nc; ++i) {
-    for (const CountSource* src : {&counters_[i]->a, &counters_[i]->b}) {
-      auto it = groups_node.find(src->groups);
-      if (it != groups_node.end()) unite(i, it->second);
-    }
-  }
-  // An IND's two trackers fire callbacks into one shared link/missing
-  // state, so they (and with them the watcher) must share a task.
-  for (const std::unique_ptr<Watcher>& w : watchers_) {
-    if (w->dep.kind() != DependencyKind::kInd) continue;
-    const IndWatcher* iw = static_cast<const IndWatcher*>(w.get());
-    if (iw->trivial) continue;
-    std::size_t lt_node = 0, rt_node = 0;
-    for (std::size_t t = 0; t < nt; ++t) {
-      if (trackers_[t].get() == iw->lt) lt_node = nc + t;
-      if (trackers_[t].get() == iw->rt) rt_node = nc + t;
-    }
-    unite(lt_node, rt_node);
-  }
-
-  // Components -> shards, ordered by their smallest node id so the shard
-  // list (and with it the serial epilogue) is deterministic.
-  catchup_shards_.clear();
-  std::unordered_map<std::size_t, std::size_t> shard_of_root;
-  auto shard_of = [&](std::size_t node) -> CatchUpShard& {
-    std::size_t root = find(node);
-    auto [it, inserted] =
-        shard_of_root.emplace(root, catchup_shards_.size());
-    if (inserted) catchup_shards_.emplace_back();
-    return catchup_shards_[it->second];
-  };
-  for (std::size_t i = 0; i < nc; ++i) {
-    shard_of(i).counters.push_back(counters_[i].get());
-  }
-  for (std::size_t t = 0; t < nt; ++t) {
-    shard_of(nc + t).trackers.push_back(trackers_[t].get());
-  }
-  for (RelId rel = 0; rel < static_cast<RelId>(by_rel_.size()); ++rel) {
-    for (WatchId id : by_rel_[rel]) {
-      shard_of(watcher_node.at(id)).watchers.emplace_back(rel, id);
-    }
-  }
-}
-
-void IncrementalVerifier::ReplayShardRelation(const CatchUpShard& shard,
-                                              RelId rel, std::uint64_t cursor,
-                                              bool rebuild) {
-  if (rebuild) {
-    std::uint32_t n = static_cast<std::uint32_t>(ws_->size(rel));
-    for (GroupCounter* gc : shard.counters) {
-      if (gc->rel != rel) continue;
-      for (std::uint32_t i = 0; i < n; ++i) gc->Apply(i);
-    }
-    for (GroupTracker* gt : shard.trackers) {
-      if (gt->rel != rel) continue;
-      for (std::uint32_t i = 0; i < n; ++i) gt->Apply(*ws_, i);
-    }
-    WorkspaceEvent ev{WorkspaceEventKind::kRewrite, 0};
-    for (const auto& [wrel, w] : shard.watchers) {
-      if (wrel != rel) continue;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        ev.idx = i;
-        watchers_[w]->OnEvent(*ws_, rel, ev);
-      }
-    }
-    return;
-  }
-  const std::vector<WorkspaceEvent>& log = ws_->events(rel);
-  std::uint64_t from = cursor - ws_->FeedBase(rel);
-  for (GroupCounter* gc : shard.counters) {
-    if (gc->rel != rel) continue;
-    for (std::uint64_t i = from; i < log.size(); ++i) gc->Apply(log[i].idx);
-  }
-  for (GroupTracker* gt : shard.trackers) {
-    if (gt->rel != rel) continue;
-    for (std::uint64_t i = from; i < log.size(); ++i) {
-      gt->Apply(*ws_, log[i].idx);
-    }
-  }
-  for (const auto& [wrel, w] : shard.watchers) {
-    if (wrel != rel) continue;
-    for (std::uint64_t i = from; i < log.size(); ++i) {
-      watchers_[w]->OnEvent(*ws_, rel, log[i]);
-    }
-  }
-}
-
-Status IncrementalVerifier::CatchUpParallel(const Budget& budget,
-                                            TaskPool& pool) {
-  std::size_t nrels = ws_->scheme().size();
-  struct Window {
-    std::uint64_t from = 0;
-    std::uint64_t end = 0;
-    bool rebuild = false;
-    bool pending = false;
-  };
-  std::vector<Window> windows(nrels);
-  bool any = false;
-  for (RelId rel = 0; rel < nrels; ++rel) {
-    std::uint64_t end = ws_->EventCount(rel);
-    if (cursor_[rel] == end) continue;
-    // The same gates as the sequential budgeted CatchUp, checkpointed
-    // once before the fan-out (MemoryBytes walks state tasks will soon be
-    // mutating, so the ceiling cannot be re-read mid-flight).
-    if (FaultFires(FaultSite::kWatcherGrow)) {
-      return Status::ResourceExhausted(
-          "injected watcher growth failure during CatchUpParallel");
-    }
-    if (budget.Expired()) {
-      return Status::ResourceExhausted(
-          "verifier CatchUpParallel deadline exceeded");
-    }
-    if (budget.bytes != UINT64_MAX &&
-        ws_->MemoryUsage().Total() + MemoryBytes() > budget.bytes) {
-      return Status::ResourceExhausted("verifier byte ceiling exceeded");
-    }
-    // Partitions extended serially: event handlers read per-slot groups,
-    // and the lazy extension mutates the shared partition cache.
-    ws_->ExtendAllPartitions(rel);
-    windows[rel] = Window{cursor_[rel], end,
-                          cursor_[rel] < ws_->FeedBase(rel), true};
-    any = true;
-  }
-  if (!any) return Status::OK();
-  BuildCatchUpShards();
-
-  std::atomic<bool> exhausted{false};
-  pool.ParallelFor(catchup_shards_.size(), [&](std::size_t s) {
-    const CatchUpShard& shard = catchup_shards_[s];
-    for (RelId rel = 0; rel < nrels; ++rel) {
-      if (!windows[rel].pending) continue;
-      if (exhausted.load(std::memory_order_relaxed)) return;
-      // Mid-fan-out exhaustion: the deadline and the injected fault site
-      // are polled per (shard, relation); the first trip drains the pool.
-      if (FaultFires(FaultSite::kWatcherGrow) || budget.Expired()) {
-        exhausted.store(true, std::memory_order_relaxed);
-        return;
-      }
-      ReplayShardRelation(shard, rel, windows[rel].from,
-                          windows[rel].rebuild);
-    }
-  });
-  if (exhausted.load(std::memory_order_relaxed)) {
-    // No cursor moved: shards that already replayed are simply ahead, and
-    // the idempotent per-slot memories make the later re-replay a no-op.
-    return Status::ResourceExhausted(
-        "verifier CatchUpParallel exhausted mid-fan-out (resumable)");
-  }
-
-  // Serial epilogue in relation order: cursors and stats identical to the
-  // sequential engine's accounting.
-  for (RelId rel = 0; rel < nrels; ++rel) {
-    const Window& w = windows[rel];
-    if (!w.pending) continue;
-    if (w.rebuild) {
-      ++stats_.horizon_rebuilds;
-    } else {
-      std::uint64_t events = w.end - w.from;
-      stats_.events_consumed += events;
-      stats_.watcher_events +=
-          events * (counters_by_rel_[rel].size() +
-                    trackers_by_rel_[rel].size() + by_rel_[rel].size());
-    }
-    cursor_[rel] = w.end;
-    ws_->AdvanceFeedCursor(feed_cursor_, rel, w.end);
-    ++stats_.catch_ups;
-  }
-  return Status::OK();
-}
-
 std::uint64_t IncrementalVerifier::MemoryBytes() const {
   std::uint64_t total = 0;
   for (const std::unique_ptr<GroupCounter>& gc : counters_) {

@@ -15,7 +15,6 @@
 #include "core/workspace.h"
 #include "util/budget.h"
 #include "util/status.h"
-#include "util/task_pool.h"
 
 namespace ccfp {
 
@@ -134,22 +133,6 @@ class IncrementalVerifier {
   /// but verdicts are undefined until one completes without exhausting.
   Status CatchUp(const Budget& budget);
 
-  /// Parallel budgeted CatchUp: partitions the watcher state into
-  /// *ownership shards* — a counter with its composed-prefix sources, an
-  /// IND's two trackers (and through them the watcher's link state), each
-  /// Rd/Emvd watcher alone — and replays the pending feed windows one
-  /// shard per pool task. No two tasks ever touch one open-addressed map
-  /// or per-slot array, and each shard replays relations in ascending
-  /// order with the sequential counters -> trackers -> watchers suborder,
-  /// so the final watcher state is identical to CatchUp at any thread
-  /// count. Budget gates (bytes, deadline, the kWatcherGrow fault site)
-  /// are checkpointed once before the fan-out and polled per (shard,
-  /// relation) during it; on any trip the pool drains and ONE
-  /// ResourceExhausted is returned with *no* cursor advanced — every
-  /// update path is idempotent per slot, so a later CatchUp (any
-  /// overload) replays to the exact sequential state.
-  Status CatchUpParallel(const Budget& budget, TaskPool& pool);
-
   /// Live logical bytes of watcher-side state: shared group counters and
   /// trackers, per-watcher link arrays and flags (see
   /// util/memory_budget.h; the workspace's own bytes are reported by
@@ -201,22 +184,6 @@ class IncrementalVerifier {
   /// the cursor.
   void CatchUpRelation(RelId rel);
 
-  /// One CatchUpParallel ownership shard: the connected component of
-  /// counters (linked through composed-prefix sources), trackers (linked
-  /// through shared IndWatchers), and feed-subscribed watchers (always
-  /// singletons) that no other task may touch. Lists preserve creation /
-  /// subscription order so a shard's replay is the sequential replay
-  /// restricted to its members.
-  struct CatchUpShard {
-    std::vector<GroupCounter*> counters;
-    std::vector<GroupTracker*> trackers;
-    std::vector<std::pair<RelId, WatchId>> watchers;
-  };
-  /// (Re)derives catchup_shards_ when Watch added state since last time.
-  void BuildCatchUpShards();
-  void ReplayShardRelation(const CatchUpShard& shard, RelId rel,
-                           std::uint64_t cursor, bool rebuild);
-
   const InternedWorkspace* ws_;
   std::vector<std::unique_ptr<Watcher>> watchers_;
   std::unordered_map<Dependency, WatchId, DependencyHash> index_;
@@ -234,12 +201,6 @@ class IncrementalVerifier {
   std::vector<std::uint64_t> cursor_;         ///< feed cursor per rel
   InternedWorkspace::FeedCursorId feed_cursor_ = 0;  ///< pins compaction
   Stats stats_;
-  /// Cached CatchUpParallel topology; rebuilt when the counts below drift
-  /// from the live containers (Watch only ever adds).
-  std::vector<CatchUpShard> catchup_shards_;
-  std::size_t shard_watchers_ = SIZE_MAX;
-  std::size_t shard_counters_ = 0;
-  std::size_t shard_trackers_ = 0;
 };
 
 /// Watcher-backed analogue of core/satisfies.h `ObeysExactly`: watches

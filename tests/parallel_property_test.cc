@@ -1,422 +1,220 @@
-// Differential property suites for the parallel hot paths (PR 8): at
-// every thread count the parallel engines must produce exactly the
-// sequential results —
-//   * bounded search: same verdict and the same counterexample database
-//     (lowest-task-index reduction = the sequential pre-order witness),
-//     and the same candidates_tested on full no-find scans;
-//   * verifier CatchUpParallel: same verdicts, witnesses, and stats as
-//     the sequential CatchUp on the same trace;
-//   * workspace chase: byte-identical materialized fixpoints and identical
-//     fd_merges/ind_tuples/steps counters;
-// including when Budget exhaustion or an injected fault trips mid-fan-out
-// (one ResourceExhausted, never a wrong verdict, resumable state).
+// Property coverage for the task pool itself (util/task_pool.h), the
+// substrate of the refutation portfolio and the solver service:
+//   * TaskPool(1) spawns no threads and runs spawned tasks inline, in
+//     submission order;
+//   * TaskGroup::Wait helps run queued tasks, so a group makes progress
+//     even when every dedicated worker is busy;
+//   * the TaskGroup destructor waits for its tasks;
+//   * SharedBudgetMeter exhaustion is sticky — at its step ceiling and
+//     after MarkExhausted — and flows down a parent chain, never up.
+// The suite carries the `property` label, so check-tsan runs it under
+// ThreadSanitizer.
 #include <gtest/gtest.h>
 
-#include <string>
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
-#include "chase/workspace_chase.h"
-#include "core/satisfies.h"
-#include "search/bounded.h"
-#include "tests/trace_util.h"
 #include "util/budget.h"
-#include "util/fault.h"
-#include "util/rng.h"
 #include "util/task_pool.h"
-#include "verify/verifier.h"
 
 namespace ccfp {
 namespace {
 
-constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
+constexpr unsigned kWidths[] = {1, 2, 4, 8};
 
-// ---------------------------------------------------------------------------
-// Bounded search: kParallel vs kIdSpace.
-
-struct SearchInstance {
-  SchemePtr scheme;
-  std::vector<Dependency> premises;
-  Dependency conclusion = Dependency(Fd{0, {0}, {1}});
-};
-
-SearchInstance RandomSearchInstance(std::uint64_t seed) {
-  SplitMix64 rng(seed);
-  std::size_t relations = 1 + rng.Below(2);
-  std::size_t arity = 2 + rng.Below(2);
-  std::vector<std::pair<std::string, std::vector<std::string>>> rels;
-  for (std::size_t r = 0; r < relations; ++r) {
-    std::vector<std::string> attrs;
-    for (std::size_t a = 0; a < arity; ++a) {
-      attrs.push_back(std::string(1, static_cast<char>('A' + a)));
-    }
-    rels.emplace_back("R" + std::to_string(r), attrs);
-  }
-  SearchInstance instance;
-  instance.scheme = MakeScheme(rels);
-  std::size_t count = 1 + rng.Below(3);
-  for (std::size_t i = 0; i < count; ++i) {
-    RelId rel = static_cast<RelId>(rng.Below(relations));
-    AttrId x = static_cast<AttrId>(rng.Below(arity));
-    AttrId y = static_cast<AttrId>(rng.Below(arity));
-    if (rng.Chance(1, 3) && relations >= 1) {
-      RelId rhs = static_cast<RelId>(rng.Below(relations));
-      instance.premises.push_back(Dependency(Ind{rel, {x}, rhs, {y}}));
-    } else if (x != y) {
-      instance.premises.push_back(Dependency(Fd{rel, {x}, {y}}));
-    }
-  }
-  AttrId x = static_cast<AttrId>(rng.Below(arity));
-  AttrId y = static_cast<AttrId>((x + 1 + rng.Below(arity - 1)) % arity);
-  instance.conclusion = Dependency(Fd{0, {x}, {y}});
-  return instance;
+Budget Unmetered() {
+  Budget budget;
+  budget.deadline.reset();
+  return budget;
 }
 
-class ParallelSearchTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ParallelSearchTest, MatchesSequentialAtEveryThreadCount) {
-  SearchInstance instance = RandomSearchInstance(GetParam());
-  BoundedSearchOptions sequential;
-  sequential.engine = BoundedSearchEngine::kIdSpace;
-  sequential.domain_size = 2;
-  sequential.max_tuples_per_relation = 2;
-  Result<BoundedSearchResult> base = FindCounterexample(
-      instance.scheme, instance.premises, instance.conclusion, sequential);
-  ASSERT_TRUE(base.ok()) << base.status();
-
-  for (unsigned threads : kThreadCounts) {
-    BoundedSearchOptions parallel = sequential;
-    parallel.engine = BoundedSearchEngine::kParallel;
-    parallel.threads = threads;
-    Result<BoundedSearchResult> got = FindCounterexample(
-        instance.scheme, instance.premises, instance.conclusion, parallel);
-    ASSERT_TRUE(got.ok()) << got.status();
-    ASSERT_EQ(got->exhausted, base->exhausted) << "threads=" << threads;
-    ASSERT_EQ(got->counterexample.has_value(),
-              base->counterexample.has_value())
-        << "threads=" << threads;
-    if (base->counterexample.has_value()) {
-      // The lowest-task-index reduction pins the parallel witness to the
-      // sequential pre-order one: the same database, byte for byte.
-      EXPECT_TRUE(*got->counterexample == *base->counterexample)
-          << "threads=" << threads << "\n"
-          << got->counterexample->ToString() << "\nvs\n"
-          << base->counterexample->ToString();
-    } else if (base->exhausted) {
-      // Full no-find scans visit every boundary in both engines, so the
-      // candidate counters agree exactly.
-      EXPECT_EQ(got->candidates_tested, base->candidates_tested)
-          << "threads=" << threads;
-    }
-    if (threads == 1) {
-      // One executor runs the task list in submission order — the exact
-      // sequential traversal, counter included.
-      EXPECT_EQ(got->candidates_tested, base->candidates_tested);
-    }
+TEST(TaskPoolTest, WidthOneRunsInlineInSubmissionOrder) {
+  TaskPool pool(1);
+  EXPECT_EQ(pool.threads(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  TaskGroup group(&pool);
+  for (int i = 0; i < 16; ++i) {
+    group.Spawn([&order, caller, i] {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    // Inline: the task already ran when Spawn returned.
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(i + 1));
   }
+  group.Wait();
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST_P(ParallelSearchTest, SharedMeterExhaustionIsNeverAWrongVerdict) {
-  SearchInstance instance = RandomSearchInstance(GetParam() * 131 + 7);
-  for (unsigned threads : kThreadCounts) {
-    BoundedSearchOptions tiny;
-    tiny.engine = BoundedSearchEngine::kParallel;
-    tiny.threads = threads;
-    tiny.domain_size = 2;
-    tiny.max_tuples_per_relation = 2;
-    tiny.max_candidates = 3;  // trips mid-fan-out on any non-trivial scan
-    Result<BoundedSearchResult> got = FindCounterexample(
-        instance.scheme, instance.premises, instance.conclusion, tiny);
-    ASSERT_TRUE(got.ok()) << got.status();
-    if (got->counterexample.has_value()) {
-      // Budget or not, an attached witness must be genuine.
-      IdDatabase interned(*got->counterexample);
-      for (const Dependency& p : instance.premises) {
-        EXPECT_TRUE(interned.Satisfies(p))
-            << p.ToString(*instance.scheme);
+TEST(TaskPoolTest, EveryTaskRunsExactlyOnceAtEveryWidth) {
+  for (unsigned width : kWidths) {
+    TaskPool pool(width);
+    EXPECT_EQ(pool.threads(), width);
+    constexpr int kTasks = 200;
+    std::vector<std::atomic<int>> runs(kTasks);
+    {
+      TaskGroup group(&pool);
+      for (int i = 0; i < kTasks; ++i) {
+        group.Spawn([&runs, i] { runs[i].fetch_add(1); });
       }
-      EXPECT_FALSE(interned.Satisfies(instance.conclusion));
-    } else if (!got->exhausted) {
-      // Exhausted mid-scan without a find: the budgeted retry converges
-      // to the sequential verdict — exhaustion lost no answers.
-      BoundedSearchOptions full = tiny;
-      full.max_candidates = 1u << 24;
-      Result<BoundedSearchResult> retry = FindCounterexample(
-          instance.scheme, instance.premises, instance.conclusion, full);
-      ASSERT_TRUE(retry.ok());
-      BoundedSearchOptions sequential = full;
-      sequential.engine = BoundedSearchEngine::kIdSpace;
-      sequential.threads = 0;
-      Result<BoundedSearchResult> base = FindCounterexample(
-          instance.scheme, instance.premises, instance.conclusion,
-          sequential);
-      ASSERT_TRUE(base.ok());
-      EXPECT_EQ(retry->counterexample.has_value(),
-                base->counterexample.has_value());
+      group.Wait();
+    }
+    for (int i = 0; i < kTasks; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "width " << width << " task " << i;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelSearchTest,
-                         ::testing::Range<std::uint64_t>(1, 31));
+TEST(TaskPoolTest, WaitHelpsRunQueuedTasks) {
+  // The pool's only worker blocks until a *later* task releases it. If
+  // Wait merely slept, nobody would run that task and this would hang;
+  // Wait must steal it and run it on the joining thread.
+  TaskPool pool(2);
+  std::atomic<bool> blocker_started{false};
+  std::atomic<bool> release{false};
+  std::thread::id releaser;
+  std::mutex mu;
+  TaskGroup group(&pool);
+  group.Spawn([&] {
+    blocker_started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!blocker_started.load()) std::this_thread::yield();
+  group.Spawn([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    releaser = std::this_thread::get_id();
+    release.store(true);
+  });
+  group.Wait();
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(releaser, std::this_thread::get_id());
+}
 
-// ---------------------------------------------------------------------------
-// Verifier: CatchUpParallel vs CatchUp on one shared trace.
-
-class ParallelCatchUpTest : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(ParallelCatchUpTest, MatchesSequentialCatchUp) {
-  SplitMix64 rng(GetParam());
-  SchemePtr scheme = testutil::RandomScheme(rng);
-  InternedWorkspace ws(scheme);
-  std::vector<Dependency> universe =
-      testutil::RandomUniverse(scheme, rng, 12);
-  if (universe.empty()) return;
-
-  // Two verifiers on one workspace: each owns a feed cursor, so they
-  // drain the same trace independently.
-  IncrementalVerifier sequential(&ws);
-  IncrementalVerifier parallel(&ws);
-  std::vector<WatchId> seq_ids, par_ids;
-  for (const Dependency& dep : universe) {
-    seq_ids.push_back(sequential.Watch(dep));
-    par_ids.push_back(parallel.Watch(dep));
-  }
-
-  std::vector<ValueId> pool;
-  for (unsigned threads : kThreadCounts) {
-    TaskPool task_pool(threads);
-    for (int round = 0; round < 4; ++round) {
-      std::size_t appends = 1 + rng.Below(6);
-      for (std::size_t i = 0; i < appends; ++i) {
-        testutil::AppendRandomTuple(ws, rng, pool);
+TEST(TaskPoolTest, GroupDestructorWaitsForItsTasks) {
+  for (unsigned width : kWidths) {
+    TaskPool pool(width);
+    std::atomic<int> done{0};
+    {
+      TaskGroup group(&pool);
+      for (int i = 0; i < 4; ++i) {
+        group.Spawn([&done] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          done.fetch_add(1);
+        });
       }
-      if (rng.Chance(1, 2)) testutil::MergeRandomValues(ws, rng, pool);
-      sequential.CatchUp();
-      Status st =
-          parallel.CatchUpParallel(Budget::Unlimited(), task_pool);
-      ASSERT_TRUE(st.ok()) << st.ToString();
-      for (std::size_t i = 0; i < universe.size(); ++i) {
-        ASSERT_EQ(parallel.Satisfies(par_ids[i]),
-                  sequential.Satisfies(seq_ids[i]))
-            << "threads=" << threads << " "
-            << universe[i].ToString(*scheme);
-        std::optional<IdViolation> pv = parallel.FindViolation(par_ids[i]);
-        std::optional<IdViolation> sv =
-            sequential.FindViolation(seq_ids[i]);
-        ASSERT_EQ(pv.has_value(), sv.has_value());
-        if (pv.has_value()) {
-          EXPECT_EQ(pv->rel, sv->rel);
-          EXPECT_EQ(pv->tuple_indices, sv->tuple_indices);
-        }
-      }
-      // The fan-out replays the same events through the same watchers;
-      // the serial epilogue accounts them identically.
-      EXPECT_EQ(parallel.stats().events_consumed,
-                sequential.stats().events_consumed);
-      EXPECT_EQ(parallel.stats().watcher_events,
-                sequential.stats().watcher_events);
-      EXPECT_EQ(parallel.stats().horizon_rebuilds,
-                sequential.stats().horizon_rebuilds);
+      // No Wait: leaving the scope must join.
     }
-    // Full three-way agreement (watchers / sweep / fresh intern) after
-    // each thread-count block.
-    testutil::CheckAgreement(ws, parallel, universe, par_ids);
+    EXPECT_EQ(done.load(), 4) << "width " << width;
   }
 }
 
-TEST_P(ParallelCatchUpTest, InjectedExhaustionMidFanOutIsResumable) {
-  SplitMix64 rng(GetParam() * 977 + 5);
-  SchemePtr scheme = testutil::RandomScheme(rng);
-  InternedWorkspace ws(scheme);
-  std::vector<Dependency> universe =
-      testutil::RandomUniverse(scheme, rng, 10);
-  if (universe.empty()) return;
-  IncrementalVerifier sequential(&ws);
-  IncrementalVerifier parallel(&ws);
-  std::vector<WatchId> seq_ids, par_ids;
-  for (const Dependency& dep : universe) {
-    seq_ids.push_back(sequential.Watch(dep));
-    par_ids.push_back(parallel.Watch(dep));
-  }
-  std::vector<ValueId> pool;
-  for (int i = 0; i < 24; ++i) testutil::AppendRandomTuple(ws, rng, pool);
-
-  TaskPool task_pool(4);
-  {
-    FaultInjector faults(1);
-    ScopedFaultInjector scoped(&faults);
-    faults.ArmEvery(FaultSite::kWatcherGrow, 2);
-    Status st = parallel.CatchUpParallel(Budget::Unlimited(), task_pool);
-    // Exactly one ResourceExhausted surfaces, and no cursor moved — the
-    // retry below re-replays everything.
-    ASSERT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
-  }
-  Status retry = parallel.CatchUpParallel(Budget::Unlimited(), task_pool);
-  ASSERT_TRUE(retry.ok()) << retry.ToString();
-  sequential.CatchUp();
-  for (std::size_t i = 0; i < universe.size(); ++i) {
-    EXPECT_EQ(parallel.Satisfies(par_ids[i]),
-              sequential.Satisfies(seq_ids[i]))
-        << universe[i].ToString(*scheme);
-  }
-  testutil::CheckAgreement(ws, parallel, universe, par_ids);
+TEST(SharedBudgetMeterTest, ExhaustionIsStickyAtTheStepCeiling) {
+  SharedBudgetMeter meter(Unmetered(), 3);
+  EXPECT_TRUE(meter.Charge());
+  EXPECT_TRUE(meter.Charge(2));
+  EXPECT_FALSE(meter.exhausted());
+  EXPECT_EQ(meter.used(), 3u);
+  EXPECT_FALSE(meter.Charge());
+  EXPECT_TRUE(meter.exhausted());
+  // Sticky: no later charge, however small, succeeds again.
+  for (int i = 0; i < 4; ++i) EXPECT_FALSE(meter.Charge());
+  EXPECT_TRUE(meter.exhausted());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelCatchUpTest,
-                         ::testing::Range<std::uint64_t>(1, 21));
-
-// ---------------------------------------------------------------------------
-// Chase: parallel FD rounds vs the sequential engine.
-
-struct ChaseSigma {
-  std::vector<Fd> fds;
-  std::vector<Ind> inds;
-};
-
-ChaseSigma RandomSigma(const SchemePtr& scheme, SplitMix64& rng) {
-  ChaseSigma sigma;
-  for (RelId rel = 0; rel < scheme->size(); ++rel) {
-    std::size_t arity = scheme->relation(rel).arity();
-    for (int i = 0; i < 2; ++i) {
-      AttrId x = static_cast<AttrId>(rng.Below(arity));
-      AttrId y = static_cast<AttrId>(rng.Below(arity));
-      if (x != y) sigma.fds.push_back(Fd{rel, {x}, {y}});
-    }
-  }
-  // Forward-only INDs so the chase terminates.
-  for (RelId rel = 0; rel + 1 < scheme->size(); ++rel) {
-    if (!rng.Chance(1, 2)) continue;
-    std::size_t la = scheme->relation(rel).arity();
-    std::size_t ra = scheme->relation(rel + 1).arity();
-    sigma.inds.push_back(Ind{rel,
-                             {static_cast<AttrId>(rng.Below(la))},
-                             static_cast<RelId>(rel + 1),
-                             {static_cast<AttrId>(rng.Below(ra))}});
-  }
-  return sigma;
+TEST(SharedBudgetMeterTest, MarkExhaustedIsSticky) {
+  SharedBudgetMeter meter(Unmetered(), UINT64_MAX);
+  EXPECT_TRUE(meter.Charge(10));
+  meter.MarkExhausted();
+  EXPECT_TRUE(meter.exhausted());
+  EXPECT_FALSE(meter.Charge());
+  EXPECT_TRUE(meter.exhausted());
+  EXPECT_EQ(meter.used(), 10u);
 }
 
-/// Seeds `ws` with `count` tuples drawn from a small value pool — enough
-/// agreeing lhs values that the first FD round is both large (past the
-/// parallel threshold) and merge-heavy.
-void SeedWorkspace(InternedWorkspace& ws, std::uint64_t seed,
-                   std::size_t count) {
-  SplitMix64 rng(seed);
-  std::vector<ValueId> pool;
-  for (std::size_t i = 0; i < count; ++i) {
-    testutil::AppendRandomTuple(ws, rng, pool);
-  }
-}
-
-void ExpectSameFixpoint(const InternedWorkspace& seq_ws,
-                        const WorkspaceChaseStats& seq,
-                        const InternedWorkspace& par_ws,
-                        const WorkspaceChaseStats& par,
-                        const std::string& label) {
-  EXPECT_EQ(par.outcome, seq.outcome) << label;
-  EXPECT_EQ(par.fd_merges, seq.fd_merges) << label;
-  EXPECT_EQ(par.ind_tuples, seq.ind_tuples) << label;
-  EXPECT_EQ(par.steps, seq.steps) << label;
-  // Byte-identical materialized fixpoints: same tuples, same labeled-null
-  // numbering, same order.
-  EXPECT_EQ(par_ws.Materialize().ToString(), seq_ws.Materialize().ToString())
-      << label;
-  for (RelId rel = 0; rel < seq_ws.scheme().size(); ++rel) {
-    ASSERT_EQ(par_ws.size(rel), seq_ws.size(rel)) << label;
-    EXPECT_EQ(par_ws.AliveTuples(rel), seq_ws.AliveTuples(rel)) << label;
-    for (std::uint32_t i = 0; i < seq_ws.size(rel); ++i) {
-      ASSERT_EQ(par_ws.alive(rel, i), seq_ws.alive(rel, i))
-          << label << " slot " << i;
-      if (seq_ws.alive(rel, i)) {
-        EXPECT_EQ(par_ws.tuple(rel, i), seq_ws.tuple(rel, i))
-            << label << " rel " << rel << " slot " << i;
+TEST(SharedBudgetMeterTest, ConcurrentChargesCrossTheCeilingOnce) {
+  // Many tasks charging one meter: the successful charges never exceed
+  // the ceiling, and once it is crossed every task sees exhaustion.
+  for (unsigned width : kWidths) {
+    TaskPool pool(width);
+    constexpr std::uint64_t kCeiling = 1000;
+    SharedBudgetMeter meter(Unmetered(), kCeiling);
+    std::atomic<std::uint64_t> granted{0};
+    {
+      TaskGroup group(&pool);
+      for (int t = 0; t < 8; ++t) {
+        group.Spawn([&meter, &granted] {
+          while (meter.Charge()) granted.fetch_add(1);
+        });
       }
     }
+    EXPECT_TRUE(meter.exhausted()) << "width " << width;
+    EXPECT_LE(granted.load(), kCeiling) << "width " << width;
+    EXPECT_FALSE(meter.Charge());
   }
 }
 
-class ParallelChaseTest : public ::testing::TestWithParam<std::uint64_t> {};
+TEST(SharedBudgetMeterTest, ParentExhaustionReachesChildrenOnly) {
+  SharedBudgetMeter parent(Unmetered(), 100);
+  SharedBudgetMeter child(Unmetered(), UINT64_MAX, &parent);
+  SharedBudgetMeter grandchild(Unmetered(), UINT64_MAX, &child);
 
-TEST_P(ParallelChaseTest, FixpointMatchesSequentialAtEveryThreadCount) {
-  SplitMix64 rng(GetParam());
-  SchemePtr scheme = testutil::RandomScheme(rng);
-  ChaseSigma sigma = RandomSigma(scheme, rng);
+  // A child's charges never reach its parent.
+  EXPECT_TRUE(child.Charge(50));
+  EXPECT_TRUE(grandchild.Charge(500));
+  EXPECT_EQ(parent.used(), 0u);
+  EXPECT_EQ(child.used(), 50u);
 
-  InternedWorkspace seq_ws(scheme);
-  SeedWorkspace(seq_ws, GetParam() * 31 + 1, 96);
-  WorkspaceChase seq_chase(&seq_ws, sigma.fds, sigma.inds);
-  Result<WorkspaceChaseStats> seq = seq_chase.Run({});
-  ASSERT_TRUE(seq.ok()) << seq.status();
+  // Nor does a child's exhaustion.
+  SharedBudgetMeter small(Unmetered(), 1, &parent);
+  EXPECT_FALSE(small.Charge(2));
+  EXPECT_TRUE(small.exhausted());
+  EXPECT_FALSE(parent.exhausted());
+  EXPECT_FALSE(child.exhausted());
 
-  for (unsigned threads : {2u, 4u, 8u}) {
-    InternedWorkspace par_ws(scheme);
-    SeedWorkspace(par_ws, GetParam() * 31 + 1, 96);
-    WorkspaceChase par_chase(&par_ws, sigma.fds, sigma.inds);
-    ChaseOptions options;
-    options.threads = threads;
-    Result<WorkspaceChaseStats> par = par_chase.Run(options);
-    ASSERT_TRUE(par.ok()) << par.status();
-    ExpectSameFixpoint(seq_ws, *seq, par_ws, *par,
-                       "threads=" + std::to_string(threads));
-  }
+  // The parent's exhaustion is seen down the whole chain.
+  parent.MarkExhausted();
+  EXPECT_TRUE(child.exhausted());
+  EXPECT_TRUE(grandchild.exhausted());
+  EXPECT_FALSE(child.Charge());
+  EXPECT_FALSE(grandchild.Charge());
 }
 
-TEST_P(ParallelChaseTest, InjectedExhaustionMidRoundIsResumable) {
-  SplitMix64 rng(GetParam() * 613 + 3);
-  SchemePtr scheme = testutil::RandomScheme(rng);
-  ChaseSigma sigma = RandomSigma(scheme, rng);
-
-  InternedWorkspace seq_ws(scheme);
-  SeedWorkspace(seq_ws, GetParam() * 67 + 9, 80);
-  WorkspaceChase seq_chase(&seq_ws, sigma.fds, sigma.inds);
-  Result<WorkspaceChaseStats> seq = seq_chase.Run({});
-  ASSERT_TRUE(seq.ok()) << seq.status();
-
-  InternedWorkspace par_ws(scheme);
-  SeedWorkspace(par_ws, GetParam() * 67 + 9, 80);
-  WorkspaceChase par_chase(&par_ws, sigma.fds, sigma.inds);
-  ChaseOptions options;
-  options.threads = 4;
-  std::uint64_t total_merges = 0;
-  std::uint64_t total_ind_tuples = 0;
-  int exhaustions = 0;
-  {
-    FaultInjector faults(1);
-    ScopedFaultInjector scoped(&faults);
-    faults.ArmEvery(FaultSite::kEngineExhaust, 37);
-    for (int attempt = 0; attempt < 64; ++attempt) {
-      Result<WorkspaceChaseStats> run = par_chase.Run(options);
-      if (run.ok()) {
-        total_merges += run->fd_merges;
-        total_ind_tuples += run->ind_tuples;
-        break;
-      }
-      ASSERT_EQ(run.status().code(), StatusCode::kResourceExhausted)
-          << run.status().ToString();
-      ++exhaustions;
-      // Requeued state must survive the trip: the next Run resumes.
+TEST(SharedBudgetMeterTest, CancellationDrainsAFanOut) {
+  // The race shape the solver uses: one never-charged cancel token, one
+  // child meter per task, each task working until its meter says stop.
+  // Marking the token (from outside the pool, so even a width-1 pool
+  // running the tasks inline gets cancelled) stops every task.
+  for (unsigned width : kWidths) {
+    TaskPool pool(width);
+    SharedBudgetMeter cancel(Unmetered(), UINT64_MAX);
+    std::vector<std::unique_ptr<SharedBudgetMeter>> meters;
+    for (int t = 0; t < 6; ++t) {
+      meters.push_back(std::make_unique<SharedBudgetMeter>(
+          Unmetered(), UINT64_MAX, &cancel));
     }
-  }
-  // Finish without faults (the loop above may have hit the cap mid-chase).
-  Result<WorkspaceChaseStats> final_run = par_chase.Run(options);
-  ASSERT_TRUE(final_run.ok()) << final_run.status();
-  total_merges += final_run->fd_merges;
-  total_ind_tuples += final_run->ind_tuples;
-  EXPECT_GT(exhaustions, 0) << "fault never fired; tighten the period";
-  EXPECT_EQ(final_run->outcome, seq->outcome);
-  if (seq->outcome == ChaseOutcome::kFixpoint) {
-    // Across however many resumed Runs, the same total work happened and
-    // the same fixpoint came out.
-    EXPECT_EQ(total_merges, seq->fd_merges);
-    EXPECT_EQ(total_ind_tuples, seq->ind_tuples);
-    EXPECT_EQ(par_ws.Materialize().ToString(),
-              seq_ws.Materialize().ToString());
+    std::thread canceller([&cancel] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      cancel.MarkExhausted();
+    });
+    std::atomic<int> stopped{0};
+    {
+      TaskGroup group(&pool);
+      for (int t = 0; t < 6; ++t) {
+        group.Spawn([&meters, &stopped, t] {
+          while (meters[t]->Charge()) std::this_thread::yield();
+          stopped.fetch_add(1);
+        });
+      }
+    }
+    canceller.join();
+    EXPECT_EQ(stopped.load(), 6) << "width " << width;
+    EXPECT_EQ(cancel.used(), 0u);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelChaseTest,
-                         ::testing::Range<std::uint64_t>(1, 21));
 
 }  // namespace
 }  // namespace ccfp

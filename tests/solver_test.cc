@@ -270,6 +270,33 @@ TEST(SolverTest, MixedUndecidableReturnsStructuredUnknown) {
   EXPECT_GT(v.stages[1].used.steps, 0u);
 }
 
+TEST(SolverTest, ExhaustedChaseReportsWhatItConsumed) {
+  // The cyclic INDs make the chase diverge, so it runs out of its step
+  // share. Its stage report must carry the counters the interrupted run
+  // actually accumulated, IND tuples included.
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}});
+  std::vector<Dependency> sigma =
+      ParseDependencies(*scheme,
+                        "R: A -> B\nR[B, C] <= R[A, B]\nR[A] <= R[C]")
+          .value();
+  ImplicationSolver solver(scheme, sigma);
+  Budget budget;
+  budget.steps = 600;
+  Verdict v = MustSolve(solver, Dependency(MakeFd(*scheme, "R", {"C"}, {"B"})),
+                        budget);
+  EXPECT_EQ(v.fragment, ImplicationFragment::kMixed);
+  const StageReport* chase = nullptr;
+  for (const StageReport& r : v.stages) {
+    if (r.stage == "chase") chase = &r;
+  }
+  ASSERT_NE(chase, nullptr);
+  EXPECT_EQ(chase->verdict, ImplicationVerdict::kUnknown);
+  EXPECT_NE(chase->note.find("exhausted"), std::string::npos) << chase->note;
+  EXPECT_GT(chase->used.tuples, 0u);
+  EXPECT_LE(chase->used.tuples, chase->used.steps);
+  EXPECT_LE(chase->used.steps, budget.steps);
+}
+
 TEST(SolverTest, SearchStageDecidesWithoutEvidenceAttachment) {
   // want_counterexample=false must not cost decisiveness: a search-found
   // refutation is still verified and still flips the verdict — only the
