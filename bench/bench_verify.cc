@@ -1,8 +1,8 @@
 // E15: the incremental verification layer. BENCH_verify.json records a
 // full-sweep vs incremental entry pair per workload: the sweep engine
 // re-checks every dependency against the whole database each round
-// (core/model_check.h over cached partitions), the incremental engine
-// consumes the workspace change feed through per-dependency watchers
+// (InternedWorkspace::Satisfies over cached partitions), the incremental
+// engine consumes the workspace change feed through per-dependency watchers
 // (verify/verifier.h) and answers from counters.
 #include <cstdio>
 

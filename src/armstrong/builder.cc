@@ -108,7 +108,7 @@ Result<ArmstrongReport> BuildLegacy(
 
     bool repaired = false;
     for (const Dependency& tau : must_fail) {
-      if (!chased.db.Satisfies(tau)) continue;
+      if (!chased.ws.Satisfies(tau)) continue;
       // Accidentally satisfied non-consequence: add a targeted seed.
       repaired = true;
       if (tau.is_fd()) {
@@ -128,12 +128,12 @@ Result<ArmstrongReport> BuildLegacy(
       // Exactness check (consequences must hold at the fixpoint; the loop
       // above ensured non-consequences fail).
       std::optional<std::string> mismatch =
-          ObeysExactly(chased.db, universe, expected);
+          ObeysExactly(chased.ws, universe, expected);
       if (mismatch.has_value()) {
         return Status::Internal(
             StrCat("Armstrong verification failed: ", *mismatch));
       }
-      ArmstrongReport report(chased.db.Materialize());
+      ArmstrongReport report(chased.ws.Materialize());
       report.expected = std::move(expected);
       report.repair_rounds = round;
       return report;

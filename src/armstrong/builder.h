@@ -41,9 +41,9 @@ enum class ArmstrongEngine : std::uint8_t {
   /// after round 0. The default.
   kWorkspace = 0,
   /// The PR 2 flow: each round re-runs Chase::RunInterned on the heap
-  /// seed database (re-interning it per round) and verifies the resulting
-  /// IdDatabase. Kept as the differential reference. Always verifies by
-  /// full sweep (ArmstrongVerifyEngine does not apply).
+  /// seed database (re-interning it per round) and verifies the chased
+  /// workspace it returns. Kept as the differential reference. Always
+  /// verifies by full sweep (ArmstrongVerifyEngine does not apply).
   kLegacy = 1,
 };
 

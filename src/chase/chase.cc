@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "chase/incremental.h"
+#include "chase/workspace_chase.h"
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -101,26 +101,42 @@ Chase::Chase(SchemePtr scheme, std::vector<Fd> fds, std::vector<Ind> inds)
 
 Result<ChaseResult> Chase::Run(Database initial,
                                const ChaseOptions& options) const {
-  if (options.engine == ChaseEngine::kIncremental) {
-    return RunIncrementalChase(scheme_, fds_, inds_, std::move(initial),
-                               options);
+  if (options.engine == ChaseEngine::kNaive) {
+    return RunNaive(std::move(initial), options);
   }
-  return RunNaive(std::move(initial), options);
+  CCFP_ASSIGN_OR_RETURN(InternedChaseResult interned,
+                        RunInterned(std::move(initial), options));
+  ChaseResult result(interned.ws.Materialize());
+  result.outcome = interned.outcome;
+  result.fd_merges = interned.fd_merges;
+  result.ind_tuples = interned.ind_tuples;
+  result.steps = interned.steps;
+  return result;
 }
 
 Result<InternedChaseResult> Chase::RunInterned(
     Database initial, const ChaseOptions& options) const {
-  if (options.engine == ChaseEngine::kIncremental) {
-    return RunIncrementalChaseInterned(scheme_, fds_, inds_,
-                                       std::move(initial), options);
+  InternedChaseResult result(scheme_);
+  if (options.engine == ChaseEngine::kNaive) {
+    CCFP_ASSIGN_OR_RETURN(ChaseResult naive,
+                          RunNaive(std::move(initial), options));
+    result.ws.AppendDatabase(naive.db);
+    result.outcome = naive.outcome;
+    result.fd_merges = naive.fd_merges;
+    result.ind_tuples = naive.ind_tuples;
+    result.steps = naive.steps;
+    return result;
   }
-  CCFP_ASSIGN_OR_RETURN(ChaseResult naive,
-                        RunNaive(std::move(initial), options));
-  InternedChaseResult result(IdDatabase(naive.db));
-  result.outcome = naive.outcome;
-  result.fd_merges = naive.fd_merges;
-  result.ind_tuples = naive.ind_tuples;
-  result.steps = naive.steps;
+  result.ws.AppendDatabase(initial);
+  {
+    // Scoped so the chase releases its feed cursor before `result` moves.
+    WorkspaceChase chaser(&result.ws, fds_, inds_);
+    CCFP_ASSIGN_OR_RETURN(WorkspaceChaseStats stats, chaser.Run(options));
+    result.outcome = stats.outcome;
+    result.fd_merges = stats.fd_merges;
+    result.ind_tuples = stats.ind_tuples;
+    result.steps = stats.steps;
+  }
   return result;
 }
 
@@ -285,42 +301,38 @@ Result<bool> ChaseImplies(SchemePtr scheme, const std::vector<Fd>& fds,
   // The fixpoint is a universal model of (Sigma, seed): the target holds in
   // it iff Sigma implies the target. The fixpoint is already interned, so
   // the check is pure integer probing.
-  return result.db.Satisfies(target);
+  return result.ws.Satisfies(target);
 }
 
 Result<ChaseImplication> ChaseImplies(SchemePtr scheme,
                                       const std::vector<Fd>& fds,
                                       const std::vector<Ind>& inds,
                                       const Dependency& target,
-                                      const Budget& budget,
-                                      ChaseEngine engine) {
+                                      const Budget& budget) {
   CCFP_ASSIGN_OR_RETURN(Database seed, MakeCanonicalSeed(scheme, target));
-  Chase chase(scheme, fds, inds);
-  ChaseOptions options = ChaseOptions::FromBudget(budget, engine);
-  Result<InternedChaseResult> run =
-      chase.RunInterned(std::move(seed), options);
+  InternedWorkspace ws(scheme);
+  ws.AppendDatabase(seed);
+  WorkspaceChase chase(&ws, fds, inds);
+  Result<WorkspaceChaseStats> run = chase.Run(ChaseOptions::FromBudget(budget));
+  // last_run() is filled on both return paths, so an exhausted chase
+  // reports what it actually consumed.
   ChaseImplication out;
+  out.fd_merges = chase.last_run().fd_merges;
+  out.ind_tuples = chase.last_run().ind_tuples;
+  out.steps = chase.last_run().steps;
+  out.used.steps = out.steps;
+  out.used.tuples = out.ind_tuples;
   if (!run.ok()) {
+    // Budget exhaustion is the kUnknown verdict, not an error.
     if (run.status().code() != StatusCode::kResourceExhausted) {
       return run.status();
     }
-    // Budget exhaustion is the kUnknown verdict, not an error. The
-    // engine's counters are lost on the error path, so charge the full
-    // allowance on both metered axes (the convention every solver stage
-    // follows: exhaustion consumed the whole slice, as an upper bound).
-    out.used.steps = budget.steps;
-    out.used.tuples = budget.tuples;
     return out;
   }
   if (run->outcome == ChaseOutcome::kFailed) {
     return Status::Internal("chase failed from an all-null seed");
   }
-  out.fd_merges = run->fd_merges;
-  out.ind_tuples = run->ind_tuples;
-  out.steps = run->steps;
-  out.used.steps = run->steps;
-  out.used.tuples = run->ind_tuples;
-  if (run->db.Satisfies(target)) {
+  if (ws.Satisfies(target)) {
     out.verdict = ImplicationVerdict::kImplied;
     return out;
   }
@@ -328,17 +340,17 @@ Result<ChaseImplication> ChaseImplies(SchemePtr scheme,
   // id-space before handing it out as evidence (a fixpoint violating its
   // own sigma would be an engine bug, not a counterexample).
   for (const Fd& fd : fds) {
-    if (!run->db.Satisfies(fd)) {
+    if (!ws.Satisfies(fd)) {
       return Status::Internal("chase fixpoint violates a sigma FD");
     }
   }
   for (const Ind& ind : inds) {
-    if (!run->db.Satisfies(ind)) {
+    if (!ws.Satisfies(ind)) {
       return Status::Internal("chase fixpoint violates a sigma IND");
     }
   }
   out.verdict = ImplicationVerdict::kNotImplied;
-  out.counterexample = run->db.Materialize();
+  out.counterexample = ws.Materialize();
   return out;
 }
 

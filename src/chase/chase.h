@@ -8,8 +8,8 @@
 
 #include "core/database.h"
 #include "core/dependency.h"
-#include "core/interned.h"
 #include "core/verdict.h"
+#include "core/workspace.h"
 #include "util/budget.h"
 #include "util/status.h"
 #include "util/task_pool.h"
@@ -28,7 +28,7 @@ namespace ccfp {
 
 /// Which chase engine to run.
 enum class ChaseEngine : std::uint8_t {
-  /// Delta-driven engine (chase/incremental.h): interned values, dense
+  /// Delta-driven engine (chase/workspace_chase.h): interned values, dense
   /// union-find, persistent per-FD/per-IND indexes, dirty worklists. Work
   /// is proportional to the change each rule firing causes. The default.
   kIncremental = 0,
@@ -59,14 +59,12 @@ struct ChaseOptions {
   /// Maps the shared Budget vocabulary onto the chase's knobs
   /// (steps -> max_steps, tuples -> max_tuples, bytes -> max_bytes,
   /// deadline -> deadline).
-  static ChaseOptions FromBudget(const Budget& budget,
-                                 ChaseEngine engine = ChaseEngine::kIncremental) {
+  static ChaseOptions FromBudget(const Budget& budget) {
     ChaseOptions options;
     options.max_steps = budget.steps;
     options.max_tuples = budget.tuples;
     options.max_bytes = budget.bytes;
     options.deadline = budget.deadline;
-    options.engine = engine;
     return options;
   }
 };
@@ -88,19 +86,19 @@ struct ChaseResult {
   explicit ChaseResult(Database database) : db(std::move(database)) {}
 };
 
-/// Chase result kept in id-space: the incremental engine hands over its
-/// interner and canonicalized id-tuples, so verification (Satisfies /
-/// ObeysExactly on the IdDatabase) runs without re-interning a single
+/// Chase result kept in id-space: the chased workspace itself, so
+/// verification (Satisfies / ObeysExactly on `ws`) runs on the engine's
+/// own interner and cached partitions without re-interning a single
 /// Value — the build -> chase -> verify round trip interns values once.
+/// `ws.Materialize()` is the database Chase::Run returns.
 struct InternedChaseResult {
   ChaseOutcome outcome = ChaseOutcome::kFixpoint;
-  IdDatabase db;
+  InternedWorkspace ws;
   std::uint64_t fd_merges = 0;
   std::uint64_t ind_tuples = 0;
   std::uint64_t steps = 0;
 
-  explicit InternedChaseResult(IdDatabase database)
-      : db(std::move(database)) {}
+  explicit InternedChaseResult(SchemePtr scheme) : ws(std::move(scheme)) {}
 };
 
 class Chase {
@@ -119,9 +117,9 @@ class Chase {
                           const ChaseOptions& options = {}) const;
 
   /// Like Run, but keeps the result interned (see InternedChaseResult).
-  /// With the naive engine the result database is interned after the run
-  /// (one extra pass); with the incremental engine the engine's own
-  /// interner is reused at zero conversion cost.
+  /// The incremental engine chases on the returned workspace directly;
+  /// the naive engine's result database is appended into a fresh one
+  /// after the run (one extra pass).
   Result<InternedChaseResult> RunInterned(
       Database initial, const ChaseOptions& options = {}) const;
 
@@ -171,10 +169,9 @@ struct ChaseImplication {
   /// satisfying Sigma (re-checked in id-space before it is attached) and
   /// violating the target.
   std::optional<Database> counterexample;
-  /// Budget consumed (steps + tuples generated). On a kUnknown verdict
-  /// the engine's exact counters are lost, so the full allowance is
-  /// charged on both axes (an upper bound — the shared convention for
-  /// exhausted stages).
+  /// Budget consumed (steps + tuples generated), read from the engine's
+  /// counters on every verdict — on kUnknown, what the exhausted run
+  /// actually did.
   BudgetUse used;
 };
 
@@ -184,9 +181,7 @@ Result<ChaseImplication> ChaseImplies(SchemePtr scheme,
                                       const std::vector<Fd>& fds,
                                       const std::vector<Ind>& inds,
                                       const Dependency& target,
-                                      const Budget& budget,
-                                      ChaseEngine engine =
-                                          ChaseEngine::kIncremental);
+                                      const Budget& budget);
 
 }  // namespace ccfp
 

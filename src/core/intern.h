@@ -10,12 +10,12 @@
 
 namespace ccfp {
 
-/// Dense id of an interned Value inside one interning scope (a chase run,
-/// an IdDatabase, ...).
+/// Dense id of an interned Value inside one interning scope (an
+/// InternedWorkspace, a bounded-search key table, ...).
 using ValueId = std::uint32_t;
 
 /// Interns `Value`s into dense uint32 ids so hot loops (the chase, the
-/// interned model checker in core/interned.h) work on flat integer arrays
+/// interned model checker in core/workspace.h) work on flat integer arrays
 /// instead of rehashing heap `Value` objects. Ids are assigned in interning
 /// order, so a deterministic input order yields a deterministic id
 /// assignment.

@@ -13,7 +13,7 @@ namespace ccfp {
 namespace {
 
 /// The relations a dependency's satisfaction depends on — the interned
-/// single-dependency fast path interns only these.
+/// single-dependency fast path appends only these.
 std::vector<RelId> InvolvedRels(const Dependency& dep) {
   switch (dep.kind()) {
     case DependencyKind::kFd:
@@ -28,6 +28,24 @@ std::vector<RelId> InvolvedRels(const Dependency& dep) {
       return {dep.mvd().rel};
   }
   return {};
+}
+
+/// A throwaway workspace holding `rels` of `db`. Relations are sets, so no
+/// append is rejected and slot i is tuple i of the source relation — the
+/// workspace's witness indices address `db` directly.
+InternedWorkspace WorkspaceOf(const Database& db,
+                              const std::vector<RelId>& rels) {
+  InternedWorkspace ws(db.scheme_ptr());
+  for (RelId rel : rels) {
+    if (ws.size(rel) == 0) ws.AppendRelation(db, rel);
+  }
+  return ws;
+}
+
+InternedWorkspace WorkspaceOf(const Database& db) {
+  InternedWorkspace ws(db.scheme_ptr());
+  ws.AppendDatabase(db);
+  return ws;
 }
 
 /// --- Legacy engine --------------------------------------------------------
@@ -261,18 +279,18 @@ std::optional<Violation> FindViolation(const Database& db,
 
 /// Renders an IdViolation into the user-facing Violation, materializing the
 /// offending tuples from the interner.
-Violation RenderViolation(const IdDatabase& db, const Dependency& dep,
+Violation RenderViolation(const InternedWorkspace& ws, const Dependency& dep,
                           const IdViolation& idv) {
-  const DatabaseScheme& scheme = db.scheme();
+  const DatabaseScheme& scheme = ws.scheme();
   Violation v;
   v.kind = dep.kind();
   v.rel = idv.rel;
   v.tuple_indices.assign(idv.tuple_indices.begin(), idv.tuple_indices.end());
   for (std::uint32_t idx : idv.tuple_indices) {
-    const IdTuple& it = db.relation(idv.rel).tuple(idx);
+    const IdTuple& it = ws.tuple(idv.rel, idx);
     Tuple t;
     t.reserve(it.size());
-    for (ValueId id : it) t.push_back(db.interner().value(id));
+    for (ValueId id : it) t.push_back(ws.interner().value(id));
     v.tuples.push_back(std::move(t));
   }
   switch (dep.kind()) {
@@ -310,26 +328,33 @@ Violation RenderViolation(const IdDatabase& db, const Dependency& dep,
   return v;
 }
 
+std::optional<Violation> FindViolationIn(const InternedWorkspace& ws,
+                                         const Dependency& dep) {
+  std::optional<IdViolation> idv = ws.FindViolation(dep);
+  if (!idv.has_value()) return std::nullopt;
+  return RenderViolation(ws, dep, *idv);
+}
+
 }  // namespace
 
 bool Satisfies(const Database& db, const Fd& fd) {
-  return IdDatabase(db, {fd.rel}).Satisfies(fd);
+  return WorkspaceOf(db, {fd.rel}).Satisfies(fd);
 }
 
 bool Satisfies(const Database& db, const Ind& ind) {
-  return IdDatabase(db, {ind.lhs_rel, ind.rhs_rel}).Satisfies(ind);
+  return WorkspaceOf(db, {ind.lhs_rel, ind.rhs_rel}).Satisfies(ind);
 }
 
 bool Satisfies(const Database& db, const Rd& rd) {
-  return IdDatabase(db, {rd.rel}).Satisfies(rd);
+  return WorkspaceOf(db, {rd.rel}).Satisfies(rd);
 }
 
 bool Satisfies(const Database& db, const Emvd& emvd) {
-  return IdDatabase(db, {emvd.rel}).Satisfies(emvd);
+  return WorkspaceOf(db, {emvd.rel}).Satisfies(emvd);
 }
 
 bool Satisfies(const Database& db, const Mvd& mvd) {
-  return IdDatabase(db, {mvd.rel}).Satisfies(mvd);
+  return WorkspaceOf(db, {mvd.rel}).Satisfies(mvd);
 }
 
 bool Satisfies(const Database& db, const Dependency& dep,
@@ -337,7 +362,7 @@ bool Satisfies(const Database& db, const Dependency& dep,
   if (options.engine == SatisfiesEngine::kLegacy) {
     return legacy::Satisfies(db, dep);
   }
-  return IdDatabase(db, InvolvedRels(dep)).Satisfies(dep);
+  return WorkspaceOf(db, InvolvedRels(dep)).Satisfies(dep);
 }
 
 bool SatisfiesAll(const Database& db, const std::vector<Dependency>& deps,
@@ -348,8 +373,7 @@ bool SatisfiesAll(const Database& db, const std::vector<Dependency>& deps,
     }
     return true;
   }
-  IdDatabase id_db(db);
-  return id_db.SatisfiesAll(deps);
+  return WorkspaceOf(db).SatisfiesAll(deps);
 }
 
 std::vector<Dependency> SatisfiedSubset(const Database& db,
@@ -362,9 +386,9 @@ std::vector<Dependency> SatisfiedSubset(const Database& db,
     }
     return out;
   }
-  IdDatabase id_db(db);
+  InternedWorkspace ws = WorkspaceOf(db);
   for (const Dependency& dep : deps) {
-    if (id_db.Satisfies(dep)) out.push_back(dep);
+    if (ws.Satisfies(dep)) out.push_back(dep);
   }
   return out;
 }
@@ -375,8 +399,7 @@ std::optional<Violation> FindViolation(const Database& db,
   if (options.engine == SatisfiesEngine::kLegacy) {
     return legacy::FindViolation(db, dep);
   }
-  IdDatabase id_db(db, InvolvedRels(dep));
-  return FindViolation(id_db, dep);
+  return FindViolationIn(WorkspaceOf(db, InvolvedRels(dep)), dep);
 }
 
 std::optional<Violation> FindFirstViolation(
@@ -392,9 +415,9 @@ std::optional<Violation> FindFirstViolation(
     }
     return std::nullopt;
   }
-  IdDatabase id_db(db);
+  InternedWorkspace ws = WorkspaceOf(db);
   for (std::size_t i = 0; i < deps.size(); ++i) {
-    std::optional<Violation> v = FindViolation(id_db, deps[i]);
+    std::optional<Violation> v = FindViolationIn(ws, deps[i]);
     if (v.has_value()) {
       v->dep_index = i;
       return v;
@@ -424,53 +447,27 @@ std::optional<std::string> ObeysExactly(
     }
     return std::nullopt;
   }
-  return ObeysExactly(IdDatabase(db), universe, expected);
-}
-
-std::optional<Violation> FindViolation(const IdDatabase& db,
-                                       const Dependency& dep) {
-  std::optional<IdViolation> idv = db.FindViolation(dep);
-  if (!idv.has_value()) return std::nullopt;
-  return RenderViolation(db, dep, *idv);
-}
-
-namespace {
-
-/// Shared body of the interned ObeysExactly overloads: any model exposing
-/// Satisfies(Dependency) and scheme() (IdDatabase, InternedWorkspace).
-template <typename Model>
-std::optional<std::string> ObeysExactlyIn(
-    const Model& model, const std::vector<Dependency>& universe,
-    const std::vector<Dependency>& expected) {
-  std::unordered_set<Dependency, DependencyHash> expected_set(
-      expected.begin(), expected.end());
-  for (const Dependency& dep : universe) {
-    bool holds = model.Satisfies(dep);
-    bool should = expected_set.count(dep) > 0;
-    if (holds && !should) {
-      return StrCat("database obeys ", dep.ToString(model.scheme()),
-                    " which is outside the expected set");
-    }
-    if (!holds && should) {
-      return StrCat("database violates ", dep.ToString(model.scheme()),
-                    " which is inside the expected set");
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<std::string> ObeysExactly(
-    const IdDatabase& db, const std::vector<Dependency>& universe,
-    const std::vector<Dependency>& expected) {
-  return ObeysExactlyIn(db, universe, expected);
+  return ObeysExactly(WorkspaceOf(db), universe, expected);
 }
 
 std::optional<std::string> ObeysExactly(
     const InternedWorkspace& ws, const std::vector<Dependency>& universe,
     const std::vector<Dependency>& expected) {
-  return ObeysExactlyIn(ws, universe, expected);
+  std::unordered_set<Dependency, DependencyHash> expected_set(
+      expected.begin(), expected.end());
+  for (const Dependency& dep : universe) {
+    bool holds = ws.Satisfies(dep);
+    bool should = expected_set.count(dep) > 0;
+    if (holds && !should) {
+      return StrCat("database obeys ", dep.ToString(ws.scheme()),
+                    " which is outside the expected set");
+    }
+    if (!holds && should) {
+      return StrCat("database violates ", dep.ToString(ws.scheme()),
+                    " which is inside the expected set");
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace ccfp

@@ -8,7 +8,6 @@
 
 #include "core/database.h"
 #include "core/dependency.h"
-#include "core/interned.h"
 
 namespace ccfp {
 
@@ -16,9 +15,9 @@ class InternedWorkspace;  // core/workspace.h
 
 /// Which model-checking engine to run.
 enum class SatisfiesEngine : std::uint8_t {
-  /// Interns the involved relations into an IdDatabase once, then checks
-  /// over dense uint32 ids and cached projection partitions
-  /// (core/interned.h). The default.
+  /// Appends the involved relations into a throwaway InternedWorkspace,
+  /// then checks over dense uint32 ids and cached projection partitions
+  /// (core/workspace.h). The default.
   kInterned = 0,
   /// The original heap-Value hashing checks, kept as the differential
   /// reference (tests/satisfies_property_test.cc).
@@ -40,8 +39,8 @@ bool Satisfies(const Database& db, const Dependency& dep,
                const SatisfiesOptions& options = {});
 
 /// True iff `db` obeys every dependency in `deps`. The interned engine
-/// interns `db` once and reuses the projection partitions across all
-/// dependencies.
+/// appends `db` to one workspace and reuses its projection partitions
+/// across all dependencies.
 bool SatisfiesAll(const Database& db, const std::vector<Dependency>& deps,
                   const SatisfiesOptions& options = {});
 
@@ -87,29 +86,17 @@ std::optional<Violation> FindFirstViolation(
 /// Checks that `db` obeys *exactly* the dependencies of `universe` that are
 /// in `expected` (Fagin's Armstrong-database property, used to verify the
 /// Section 6/7 witness databases). On failure returns a description of the
-/// first discrepancy. The interned engine interns `db` once for the whole
-/// universe sweep.
+/// first discrepancy. The interned engine appends `db` to one workspace
+/// for the whole universe sweep.
 std::optional<std::string> ObeysExactly(
     const Database& db, const std::vector<Dependency>& universe,
     const std::vector<Dependency>& expected,
     const SatisfiesOptions& options = {});
 
-/// --- IdDatabase entry points ----------------------------------------------
-/// For callers that already hold an interned database (the Armstrong
-/// builders verify chase output without re-interning a single Value).
-
-/// Violation witness against an interned database; `tuple_indices` address
-/// `db.relation(rel).tuples()`.
-std::optional<Violation> FindViolation(const IdDatabase& db,
-                                       const Dependency& dep);
-
-std::optional<std::string> ObeysExactly(
-    const IdDatabase& db, const std::vector<Dependency>& universe,
-    const std::vector<Dependency>& expected);
-
-/// Same check against a persistent workspace (core/workspace.h) — the
-/// Armstrong repair loop verifies each round on the workspace it chased,
-/// reusing its cached partitions. Requires no stale tuples.
+/// Same check against a workspace (core/workspace.h) that already holds
+/// the database — the Armstrong builders verify each round on the
+/// workspace they chased, reusing its cached partitions and re-interning
+/// no Value. Requires no stale tuples.
 std::optional<std::string> ObeysExactly(
     const InternedWorkspace& ws, const std::vector<Dependency>& universe,
     const std::vector<Dependency>& expected);

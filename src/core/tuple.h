@@ -38,7 +38,7 @@ struct TupleHash {
 
 /// An *interned* tuple: the same sequence, but with every Value replaced by
 /// a dense uint32 id (see core/intern.h). The delta-driven chase engine and
-/// the interned model checker (core/interned.h) work exclusively on these —
+/// the interned model checker (core/workspace.h) work exclusively on these —
 /// hashing is FNV-1a over raw ids, an order of magnitude cheaper than
 /// TupleHash's per-Value hashing. (Projection lives with the engine, which
 /// must canonicalize ids through its union-find.)

@@ -3,39 +3,9 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "core/model_check.h"
 #include "util/check.h"
 
 namespace ccfp {
-
-namespace {
-
-/// Partition provider over the mutable substrate; dead (merged-away)
-/// slots surface as kNoGroup == model_check::kDeadGroup entries, which
-/// the shared checks in core/model_check.h skip.
-struct WorkspaceProvider {
-  const InternedWorkspace& ws;
-
-  std::uint32_t SlotCount(RelId rel) const {
-    return static_cast<std::uint32_t>(ws.size(rel));
-  }
-  std::size_t AliveCount(RelId rel) const { return ws.AliveTuples(rel); }
-  bool Alive(RelId rel, std::uint32_t idx) const {
-    return ws.alive(rel, idx);
-  }
-  const IdTuple& Slot(RelId rel, std::uint32_t idx) const {
-    return ws.tuple(rel, idx);
-  }
-  const InternedWorkspace::Partition& Partition(
-      RelId rel, const std::vector<AttrId>& cols) const {
-    return ws.partition(rel, cols);
-  }
-};
-
-static_assert(InternedWorkspace::kNoGroup == model_check::kDeadGroup,
-              "workspace dead-slot sentinel must match the shared checks");
-
-}  // namespace
 
 InternedWorkspace::InternedWorkspace(SchemePtr scheme)
     : scheme_(std::move(scheme)),
@@ -448,32 +418,158 @@ MemoryBreakdown InternedWorkspace::MemoryUsage() const {
   return mb;
 }
 
+namespace {
+
+/// True iff `key` names a group with at least one alive member of `p`
+/// (tombstoned groups left behind by surgical repair do not count).
+bool HasAliveGroup(const InternedWorkspace::Partition& p, const IdTuple& key) {
+  auto it = p.key_to_group.find(key);
+  return it != p.key_to_group.end() && p.group_size[it->second] > 0;
+}
+
+bool SatisfiesEmvdOn(const InternedWorkspace& ws, RelId rel,
+                     const std::vector<AttrId>& x,
+                     const std::vector<AttrId>& y,
+                     const std::vector<AttrId>& z) {
+  if (ws.AliveTuples(rel) == 0) return true;
+  std::vector<AttrId> xy = AppendDistinctAttrs(x, y);
+  std::vector<AttrId> xz = AppendDistinctAttrs(x, z);
+  const auto& x_p = ws.partition(rel, x);
+  const auto& xy_p = ws.partition(rel, xy);
+  const auto& xz_p = ws.partition(rel, xz);
+  // Per X-group distinct XY / XZ / (XY, XZ) counts. XY refines X, so an XY
+  // group belongs to exactly one X group (likewise XZ and pairs) — the
+  // group obeys the EMVD iff pairs == xy_distinct * xz_distinct.
+  std::vector<std::uint32_t> ny(x_p.group_count, 0);
+  std::vector<std::uint32_t> nz(x_p.group_count, 0);
+  std::vector<std::uint64_t> np(x_p.group_count, 0);
+  std::vector<std::uint8_t> seen_xy(xy_p.group_count, 0);
+  std::vector<std::uint8_t> seen_xz(xz_p.group_count, 0);
+  std::unordered_set<std::uint64_t> pairs;
+  pairs.reserve(ws.AliveTuples(rel));
+  std::uint32_t n = static_cast<std::uint32_t>(ws.size(rel));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::uint32_t g = x_p.group_of[i];
+    if (g == InternedWorkspace::kNoGroup) continue;
+    std::uint32_t gy = xy_p.group_of[i];
+    std::uint32_t gz = xz_p.group_of[i];
+    if (!seen_xy[gy]) {
+      seen_xy[gy] = 1;
+      ++ny[g];
+    }
+    if (!seen_xz[gz]) {
+      seen_xz[gz] = 1;
+      ++nz[g];
+    }
+    if (pairs.insert(PackIdPair(gy, gz)).second) ++np[g];
+  }
+  for (std::uint32_t g = 0; g < x_p.group_count; ++g) {
+    if (static_cast<std::uint64_t>(ny[g]) * nz[g] != np[g]) return false;
+  }
+  return true;
+}
+
+std::optional<IdViolation> FindEmvdViolation(const InternedWorkspace& ws,
+                                             RelId rel,
+                                             const std::vector<AttrId>& x,
+                                             const std::vector<AttrId>& y,
+                                             const std::vector<AttrId>& z) {
+  if (SatisfiesEmvdOn(ws, rel, x, y, z)) return std::nullopt;
+  std::vector<AttrId> xy = AppendDistinctAttrs(x, y);
+  std::vector<AttrId> xz = AppendDistinctAttrs(x, z);
+  const auto& x_p = ws.partition(rel, x);
+  const auto& xy_p = ws.partition(rel, xy);
+  const auto& xz_p = ws.partition(rel, xz);
+  std::uint32_t n = static_cast<std::uint32_t>(ws.size(rel));
+  std::unordered_set<std::uint64_t> pairs;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (x_p.group_of[i] == InternedWorkspace::kNoGroup) continue;
+    pairs.insert(PackIdPair(xy_p.group_of[i], xz_p.group_of[i]));
+  }
+  // Diagnostics path only: quadratic scan for the first same-group pair
+  // whose (XY, XZ) combination has no witness tuple.
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (x_p.group_of[i] == InternedWorkspace::kNoGroup) continue;
+    for (std::uint32_t j = 0; j < n; ++j) {
+      if (x_p.group_of[i] != x_p.group_of[j]) continue;
+      if (pairs.count(PackIdPair(xy_p.group_of[i], xz_p.group_of[j])) == 0) {
+        return IdViolation{rel, {i, j}};
+      }
+    }
+  }
+  return IdViolation{rel, {}};  // unreachable if Satisfies was false
+}
+
+}  // namespace
+
 bool InternedWorkspace::Satisfies(const Fd& fd) const {
-  return model_check::SatisfiesFd(WorkspaceProvider{*this}, fd);
+  if (AliveTuples(fd.rel) == 0) return true;
+  const Partition& lhs = partition(fd.rel, fd.lhs);
+  const Partition& rhs = partition(fd.rel, fd.rhs);
+  // The FD holds iff the lhs partition refines the rhs partition.
+  std::vector<std::uint32_t> seen(lhs.group_count, UINT32_MAX);
+  std::uint32_t n = static_cast<std::uint32_t>(size(fd.rel));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::uint32_t g = lhs.group_of[i];
+    if (g == kNoGroup) continue;
+    std::uint32_t h = rhs.group_of[i];
+    if (seen[g] == UINT32_MAX) {
+      seen[g] = h;
+    } else if (seen[g] != h) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool InternedWorkspace::Satisfies(const Ind& ind) const {
-  return model_check::SatisfiesInd(WorkspaceProvider{*this}, ind);
+  if (AliveTuples(ind.lhs_rel) == 0) return true;
+  const Partition& lhs_p = partition(ind.lhs_rel, ind.lhs);
+  const Partition& rhs_p = partition(ind.rhs_rel, ind.rhs);
+  // Each alive lhs group's key IS the projection of its members onto
+  // ind.lhs — probe it into the rhs partition directly.
+  for (const auto& [key, g] : lhs_p.key_to_group) {
+    if (lhs_p.group_size[g] == 0) continue;  // tombstone
+    if (!HasAliveGroup(rhs_p, key)) return false;
+  }
+  return true;
 }
 
 bool InternedWorkspace::Satisfies(const Rd& rd) const {
-  return model_check::SatisfiesRd(WorkspaceProvider{*this}, rd);
+  const RelStore& rs = rels_[rd.rel];
+  for (std::uint32_t i = 0; i < rs.tuples.size(); ++i) {
+    if (!rs.alive[i]) continue;
+    const IdTuple& t = rs.tuples[i];
+    for (std::size_t k = 0; k < rd.lhs.size(); ++k) {
+      if (t[rd.lhs[k]] != t[rd.rhs[k]]) return false;
+    }
+  }
+  return true;
 }
 
 bool InternedWorkspace::Satisfies(const Emvd& emvd) const {
-  return model_check::SatisfiesEmvdOn(WorkspaceProvider{*this}, emvd.rel,
-                                      emvd.x, emvd.y, emvd.z);
+  return SatisfiesEmvdOn(*this, emvd.rel, emvd.x, emvd.y, emvd.z);
 }
 
 bool InternedWorkspace::Satisfies(const Mvd& mvd) const {
-  return model_check::SatisfiesEmvdOn(WorkspaceProvider{*this}, mvd.rel,
-                                      mvd.x, mvd.y,
-                                      MvdComplement(*scheme_, mvd));
+  return SatisfiesEmvdOn(*this, mvd.rel, mvd.x, mvd.y,
+                         MvdComplement(*scheme_, mvd));
 }
 
 bool InternedWorkspace::Satisfies(const Dependency& dep) const {
-  return model_check::SatisfiesDependency(WorkspaceProvider{*this}, *scheme_,
-                                          dep);
+  switch (dep.kind()) {
+    case DependencyKind::kFd:
+      return Satisfies(dep.fd());
+    case DependencyKind::kInd:
+      return Satisfies(dep.ind());
+    case DependencyKind::kRd:
+      return Satisfies(dep.rd());
+    case DependencyKind::kEmvd:
+      return Satisfies(dep.emvd());
+    case DependencyKind::kMvd:
+      return Satisfies(dep.mvd());
+  }
+  return false;
 }
 
 bool InternedWorkspace::SatisfiesAll(
@@ -486,7 +582,69 @@ bool InternedWorkspace::SatisfiesAll(
 
 std::optional<IdViolation> InternedWorkspace::FindViolation(
     const Dependency& dep) const {
-  return model_check::FindViolation(WorkspaceProvider{*this}, *scheme_, dep);
+  switch (dep.kind()) {
+    case DependencyKind::kFd: {
+      const Fd& fd = dep.fd();
+      if (AliveTuples(fd.rel) == 0) return std::nullopt;
+      const Partition& lhs = partition(fd.rel, fd.lhs);
+      const Partition& rhs = partition(fd.rel, fd.rhs);
+      std::vector<std::uint32_t> first(lhs.group_count, UINT32_MAX);
+      std::uint32_t n = static_cast<std::uint32_t>(size(fd.rel));
+      for (std::uint32_t i = 0; i < n; ++i) {
+        std::uint32_t g = lhs.group_of[i];
+        if (g == kNoGroup) continue;
+        if (first[g] == UINT32_MAX) {
+          first[g] = i;
+        } else if (rhs.group_of[first[g]] != rhs.group_of[i]) {
+          return IdViolation{fd.rel, {first[g], i}};
+        }
+      }
+      return std::nullopt;
+    }
+    case DependencyKind::kInd: {
+      const Ind& ind = dep.ind();
+      const Partition& lhs_p = partition(ind.lhs_rel, ind.lhs);
+      const Partition& rhs_p = partition(ind.rhs_rel, ind.rhs);
+      IdTuple key;
+      // Front-to-back over slots, probing each group once — the first
+      // slot of the first missing group in slot order is the witness,
+      // identical to a legacy front-to-back scan (and independent of the
+      // group numbering, which repairs do not keep sorted).
+      std::vector<std::uint8_t> checked(lhs_p.group_count, 0);
+      std::uint32_t n = static_cast<std::uint32_t>(size(ind.lhs_rel));
+      for (std::uint32_t i = 0; i < n; ++i) {
+        std::uint32_t g = lhs_p.group_of[i];
+        if (g == kNoGroup || checked[g]) continue;
+        checked[g] = 1;
+        const IdTuple& t = tuple(ind.lhs_rel, i);
+        key.clear();
+        for (AttrId c : ind.lhs) key.push_back(t[c]);
+        if (!HasAliveGroup(rhs_p, key)) {
+          return IdViolation{ind.lhs_rel, {i}};
+        }
+      }
+      return std::nullopt;
+    }
+    case DependencyKind::kRd: {
+      const Rd& rd = dep.rd();
+      const RelStore& rs = rels_[rd.rel];
+      for (std::uint32_t i = 0; i < rs.tuples.size(); ++i) {
+        if (!rs.alive[i]) continue;
+        const IdTuple& t = rs.tuples[i];
+        for (std::size_t k = 0; k < rd.lhs.size(); ++k) {
+          if (t[rd.lhs[k]] != t[rd.rhs[k]]) return IdViolation{rd.rel, {i}};
+        }
+      }
+      return std::nullopt;
+    }
+    case DependencyKind::kEmvd:
+      return FindEmvdViolation(*this, dep.emvd().rel, dep.emvd().x,
+                               dep.emvd().y, dep.emvd().z);
+    case DependencyKind::kMvd:
+      return FindEmvdViolation(*this, dep.mvd().rel, dep.mvd().x,
+                               dep.mvd().y, MvdComplement(*scheme_, dep.mvd()));
+  }
+  return std::nullopt;
 }
 
 Database InternedWorkspace::Materialize() const {
@@ -505,26 +663,6 @@ Database InternedWorkspace::Materialize() const {
     }
   }
   return out;
-}
-
-IdDatabase InternedWorkspace::ExportIdDatabase() && {
-  std::vector<std::vector<IdTuple>> tuples(scheme_->size());
-  for (RelId rel = 0; rel < scheme_->size(); ++rel) {
-    RelStore& rs = rels_[rel];
-    tuples[rel].reserve(rs.alive_count);
-    for (std::uint32_t i = 0; i < rs.tuples.size(); ++i) {
-      if (!rs.alive[i]) continue;
-      IdTuple t;
-      t.reserve(rs.tuples[i].size());
-      for (ValueId id : rs.tuples[i]) {
-        // Rep, not Find: the tree root is a structural artifact; the
-        // class prints as its constant / lowest-labeled null.
-        t.push_back(uf_.Rep(id));
-      }
-      tuples[rel].push_back(std::move(t));
-    }
-  }
-  return IdDatabase(scheme_, std::move(interner_), std::move(tuples));
 }
 
 }  // namespace ccfp

@@ -10,7 +10,6 @@
 #include "core/database.h"
 #include "core/dependency.h"
 #include "core/intern.h"
-#include "core/interned.h"
 #include "core/tuple.h"
 #include "util/memory_budget.h"
 
@@ -39,6 +38,16 @@ enum class WorkspaceEventKind : std::uint8_t {
 struct WorkspaceEvent {
   WorkspaceEventKind kind = WorkspaceEventKind::kAppend;
   std::uint32_t idx = 0;
+};
+
+/// Structured violation witness in id-space: `tuple_indices` are tuple
+/// slots of `rel` in the workspace that found it. A workspace filled from
+/// a Database by AppendRelation/AppendDatabase holds slot i == tuple i of
+/// the source relation (relations are sets, so no append is rejected),
+/// which makes the witness directly re-checkable against the original.
+struct IdViolation {
+  RelId rel = 0;
+  std::vector<std::uint32_t> tuple_indices;
 };
 
 /// One entry of the opt-in mutation journal (EnableJournal): the logical
@@ -71,11 +80,12 @@ struct WorkspaceJournalEntry {
 /// EMVD chase (chase/emvd_chase.h), Armstrong build -> chase -> verify ->
 /// repair rounds (armstrong/builder.cc), the counterexample oracle
 /// (axiom/oracle.cc), dependency mining (mine/discovery.h), and the
-/// incremental dependency watchers (verify/verifier.h).
+/// incremental dependency watchers (verify/verifier.h). It is also the
+/// only id-space model checker: a one-shot `Satisfies` on a Database
+/// (core/satisfies.h) appends the involved relations into a throwaway
+/// workspace and checks there.
 ///
-/// Where `IdDatabase` interns one immutable snapshot and rebuilds all of
-/// its projection partitions per instance, the workspace is *incrementally
-/// maintainable*:
+/// The workspace is *incrementally maintainable*:
 ///
 ///   * tuples can be appended at any time (heap Values are interned on
 ///     first sight, id-tuples are adopted as-is); duplicates are rejected
@@ -140,7 +150,7 @@ struct WorkspaceJournalEntry {
 /// groups keep their `key_to_group` entry: a stale key contains at least
 /// one merged-away (non-root) id in the changed column, so it can never
 /// collide with a canonical probe key; probes must still treat a hit on a
-/// `group_size == 0` group as a miss (see core/model_check.h). Repairs
+/// `group_size == 0` group as a miss (the model checks below do). Repairs
 /// keep group ids stable, NOT sorted: nothing may assume group ids follow
 /// first-occurrence slot order.
 ///
@@ -164,8 +174,10 @@ class InternedWorkspace {
   /// Group id assigned to dead (merged-away) tuple slots in partitions.
   static constexpr std::uint32_t kNoGroup = UINT32_MAX;
 
-  /// Same shape as IdRelation::Partition, over the workspace's tuple
-  /// slots. Dead slots carry kNoGroup and are not counted in any group.
+  /// The projection partition of one relation by a column sequence X:
+  /// every alive tuple slot gets a group id such that two slots share a
+  /// group iff they agree on X. Dead slots carry kNoGroup and are not
+  /// counted in any group.
   struct Partition {
     std::vector<std::uint32_t> group_of;
     std::uint32_t group_count = 0;
@@ -405,11 +417,11 @@ class InternedWorkspace {
   void ExtendAllPartitions(RelId rel) const;
 
   /// --- model checking -----------------------------------------------------
-  /// Same semantics as IdDatabase / the legacy Value-hashing checks
-  /// (differentially tested); requires no stale tuples. One shared
-  /// implementation serves this class and IdDatabase via the
-  /// partition-provider templates in core/model_check.h. For watcher-based
-  /// delta-driven verdicts over the same workspace see verify/verifier.h.
+  /// Same semantics as the legacy Value-hashing checks in
+  /// core/satisfies.cc (differentially tested); requires no stale tuples.
+  /// Every scan walks slots front-to-back, so the first violation found
+  /// matches a legacy front-to-back scan. For watcher-based delta-driven
+  /// verdicts over the same workspace see verify/verifier.h.
 
   bool Satisfies(const Fd& fd) const;
   bool Satisfies(const Ind& ind) const;
@@ -461,11 +473,6 @@ class InternedWorkspace {
   /// Converts the alive tuples to a heap-Value Database, slot order
   /// preserved, each id printed as its class's semantic representative.
   Database Materialize() const;
-
-  /// Hands the alive tuples (ids mapped to representatives) and the
-  /// interner over as an immutable IdDatabase — the zero-copy exit used by
-  /// Chase::RunInterned. The workspace is consumed.
-  IdDatabase ExportIdDatabase() &&;
 
  private:
   friend class WorkspaceSnapshotAccess;

@@ -439,7 +439,8 @@ struct IncrementalVerifier::RdWatcher : Watcher {
 /// EMVD X ->> Y | Z (MVDs are converted at Watch time): per X-group
 /// counts of distinct XY groups (ny), distinct XZ groups (nz), and
 /// distinct (XY, XZ) pairs (np); the group obeys the dependency iff
-/// ny * nz == np (see model_check::SatisfiesEmvdOn for the sweep analogue).
+/// ny * nz == np (see SatisfiesEmvdOn in core/workspace.cc for the sweep
+/// analogue).
 struct IncrementalVerifier::EmvdWatcher : Watcher {
   RelId rel = 0;
   std::vector<AttrId> xy, xz;

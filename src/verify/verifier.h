@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/dependency.h"
-#include "core/interned.h"
 #include "core/workspace.h"
 #include "util/budget.h"
 #include "util/status.h"
@@ -23,13 +22,13 @@ using WatchId = std::size_t;
 
 /// Delta-driven satisfaction checking over a live InternedWorkspace.
 ///
-/// The full-sweep engines (core/model_check.h, reached through
-/// `InternedWorkspace::Satisfies` / `IdDatabase::Satisfies`) pay O(relation)
-/// per query no matter how little changed since the last one. The paper's
-/// loops — Armstrong build -> chase -> verify -> repair, the solver's
-/// decide -> refute, mining sweeps re-run after appends — re-check the
-/// same dependencies against slightly-changed databases over and over,
-/// which is exactly the access pattern incremental maintenance exploits.
+/// The full-sweep checks (`InternedWorkspace::Satisfies` /
+/// `FindViolation`, core/workspace.cc) pay O(relation) per query no
+/// matter how little changed since the last one. The paper's loops —
+/// Armstrong build -> chase -> verify -> repair, the solver's decide ->
+/// refute, mining sweeps re-run after appends — re-check the same
+/// dependencies against slightly-changed databases over and over, which
+/// is exactly the access pattern incremental maintenance exploits.
 ///
 /// An IncrementalVerifier compiles each watched FD/IND/RD (and
 /// refutation-only EMVD/MVD) into a *watcher*: per-dependency counters

@@ -130,13 +130,12 @@ TEST_P(BoundedCrossOracleTest, CounterexamplesAreGenuineAndChaseConsistent) {
       // (c) genuineness: the witness passes interned Satisfies on every
       // premise and fails the conclusion.
       const Database& db = *search->counterexample;
-      IdDatabase interned(db);
       for (const Dependency& p : premises) {
-        EXPECT_TRUE(interned.Satisfies(p))
+        EXPECT_TRUE(Satisfies(db, p))
             << "counterexample violates premise " <<
             p.ToString(*instance.scheme) << "\n" << db.ToString();
       }
-      EXPECT_FALSE(interned.Satisfies(target))
+      EXPECT_FALSE(Satisfies(db, target))
           << "counterexample satisfies the conclusion "
           << target.ToString(*instance.scheme) << "\n" << db.ToString();
       // (b) a finite counterexample refutes unrestricted implication.

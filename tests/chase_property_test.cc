@@ -258,6 +258,56 @@ TEST_P(ChasePropertyTest, ChaseImpliesAgreesAcrossEngines) {
   }
 }
 
+TEST_P(ChasePropertyTest, RunInternedMatchesRun) {
+  // RunInterned keeps the chased workspace: it must report what Run
+  // reports, materialize to Run's database, and model-check like the
+  // legacy engine on that database — for both engines.
+  AcyclicInstance instance = MakeAcyclic(GetParam(), 4, 3, false);
+  Chase chase(instance.scheme, instance.fds, instance.inds);
+  Database seed = RandomSeed(instance, GetParam() * 89 + 3);
+  std::vector<Dependency> checks;
+  for (const Fd& fd : instance.fds) checks.push_back(Dependency(fd));
+  for (const Ind& ind : instance.inds) checks.push_back(Dependency(ind));
+  SplitMix64 rng(GetParam() * 61 + 29);
+  RelId rel = static_cast<RelId>(rng.Below(instance.scheme->size()));
+  AttrId x = static_cast<AttrId>(rng.Below(3));
+  AttrId y = static_cast<AttrId>((x + 1 + rng.Below(2)) % 3);
+  checks.push_back(
+      rng.Chance(1, 2)
+          ? Dependency(Fd{rel, {x}, {y}})
+          : Dependency(Ind{
+                rel,
+                {x},
+                static_cast<RelId>(rng.Below(instance.scheme->size())),
+                {y}}));
+  SatisfiesOptions legacy;
+  legacy.engine = SatisfiesEngine::kLegacy;
+
+  for (ChaseEngine engine : {ChaseEngine::kIncremental, ChaseEngine::kNaive}) {
+    ChaseOptions options;
+    options.engine = engine;
+    Result<ChaseResult> run = chase.Run(seed, options);
+    Result<InternedChaseResult> interned = chase.RunInterned(seed, options);
+    ASSERT_EQ(run.ok(), interned.ok())
+        << run.status() << " vs " << interned.status();
+    if (!run.ok()) continue;
+    EXPECT_EQ(interned->outcome, run->outcome);
+    EXPECT_EQ(interned->fd_merges, run->fd_merges);
+    EXPECT_EQ(interned->ind_tuples, run->ind_tuples);
+    EXPECT_EQ(interned->steps, run->steps);
+    EXPECT_TRUE(interned->ws.Materialize() == run->db)
+        << interned->ws.Materialize().ToString() << "\nvs\n"
+        << run->db.ToString();
+    // A failed chase stops mid-flight with stale tuples; the workspace is
+    // only model-checkable at a fixpoint.
+    if (run->outcome != ChaseOutcome::kFixpoint) continue;
+    for (const Dependency& d : checks) {
+      EXPECT_EQ(interned->ws.Satisfies(d), Satisfies(run->db, d, legacy))
+          << d.ToString(*instance.scheme);
+    }
+  }
+}
+
 TEST_P(ChasePropertyTest, ResumingAfterBudgetExhaustionReachesAModel) {
   // Drip-feed the step budget: run WorkspaceChase with a tiny per-call
   // budget, re-running on ResourceExhausted until it reports a fixpoint.

@@ -1,6 +1,6 @@
 // Differential property tests for the interned model-checking core:
 // random databases and dependency universes, asserting that the interned
-// engine (core/interned.h) agrees with the legacy Value-hashing engine on
+// engine (core/workspace.h) agrees with the legacy Value-hashing engine on
 // every Satisfies / FindViolation / ObeysExactly query, and that reported
 // violation witnesses are genuine (re-checkable against the database).
 #include <algorithm>

@@ -1,10 +1,10 @@
 // Perf smoke tests (ctest -L smoke) for the interned model-checking core:
 // ObeysExactly over a Section 6/7-sized sentence universe and a bounded
 // counterexample search must finish well under a second. Both workloads
-// were the dominant costs of witness verification before the IdDatabase
-// layer; a regression back to per-probe Value hashing (or per-candidate
-// database materialization) fails here fast instead of surfacing as a
-// slow bench.
+// were the dominant costs of witness verification before the interned
+// model checker (core/workspace.h); a regression back to per-probe Value
+// hashing (or per-candidate database materialization) fails here fast
+// instead of surfacing as a slow bench.
 #include <chrono>
 #include <gtest/gtest.h>
 

@@ -351,6 +351,19 @@ TEST(SolverTest, ChaseImpliesBudgetOverloadCarriesEvidence) {
   ASSERT_TRUE(unknown.ok()) << unknown.status();
   EXPECT_EQ(unknown->verdict, ImplicationVerdict::kUnknown);
   EXPECT_FALSE(unknown->counterexample.has_value());
+  // An exhausted chase reports what it consumed, not its whole allowance:
+  // the step budget runs out (one step past it) long before the default
+  // tuple budget, and every generated tuple cost a step.
+  Budget steps200;
+  steps200.steps = 200;
+  Result<ChaseImplication> exhausted = ChaseImplies(
+      cyc, {}, {MakeInd(*cyc, "T", {"X", "Y"}, "T", {"Y", "Z"})},
+      Dependency(MakeFd(*cyc, "T", {"X"}, {"Y"})), steps200);
+  ASSERT_TRUE(exhausted.ok()) << exhausted.status();
+  EXPECT_EQ(exhausted->verdict, ImplicationVerdict::kUnknown);
+  EXPECT_GT(exhausted->used.tuples, 0u);
+  EXPECT_LE(exhausted->used.tuples, exhausted->used.steps);
+  EXPECT_LE(exhausted->used.steps, 201u);
 }
 
 // --- Budgets ------------------------------------------------------------

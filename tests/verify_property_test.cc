@@ -3,9 +3,9 @@
 // (core/workspace.h): randomized append / merge / kill traces driven
 // through an InternedWorkspace, asserting at every cursor position that
 //   * watcher verdicts agree with the workspace full-sweep engine AND
-//     with a freshly interned IdDatabase of the materialized state (whose
-//     partitions were never repaired — the ground truth for the repair
-//     machinery);
+//     with a one-shot Satisfies on the materialized state, which checks
+//     on a fresh throwaway workspace (whose partitions were never
+//     repaired — the ground truth for the repair machinery);
 //   * violation witnesses agree across all three, modulo the alive-rank
 //     index mapping between workspace slots and the materialized tuples;
 //   * feed compaction is invisible: cursor-respecting CompactFeeds never
