@@ -1,6 +1,5 @@
 // The adaptive refutation portfolio (search/portfolio.h): fixed-shape
-// vs shape-ladder pairs, and the raced mixed route at pool widths
-// 1/2/4/8, emitted to BENCH_portfolio.json.
+// vs shape-ladder pairs, emitted to BENCH_portfolio.json.
 //
 // Two workloads exercise the two regimes:
 //   * `wide` — R(A,B,C) with { A -> B, R[B,C] <= R[C,A] } |/= A -> C.
@@ -21,7 +20,6 @@
 #include "util/budget.h"
 #include "util/check.h"
 #include "util/strings.h"
-#include "util/task_pool.h"
 
 namespace ccfp {
 namespace {
@@ -130,28 +128,6 @@ void EmitJsonReport(bool smoke) {
                  "solver wide: fixed %.2f ms (kUnknown), ladder %.2f ms "
                  "(kNotImplied)\n",
                  wall[0] / 1e6, wall[1] / 1e6);
-  }
-
-  // --- the raced mixed route at pool widths 1/2/4/8 -------------------
-  // Chase ∥ rung0 ∥ rung1 ∥ ... on the TaskPool; the verdict is width-
-  // invariant (tests/portfolio_property_test.cc), only timing moves.
-  {
-    Workload w = WideWorkload();
-    Budget budget;
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      if (smoke && threads != 1) continue;
-      TaskPool pool(threads);
-      SolveOptions options;
-      options.pool = &pool;
-      std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
-        ImplicationSolver solver(w.scheme, w.sigma, options);
-        Result<Verdict> v = solver.Solve(w.target, budget);
-        CCFP_CHECK(v.ok() && v->outcome == ImplicationVerdict::kNotImplied);
-      });
-      reporter.AddThreaded("solver_wide_raced", 1, wall, 1, threads);
-      std::fprintf(stderr, "solver wide raced t=%u: %.2f ms\n", threads,
-                   wall / 1e6);
-    }
   }
 
   reporter.WriteFile();

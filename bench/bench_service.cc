@@ -9,8 +9,8 @@
 //     capital the shared core amortizes across sessions.
 //   * solve throughput — `solve_throughput/t<k>` drives k caller threads,
 //     each with its own session over one shared core, through a fixed
-//     mixed-fragment query stream at TaskPool width k (AddThreaded entries
-//     at t=1/2/4/8; steps = queries answered).
+//     mixed-fragment query stream (AddThreaded entries at t=1/2/4/8;
+//     steps = queries answered). Each query runs on its caller's thread.
 #include <cstdint>
 #include <cstdio>
 #include <thread>
@@ -55,7 +55,8 @@ Database WarmData(const SchemePtr& scheme, std::size_t n) {
 }
 
 /// Mixed-fragment targets (non-unary, so they route through the
-/// chase/search race rather than the unary decision engines).
+/// derivation -> chase -> search pipeline rather than the unary decision
+/// engines).
 std::vector<Dependency> QueryMix() {
   return {
       Dependency(Fd{0, {0}, {1, 2}}),  // implied (A->B->C)
@@ -121,13 +122,11 @@ void EmitJsonReport(bool smoke) {
                      static_cast<double>(shared_ns ? shared_ns : 1));
   }
 
-  // Throughput at t caller threads == t pool workers, one session each.
+  // Throughput at t caller threads, one session each.
   constexpr std::size_t kRounds = 64;
   for (unsigned t : {1u, 2u, 4u, 8u}) {
     if (smoke && t != 1) continue;
-    SolverService::Options options;
-    options.threads = t;
-    SolverService service(options);
+    SolverService service;
     std::vector<SolverService::SessionId> ids;
     for (unsigned s = 0; s < t; ++s) {
       Result<SolverService::SessionId> id =
@@ -166,9 +165,7 @@ BENCHMARK(BM_SharedSessionOpen)->Range(256, 4096);
 
 void BM_ServiceSolve(benchmark::State& state) {
   SchemePtr scheme = BenchScheme();
-  SolverService::Options options;
-  options.threads = static_cast<unsigned>(state.range(0));
-  SolverService service(options);
+  SolverService service;
   std::vector<SolverService::SessionId> ids;
   for (std::int64_t s = 0; s < state.range(0); ++s) {
     Result<SolverService::SessionId> id =

@@ -1,10 +1,10 @@
 #ifndef CCFP_CHASE_CHASE_H_
 #define CCFP_CHASE_CHASE_H_
 
+#include <chrono>
 #include <cstdint>
-#include <vector>
-
 #include <optional>
+#include <vector>
 
 #include "core/database.h"
 #include "core/dependency.h"
@@ -12,7 +12,6 @@
 #include "core/workspace.h"
 #include "util/budget.h"
 #include "util/status.h"
-#include "util/task_pool.h"
 
 namespace ccfp {
 
@@ -49,12 +48,6 @@ struct ChaseOptions {
   /// just at round boundaries) by the workspace-backed engine.
   std::optional<std::chrono::steady_clock::time_point> deadline;
   ChaseEngine engine = ChaseEngine::kIncremental;
-  /// Optional cooperative cancellation token (not owned): the workspace
-  /// engine polls `cancel->exhausted()` at every budget checkpoint and
-  /// stops resumably with ResourceExhausted once another racer marked it.
-  /// The chase never charges this meter — it is a pure kill switch for
-  /// first-verdict-wins races (solve/solver.h).
-  SharedBudgetMeter* cancel = nullptr;
 
   /// Maps the shared Budget vocabulary onto the chase's knobs
   /// (steps -> max_steps, tuples -> max_tuples, bytes -> max_bytes,

@@ -46,11 +46,6 @@ Status WorkspaceChase::BudgetCheckpoint() {
   if (FaultFires(FaultSite::kEngineExhaust)) {
     return Status::ResourceExhausted("injected chase exhaustion");
   }
-  // Cancellation is checked every call (not behind the tick gate): a
-  // raced chase should die promptly once the other probe is decisive.
-  if (options_->cancel != nullptr && options_->cancel->exhausted()) {
-    return Status::ResourceExhausted("chase cancelled by racing probe");
-  }
   if ((checkpoint_tick_++ & 63) != 0) return Status::OK();
   if (options_->deadline.has_value() &&
       std::chrono::steady_clock::now() >= *options_->deadline) {

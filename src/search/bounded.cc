@@ -124,8 +124,7 @@ Result<BoundedSearchResult> LegacySearch(
   bool budget_hit = false;
   std::function<bool(RelId)> rec = [&](RelId rel) -> bool {
     if (rel == scheme->size()) {
-      if (++result.candidates_tested > options.max_candidates ||
-          (options.cancel != nullptr && options.cancel->exhausted())) {
+      if (++result.candidates_tested > options.max_candidates) {
         budget_hit = true;
         return true;  // stop
       }
@@ -512,13 +511,6 @@ class IdSpaceSearcher {
   /// partial candidate, apply final premise / conclusion pruning, and
   /// either descend into the next relation or report the counterexample.
   void Boundary(RelId rel) {
-    if (options_.cancel != nullptr && options_.cancel->exhausted()) {
-      // Cancelled by a racing probe: stop with no verdict (the caller
-      // surfaces this as exhaustion, never as "no counterexample").
-      budget_hit_ = true;
-      stop_ = true;
-      return;
-    }
     if (++result_.candidates_tested > options_.max_candidates) {
       budget_hit_ = true;
       stop_ = true;
@@ -690,12 +682,6 @@ Result<BoundedSearchResult> FindCounterexample(
   }
   CCFP_RETURN_NOT_OK(Validate(*scheme, conclusion));
 
-  if (options.cancel != nullptr && options.cancel->exhausted()) {
-    // Cancelled before the first candidate: unknown, zero work.
-    BoundedSearchResult cancelled;
-    cancelled.exhausted = false;
-    return cancelled;
-  }
   if (options.engine == BoundedSearchEngine::kIdSpace) {
     IdSpaceSearcher searcher(scheme, premises, conclusion, options);
     if (searcher.feasible()) return searcher.Run();

@@ -12,7 +12,6 @@
 #include "core/dependency.h"
 #include "util/budget.h"
 #include "util/status.h"
-#include "util/task_pool.h"
 
 namespace ccfp {
 
@@ -132,12 +131,6 @@ struct BoundedSearchOptions {
   /// same scheme (see BoundedSearchWorkspace). Null: each search compiles
   /// its own tables. Not owned; must outlive the search.
   BoundedSearchWorkspace* workspace = nullptr;
-  /// Optional cooperative cancellation token (not owned): the engines
-  /// poll `cancel->exhausted()` at candidate checkpoints and stop early
-  /// with `exhausted == false` (surfaced as ResourceExhausted — unknown,
-  /// never a wrong answer) once another racer marked it. The search never
-  /// charges this meter.
-  SharedBudgetMeter* cancel = nullptr;
 
   /// Maps the shared Budget vocabulary onto the search's candidate cap
   /// (steps -> max_candidates) and byte ceiling. The shape knobs (tuples

@@ -51,8 +51,6 @@ const char* RungStatusToString(RungStatus status) {
       return "found";
     case RungStatus::kSkipped:
       return "skipped";
-    case RungStatus::kSuperseded:
-      return "superseded";
   }
   return "unknown";
 }
@@ -125,116 +123,52 @@ Result<PortfolioResult> RefutationPortfolio::Run(const Budget& budget) {
   }
 
   const std::vector<Budget> shares = budget.SplitLadder(funded_costs);
-  std::vector<std::size_t> live;
-  live.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.rungs[i].share = shares[i].steps;
-    if (i > 0 && funded_costs[i] == 0) {
-      // Note already set: statically infeasible.
-      continue;
-    }
-    if (i > 0 && shares[i].steps == 0) {
-      out.rungs[i].note =
-          StrCat("skipped: candidate budget drained by smaller shapes (",
-                 ladder_[i].ToString(), " needs up to ", costs_[i],
-                 " candidates)");
-      continue;
-    }
-    live.push_back(i);
-  }
-
-  // Per-rung sticky cancel meters, chained under the caller's outer token
-  // (never charged — each rung's deterministic ceiling is its share).
-  Budget unmetered = Budget::Unlimited();
-  unmetered.deadline.reset();
-  std::vector<std::unique_ptr<SharedBudgetMeter>> meters(n);
-  for (std::size_t i : live) {
-    meters[i] =
-        std::make_unique<SharedBudgetMeter>(unmetered, UINT64_MAX, options_.cancel);
-  }
-
   BoundedSearchWorkspace local_workspace;
   BoundedSearchWorkspace* workspace =
       options_.workspace != nullptr ? options_.workspace : &local_workspace;
 
-  std::vector<std::optional<Result<BoundedSearchResult>>> raw(n);
-  auto run_rung = [&](std::size_t i) {
-    BoundedSearchOptions o = ShapeOptions(ladder_[i], budget.bytes);
-    o.max_candidates = shares[i].steps;
-    o.workspace = workspace;
-    o.cancel = meters[i].get();
-    raw[i] = FindCounterexample(scheme_, premises_, conclusion_, o);
-    if (raw[i]->ok() && (*raw[i])->counterexample.has_value()) {
-      // A find at rung i supersedes every *higher* rung; lower rungs keep
-      // running — a smaller shape may hold the witness that sequentially
-      // wins, and determinism demands it gets to finish.
-      for (std::size_t j : live) {
-        if (j > i) meters[j]->MarkExhausted();
-      }
-    }
-  };
-
-  if (options_.pool != nullptr && live.size() > 1) {
-    TaskGroup group(options_.pool);
-    for (std::size_t i : live) {
-      group.Spawn([&run_rung, i] { run_rung(i); });
-    }
-    group.Wait();
-  } else {
-    for (std::size_t i : live) {
-      run_rung(i);
-      if (raw[i]->ok() && (*raw[i])->counterexample.has_value()) break;
-    }
-  }
-
-  // Reduction (joining thread, ladder order): the winner is the lowest
-  // live rung with a raw find; every rung above it is rewritten to
-  // kSuperseded with zeroed counters — exactly the report a sequential
-  // sweep produces by never launching them — so the result is
-  // bit-identical at every pool width.
-  for (std::size_t i : live) {
-    if (raw[i].has_value() && raw[i]->ok() && (*raw[i])->counterexample.has_value()) {
-      out.winner = i;
-      break;
-    }
-  }
-  std::size_t largest_scanned_rung = PortfolioResult::kNoRung;
+  // The sweep: ladder (cost) order, one rung at a time, stopping at the
+  // first find — rungs above the winner are never reached.
   for (std::size_t i = 0; i < n; ++i) {
     RungReport& rung = out.rungs[i];
-    if (rung.status == RungStatus::kSkipped && std::find(live.begin(), live.end(), i) == live.end()) {
+    rung.share = shares[i].steps;
+    if (i > 0 && (funded_costs[i] == 0 || shares[i].steps == 0)) {
+      if (funded_costs[i] != 0) {
+        rung.note =
+            StrCat("skipped: candidate budget drained by smaller shapes (",
+                   ladder_[i].ToString(), " needs up to ", costs_[i],
+                   " candidates)");
+      }  // else the note is already set: statically infeasible
       ++out.rungs_skipped;
       continue;
     }
-    if (out.winner != PortfolioResult::kNoRung && i > out.winner) {
-      rung.status = RungStatus::kSuperseded;
-      rung.candidates_tested = 0;
-      rung.note = "superseded: a counterexample surfaced at a smaller shape";
-      continue;
-    }
-    // A live rung at or below the winner always ran (sequential sweeps
-    // only break *after* the winning rung).
-    CCFP_RETURN_NOT_OK(raw[i]->status());
-    const BoundedSearchResult& result = **raw[i];
+    BoundedSearchOptions o = ShapeOptions(ladder_[i], budget.bytes);
+    o.max_candidates = shares[i].steps;
+    o.workspace = workspace;
+    CCFP_ASSIGN_OR_RETURN(
+        BoundedSearchResult result,
+        FindCounterexample(scheme_, premises_, conclusion_, o));
     rung.candidates_tested = result.candidates_tested;
     out.candidates_tested += result.candidates_tested;
-    if (i == out.winner) {
+    if (result.counterexample.has_value()) {
       rung.status = RungStatus::kFound;
       rung.note = StrCat("counterexample found at ", ladder_[i].ToString());
-      out.counterexample = (*raw[i])->counterexample;
-    } else if (result.exhausted) {
+      out.winner = i;
+      out.counterexample = std::move(result.counterexample);
+      out.rungs.resize(i + 1);
+      break;
+    }
+    if (result.exhausted) {
       rung.status = RungStatus::kFullScan;
       rung.note = StrCat("full scan: no counterexample with <= ",
                          ladder_[i].ToString());
       ++out.rungs_scanned;
-      largest_scanned_rung = i;  // ladder order is cost order
+      out.largest_scanned = ladder_[i];  // ladder order is cost order
     } else {
       rung.status = RungStatus::kBudget;
       rung.note = StrCat("stopped early: candidate share of ", rung.share,
                          " drained at ", ladder_[i].ToString());
     }
-  }
-  if (largest_scanned_rung != PortfolioResult::kNoRung) {
-    out.largest_scanned = ladder_[largest_scanned_rung];
   }
   return out;
 }

@@ -2,7 +2,6 @@
 #define CCFP_SEARCH_PORTFOLIO_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "search/bounded.h"
 #include "util/budget.h"
 #include "util/status.h"
-#include "util/task_pool.h"
 
 namespace ccfp {
 
@@ -50,21 +48,12 @@ struct PortfolioOptions {
   /// caches cleanly side by side). Null: the portfolio compiles into a
   /// private per-run workspace shared by its rungs. Not owned.
   BoundedSearchWorkspace* workspace = nullptr;
-  /// Run the rungs as stealable tasks on this pool (not owned). Null: a
-  /// sequential ladder sweep on the caller, lowest rung first, stopping at
-  /// the first find. Results are bit-identical either way — see Run().
-  TaskPool* pool = nullptr;
-  /// Outer cooperative-cancellation token (not owned; may be null): the
-  /// portfolio chains one child meter per rung under it, so marking it
-  /// (e.g. the mixed route's chase turning decisive) drains every rung at
-  /// its next candidate boundary. Never charged.
-  SharedBudgetMeter* cancel = nullptr;
 };
 
 enum class RungStatus : std::uint8_t {
   /// Ran to the end of its shape: no counterexample exists below it.
   kFullScan = 0,
-  /// Ran out of its candidate share (or was cancelled) mid-scan.
+  /// Ran out of its candidate share mid-scan.
   kBudget = 1,
   /// Found the portfolio's winning (raw, unverified) counterexample.
   kFound = 2,
@@ -72,10 +61,6 @@ enum class RungStatus : std::uint8_t {
   /// before this rung. Counted in `rungs_skipped`, never silent — the
   /// note says why.
   kSkipped = 3,
-  /// Never counted: a smaller shape found a counterexample, making this
-  /// rung's scan moot (its partial work, if any, is discarded so the
-  /// report is identical to a sequential sweep that never launched it).
-  kSuperseded = 4,
 };
 
 const char* RungStatusToString(RungStatus status);
@@ -86,7 +71,7 @@ struct RungReport {
   RungStatus status = RungStatus::kSkipped;
   /// The candidate ceiling this rung was allotted by Budget::SplitLadder.
   std::uint64_t share = 0;
-  /// Candidate evaluations performed (0 for kSkipped / kSuperseded).
+  /// Candidate evaluations performed (0 for kSkipped).
   std::uint64_t candidates_tested = 0;
   /// Skip reason / scan summary for the solver's stage reports.
   std::string note;
@@ -99,9 +84,11 @@ struct PortfolioResult {
   /// candidate-index one (raw: the caller verifies before attaching).
   std::optional<Database> counterexample;
   std::size_t winner = kNoRung;
-  /// One report per ladder rung, ladder order.
+  /// One report per ladder rung the sweep reached, ladder order: every
+  /// rung when nothing is found, else the rungs up to and including the
+  /// winner (the sweep stops there).
   std::vector<RungReport> rungs;
-  /// Total candidates across counted rungs (superseded work excluded).
+  /// Totals over `rungs`.
   std::uint64_t candidates_tested = 0;
   std::uint64_t rungs_scanned = 0;  ///< kFullScan count
   std::uint64_t rungs_skipped = 0;  ///< kSkipped count
@@ -112,7 +99,7 @@ struct PortfolioResult {
 };
 
 /// A portfolio of bounded refutation searches over a deterministic shape
-/// ladder, raced across a TaskPool.
+/// ladder, swept in cost order.
 ///
 /// The fixed 2x2 search shape misses every counterexample that needs a
 /// third tuple or a third value, returning kUnknown with budget to spare.
@@ -121,29 +108,14 @@ struct PortfolioResult {
 /// (EstimateBoundedSearch), pre-skips rungs whose compiled tables could
 /// never fit (hard caps or Budget::bytes — counted in the result, never
 /// silent), funds the rungs greedily in ladder order from one Budget
-/// (Budget::SplitLadder), and runs the survivors as stealable tasks on the
-/// caller's pool — first raw counterexample cancels every *higher* rung
-/// through per-rung sticky meters chained under the caller's outer cancel
-/// token.
+/// (Budget::SplitLadder), and scans the funded rungs one at a time,
+/// lowest rung first, stopping at the first counterexample.
 ///
-/// ## Determinism (the PR 8 two-tier contract)
-///
-/// Verdict, witness, and per-rung reports are bit-identical to a
-/// sequential ladder sweep at every pool width:
-///   * each rung's candidate ceiling is fixed up front by SplitLadder, so
-///     a rung's scan is a deterministic function of (scheme, sigma,
-///     target, shape, share) — no shared interleaved meter;
-///   * a find at rung k only cancels rungs *above* k (a smaller shape may
-///     still hold the lower-rung witness a sequential sweep would have
-///     returned first), so every rung at or below the winner runs
-///     uncancelled to its deterministic end;
-///   * the reduction on the joining thread takes the lowest-rung find and
-///     rewrites every higher rung to kSuperseded with zeroed counters —
-///     exactly the report a sequential sweep produces by never launching
-///     them.
-/// The wall-clock deadline stays stage-granular (rungs are not
-/// deadline-gated mid-scan) — deadline trips are the one timing-dependent
-/// outcome (docs/parallelism.md).
+/// Each rung's candidate ceiling is fixed up front by SplitLadder, so a
+/// rung's scan is a deterministic function of (scheme, sigma, target,
+/// shape, share), and the winner is the lowest-rung, lowest-candidate-
+/// index witness. The wall-clock deadline stays stage-granular (rungs are
+/// not deadline-gated mid-scan).
 class RefutationPortfolio {
  public:
   RefutationPortfolio(SchemePtr scheme, std::vector<Dependency> premises,
@@ -153,9 +125,7 @@ class RefutationPortfolio {
   const std::vector<SearchShape>& ladder() const { return ladder_; }
 
   /// Runs the portfolio under `budget` (steps fund the ladder; bytes gate
-  /// feasibility). Error statuses only for invalid inputs. Thread-safe
-  /// against concurrent MarkExhausted on the outer cancel token; not
-  /// reentrant.
+  /// feasibility). Error statuses only for invalid inputs.
   Result<PortfolioResult> Run(const Budget& budget);
 
  private:

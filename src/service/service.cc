@@ -1,7 +1,6 @@
 #include "service/service.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "util/strings.h"
@@ -51,10 +50,6 @@ class SolverService::InflightGuard {
 SolverService::SolverService() : SolverService(Options()) {}
 
 SolverService::SolverService(Options options) : options_(std::move(options)) {
-  unsigned threads = options_.threads != 0
-                         ? options_.threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  pool_ = std::make_unique<TaskPool>(threads);
   // Two service processes must never interleave one session's chain.
   options_.chain_policy.exclusive = true;
   std::size_t shards = std::max<std::size_t>(1, options_.shards);
@@ -62,7 +57,6 @@ SolverService::SolverService(Options options) : options_(std::move(options)) {
   for (std::size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  stats_.pool_threads = threads;
 }
 
 SolverService::~SolverService() = default;
@@ -113,8 +107,6 @@ Result<SolverService::SessionId> SolverService::Admit(
         StrCat("session capacity (", options_.max_sessions,
                ") reached; close or evict a session first"));
   }
-  session->meter = std::make_unique<SharedBudgetMeter>(
-      Budget::Unlimited(), options_.session_step_ceiling);
   std::size_t shard_index = session->core->fingerprint() % shards_.size();
   Shard& shard = *shards_[shard_index];
   SessionId id;
@@ -142,7 +134,6 @@ Result<std::shared_ptr<SolverService::Session>> SolverService::Find(
 void SolverService::ProvisionSolver(Session& s) {
   SolveOptions o = options_.solve;
   o.shared_search_tables = &s.core->search_tables();
-  o.pool = options_.race_mixed_route ? pool_.get() : nullptr;
   if (options_.share_witness_cache) {
     o.shared_witness_cache = &s.core->witness_cache();
   } else {
@@ -211,10 +202,10 @@ Result<SolverService::SessionId> SolverService::OpenArmstrong(
 
 void SolverService::ChargeLocked(Session& s, std::uint64_t steps) {
   ++s.stats.ops;
-  if (!s.meter->Charge(steps == 0 ? 1 : steps)) {
+  s.stats.steps_used += std::max<std::uint64_t>(steps, 1);
+  if (s.stats.steps_used > options_.session_step_ceiling) {
     s.stats.budget_exhausted = true;
   }
-  s.stats.steps_used = s.meter->used();
 }
 
 void SolverService::FoldLiveStatsLocked(Session& s) const {
@@ -300,12 +291,15 @@ Status SolverService::ReviveLocked(Session& s) {
   return Status::OK();
 }
 
-Result<Verdict> SolverService::Solve(SessionId id, const Dependency& target,
-                                     const Budget& budget) {
+template <typename Op>
+auto SolverService::RunOp(SessionId id, SessionKind kind, Op op)
+    -> decltype(op(std::declval<Session&>())) {
   CCFP_ASSIGN_OR_RETURN(std::shared_ptr<Session> s, Find(id));
-  if (s->kind != SessionKind::kSolve) {
-    return Status::FailedPrecondition(
-        StrCat("session ", id, " is not a solve session"));
+  if (s->kind != kind) {
+    static constexpr const char* kKindNames[] = {
+        "a solve session", "a mining session", "an Armstrong session"};
+    return Status::FailedPrecondition(StrCat(
+        "session ", id, " is not ", kKindNames[static_cast<int>(kind)]));
   }
   InflightGuard guard(inflight_, options_.max_inflight);
   if (!guard.admitted()) {
@@ -317,131 +311,75 @@ Result<Verdict> SolverService::Solve(SessionId id, const Dependency& target,
   }
   std::lock_guard<std::mutex> lock(s->mu);
   if (s->evicted) CCFP_RETURN_NOT_OK(ReviveLocked(*s));
-  if (s->meter->exhausted()) {
+  if (s->stats.budget_exhausted) {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.rejected_budget;
     return Status::ResourceExhausted(
         StrCat("session ", id, " exhausted its lifetime step ceiling"));
   }
-  CCFP_ASSIGN_OR_RETURN(Verdict v, s->solver->Solve(target, budget));
-  ChargeLocked(*s, v.used.steps);
-  return v;
+  return op(*s);
+}
+
+Result<Verdict> SolverService::Solve(SessionId id, const Dependency& target,
+                                     const Budget& budget) {
+  return RunOp(id, SessionKind::kSolve, [&](Session& s) -> Result<Verdict> {
+    CCFP_ASSIGN_OR_RETURN(Verdict v, s.solver->Solve(target, budget));
+    ChargeLocked(s, v.used.steps);
+    return v;
+  });
 }
 
 Status SolverService::Append(SessionId id, const Database& delta) {
-  CCFP_ASSIGN_OR_RETURN(std::shared_ptr<Session> s, Find(id));
-  if (s->kind != SessionKind::kMine) {
-    return Status::FailedPrecondition(
-        StrCat("session ", id, " is not a mining session"));
-  }
-  InflightGuard guard(inflight_, options_.max_inflight);
-  if (!guard.admitted()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.rejected_inflight;
-    return Status::ResourceExhausted("in-flight op ceiling reached; retry");
-  }
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (s->evicted) CCFP_RETURN_NOT_OK(ReviveLocked(*s));
-  if (s->meter->exhausted()) {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.rejected_budget;
-    return Status::ResourceExhausted(
-        StrCat("session ", id, " exhausted its lifetime step ceiling"));
-  }
-  std::uint64_t before = s->mine_ws->stats().tuples_appended;
-  s->mine_ws->AppendDatabase(delta);
-  ChargeLocked(*s, s->mine_ws->stats().tuples_appended - before);
-  return Status::OK();
+  return RunOp(id, SessionKind::kMine, [&](Session& s) {
+    std::uint64_t before = s.mine_ws->stats().tuples_appended;
+    s.mine_ws->AppendDatabase(delta);
+    ChargeLocked(s, s.mine_ws->stats().tuples_appended - before);
+    return Status::OK();
+  });
 }
 
 Result<std::vector<Fd>> SolverService::MineSessionFds(
     SessionId id, RelId rel, const FdMiningOptions& fd) {
-  CCFP_ASSIGN_OR_RETURN(std::shared_ptr<Session> s, Find(id));
-  if (s->kind != SessionKind::kMine) {
-    return Status::FailedPrecondition(
-        StrCat("session ", id, " is not a mining session"));
-  }
-  InflightGuard guard(inflight_, options_.max_inflight);
-  if (!guard.admitted()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.rejected_inflight;
-    return Status::ResourceExhausted("in-flight op ceiling reached; retry");
-  }
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (s->evicted) CCFP_RETURN_NOT_OK(ReviveLocked(*s));
-  if (rel >= s->core->scheme().size()) {
-    return Status::InvalidArgument(StrCat("no relation ", rel));
-  }
-  std::vector<Fd> out = MineFds(*s->mine_ws, rel, fd);
-  ChargeLocked(*s, s->mine_ws->TotalAliveTuples());
-  return out;
+  return RunOp(id, SessionKind::kMine,
+               [&](Session& s) -> Result<std::vector<Fd>> {
+                 if (rel >= s.core->scheme().size()) {
+                   return Status::InvalidArgument(StrCat("no relation ", rel));
+                 }
+                 std::vector<Fd> out = MineFds(*s.mine_ws, rel, fd);
+                 ChargeLocked(s, s.mine_ws->TotalAliveTuples());
+                 return out;
+               });
 }
 
 Result<std::vector<Ind>> SolverService::MineSessionInds(
     SessionId id, const IndMiningOptions& ind) {
-  CCFP_ASSIGN_OR_RETURN(std::shared_ptr<Session> s, Find(id));
-  if (s->kind != SessionKind::kMine) {
-    return Status::FailedPrecondition(
-        StrCat("session ", id, " is not a mining session"));
-  }
-  InflightGuard guard(inflight_, options_.max_inflight);
-  if (!guard.admitted()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.rejected_inflight;
-    return Status::ResourceExhausted("in-flight op ceiling reached; retry");
-  }
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (s->evicted) CCFP_RETURN_NOT_OK(ReviveLocked(*s));
-  std::vector<Ind> out = MineInds(*s->mine_ws, ind);
-  ChargeLocked(*s, s->mine_ws->TotalAliveTuples());
-  return out;
+  return RunOp(id, SessionKind::kMine,
+               [&](Session& s) -> Result<std::vector<Ind>> {
+                 std::vector<Ind> out = MineInds(*s.mine_ws, ind);
+                 ChargeLocked(s, s.mine_ws->TotalAliveTuples());
+                 return out;
+               });
 }
 
 Result<std::vector<Rd>> SolverService::MineSessionRds(SessionId id) {
-  CCFP_ASSIGN_OR_RETURN(std::shared_ptr<Session> s, Find(id));
-  if (s->kind != SessionKind::kMine) {
-    return Status::FailedPrecondition(
-        StrCat("session ", id, " is not a mining session"));
-  }
-  InflightGuard guard(inflight_, options_.max_inflight);
-  if (!guard.admitted()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.rejected_inflight;
-    return Status::ResourceExhausted("in-flight op ceiling reached; retry");
-  }
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (s->evicted) CCFP_RETURN_NOT_OK(ReviveLocked(*s));
-  std::vector<Rd> out = MineRds(*s->mine_ws);
-  ChargeLocked(*s, s->mine_ws->TotalAliveTuples());
-  return out;
+  return RunOp(id, SessionKind::kMine,
+               [&](Session& s) -> Result<std::vector<Rd>> {
+                 std::vector<Rd> out = MineRds(*s.mine_ws);
+                 ChargeLocked(s, s.mine_ws->TotalAliveTuples());
+                 return out;
+               });
 }
 
 Status SolverService::Extend(SessionId id,
                              const std::vector<Dependency>& delta) {
-  CCFP_ASSIGN_OR_RETURN(std::shared_ptr<Session> s, Find(id));
-  if (s->kind != SessionKind::kArmstrong) {
-    return Status::FailedPrecondition(
-        StrCat("session ", id, " is not an Armstrong session"));
-  }
-  InflightGuard guard(inflight_, options_.max_inflight);
-  if (!guard.admitted()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.rejected_inflight;
-    return Status::ResourceExhausted("in-flight op ceiling reached; retry");
-  }
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (s->evicted) CCFP_RETURN_NOT_OK(ReviveLocked(*s));
-  if (s->meter->exhausted()) {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.rejected_budget;
-    return Status::ResourceExhausted(
-        StrCat("session ", id, " exhausted its lifetime step ceiling"));
-  }
-  std::uint64_t before = s->armstrong->workspace_stats().tuples_appended;
-  CCFP_RETURN_NOT_OK(s->armstrong->Extend(delta));
-  ChargeLocked(*s, delta.size() + s->armstrong->workspace_stats().tuples_appended -
-                       before);
-  return Status::OK();
+  return RunOp(id, SessionKind::kArmstrong, [&](Session& s) {
+    std::uint64_t before = s.armstrong->workspace_stats().tuples_appended;
+    CCFP_RETURN_NOT_OK(s.armstrong->Extend(delta));
+    ChargeLocked(s, delta.size() +
+                        s.armstrong->workspace_stats().tuples_appended -
+                        before);
+    return Status::OK();
+  });
 }
 
 Result<Database> SolverService::ArmstrongDatabase(SessionId id) {

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "armstrong/builder.h"
@@ -20,13 +21,13 @@
 #include "solve/solver.h"
 #include "util/budget.h"
 #include "util/status.h"
-#include "util/task_pool.h"
 
 namespace ccfp {
 
 /// A multi-session front end over the solving engines: many concurrent
 /// implication, mining, and Armstrong sessions served from shared
-/// immutable cores (service/shared_core.h) on one work-stealing TaskPool.
+/// immutable cores (service/shared_core.h). Concurrency comes from the
+/// callers: each op runs on the thread that called it.
 ///
 /// ## Architecture
 ///
@@ -40,12 +41,12 @@ namespace ccfp {
 ///     Ops on distinct sessions run concurrently (callers may invoke the
 ///     service from many threads); ops on one session serialize on its
 ///     own mutex.
-///   * **Budgets**: each session carries a lifetime step ceiling through
-///     a SharedBudgetMeter. Every op's measured consumption is charged
-///     after the fact; once the meter trips, further ops are refused with
-///     ResourceExhausted — the op that crossed the line still returns its
-///     (correct) verdict. Exhaustion is an admission outcome, never a
-///     wrong answer.
+///   * **Budgets**: each session carries a lifetime step ceiling, a plain
+///     counter under the session mutex. Every op's measured consumption
+///     is charged after the fact; once the ceiling is crossed, further ops
+///     are refused with ResourceExhausted — the op that crossed the line
+///     still returns its (correct) verdict. Exhaustion is an admission
+///     outcome, never a wrong answer.
 ///   * **Admission control**: a bounded in-flight op count and a bounded
 ///     resident session count; both overflows are ResourceExhausted with
 ///     a reason, never queueing and never degraded results.
@@ -62,8 +63,7 @@ namespace ccfp {
 ///
 /// By default every solve session gets a *private* witness cache, so its
 /// verdicts AND evidence are bit-identical to a standalone sequential
-/// ImplicationSolver no matter how many siblings run beside it (the
-/// mixed-route chase/search race preserves this — see SolveOptions::pool).
+/// ImplicationSolver no matter how many siblings run beside it.
 /// `Options::share_witness_cache` opts a service into cross-session
 /// replay: verdicts stay exact, but which cached witness answers first
 /// becomes history-dependent.
@@ -72,8 +72,6 @@ class SolverService {
   using SessionId = std::uint64_t;
 
   struct Options {
-    /// TaskPool width. 0 = one worker per hardware thread.
-    unsigned threads = 0;
     /// Session shard count (fixed at construction).
     std::size_t shards = 4;
     /// Resident (non-closed) session ceiling; Open beyond it is refused.
@@ -91,12 +89,6 @@ class SolverService {
     /// Share one witness cache per core across its solve sessions (see
     /// the determinism note above). Off by default.
     bool share_witness_cache = false;
-    /// Race the mixed route's chase probe against its whole refutation
-    /// portfolio on the pool (one Solve then fans out as chase ∥ rung0 ∥
-    /// rung1 ∥ ... — see search/portfolio.h; the other routes' refutation
-    /// sweeps fan their ladder rungs out too). Verdict- and evidence-
-    /// preserving; off only to pin down timing.
-    bool race_mixed_route = true;
     /// Base solve options for solve sessions (semantics, evidence,
     /// search shape). The shared-substrate hooks are overwritten per
     /// session.
@@ -109,6 +101,9 @@ class SolverService {
   struct SessionStats {
     SessionKind kind = SessionKind::kSolve;
     bool evicted = false;
+    /// The lifetime ceiling: every op charges `steps_used`, and once it
+    /// passes `Options::session_step_ceiling` the session is exhausted
+    /// for good.
     bool budget_exhausted = false;
     std::uint64_t ops = 0;
     std::uint64_t steps_used = 0;
@@ -135,7 +130,6 @@ class SolverService {
     std::uint64_t rejected_inflight = 0;
     std::uint64_t rejected_capacity = 0;
     std::uint64_t rejected_budget = 0;
-    unsigned pool_threads = 0;
   };
 
   SolverService();  ///< all-default Options
@@ -191,7 +185,6 @@ class SolverService {
   Result<SessionStats> Stats(SessionId id) const;
   ServiceStats stats() const;
 
-  TaskPool& pool() { return *pool_; }
   std::size_t shard_count() const { return shards_.size(); }
   /// The shard a scheme routes to — exposed so tests can pin collisions.
   std::size_t ShardOf(const DatabaseScheme& scheme) const;
@@ -214,8 +207,6 @@ class SolverService {
     std::vector<Ind> inds;
     ArmstrongBuildOptions build;
 
-    /// Lifetime budget; MarkExhausted is sticky across ops.
-    std::unique_ptr<SharedBudgetMeter> meter;
     std::unique_ptr<SnapshotChainWriter> chain;
 
     bool evicted = false;
@@ -243,8 +234,16 @@ class SolverService {
   void ProvisionSolver(Session& s);
   /// Revives an evicted session from its spill chain. Requires s.mu held.
   Status ReviveLocked(Session& s);
-  /// Charges `steps` against the session meter and folds exhaustion into
-  /// its stats. Requires s.mu held.
+  /// One session op: routes `id`, refuses the wrong kind, admits the op
+  /// past the in-flight ceiling, locks the session, revives it if
+  /// evicted, refuses it once the lifetime step ceiling is spent, then
+  /// returns `op(session)` (which charges its own steps). Every charging
+  /// op goes through here, so none can skip a check.
+  template <typename Op>
+  auto RunOp(SessionId id, SessionKind kind, Op op)
+      -> decltype(op(std::declval<Session&>()));
+  /// Counts one op and charges `steps` (at least 1) against the
+  /// session's lifetime ceiling. Requires s.mu held.
   void ChargeLocked(Session& s, std::uint64_t steps);
   /// The session's stats plus the deltas derivable only from live state
   /// (witness counters, substrate deltas). Requires s.mu held.
@@ -255,7 +254,6 @@ class SolverService {
   std::string ChainPrefix(SessionId id) const;
 
   Options options_;
-  std::unique_ptr<TaskPool> pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex cores_mu_;

@@ -532,51 +532,12 @@ void ImplicationSolver::SolveMixed(const Dependency& target,
   }
   if (DeadlineExpired(budget, v, "chase")) return;
 
-  // --- Stages 2+3: chase proof and bounded refutation search ------------
-  // With a pool, the two probes race (first decisive verdict wins, the
-  // loser is cancelled); otherwise they run in pipeline order. Verdicts
-  // and evidence are identical either way — see SolveOptions::pool.
-  bool raced = false;
-  std::string search_summary;
-  if (options_.pool != nullptr && rds_.empty()) {
-    raced = SolveMixedRaced(target, slice, unknown_notes, search_summary, v);
-    if (raced && v.outcome != ImplicationVerdict::kUnknown) return;
-  }
-  if (!raced) {
-    // --- Stage 2: budgeted chase proof (universal model) ----------------
-    if (!rds_.empty()) {
-      StageReport r{"chase", "", ImplicationVerdict::kUnknown,
-                    "skipped: RD hypotheses are outside the chase's rule "
-                    "arsenal",
-                    {}};
-      unknown_notes.push_back("chase: skipped (RD hypotheses)");
-      PushStage(v, std::move(r));
-    } else {
-      Result<Database> seed = MakeCanonicalSeed(scheme_, target);
-      if (!seed.ok()) {
-        StageReport r{"chase", "workspace-chase (universal model)",
-                      ImplicationVerdict::kUnknown,
-                      seed.status().ToString(),
-                      {}};
-        unknown_notes.push_back(StrCat("chase: ", r.note));
-        PushStage(v, std::move(r));
-      } else {
-        // One workspace carries the chase and — on refutation — the
-        // evidence check: the fixpoint is verified in id-space without
-        // re-interning, then materialized once for the caller.
-        InternedWorkspace ws(scheme_);
-        ws.AppendDatabase(*seed);
-        WorkspaceChase chase(&ws, fds_, inds_);
-        Result<WorkspaceChaseStats> run =
-            chase.Run(ChaseOptions::FromBudget(slice));
-        if (FinishChase(target, ws, chase, run, unknown_notes, v)) return;
-      }
-    }
-    if (DeadlineExpired(budget, v, "search")) return;
+  // --- Stage 2: budgeted chase proof (universal model) ------------------
+  if (ChaseStage(target, slice, unknown_notes, v)) return;
+  if (DeadlineExpired(budget, v, "search")) return;
 
-    // --- Stage 3: bounded refutation portfolio --------------------------
-    search_summary = SearchStage(target, slice, v);
-  }
+  // --- Stage 3: bounded refutation portfolio ----------------------------
+  std::string search_summary = SearchStage(target, slice, v);
   if (v.outcome == ImplicationVerdict::kUnknown) {
     unknown_notes.push_back(
         StrCat("search: ", search_summary.empty()
@@ -587,84 +548,41 @@ void ImplicationSolver::SolveMixed(const Dependency& target,
   }
 }
 
-bool ImplicationSolver::SolveMixedRaced(const Dependency& target,
-                                        const Budget& slice,
-                                        std::vector<std::string>& unknown_notes,
-                                        std::string& search_summary,
-                                        Verdict& v) {
-  Result<Database> seed = MakeCanonicalSeed(scheme_, target);
-  if (!seed.ok()) return false;  // the sequential path reports the failure
-
-  // Sticky first-verdict-wins flag (never charged, only marked): the
-  // chase becoming decisive kills the whole refutation portfolio — every
-  // rung's meter chains under this token. The chase itself is never
-  // cancelled — whether it converges within its budget share must not
-  // depend on timing, or verdicts would differ run to run.
-  Budget unmetered;
-  unmetered.deadline.reset();
-  SharedBudgetMeter cancel(unmetered, UINT64_MAX);
-
-  InternedWorkspace ws(scheme_);
-  ws.AppendDatabase(*seed);
-  WorkspaceChase chase(&ws, fds_, inds_);
-  ChaseOptions chase_options = ChaseOptions::FromBudget(slice);
-
-  RefutationPortfolio portfolio(scheme_, nontrivial_, target,
-                                MakePortfolioOptions(&cancel));
-
-  std::optional<Result<WorkspaceChaseStats>> chase_run;
-  std::optional<Result<PortfolioResult>> portfolio_run;
-  {
-    // The chase becomes one more stealable task beside the portfolio's
-    // rungs: one Solve occupies the pool with chase ∥ rung0 ∥ rung1 ∥ ...
-    // The portfolio runs on this thread and its Wait helps execute any
-    // queued task (including the chase), so a width-1 pool still makes
-    // progress — it just serializes.
-    TaskGroup group(options_.pool);
-    group.Spawn([&] {
-      chase_run.emplace(chase.Run(chase_options));
-      if (chase_run->ok() &&
-          (*chase_run)->outcome == ChaseOutcome::kFixpoint) {
-        // Decisive either way (the fixpoint proves or refutes): the
-        // portfolio's answer is moot, stop paying for it.
-        cancel.MarkExhausted();
-      }
-    });
-    portfolio_run.emplace(portfolio.Run(slice));
-    group.Wait();
+bool ImplicationSolver::ChaseStage(const Dependency& target,
+                                   const Budget& slice,
+                                   std::vector<std::string>& unknown_notes,
+                                   Verdict& v) {
+  if (!rds_.empty()) {
+    StageReport r{"chase", "", ImplicationVerdict::kUnknown,
+                  "skipped: RD hypotheses are outside the chase's rule "
+                  "arsenal",
+                  {}};
+    unknown_notes.push_back("chase: skipped (RD hypotheses)");
+    PushStage(v, std::move(r));
+    return false;
   }
-
-  // Deterministic reduction on the joining thread, chase first — exactly
-  // the sequential stage order, so stage reports, evidence, and witness-
-  // cache traffic match the pipeline bit for bit. All cache interaction
-  // happens below, never inside the tasks. A decisive chase discards the
-  // portfolio result entirely: its (possibly cancellation-truncated,
-  // timing-dependent) rung counters never surface.
-  if (FinishChase(target, ws, chase, *chase_run, unknown_notes, v)) {
-    return true;
-  }
-  search_summary = FinishPortfolio(target, std::move(*portfolio_run), v);
-  return true;
-}
-
-bool ImplicationSolver::FinishChase(const Dependency& target,
-                                    InternedWorkspace& ws,
-                                    const WorkspaceChase& chase,
-                                    const Result<WorkspaceChaseStats>& run,
-                                    std::vector<std::string>& unknown_notes,
-                                    Verdict& v) {
   StageReport r{"chase", "workspace-chase (universal model)",
                 ImplicationVerdict::kUnknown, "", {}};
-  r.used.steps = chase.last_run().steps;
-  r.used.tuples = chase.last_run().ind_tuples;
-  if (!run.ok()) {
-    r.note = run.status().ToString();
+  Result<Database> seed = MakeCanonicalSeed(scheme_, target);
+  if (!seed.ok()) {
+    r.note = seed.status().ToString();
     unknown_notes.push_back(StrCat("chase: ", r.note));
     PushStage(v, std::move(r));
     return false;
   }
-  if (run->outcome == ChaseOutcome::kFailed) {
-    r.note = "chase failed from an all-null seed (engine bug)";
+  // One workspace carries the chase and — on refutation — the evidence
+  // check: the fixpoint is verified in id-space without re-interning,
+  // then materialized once for the caller.
+  InternedWorkspace ws(scheme_);
+  ws.AppendDatabase(*seed);
+  WorkspaceChase chase(&ws, fds_, inds_);
+  Result<WorkspaceChaseStats> run = chase.Run(ChaseOptions::FromBudget(slice));
+  // The chase's own counters, which an exhausted run fills too.
+  r.used.steps = chase.last_run().steps;
+  r.used.tuples = chase.last_run().ind_tuples;
+  if (!run.ok() || run->outcome == ChaseOutcome::kFailed) {
+    r.note = run.ok() ? "chase failed from an all-null seed (engine bug)"
+                      : run.status().ToString();
     unknown_notes.push_back(StrCat("chase: ", r.note));
     PushStage(v, std::move(r));
     return false;
@@ -725,8 +643,8 @@ void ImplicationSolver::SolveUnsupported(const Dependency& target,
   }
 }
 
-PortfolioOptions ImplicationSolver::MakePortfolioOptions(
-    SharedBudgetMeter* cancel) {
+std::string ImplicationSolver::SearchStage(const Dependency& target,
+                                           const Budget& budget, Verdict& v) {
   PortfolioOptions opts;
   opts.base.max_tuples_per_relation = options_.search_max_tuples_per_relation;
   opts.base.domain_size = options_.search_domain_size;
@@ -736,21 +654,8 @@ PortfolioOptions ImplicationSolver::MakePortfolioOptions(
   opts.workspace = options_.shared_search_tables != nullptr
                        ? options_.shared_search_tables
                        : &search_ws_;
-  opts.pool = options_.pool;
-  opts.cancel = cancel;
-  return opts;
-}
-
-std::string ImplicationSolver::SearchStage(const Dependency& target,
-                                           const Budget& budget, Verdict& v) {
-  RefutationPortfolio portfolio(scheme_, nontrivial_, target,
-                                MakePortfolioOptions(nullptr));
-  return FinishPortfolio(target, portfolio.Run(budget), v);
-}
-
-std::string ImplicationSolver::FinishPortfolio(const Dependency& target,
-                                               Result<PortfolioResult> run,
-                                               Verdict& v) {
+  RefutationPortfolio portfolio(scheme_, nontrivial_, target, opts);
+  Result<PortfolioResult> run = portfolio.Run(budget);
   if (!run.ok()) {
     StageReport r{"search", "bounded-search (portfolio)",
                   ImplicationVerdict::kUnknown, run.status().ToString(), {}};
@@ -758,14 +663,12 @@ std::string ImplicationSolver::FinishPortfolio(const Dependency& target,
     return run.status().ToString();
   }
   PortfolioResult& result = *run;
-  // One stage report per ladder rung, ladder (cost) order. Skipped and
-  // superseded rungs keep the empty-engine "skipped" convention; ran rungs
+  // One stage report per rung the sweep reached, ladder (cost) order.
+  // Skipped rungs keep the empty-engine "skipped" convention; ran rungs
   // carry their candidate consumption in used.steps.
   for (std::size_t i = 0; i < result.rungs.size(); ++i) {
     RungReport& rung = result.rungs[i];
-    bool ran = rung.status == RungStatus::kFullScan ||
-               rung.status == RungStatus::kBudget ||
-               rung.status == RungStatus::kFound;
+    bool ran = rung.status != RungStatus::kSkipped;
     StageReport r{"search", ran ? "bounded-search (id-space)" : "",
                   ImplicationVerdict::kUnknown, std::move(rung.note), {}};
     r.used.steps = rung.candidates_tested;

@@ -2,11 +2,10 @@
 #define CCFP_SOLVE_SOLVER_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "chase/workspace_chase.h"
 #include "core/database.h"
@@ -19,7 +18,6 @@
 #include "search/portfolio.h"
 #include "util/budget.h"
 #include "util/status.h"
-#include "util/task_pool.h"
 #include "verify/witness_cache.h"
 
 namespace ccfp {
@@ -126,20 +124,6 @@ struct SolveOptions {
   /// scheme* (thread-safe). When set, the per-solver table cache is
   /// bypassed — the Nth session's searches compile nothing.
   BoundedSearchWorkspace* shared_search_tables = nullptr;
-  /// When set, every refutation sweep fans its ladder rungs out as
-  /// stealable tasks on this pool, and the mixed route additionally races
-  /// its chase proof probe against the whole portfolio (one Solve then
-  /// occupies the pool with chase ∥ rung0 ∥ rung1 ∥ ... — first decisive
-  /// verdict wins; losers are cancelled through chained sticky meters).
-  /// Verdicts and evidence are identical to the sequential pipeline at
-  /// every pool width: the chase is never cancelled (its convergence
-  /// within its budget share cannot depend on timing), a decisive chase
-  /// cancels the portfolio and discards its result (sequentially the
-  /// search would never have run), a find at one rung only cancels the
-  /// rungs above it, and the surviving results are reduced on the joining
-  /// thread in ladder order (see search/portfolio.h for the full
-  /// determinism argument).
-  TaskPool* pool = nullptr;
 };
 
 /// The three-valued answer of one Solve call, with checkable evidence:
@@ -250,41 +234,23 @@ class ImplicationSolver {
                   Verdict& v);
   void SolveUnsupported(const Dependency& target, const Budget& budget,
                         Verdict& v);
+  /// Stage 2 of the mixed route: the budgeted chase of the target's
+  /// canonical seed (the universal-model argument). True iff decisive;
+  /// otherwise pushes its reason onto `unknown_notes`. The stage's budget
+  /// use is the chase's own counters (`chase.last_run()`), on the
+  /// exhausted path too.
+  bool ChaseStage(const Dependency& target, const Budget& slice,
+                  std::vector<std::string>& unknown_notes, Verdict& v);
   /// The refutation stage shared by the mixed and unsupported routes (and
   /// the unary best-effort evidence pass): the shape-ladder portfolio
-  /// (search/portfolio.h) under `budget`, on options_.pool when set.
-  /// Decisive iff some rung finds (and the watchers verify) a
+  /// (search/portfolio.h) under `budget`, one "search" stage report per
+  /// rung it reached, the winning counterexample verified through
+  /// watchers. Decisive iff some rung finds (and the watchers verify) a
   /// counterexample. Returns the not-decisive summary for the caller's
   /// unknown notes — naming the largest fully scanned shape and the
   /// skipped-rung counts — or "" when decisive.
   std::string SearchStage(const Dependency& target, const Budget& budget,
                           Verdict& v);
-  /// Stages 2+3 of the mixed route raced on options_.pool: the chase
-  /// probe against the whole refutation portfolio (see SolveOptions::pool).
-  /// Returns false when the race could not start (no canonical seed) —
-  /// the sequential path then reports the failure. `search_summary`
-  /// receives the portfolio's not-decisive summary (as SearchStage).
-  bool SolveMixedRaced(const Dependency& target, const Budget& slice,
-                       std::vector<std::string>& unknown_notes,
-                       std::string& search_summary, Verdict& v);
-  /// Folds a finished chase probe into the verdict (the shared tail of
-  /// the sequential and raced stage 2). True iff decisive. The stage's
-  /// budget use is the chase's own counters (`chase.last_run()`), on the
-  /// exhausted path too.
-  bool FinishChase(const Dependency& target, InternedWorkspace& ws,
-                   const WorkspaceChase& chase,
-                   const Result<WorkspaceChaseStats>& run,
-                   std::vector<std::string>& unknown_notes, Verdict& v);
-  /// Folds a finished portfolio run into the verdict (the shared tail of
-  /// SearchStage and the raced stage 3): one "search" stage report per
-  /// ladder rung, the winning counterexample verified through watchers.
-  /// Returns the not-decisive summary ("" when decisive) like SearchStage.
-  std::string FinishPortfolio(const Dependency& target,
-                              Result<PortfolioResult> run, Verdict& v);
-  /// The portfolio options every refutation sweep uses (shape-ladder knobs
-  /// + the effective compiled-table cache + the solver's pool). `cancel`
-  /// chains every rung under an outer race token (may be null).
-  PortfolioOptions MakePortfolioOptions(SharedBudgetMeter* cancel);
   /// Tries to answer kNotImplied from the witness cache (a database from
   /// an earlier Solve that satisfies sigma and violates `target`). On a
   /// hit fills the verdict (stage "witness-cache") and returns true.

@@ -105,8 +105,8 @@ struct Budget {
   ///     its declared cost — so prefixing a ladder onto a previously
   ///     single-shape stage changes nothing about that shape's outcome;
   ///   * the allocation is computed up front from (steps, costs) alone,
-  ///     so parallel rungs racing on a pool still run under the same
-  ///     deterministic per-rung ceilings as a sequential sweep.
+  ///     so each rung's ceiling is fixed before the sweep starts and does
+  ///     not depend on what the rungs below it consumed.
   ///
   /// Rungs past the drained point get a 0-step share (drained stays
   /// drained — callers skip them, counted, rather than run them). The

@@ -54,7 +54,7 @@ const char* FaultSiteToString(FaultSite site);
 /// The injector is process-global: install one with ScopedFaultInjector
 /// for the duration of a test body. When none is installed every
 /// `FaultFires` check is one atomic pointer load. Probes are thread-safe
-/// (pool tasks and service sessions hit the same sites concurrently):
+/// (concurrent service sessions hit the same sites from many threads):
 /// counters are atomics, and schedule state is advanced under a
 /// per-injector mutex, so a one-shot site fires on exactly one thread.
 class FaultInjector {

@@ -1,16 +1,18 @@
 // Determinism and coverage properties of the refutation portfolio
 // (search/portfolio.h):
-//   (a) the parallel portfolio is *bit-identical* to a sequential ladder
-//       sweep — verdict, witness, winner, and every per-rung report — at
-//       pool widths 1/2/4/8, including budgets that drain mid-rung;
+//   (a) the portfolio's sweep agrees rung for rung with standalone bounded
+//       searches at each rung's shape and candidate share — reports,
+//       winner, totals, and witness — including budgets that drain
+//       mid-rung, stops at the first find, and renders identically when
+//       rerun over warm compiled tables;
 //   (b) shape monotonicity — a counterexample found within shape (t, d)
 //       is also found within (t+1, d) and (t, d+1): growing the ladder
 //       never loses a refutation;
 //   (c) the PR's acceptance workload — a query whose smallest
 //       counterexample needs a third tuple, kUnknown under the classic
 //       fixed 2x2 search — flips to a verified kNotImplied under the
-//       portfolio with the same total Budget, sequentially and at every
-//       pool width.
+//       portfolio with the same total Budget, and its verdict ends at the
+//       finding rung.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -21,15 +23,14 @@
 #include "solve/solver.h"
 #include "util/rng.h"
 #include "util/strings.h"
-#include "util/task_pool.h"
 
 namespace ccfp {
 namespace {
 
-/// Canonical rendering of everything the determinism contract pins: the
-/// winner, the totals, and each rung's (shape, status, share, candidates,
-/// note) tuple. Two runs are "bit-identical" iff these strings match and
-/// the witnesses compare equal.
+/// Canonical rendering of everything a sweep reports: the winner, the
+/// totals, and each rung's (shape, status, share, candidates, note)
+/// tuple. Two runs are "bit-identical" iff these strings match and the
+/// witnesses compare equal.
 std::string Render(const PortfolioResult& r) {
   std::string out = StrCat("winner=", r.winner == PortfolioResult::kNoRung
                                           ? std::string("none")
@@ -83,51 +84,91 @@ Workload RandomWorkload(SplitMix64& rng) {
   return w;
 }
 
-/// Runs the same portfolio sequentially and on pools of width 1/2/4/8 and
-/// expects identical results throughout.
-void ExpectWidthInvariant(const Workload& w, const Budget& budget) {
-  PortfolioOptions opts;  // defaults: 2x2 base, +2/+2 growth, 6 rungs
-  RefutationPortfolio sequential(w.scheme, w.sigma, w.target, opts);
-  Result<PortfolioResult> baseline = sequential.Run(budget);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  std::string want = Render(*baseline);
-  for (unsigned width : {1u, 2u, 4u, 8u}) {
-    TaskPool pool(width);
-    PortfolioOptions popts;
-    popts.pool = &pool;
-    RefutationPortfolio parallel(w.scheme, w.sigma, w.target, popts);
-    Result<PortfolioResult> run = parallel.Run(budget);
-    ASSERT_TRUE(run.ok()) << run.status();
-    EXPECT_EQ(Render(*run), want)
-        << "portfolio diverged from the sequential sweep at pool width "
-        << width;
-    ASSERT_EQ(run->counterexample.has_value(),
-              baseline->counterexample.has_value());
-    if (run->counterexample.has_value()) {
-      EXPECT_TRUE(*run->counterexample == *baseline->counterexample)
-          << "witness differs at pool width " << width;
+/// Runs the portfolio (default options: 2x2 base, +2/+2 growth, 6 rungs)
+/// and checks every rung it reached against a standalone bounded search
+/// at that rung's shape and share; then reruns it over the now-warm table
+/// cache and expects an identical result.
+void ExpectMatchesStandaloneRungs(const Workload& w, const Budget& budget) {
+  BoundedSearchWorkspace tables;
+  PortfolioOptions opts;
+  opts.workspace = &tables;
+  RefutationPortfolio portfolio(w.scheme, w.sigma, w.target, opts);
+  Result<PortfolioResult> run = portfolio.Run(budget);
+  ASSERT_TRUE(run.ok()) << run.status();
+
+  const std::vector<SearchShape>& ladder = portfolio.ladder();
+  if (run->winner == PortfolioResult::kNoRung) {
+    EXPECT_EQ(run->rungs.size(), ladder.size())
+        << "an undecided sweep reports every rung";
+  } else {
+    EXPECT_EQ(run->rungs.size(), run->winner + 1)
+        << "the sweep stops at the finding rung";
+  }
+  std::uint64_t candidates = 0, scanned = 0, skipped = 0;
+  for (std::size_t i = 0; i < run->rungs.size(); ++i) {
+    const RungReport& rung = run->rungs[i];
+    EXPECT_TRUE(rung.shape == ladder[i]) << "rung " << i;
+    if (rung.status == RungStatus::kSkipped) {
+      EXPECT_NE(i, 0u) << "rung 0 is never skipped";
+      EXPECT_EQ(rung.candidates_tested, 0u);
+      ++skipped;
+      continue;
     }
+    BoundedSearchOptions alone_opts;
+    alone_opts.max_tuples_per_relation = rung.shape.max_tuples_per_relation;
+    alone_opts.domain_size = rung.shape.domain_size;
+    alone_opts.max_candidates = rung.share;
+    alone_opts.max_bytes = budget.bytes;
+    Result<BoundedSearchResult> alone =
+        FindCounterexample(w.scheme, w.sigma, w.target, alone_opts);
+    ASSERT_TRUE(alone.ok()) << alone.status();
+    EXPECT_EQ(rung.candidates_tested, alone->candidates_tested)
+        << "rung " << i;
+    candidates += rung.candidates_tested;
+    if (alone->counterexample.has_value()) {
+      EXPECT_EQ(rung.status, RungStatus::kFound) << "rung " << i;
+      EXPECT_EQ(run->winner, i);
+      ASSERT_TRUE(run->counterexample.has_value());
+      EXPECT_TRUE(*run->counterexample == *alone->counterexample)
+          << "witness differs from the standalone search at rung " << i;
+    } else if (alone->exhausted) {
+      EXPECT_EQ(rung.status, RungStatus::kFullScan) << "rung " << i;
+      ++scanned;
+    } else {
+      EXPECT_EQ(rung.status, RungStatus::kBudget) << "rung " << i;
+    }
+  }
+  EXPECT_EQ(run->candidates_tested, candidates);
+  EXPECT_EQ(run->rungs_scanned, scanned);
+  EXPECT_EQ(run->rungs_skipped, skipped);
+
+  Result<PortfolioResult> warm = portfolio.Run(budget);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_EQ(Render(*warm), Render(*run)) << "warm rerun diverged";
+  ASSERT_EQ(warm->counterexample.has_value(), run->counterexample.has_value());
+  if (warm->counterexample.has_value()) {
+    EXPECT_TRUE(*warm->counterexample == *run->counterexample);
   }
 }
 
 class PortfolioPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-// --- (a) width invariance under an ample budget -------------------------
+// --- (a) rung-for-rung agreement under an ample budget -----------------
 
-TEST_P(PortfolioPropertyTest, MatchesSequentialLadderAtEveryWidth) {
+TEST_P(PortfolioPropertyTest, MatchesStandaloneSearchAtEveryRung) {
   SplitMix64 rng(GetParam() * 193 + 3);
   for (int i = 0; i < 3; ++i) {
     Workload w = RandomWorkload(rng);
     Budget budget;
     budget.steps = 20000;  // funds several rungs, drains the tail
-    ExpectWidthInvariant(w, budget);
+    ExpectMatchesStandaloneRungs(w, budget);
   }
 }
 
-// --- (a) width invariance when the budget drains mid-rung ---------------
+// --- (a) rung-for-rung agreement when the budget drains mid-rung --------
 
-TEST_P(PortfolioPropertyTest, MatchesSequentialUnderMidRungStarvation) {
+TEST_P(PortfolioPropertyTest, MatchesStandaloneSearchUnderMidRungStarvation) {
   SplitMix64 rng(GetParam() * 977 + 41);
   Workload w = RandomWorkload(rng);
   // Sweep budgets from "rung 0 stops after one candidate" through "the
@@ -138,7 +179,7 @@ TEST_P(PortfolioPropertyTest, MatchesSequentialUnderMidRungStarvation) {
                               5000ull}) {
     Budget budget;
     budget.steps = steps;
-    ExpectWidthInvariant(w, budget);
+    ExpectMatchesStandaloneRungs(w, budget);
   }
 }
 
@@ -219,24 +260,20 @@ TEST(PortfolioAcceptanceTest, WideWorkloadFlipsUnknownToNotImplied) {
   EXPECT_FALSE(Satisfies(*after.counterexample, w.target, legacy));
 }
 
-TEST(PortfolioAcceptanceTest, WideWorkloadVerdictIdenticalAtEveryWidth) {
+TEST(PortfolioAcceptanceTest, WideWorkloadVerdictEndsAtTheFindingRung) {
   Workload w = WideWorkload();
-  Budget budget;
-  ImplicationSolver sequential(w.scheme, w.sigma);
-  Verdict baseline = sequential.Solve(w.target, budget).value();
-  ASSERT_EQ(baseline.outcome, ImplicationVerdict::kNotImplied);
-  std::string want = baseline.ToString(*w.scheme);
-  for (unsigned width : {1u, 2u, 4u, 8u}) {
-    TaskPool pool(width);
-    SolveOptions raced;
-    raced.pool = &pool;
-    ImplicationSolver solver(w.scheme, w.sigma, raced);
-    Verdict v = solver.Solve(w.target, budget).value();
-    EXPECT_EQ(v.ToString(*w.scheme), want)
-        << "raced verdict diverged at pool width " << width;
-    ASSERT_TRUE(v.counterexample.has_value());
-    EXPECT_TRUE(*v.counterexample == *baseline.counterexample);
-  }
+  ImplicationSolver solver(w.scheme, w.sigma);
+  Verdict v = solver.Solve(w.target, Budget()).value();
+  ASSERT_EQ(v.outcome, ImplicationVerdict::kNotImplied);
+  std::string rendered = v.ToString(*w.scheme);
+  EXPECT_EQ(rendered.find("superseded"), std::string::npos) << rendered;
+  // The sweep stops at the find: the last search stage is the finding
+  // rung, and no stage follows it.
+  ASSERT_FALSE(v.stages.empty());
+  const StageReport& last = v.stages.back();
+  EXPECT_EQ(last.stage, "search") << rendered;
+  EXPECT_EQ(last.verdict, ImplicationVerdict::kNotImplied) << rendered;
+  EXPECT_EQ(last.note.rfind("counterexample found at ", 0), 0u) << rendered;
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // The service determinism property (the PR's acceptance bar): N
-// concurrent sessions served from one shared core produce verdicts AND
-// evidence bit-identical to a standalone sequential ImplicationSolver
-// running the same per-session query streams — at every TaskPool width
-// (1/2/4/8), with the mixed route's chase/search race on, including
-// queries that exhaust their step budget mid-flight and sessions that are
-// evicted and revived between queries. Runs under TSan and ASan via the
-// property label.
+// concurrent sessions, each driven by its own caller thread and served
+// from one shared core, produce verdicts AND evidence bit-identical to a
+// standalone sequential ImplicationSolver running the same per-session
+// query streams — including queries that exhaust their step budget
+// mid-flight and sessions that are evicted and revived between queries.
+// Runs under TSan and ASan via the property label.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -76,7 +75,7 @@ std::string Render(const Verdict& v, const DatabaseScheme& scheme) {
 }
 
 /// The sequential ground truth for one session's stream: a fresh
-/// standalone solver (private caches, no pool), queries in order.
+/// standalone solver (private caches), queries in order.
 std::vector<std::string> SequentialReference(const SchemePtr& scheme,
                                              std::size_t session,
                                              const SolveOptions& base) {
@@ -89,7 +88,7 @@ std::vector<std::string> SequentialReference(const SchemePtr& scheme,
   return out;
 }
 
-TEST(ServicePropertyTest, ConcurrentSessionsMatchSequentialAtEveryWidth) {
+TEST(ServicePropertyTest, ConcurrentSessionsMatchSequential) {
   SchemePtr scheme = RsScheme();
   constexpr std::size_t kSessions = 4;
 
@@ -98,44 +97,38 @@ TEST(ServicePropertyTest, ConcurrentSessionsMatchSequentialAtEveryWidth) {
     want.push_back(SequentialReference(scheme, s, SolveOptions()));
   }
 
-  for (unsigned width : {1u, 2u, 4u, 8u}) {
-    SolverService::Options options;
-    options.threads = width;
-    SolverService service(options);
+  SolverService service;
+  std::vector<SolverService::SessionId> ids;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    Result<SolverService::SessionId> id =
+        service.OpenSolve(scheme, MixedSigma());
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(*id);
+  }
+  // The Nth session adopted the first's core.
+  EXPECT_EQ(service.stats().cores, 1u);
+  EXPECT_EQ(service.stats().core_reuses, kSessions - 1);
 
-    std::vector<SolverService::SessionId> ids;
+  std::vector<std::vector<std::string>> got(kSessions);
+  {
+    std::vector<std::thread> callers;
+    callers.reserve(kSessions);
     for (std::size_t s = 0; s < kSessions; ++s) {
-      Result<SolverService::SessionId> id =
-          service.OpenSolve(scheme, MixedSigma());
-      ASSERT_TRUE(id.ok()) << id.status();
-      ids.push_back(*id);
+      callers.emplace_back([&, s] {
+        for (const Query& q : QueryStream(s)) {
+          Result<Verdict> v = service.Solve(ids[s], q.target, q.budget);
+          got[s].push_back(v.ok() ? Render(*v, *scheme)
+                                  : v.status().ToString());
+        }
+      });
     }
-    // The Nth session adopted the first's core.
-    EXPECT_EQ(service.stats().cores, 1u);
-    EXPECT_EQ(service.stats().core_reuses, kSessions - 1);
+    for (std::thread& t : callers) t.join();
+  }
 
-    std::vector<std::vector<std::string>> got(kSessions);
-    {
-      std::vector<std::thread> callers;
-      callers.reserve(kSessions);
-      for (std::size_t s = 0; s < kSessions; ++s) {
-        callers.emplace_back([&, s] {
-          for (const Query& q : QueryStream(s)) {
-            Result<Verdict> v = service.Solve(ids[s], q.target, q.budget);
-            got[s].push_back(v.ok() ? Render(*v, *scheme)
-                                    : v.status().ToString());
-          }
-        });
-      }
-      for (std::thread& t : callers) t.join();
-    }
-
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      ASSERT_EQ(got[s].size(), want[s].size());
-      for (std::size_t k = 0; k < want[s].size(); ++k) {
-        EXPECT_EQ(got[s][k], want[s][k])
-            << "width " << width << " session " << s << " query " << k;
-      }
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    ASSERT_EQ(got[s].size(), want[s].size());
+    for (std::size_t k = 0; k < want[s].size(); ++k) {
+      EXPECT_EQ(got[s][k], want[s][k]) << "session " << s << " query " << k;
     }
   }
 }
@@ -155,43 +148,39 @@ TEST(ServicePropertyTest, EvictionMidStreamPreservesDeterminism) {
     want.push_back(SequentialReference(scheme, s, cacheless));
   }
 
-  for (unsigned width : {2u, 8u}) {
-    SolverService::Options options;
-    options.threads = width;
-    options.solve = cacheless;
-    SolverService service(options);
+  SolverService::Options options;
+  options.solve = cacheless;
+  SolverService service(options);
 
-    std::vector<SolverService::SessionId> ids;
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      Result<SolverService::SessionId> id =
-          service.OpenSolve(scheme, MixedSigma());
-      ASSERT_TRUE(id.ok()) << id.status();
-      ids.push_back(*id);
-    }
+  std::vector<SolverService::SessionId> ids;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    Result<SolverService::SessionId> id =
+        service.OpenSolve(scheme, MixedSigma());
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(*id);
+  }
 
-    std::vector<std::vector<std::string>> got(kSessions);
-    std::vector<std::thread> callers;
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      callers.emplace_back([&, s] {
-        std::size_t k = 0;
-        for (const Query& q : QueryStream(s)) {
-          // Each session evicts itself at a different point in its
-          // stream; revival happens inside the next Solve.
-          if (k++ == s) ASSERT_TRUE(service.Evict(ids[s]).ok());
-          Result<Verdict> v = service.Solve(ids[s], q.target, q.budget);
-          got[s].push_back(v.ok() ? Render(*v, *scheme)
-                                  : v.status().ToString());
-        }
-      });
-    }
-    for (std::thread& t : callers) t.join();
-
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      ASSERT_EQ(got[s].size(), want[s].size());
-      for (std::size_t k = 0; k < want[s].size(); ++k) {
-        EXPECT_EQ(got[s][k], want[s][k])
-            << "width " << width << " session " << s << " query " << k;
+  std::vector<std::vector<std::string>> got(kSessions);
+  std::vector<std::thread> callers;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    callers.emplace_back([&, s] {
+      std::size_t k = 0;
+      for (const Query& q : QueryStream(s)) {
+        // Each session evicts itself at a different point in its stream;
+        // revival happens inside the next Solve.
+        if (k++ == s) ASSERT_TRUE(service.Evict(ids[s]).ok());
+        Result<Verdict> v = service.Solve(ids[s], q.target, q.budget);
+        got[s].push_back(v.ok() ? Render(*v, *scheme)
+                                : v.status().ToString());
       }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    ASSERT_EQ(got[s].size(), want[s].size());
+    for (std::size_t k = 0; k < want[s].size(); ++k) {
+      EXPECT_EQ(got[s][k], want[s][k]) << "session " << s << " query " << k;
     }
   }
 }
@@ -215,7 +204,6 @@ TEST(ServicePropertyTest, SharedWitnessCacheKeepsVerdictsExact) {
   }
 
   SolverService::Options options;
-  options.threads = 4;
   options.share_witness_cache = true;
   SolverService service(options);
   std::vector<SolverService::SessionId> ids;
@@ -263,9 +251,7 @@ TEST(ServicePropertyTest, ConcurrentMiningSessionsAgreeWithDirectMining) {
   std::vector<Fd> want_fds = MineFds(data, 0);
   std::vector<Ind> want_inds = MineInds(data);
 
-  SolverService::Options options;
-  options.threads = 4;
-  SolverService service(options);
+  SolverService service;
   constexpr std::size_t kSessions = 4;
   std::vector<SolverService::SessionId> ids;
   for (std::size_t s = 0; s < kSessions; ++s) {

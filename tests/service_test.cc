@@ -187,6 +187,40 @@ TEST(ServiceTest, LifetimeStepCeilingTripsAfterTheHonestVerdict) {
   EXPECT_TRUE(stats->budget_exhausted);
 }
 
+TEST(ServiceTest, LifetimeStepCeilingRefusesEveryMineOp) {
+  SolverService::Options options;
+  options.session_step_ceiling = 1;
+  SolverService service(options);
+  SchemePtr scheme = RsScheme();
+  Result<SolverService::SessionId> id =
+      service.OpenMine(scheme, WarmData(scheme));
+  ASSERT_TRUE(id.ok());
+
+  // Two appended tuples charge 2 steps: the append succeeds and crosses
+  // the ceiling…
+  Database delta(scheme);
+  delta.Insert(0, {Value::Int(4), Value::Int(40)});
+  delta.Insert(1, {Value::Int(4), Value::Int(9)});
+  ASSERT_TRUE(service.Append(*id, delta).ok());
+
+  // …and every mine op after it is refused.
+  Result<std::vector<Fd>> fds = service.MineSessionFds(*id, 0);
+  ASSERT_FALSE(fds.ok());
+  EXPECT_EQ(fds.status().code(), StatusCode::kResourceExhausted);
+  Result<std::vector<Ind>> inds = service.MineSessionInds(*id);
+  ASSERT_FALSE(inds.ok());
+  EXPECT_EQ(inds.status().code(), StatusCode::kResourceExhausted);
+  Result<std::vector<Rd>> rds = service.MineSessionRds(*id);
+  ASSERT_FALSE(rds.ok());
+  EXPECT_EQ(rds.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(service.stats().rejected_budget, 3u);
+  Result<SolverService::SessionStats> stats = service.Stats(*id);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_TRUE(stats->budget_exhausted);
+  EXPECT_EQ(stats->ops, 1u);
+  EXPECT_EQ(stats->steps_used, 2u);
+}
+
 TEST(ServiceTest, SolveSessionEvictionDropsEnginesAndRevivesTransparently) {
   SolverService service;  // no spill_dir: solve sessions are pure capital
   SchemePtr scheme = RsScheme();
