@@ -11,6 +11,7 @@
 #include "axiom/sentence.h"
 #include "bench/bench_main.h"
 #include "bench/reporter.h"
+#include "reference/armstrong.h"
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -194,12 +195,12 @@ void EmitJsonReport(bool smoke) {
                        : chase_oracle;
     std::uint64_t wall[2] = {0, 0};
     for (int engine = 0; engine < 2; ++engine) {
-      ArmstrongBuildOptions options;
-      options.engine = engine == 1 ? ArmstrongEngine::kWorkspace
-                                   : ArmstrongEngine::kLegacy;
       wall[engine] = MedianWallNs(smoke ? 1 : 5, [&] {
-        Result<ArmstrongReport> report = BuildArmstrongDatabase(
-            w.scheme, w.fds, w.inds, w.universe, oracle, options);
+        Result<ArmstrongReport> report =
+            engine == 1 ? BuildArmstrongDatabase(w.scheme, w.fds, w.inds,
+                                                 w.universe, oracle)
+                        : reference::BuildArmstrongDatabaseLegacy(
+                              w.scheme, w.fds, w.inds, w.universe, oracle);
         CCFP_CHECK(report.ok());
       });
     }

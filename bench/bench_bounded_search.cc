@@ -1,6 +1,7 @@
 // E12: bounded counterexample search — the id-space enumeration engine
 // (integer-coded candidates, incremental per-dependency counters, sound
-// pruning) against the legacy per-candidate materializing engine, on
+// pruning) against the per-candidate materializing engine
+// (FindCounterexampleMaterialized, the "legacy" entries), on
 // exhaustive no-counterexample workloads where the whole bounded space
 // must be scanned. Emitted to BENCH_bounded_search.json.
 #include <cstdio>
@@ -84,12 +85,13 @@ Workload ProductPruningWorkload(std::size_t domain,
   return w;
 }
 
-std::uint64_t RunOnce(const Workload& w, BoundedSearchEngine engine,
+std::uint64_t RunOnce(const Workload& w, bool id_space,
                       std::uint64_t* candidates) {
-  BoundedSearchOptions options = w.options;
-  options.engine = engine;
   Result<BoundedSearchResult> result =
-      FindCounterexample(w.scheme, w.premises, w.conclusion, options);
+      id_space ? FindCounterexample(w.scheme, w.premises, w.conclusion,
+                                    w.options)
+               : FindCounterexampleMaterialized(w.scheme, w.premises,
+                                                w.conclusion, w.options);
   CCFP_CHECK(result.ok());
   CCFP_CHECK(result->exhausted);
   CCFP_CHECK(result->counterexample.has_value() == w.expect_counterexample);
@@ -103,11 +105,9 @@ void BM_BoundedSearch(benchmark::State& state) {
   Workload w = workload == 0   ? TransitiveFdWorkload(3, 3)
                : workload == 1 ? Theorem44Workload(3, 3)
                                : ProductPruningWorkload(3, 3);
-  BoundedSearchEngine engine = id_space ? BoundedSearchEngine::kIdSpace
-                                        : BoundedSearchEngine::kLegacy;
   std::uint64_t candidates = 0;
   for (auto _ : state) {
-    RunOnce(w, engine, &candidates);
+    RunOnce(w, id_space, &candidates);
   }
   state.counters["idspace"] = id_space ? 1 : 0;
   state.counters["candidates"] = static_cast<double>(candidates);
@@ -133,10 +133,8 @@ void EmitJsonReport(bool smoke) {
     std::uint64_t wall[2] = {0, 0};
     std::uint64_t candidates[2] = {0, 0};
     for (int engine = 0; engine < 2; ++engine) {
-      BoundedSearchEngine e = engine == 1 ? BoundedSearchEngine::kIdSpace
-                                          : BoundedSearchEngine::kLegacy;
       wall[engine] = MedianWallNs(smoke ? 1 : 5, [&] {
-        RunOnce(w, e, &candidates[engine]);
+        RunOnce(w, engine == 1, &candidates[engine]);
       });
     }
     std::string legacy_name = std::string(w.name) + "_legacy";

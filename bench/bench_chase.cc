@@ -13,6 +13,7 @@
 #include "bench/workloads.h"
 #include "chase/chase.h"
 #include "constructions/section7.h"
+#include "reference/chase.h"
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -28,12 +29,11 @@ void BM_DeepCascade(benchmark::State& state) {
   CascadeInstance instance = MakeDeepCascade(levels);
   Chase chase(instance.scheme, instance.fds, instance.inds);
   Database seed = CascadeSeed(instance, 8);
-  ChaseOptions options;
-  options.engine =
-      incremental ? ChaseEngine::kIncremental : ChaseEngine::kNaive;
   std::uint64_t tuples = 0;
   for (auto _ : state) {
-    Result<ChaseResult> result = chase.Run(seed, options);
+    Result<ChaseResult> result = incremental
+                                     ? chase.Run(seed)
+                                     : reference::NaiveChase(chase, seed);
     if (result.ok()) tuples = result->db.TotalTuples();
     benchmark::DoNotOptimize(result);
   }
@@ -121,11 +121,10 @@ void EmitJsonReport(bool smoke) {
     std::uint64_t steps[2] = {0, 0};
     std::uint64_t wall[2] = {0, 0};
     for (int engine = 0; engine < 2; ++engine) {
-      ChaseOptions options;
-      options.engine =
-          engine == 1 ? ChaseEngine::kIncremental : ChaseEngine::kNaive;
       wall[engine] = MedianWallNs(smoke ? 1 : 5, [&] {
-        Result<ChaseResult> result = chase.Run(seed, options);
+        Result<ChaseResult> result = engine == 1
+                                         ? chase.Run(seed)
+                                         : reference::NaiveChase(chase, seed);
         CCFP_CHECK(result.ok());
         CCFP_CHECK(result->outcome == ChaseOutcome::kFixpoint);
         steps[engine] = result->steps;

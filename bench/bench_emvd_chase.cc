@@ -11,6 +11,7 @@
 #include "bench/reporter.h"
 #include "chase/emvd_chase.h"
 #include "constructions/sagiv_walecka.h"
+#include "reference/emvd_chase.h"
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -50,12 +51,12 @@ void BM_GridFixpoint(benchmark::State& state) {
   std::vector<Emvd> sigma = {MakeEmvd(*scheme, "R", {"X"}, {"Y"}, {"Z"})};
   EmvdChaseOptions options;
   options.max_tuples = 1u << 16;
-  options.engine = workspace ? EmvdChaseEngine::kWorkspace
-                             : EmvdChaseEngine::kLegacy;
   std::uint64_t added = 0;
   for (auto _ : state) {
     Database db = MakeGridSeed(scheme, 2, side);
-    Result<std::uint64_t> result = EmvdChaseFixpoint(db, sigma, options);
+    Result<std::uint64_t> result =
+        workspace ? EmvdChaseFixpoint(db, sigma, options)
+                  : reference::LegacyEmvdChaseFixpoint(db, sigma, options);
     if (result.ok()) added = *result;
     benchmark::DoNotOptimize(result);
   }
@@ -74,12 +75,12 @@ void BM_SagivWaleckaBudgeted(benchmark::State& state) {
   EmvdChaseOptions options;
   options.max_tuples = 2048;
   options.max_rounds = 8;
-  options.engine = workspace ? EmvdChaseEngine::kWorkspace
-                             : EmvdChaseEngine::kLegacy;
   std::uint64_t tuples = 0;
   for (auto _ : state) {
     Database db = MakeSagivWaleckaSeed(c);
-    Result<std::uint64_t> result = EmvdChaseFixpoint(db, c.sigma, options);
+    Result<std::uint64_t> result =
+        workspace ? EmvdChaseFixpoint(db, c.sigma, options)
+                  : reference::LegacyEmvdChaseFixpoint(db, c.sigma, options);
     tuples = db.TotalTuples();
     benchmark::DoNotOptimize(result);
   }
@@ -127,13 +128,12 @@ void EmitJsonReport(bool smoke) {
     std::uint64_t wall[2] = {0, 0};
     std::uint64_t tuples[2] = {0, 0};
     for (int engine = 0; engine < 2; ++engine) {
-      EmvdChaseOptions options = w.options;
-      options.engine = engine == 1 ? EmvdChaseEngine::kWorkspace
-                                   : EmvdChaseEngine::kLegacy;
       wall[engine] = MedianWallNs(smoke ? 1 : 5, [&] {
         Database db = w.seed;
         Result<std::uint64_t> result =
-            EmvdChaseFixpoint(db, *w.sigma, options);
+            engine == 1
+                ? EmvdChaseFixpoint(db, *w.sigma, w.options)
+                : reference::LegacyEmvdChaseFixpoint(db, *w.sigma, w.options);
         CCFP_CHECK(result.ok() ||
                    result.status().code() == StatusCode::kResourceExhausted);
         tuples[engine] = db.TotalTuples();

@@ -11,33 +11,10 @@ namespace ccfp {
 
 namespace {
 
-// Appends a pair of tuples to `db.relation(fd.rel)` that agree (share a
+// Appends a pair of tuples to `ws` relation fd.rel that agree (share a
 // null) exactly on fd.lhs and are generic elsewhere — a seed violating `fd`
-// unless the chase proves otherwise.
-void SeedFdViolation(Database& db, const Fd& fd, std::uint64_t& next_null) {
-  std::size_t arity = db.scheme().relation(fd.rel).arity();
-  Tuple t1(arity), t2(arity);
-  for (AttrId a = 0; a < arity; ++a) {
-    bool shared =
-        std::find(fd.lhs.begin(), fd.lhs.end(), a) != fd.lhs.end();
-    t1[a] = Value::Null(next_null++);
-    t2[a] = shared ? t1[a] : Value::Null(next_null++);
-  }
-  db.Insert(fd.rel, std::move(t1));
-  db.Insert(fd.rel, std::move(t2));
-}
-
-// Appends one generic tuple to `rel` (a seed against INDs/RDs that must be
-// violated, and against "empty relation satisfies everything" artifacts).
-void SeedGenericTuple(Database& db, RelId rel, std::uint64_t& next_null) {
-  std::size_t arity = db.scheme().relation(rel).arity();
-  Tuple t(arity);
-  for (AttrId a = 0; a < arity; ++a) t[a] = Value::Null(next_null++);
-  db.Insert(rel, std::move(t));
-}
-
-// Workspace counterparts: the same seeds, born directly in id-space (fresh
-// nulls are new ValueIds; nothing is interned from heap Values).
+// unless the chase proves otherwise. Seeds are born directly in id-space
+// (fresh nulls are new ValueIds; nothing is interned from heap Values).
 void SeedFdViolationWs(InternedWorkspace& ws, const Fd& fd) {
   std::size_t arity = ws.scheme().relation(fd.rel).arity();
   IdTuple t1(arity, 0), t2(arity, 0);
@@ -51,6 +28,8 @@ void SeedFdViolationWs(InternedWorkspace& ws, const Fd& fd) {
   ws.Append(fd.rel, std::move(t2));
 }
 
+// Appends one generic tuple to `rel` (a seed against INDs/RDs that must be
+// violated, and against "empty relation satisfies everything" artifacts).
 void SeedGenericTupleWs(InternedWorkspace& ws, RelId rel) {
   std::size_t arity = ws.scheme().relation(rel).arity();
   IdTuple t(arity, 0);
@@ -76,72 +55,6 @@ Status AppendRepairSeedWs(InternedWorkspace& ws, const Dependency& tau) {
                tau.ToString(ws.scheme())));
   }
   return Status::OK();
-}
-
-/// The PR 2 flow: re-chase the heap seed database from scratch each round
-/// (one full re-intern per round). Differential reference for kWorkspace.
-Result<ArmstrongReport> BuildLegacy(
-    const SchemePtr& scheme, const std::vector<Fd>& fds,
-    const std::vector<Ind>& inds, const std::vector<Dependency>& universe,
-    std::vector<Dependency> expected,
-    const std::vector<Dependency>& must_fail,
-    const ArmstrongBuildOptions& options) {
-  Database seed(scheme);
-  std::uint64_t next_null = 1;
-  for (RelId rel = 0; rel < scheme->size(); ++rel) {
-    SeedGenericTuple(seed, rel, next_null);
-    SeedGenericTuple(seed, rel, next_null);
-  }
-  for (const Dependency& tau : must_fail) {
-    if (tau.is_fd()) SeedFdViolation(seed, tau.fd(), next_null);
-  }
-
-  Chase chase(scheme, fds, inds);
-
-  for (int round = 0; round <= options.max_repair_rounds; ++round) {
-    CCFP_ASSIGN_OR_RETURN(InternedChaseResult chased,
-                          chase.RunInterned(seed, options.chase));
-    if (chased.outcome == ChaseOutcome::kFailed) {
-      return Status::Internal(
-          "chase failed on an all-null Armstrong seed (constant clash)");
-    }
-
-    bool repaired = false;
-    for (const Dependency& tau : must_fail) {
-      if (!chased.ws.Satisfies(tau)) continue;
-      // Accidentally satisfied non-consequence: add a targeted seed.
-      repaired = true;
-      if (tau.is_fd()) {
-        SeedFdViolation(seed, tau.fd(), next_null);
-      } else if (tau.is_ind()) {
-        SeedGenericTuple(seed, tau.ind().lhs_rel, next_null);
-      } else if (tau.is_rd()) {
-        SeedGenericTuple(seed, tau.rd().rel, next_null);
-      } else {
-        return Status::Unimplemented(
-            StrCat("cannot repair dependency kind of ",
-                   tau.ToString(*scheme)));
-      }
-    }
-
-    if (!repaired) {
-      // Exactness check (consequences must hold at the fixpoint; the loop
-      // above ensured non-consequences fail).
-      std::optional<std::string> mismatch =
-          ObeysExactly(chased.ws, universe, expected);
-      if (mismatch.has_value()) {
-        return Status::Internal(
-            StrCat("Armstrong verification failed: ", *mismatch));
-      }
-      ArmstrongReport report(chased.ws.Materialize());
-      report.expected = std::move(expected);
-      report.repair_rounds = round;
-      return report;
-    }
-  }
-  return Status::Internal(
-      StrCat("Armstrong repair did not converge in ",
-             options.max_repair_rounds, " rounds"));
 }
 
 }  // namespace
@@ -343,33 +256,7 @@ Result<ArmstrongReport> BuildArmstrongDatabase(
     SchemePtr scheme, const std::vector<Fd>& fds,
     const std::vector<Ind>& inds, const std::vector<Dependency>& universe,
     const ImplicationOracle& oracle, const ArmstrongBuildOptions& options) {
-  if (options.engine == ArmstrongEngine::kLegacy) {
-    // 1. Expected consequence set.
-    std::vector<Dependency> sigma_deps;
-    for (const Fd& fd : fds) sigma_deps.push_back(Dependency(fd));
-    for (const Ind& ind : inds) sigma_deps.push_back(Dependency(ind));
-
-    std::vector<Dependency> expected;
-    std::vector<Dependency> must_fail;
-    for (const Dependency& tau : universe) {
-      ImplicationVerdict verdict = oracle.Implies(sigma_deps, tau);
-      if (verdict == ImplicationVerdict::kUnknown) {
-        return Status::FailedPrecondition(
-            StrCat("oracle '", oracle.name(), "' cannot decide ",
-                   tau.ToString(*scheme)));
-      }
-      if (verdict == ImplicationVerdict::kImplied) {
-        expected.push_back(tau);
-      } else {
-        must_fail.push_back(tau);
-      }
-    }
-    // 2-3. Seed, then chase / verify / repair to exactness.
-    return BuildLegacy(scheme, fds, inds, universe, std::move(expected),
-                       must_fail, options);
-  }
-
-  // The workspace flow is a one-Extend session: one InternedWorkspace
+  // The build is a one-Extend session: one InternedWorkspace
   // carries seed, chase fixpoint, and verification state across every
   // repair round. Rounds after the first append only their repair seeds
   // and resume the chase — no value is re-interned, no partition is ever

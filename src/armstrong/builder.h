@@ -32,22 +32,7 @@ namespace ccfp {
 /// fixpoint, verify exactness, and add repair seeds for any dependency that
 /// is accidentally satisfied; repeat to a bounded number of rounds.
 
-/// Which build -> chase -> verify -> repair machinery to run.
-enum class ArmstrongEngine : std::uint8_t {
-  /// One InternedWorkspace threaded through every round: seeds are
-  /// appended in id-space, a resumable WorkspaceChase continues from the
-  /// previous fixpoint (only the repair delta is chased), and verification
-  /// runs on the workspace's cached partitions. Nothing is re-interned
-  /// after round 0. The default.
-  kWorkspace = 0,
-  /// The PR 2 flow: each round re-runs Chase::RunInterned on the heap
-  /// seed database (re-interning it per round) and verifies the chased
-  /// workspace it returns. Kept as the differential reference. Always
-  /// verifies by full sweep (ArmstrongVerifyEngine does not apply).
-  kLegacy = 1,
-};
-
-/// How the kWorkspace engine establishes truth each round.
+/// How the builder establishes truth each round.
 enum class ArmstrongVerifyEngine : std::uint8_t {
   /// Pick per entry point: ArmstrongSession resolves to kIncremental
   /// (multi-round sessions amortize the watcher build many times over —
@@ -90,7 +75,6 @@ struct ArmstrongBuildOptions {
   ChaseOptions chase;
   /// Maximum repair rounds before giving up.
   int max_repair_rounds = 8;
-  ArmstrongEngine engine = ArmstrongEngine::kWorkspace;
   ArmstrongVerifyEngine verify = ArmstrongVerifyEngine::kAuto;
   SessionCheckpointOptions checkpoint;
 };
@@ -100,10 +84,9 @@ struct ArmstrongReport {
   /// Expected consequence set used for verification (subset of universe).
   std::vector<Dependency> expected;
   int repair_rounds = 0;
-  /// Substrate counters at the end of a kWorkspace build (how many
-  /// partitions were extended vs rebuilt, tuples appended, ...); zeroed
-  /// for kLegacy. Lets callers and tests prove the rounds reused one
-  /// workspace instead of re-interning.
+  /// Substrate counters at the end of the build (how many partitions were
+  /// extended vs rebuilt, tuples appended, ...). Lets callers and tests
+  /// prove the rounds reused one workspace instead of re-interning.
   InternedWorkspace::Stats workspace_stats;
 
   explicit ArmstrongReport(Database database) : db(std::move(database)) {}
@@ -114,9 +97,13 @@ struct ArmstrongReport {
 /// ChaseOracle for unrestricted implication). Fails with
 /// FailedPrecondition if the oracle answers kUnknown on some member, with
 /// ResourceExhausted if the chase diverges, and with Internal if repair
-/// rounds run out. Both engines produce verified-exact databases; their
-/// tuple contents may differ (the workspace engine keeps chase consequences
-/// across rounds instead of re-deriving them from scratch).
+/// rounds run out. One InternedWorkspace is threaded through every round:
+/// seeds are appended in id-space, a resumable WorkspaceChase continues
+/// from the previous fixpoint (only the repair delta is chased), and
+/// verification runs on the workspace's cached partitions. The
+/// re-chase-per-round reference in tests/reference/armstrong.h also builds
+/// verified-exact databases; its tuples may differ (this builder keeps
+/// chase consequences across rounds instead of re-deriving them).
 Result<ArmstrongReport> BuildArmstrongDatabase(
     SchemePtr scheme, const std::vector<Fd>& fds,
     const std::vector<Ind>& inds, const std::vector<Dependency>& universe,

@@ -97,8 +97,7 @@ ImplicationVerdict ChaseOracle::Implies(
       return ImplicationVerdict::kUnknown;  // RD/EMVD premises unsupported
     }
   }
-  Result<bool> implied =
-      ChaseImplies(scheme_, fds, inds, conclusion, options_);
+  Result<bool> implied = ChaseImplies(scheme_, fds, inds, conclusion);
   if (!implied.ok()) return ImplicationVerdict::kUnknown;
   return *implied ? ImplicationVerdict::kImplied
                   : ImplicationVerdict::kNotImplied;

@@ -77,15 +77,13 @@ class UnaryFiniteOracle : public ImplicationOracle {
 /// premises are ignored).
 class ChaseOracle : public ImplicationOracle {
  public:
-  ChaseOracle(SchemePtr scheme, ChaseOptions options = {})
-      : scheme_(std::move(scheme)), options_(options) {}
+  explicit ChaseOracle(SchemePtr scheme) : scheme_(std::move(scheme)) {}
   ImplicationVerdict Implies(const std::vector<Dependency>& premises,
                              const Dependency& conclusion) const override;
   std::string name() const override { return "fd+ind-chase"; }
 
  private:
   SchemePtr scheme_;
-  ChaseOptions options_;
 };
 
 /// Refutation-only oracle backed by witness databases: answers kNotImplied

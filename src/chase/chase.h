@@ -25,29 +25,16 @@ namespace ccfp {
 /// for FDs and INDs together is undecidable (Mitchell; Chandra–Vardi), so
 /// every entry point takes a budget and can report ResourceExhausted.
 
-/// Which chase engine to run.
-enum class ChaseEngine : std::uint8_t {
-  /// Delta-driven engine (chase/workspace_chase.h): interned values, dense
-  /// union-find, persistent per-FD/per-IND indexes, dirty worklists. Work
-  /// is proportional to the change each rule firing causes. The default.
-  kIncremental = 0,
-  /// The original restart-loop engine: every pass rebuilds its indexes and
-  /// rescans every tuple. O(passes x deps x tuples); kept as a simple
-  /// reference implementation for differential testing.
-  kNaive = 1,
-};
-
 struct ChaseOptions {
   std::uint64_t max_steps = 1u << 20;
   std::uint64_t max_tuples = 1u << 18;
   /// Ceiling on the workspace's live logical bytes (util/memory_budget.h);
-  /// the workspace-backed engine checks it at periodic checkpoints and
-  /// stops resumably with ResourceExhausted when exceeded.
+  /// the engine checks it at periodic checkpoints and stops resumably with
+  /// ResourceExhausted when exceeded.
   std::uint64_t max_bytes = UINT64_MAX;
   /// Wall-clock deadline, honored inside FD-fixpoint inner loops (not
-  /// just at round boundaries) by the workspace-backed engine.
+  /// just at round boundaries).
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  ChaseEngine engine = ChaseEngine::kIncremental;
 
   /// Maps the shared Budget vocabulary onto the chase's knobs
   /// (steps -> max_steps, tuples -> max_tuples, bytes -> max_bytes,
@@ -102,24 +89,22 @@ class Chase {
   const std::vector<Fd>& fds() const { return fds_; }
   const std::vector<Ind>& inds() const { return inds_; }
 
-  /// Chases `initial` to a fixpoint (or failure), within budget.
+  /// Chases `initial` to a fixpoint (or failure), within budget, on the
+  /// delta-driven engine (chase/workspace_chase.h): interned values, dense
+  /// union-find, persistent per-FD/per-IND indexes, dirty worklists.
   /// ResourceExhausted means "did not converge in budget" — with cyclic
-  /// INDs this is the undecidability surface, not a bug. Dispatches on
-  /// `options.engine`; both engines agree on outcome and tuple counts.
+  /// INDs this is the undecidability surface, not a bug. The restart-scan
+  /// reference in tests/reference/chase.h agrees with it on outcome,
+  /// counters and the chased database.
   Result<ChaseResult> Run(Database initial,
                           const ChaseOptions& options = {}) const;
 
-  /// Like Run, but keeps the result interned (see InternedChaseResult).
-  /// The incremental engine chases on the returned workspace directly;
-  /// the naive engine's result database is appended into a fresh one
-  /// after the run (one extra pass).
+  /// Like Run, but keeps the result interned (see InternedChaseResult):
+  /// the engine chases on the returned workspace directly.
   Result<InternedChaseResult> RunInterned(
       Database initial, const ChaseOptions& options = {}) const;
 
  private:
-  Result<ChaseResult> RunNaive(Database initial,
-                               const ChaseOptions& options) const;
-
   SchemePtr scheme_;
   std::vector<Fd> fds_;
   std::vector<Ind> inds_;

@@ -16,32 +16,24 @@ namespace ccfp {
 /// dependencies, so the chase may not terminate; all entry points are
 /// budgeted and can return ResourceExhausted ("unknown").
 
-/// Which EMVD chase engine to run.
-enum class EmvdChaseEngine : std::uint8_t {
-  /// Id-space engine on an InternedWorkspace (core/workspace.h): XY/XZ
-  /// projections are dense partition group ids maintained incrementally
-  /// across rounds (the chase is append-only, so partitions only extend),
-  /// the witnessed-pair set is packed 64-bit group-id pairs, and fresh
-  /// labeled nulls are new ValueIds — no heap Tuple is built or hashed per
-  /// pair. The default.
-  kWorkspace = 0,
-  /// The original heap-Value engine (per-pair projected Tuple keys), kept
-  /// as the differential reference (tests/emvd_chase_property_test.cc).
-  kLegacy = 1,
-};
-
 struct EmvdChaseOptions {
   std::uint64_t max_tuples = 1u << 14;
   std::uint64_t max_rounds = 64;
-  EmvdChaseEngine engine = EmvdChaseEngine::kWorkspace;
 };
 
 /// Saturates `db` under the EMVDs: for every violated pair (t1, t2) adds
 /// the witness tuple t3 with t3[XY] = t1[XY], t3[XZ] = t2[XZ] and fresh
-/// labeled nulls elsewhere. Returns tuples added, or ResourceExhausted.
-/// Both engines produce identical databases (same tuples, same null
-/// labels, same order) and hit budget boundaries at the same point; on
+/// labeled nulls elsewhere. Returns tuples added, or ResourceExhausted; on
 /// ResourceExhausted `db` holds the partial chase so far.
+///
+/// Runs in id-space on an InternedWorkspace (core/workspace.h): XY/XZ
+/// projections are dense partition group ids maintained incrementally
+/// across rounds (the chase is append-only, so partitions only extend),
+/// the witnessed-pair set is packed 64-bit group-id pairs, and fresh
+/// labeled nulls are new ValueIds — no heap Tuple is built or hashed per
+/// pair. The heap-Value reference in tests/reference/emvd_chase.h produces
+/// identical databases (same tuples, same null labels, same order) and hits
+/// budget boundaries at the same point.
 Result<std::uint64_t> EmvdChaseFixpoint(Database& db,
                                         const std::vector<Emvd>& sigma,
                                         const EmvdChaseOptions& options = {});

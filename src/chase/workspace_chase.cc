@@ -209,8 +209,9 @@ Status WorkspaceChase::ProbeInd(std::uint32_t ind_id, std::uint32_t idx,
   std::size_t arity = ws_->scheme().relation(ind.rhs_rel).arity();
   IdTuple fresh(arity, 0);
   // Fresh labels for every position, then overwrite the constrained ones
-  // — byte-for-byte the naive engine's numbering, so all engines produce
-  // identically-labeled databases on deterministic inputs.
+  // — byte-for-byte the numbering of the restart-scan reference chase
+  // (tests/reference/chase.h), so both produce identically-labeled
+  // databases on deterministic inputs.
   for (std::size_t a = 0; a < arity; ++a) {
     fresh[a] = ws_->InternFreshNull();
   }

@@ -126,7 +126,8 @@ class DenseUnionFind {
 
   /// The semantically preferred member of x's class: its constant if one
   /// was merged in, else its lowest-labeled null. This is what the class
-  /// prints as — identical to the naive engine's merge preference.
+  /// prints as — identical to the restart-scan reference chase's merge
+  /// preference (tests/reference/chase.h).
   ValueId Rep(ValueId x) { return rep_[Find(x)]; }
 
   UnionResult Union(ValueId a, ValueId b, const ValueInterner& interner);

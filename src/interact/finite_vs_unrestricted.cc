@@ -30,7 +30,7 @@ FiniteVsUnrestricted CompareImplication(SchemePtr scheme,
                                         const std::vector<Fd>& fds,
                                         const std::vector<Ind>& inds,
                                         const Dependency& target,
-                                        const ChaseOptions& options) {
+                                        const Budget& budget) {
   FiniteVsUnrestricted out;
 
   // --- Unrestricted implication -------------------------------------------
@@ -58,7 +58,8 @@ FiniteVsUnrestricted CompareImplication(SchemePtr scheme,
                            : ImplicationVerdict::kNotImplied;
     out.unrestricted_engine = "unary non-interaction (KCV)";
   } else {
-    Result<bool> chase = ChaseImplies(scheme, fds, inds, target, options);
+    Result<bool> chase = ChaseImplies(scheme, fds, inds, target,
+                                      ChaseOptions::FromBudget(budget));
     if (chase.ok()) {
       out.unrestricted = *chase ? ImplicationVerdict::kImplied
                                 : ImplicationVerdict::kNotImplied;
@@ -82,15 +83,6 @@ FiniteVsUnrestricted CompareImplication(SchemePtr scheme,
     out.finite_engine = "no exact finite engine for this fragment";
   }
   return out;
-}
-
-FiniteVsUnrestricted CompareImplication(SchemePtr scheme,
-                                        const std::vector<Fd>& fds,
-                                        const std::vector<Ind>& inds,
-                                        const Dependency& target,
-                                        const Budget& budget) {
-  return CompareImplication(std::move(scheme), fds, inds, target,
-                            ChaseOptions::FromBudget(budget));
 }
 
 }  // namespace ccfp

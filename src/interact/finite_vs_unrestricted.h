@@ -29,19 +29,13 @@ struct FiniteVsUnrestricted {
 ///   * finite: the unary counting engine when everything is unary;
 ///     otherwise inherited from the unrestricted verdict when that verdict
 ///     is kImplied (|= implies |=fin — Section 2 of the paper).
+/// The chase stage maps Budget::steps/tuples/bytes/deadline onto its caps
+/// (ChaseOptions::FromBudget).
 FiniteVsUnrestricted CompareImplication(SchemePtr scheme,
                                         const std::vector<Fd>& fds,
                                         const std::vector<Ind>& inds,
                                         const Dependency& target,
-                                        const ChaseOptions& options = {});
-
-/// Budget-vocabulary overload (the chase stage maps Budget::steps/tuples
-/// onto its step/tuple caps). Prefer this in new code.
-FiniteVsUnrestricted CompareImplication(SchemePtr scheme,
-                                        const std::vector<Fd>& fds,
-                                        const std::vector<Ind>& inds,
-                                        const Dependency& target,
-                                        const Budget& budget);
+                                        const Budget& budget = Budget());
 
 }  // namespace ccfp
 

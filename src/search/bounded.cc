@@ -15,10 +15,10 @@ namespace ccfp {
 namespace {
 
 /// ------------------------------------------------------------------------
-/// Legacy engine: materialize every candidate database as heap Value
-/// tuples and run the model checker per candidate. Kept as the
-/// differential reference for the id-space engine and as the fallback when
-/// the id-space key tables would not fit.
+/// Materializing engine: build every candidate database as heap Value
+/// tuples and run the model checker per candidate. The fallback when the
+/// id-space key tables would not fit, and the differential reference for
+/// the id-space engine.
 /// ------------------------------------------------------------------------
 
 // All tuples over `arity` positions with entries in {0..domain-1}, in
@@ -67,12 +67,12 @@ std::uint64_t SatAdd(std::uint64_t a, std::uint64_t b) {
   return a > ~std::uint64_t{0} - b ? ~std::uint64_t{0} : a + b;
 }
 
-/// Logical bytes LegacySearch materializes up front: the per-relation
+/// Logical bytes MaterializedSearch allocates up front: the per-relation
 /// Value tuple spaces plus every subset index list (Combinations output).
 /// Saturating arithmetic — a saturated estimate certainly busts any real
 /// ceiling.
-std::uint64_t LegacyMaterializationBytes(const DatabaseScheme& scheme,
-                                         const BoundedSearchOptions& options) {
+std::uint64_t MaterializedBytes(const DatabaseScheme& scheme,
+                                const BoundedSearchOptions& options) {
   std::uint64_t bytes = 0;
   for (RelId rel = 0; rel < scheme.size(); ++rel) {
     std::size_t arity = scheme.relation(rel).arity();
@@ -96,11 +96,12 @@ std::uint64_t LegacyMaterializationBytes(const DatabaseScheme& scheme,
   return bytes;
 }
 
-Result<BoundedSearchResult> LegacySearch(
+Result<BoundedSearchResult> MaterializedSearch(
     const SchemePtr& scheme, const std::vector<Dependency>& premises,
     const Dependency& conclusion, const BoundedSearchOptions& options) {
   BoundedSearchResult result;
-  if (LegacyMaterializationBytes(*scheme, options) > options.max_bytes) {
+  result.engine = "bounded-search (materializing)";
+  if (MaterializedBytes(*scheme, options) > options.max_bytes) {
     // Over the byte ceiling before the first candidate: no verdict, and
     // refusing to allocate is the whole point.
     result.exhausted = false;
@@ -155,8 +156,9 @@ Result<BoundedSearchResult> LegacySearch(
 /// ------------------------------------------------------------------------
 
 /// Caps the total size of precomputed key tables / counter arrays; beyond
-/// this the searcher falls back to the legacy engine (which is equally
-/// doomed on such spaces, but fails the same way it always did).
+/// this FindCounterexample runs the materializing engine, whose up-front
+/// allocation grows with the tuple spaces and their small subsets rather
+/// than with the squared key spaces.
 constexpr std::uint64_t kMaxTableEntries = 1u << 24;
 constexpr std::uint64_t kMaxTupleSpace = 1u << 20;
 
@@ -375,18 +377,9 @@ class IdSpaceSearcher {
                   const Dependency& conclusion,
                   const BoundedSearchOptions& options)
       : scheme_(std::move(scheme)), options_(options) {
+    // The caller checked EstimateBoundedSearch's id_space_feasible: every
+    // tuple space and the key tables fit the hard caps.
     std::size_t n = scheme_->size();
-    // One shared feasibility predicate with the pre-run estimate API
-    // (EstimateBoundedSearch): the tuple spaces and key tables must fit
-    // the hard caps and the byte ceiling. Infeasible here falls through
-    // to the legacy engine, which runs its own estimate against the same
-    // ceiling and declines too if it cannot fit.
-    BoundedSearchEstimate estimate =
-        EstimateBoundedSearch(*scheme_, premises, conclusion, options_);
-    if (!estimate.id_space_feasible) {
-      feasible_ = false;
-      return;
-    }
     space_.resize(n);
     pow_.resize(n);
     for (RelId rel = 0; rel < n; ++rel) {
@@ -409,9 +402,8 @@ class IdSpaceSearcher {
     chosen_.resize(n);
   }
 
-  bool feasible() const { return feasible_; }
-
   BoundedSearchResult Run() {
+    result_.engine = "bounded-search (id-space)";
     Enumerate(0, 0, 0);
     result_.exhausted = !budget_hit_;
     return std::move(result_);
@@ -534,7 +526,7 @@ class IdSpaceSearcher {
 
   /// Pre-order subset DFS over relation `rel`'s tuple-space codes, visiting
   /// the current subset as a boundary before extending it — the same
-  /// candidate order as the legacy engine's Combinations().
+  /// candidate order as the materializing engine's Combinations().
   void Enumerate(RelId rel, std::uint32_t start, std::size_t count) {
     if (stop_) return;
     Boundary(rel);
@@ -574,7 +566,6 @@ class IdSpaceSearcher {
 
   SchemePtr scheme_;
   BoundedSearchOptions options_;
-  bool feasible_ = true;
 
   std::vector<std::uint64_t> space_;               // per rel: domain^arity
   std::vector<std::vector<std::uint64_t>> pow_;    // per rel, col: domain^col
@@ -628,14 +619,14 @@ BoundedSearchEstimate EstimateBoundedSearch(
   est.id_space_feasible = spaces_fit &&
                           est.table_entries <= kMaxTableEntries &&
                           est.table_bytes <= options.max_bytes;
-  est.legacy_bytes = LegacyMaterializationBytes(scheme, options);
-  est.legacy_feasible = est.legacy_bytes <= options.max_bytes;
+  est.materialized_bytes = MaterializedBytes(scheme, options);
+  est.materialized_feasible = est.materialized_bytes <= options.max_bytes;
   // Candidate bound: relation `rel` contributes S_rel subsets of size <=
   // max_tuples_per_relation of its tuple space, and the subset DFS visits
   // one boundary per combination of subsets chosen for relations 0..rel —
   // sum over rel of prod_{r <= rel} S_r boundaries with no pruning (the
-  // engines only ever test fewer; the legacy engine's complete-candidate
-  // count is the last prefix product, also below this sum).
+  // engines only ever test fewer; the materializing engine's complete-
+  // candidate count is the last prefix product, also below this sum).
   std::uint64_t prefix = 1;
   for (RelId rel = 0; rel < scheme.size(); ++rel) {
     std::uint64_t binom = 1, subsets = 1;
@@ -681,13 +672,22 @@ Result<BoundedSearchResult> FindCounterexample(
     CCFP_RETURN_NOT_OK(Validate(*scheme, p));
   }
   CCFP_RETURN_NOT_OK(Validate(*scheme, conclusion));
-
-  if (options.engine == BoundedSearchEngine::kIdSpace) {
-    IdSpaceSearcher searcher(scheme, premises, conclusion, options);
-    if (searcher.feasible()) return searcher.Run();
-    // Key tables would not fit: fall through to the legacy engine.
+  if (!EstimateBoundedSearch(*scheme, premises, conclusion, options)
+           .id_space_feasible) {
+    // Key tables would not fit: run the materializing engine.
+    return MaterializedSearch(scheme, premises, conclusion, options);
   }
-  return LegacySearch(scheme, premises, conclusion, options);
+  return IdSpaceSearcher(scheme, premises, conclusion, options).Run();
+}
+
+Result<BoundedSearchResult> FindCounterexampleMaterialized(
+    SchemePtr scheme, const std::vector<Dependency>& premises,
+    const Dependency& conclusion, const BoundedSearchOptions& options) {
+  for (const Dependency& p : premises) {
+    CCFP_RETURN_NOT_OK(Validate(*scheme, p));
+  }
+  CCFP_RETURN_NOT_OK(Validate(*scheme, conclusion));
+  return MaterializedSearch(scheme, premises, conclusion, options);
 }
 
 Result<bool> HasBoundedCounterexample(SchemePtr scheme,

@@ -73,7 +73,7 @@ class BoundedSearchWorkspace {
 /// counterexample databases of exactly this kind (hand-built); this module
 /// mechanizes finding small ones.
 ///
-/// ## Id-space enumeration strategy (the default engine)
+/// ## Id-space enumeration strategy
 ///
 /// Candidate databases are never materialized as heap `Value` tuples.
 /// A candidate tuple over a relation of arity m is just an integer *code*
@@ -97,36 +97,36 @@ class BoundedSearchWorkspace {
 ///   * when the last relation the conclusion mentions is finalized and the
 ///     conclusion is satisfied, no completion can violate it.
 /// Pruning only removes subtrees that provably contain no counterexample,
-/// so both engines agree on counterexample existence (differentially
-/// tested in tests/bounded_cross_oracle_test.cc).
-enum class BoundedSearchEngine : std::uint8_t {
-  /// Integer-coded DFS with incremental per-dependency counters and sound
-  /// pruning, as described above. The default.
-  kIdSpace = 0,
-  /// The original engine: materialize every candidate as Value tuples and
-  /// call the model checker per candidate. Kept as the differential
-  /// reference and as the fallback when the precomputed key tables would
-  /// not fit in memory.
-  kLegacy = 1,
-};
+/// so the id-space and materializing engines agree on counterexample
+/// existence (differentially tested in tests/bounded_cross_oracle_test.cc).
+///
+/// ## Materializing engine
+///
+/// The id-space engine's key tables grow with the square of each tuple
+/// space, so a wide relation can bust their hard cap even at the base 2x2
+/// shape. The materializing engine (FindCounterexampleMaterialized) has no
+/// such tables: it builds every candidate as Value tuples and calls the
+/// model checker per candidate, so it still runs — slowly — where the
+/// id-space engine cannot. FindCounterexample picks between the two from
+/// EstimateBoundedSearch alone.
 
 struct BoundedSearchOptions {
   std::size_t max_tuples_per_relation = 2;
   std::size_t domain_size = 2;
   /// Overall cap on candidate evaluations, guarding combinatorial blow-up.
-  /// The legacy engine counts complete candidate databases; the id-space
-  /// engine counts *partial* candidates (each relation-subset completion),
-  /// since pruning means most complete candidates are never reached.
+  /// The materializing engine counts complete candidate databases; the
+  /// id-space engine counts *partial* candidates (each relation-subset
+  /// completion), since pruning means most complete candidates are never
+  /// reached.
   std::uint64_t max_candidates = 1u << 24;
   /// Ceiling on the logical bytes a search may *materialize up front*
-  /// (precomputed key tables, counter arrays, legacy tuple spaces and
-  /// subset lists — the search's only growing allocations). Each engine
-  /// estimates its materialization before allocating and, over the
+  /// (precomputed key tables, counter arrays, materialized tuple spaces
+  /// and subset lists — the search's only growing allocations). Each
+  /// engine estimates its materialization before allocating and, over the
   /// ceiling, declines to run: the search returns `exhausted == false`
   /// with no counterexample, which the entry points surface as
   /// ResourceExhausted — an unknown, never a wrong answer.
   std::uint64_t max_bytes = UINT64_MAX;
-  BoundedSearchEngine engine = BoundedSearchEngine::kIdSpace;
   /// Optional caller-owned compile cache shared across searches over the
   /// same scheme (see BoundedSearchWorkspace). Null: each search compiles
   /// its own tables. Not owned; must outlive the search.
@@ -148,31 +148,29 @@ struct BoundedSearchOptions {
 /// from the scheme, the dependency set, and the shape/byte knobs alone —
 /// no tables are compiled and no candidates enumerated. The refutation
 /// portfolio (search/portfolio.h) uses this to order its shape ladder and
-/// to *skip* rungs that could never run (counted, never silently), and the
-/// id-space searcher itself uses the same estimate as its feasibility
-/// gate, so "the estimate says infeasible" and "the engine would decline"
-/// are one predicate. All arithmetic saturates at UINT64_MAX: a saturated
+/// to *skip* rungs that could never run (counted, never silently), and
+/// FindCounterexample picks its engine from the same estimate, so "the
+/// estimate says infeasible" and "the id-space engine would not run" are
+/// one predicate. All arithmetic saturates at UINT64_MAX: a saturated
 /// estimate certainly busts any real cap.
 struct BoundedSearchEstimate {
   /// The id-space engine would run this shape: every tuple space and the
   /// compiled key tables fit its hard caps and `options.max_bytes`.
   bool id_space_feasible = false;
-  /// The legacy fallback's up-front materialization fits
-  /// `options.max_bytes` (the legacy engine has no other gate).
-  bool legacy_feasible = false;
+  /// The materializing engine's up-front allocation fits
+  /// `options.max_bytes` (that engine has no other gate).
+  bool materialized_feasible = false;
   /// Key-table + counter entries the id-space engine would compile.
   std::uint64_t table_entries = 0;
   /// ... in bytes (each entry is one uint32).
   std::uint64_t table_bytes = 0;
-  /// Bytes the legacy engine would materialize (tuple spaces + subsets).
-  std::uint64_t legacy_bytes = 0;
+  /// Bytes the materializing engine would allocate (tuple spaces +
+  /// subsets).
+  std::uint64_t materialized_bytes = 0;
   /// Upper bound on the candidates a full scan can test: the number of
   /// subset-DFS boundary visits with no pruning (the engines only ever
   /// test fewer). Doubles as the shape's ladder-ordering cost.
   std::uint64_t candidate_bound = 0;
-
-  /// Some engine would run this shape.
-  bool feasible() const { return id_space_feasible || legacy_feasible; }
 };
 
 /// Estimates the cost of searching one shape (see BoundedSearchEstimate).
@@ -192,12 +190,27 @@ struct BoundedSearchResult {
   /// True if the whole bounded space was scanned (no counterexample below
   /// the bound); false if max_candidates stopped the search early.
   bool exhausted = true;
+  /// The engine that ran, as the solver's stage reports name it:
+  /// "bounded-search (id-space)" or "bounded-search (materializing)".
+  const char* engine = "";
 };
 
 /// Searches for a counterexample to premises |= conclusion.
 /// By symmetry of the semantics under renaming of values, candidate
 /// relations are enumerated as subsets of the domain^arity tuple space.
+/// Runs the id-space engine when EstimateBoundedSearch says it fits, and
+/// the materializing engine otherwise.
 Result<BoundedSearchResult> FindCounterexample(
+    SchemePtr scheme, const std::vector<Dependency>& premises,
+    const Dependency& conclusion, const BoundedSearchOptions& options = {});
+
+/// The materializing engine alone: every candidate database is built as
+/// heap Value tuples and model-checked per candidate. Declines (no
+/// counterexample, `exhausted == false`) when its up-front allocation
+/// exceeds `options.max_bytes`. Same pre-order enumeration as the id-space
+/// engine, so when both find a counterexample it is the same database.
+/// `options.workspace` is not used.
+Result<BoundedSearchResult> FindCounterexampleMaterialized(
     SchemePtr scheme, const std::vector<Dependency>& premises,
     const Dependency& conclusion, const BoundedSearchOptions& options = {});
 

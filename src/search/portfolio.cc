@@ -104,11 +104,12 @@ Result<PortfolioResult> RefutationPortfolio::Run(const Budget& budget) {
   for (std::size_t i = 0; i < n; ++i) out.rungs[i].shape = ladder_[i];
 
   // Feasibility against *this* run's byte ceiling. A grown rung only runs
-  // on the id-space engine: the legacy fallback materializes its tuple
+  // on the id-space engine: the materializing engine allocates its tuple
   // spaces up front, so letting it loose on a grown shape under the
   // default (unlimited) byte ceiling would allocate without bound. Rung 0
-  // keeps the classic fixed-shape behavior exactly, legacy fallback
-  // included, so a portfolio sweep never regresses the old search.
+  // is never pre-skipped: FindCounterexample runs it on the materializing
+  // engine when the id-space tables would not fit, so a query too wide
+  // for them is still searched at the base shape.
   std::vector<std::uint64_t> funded_costs = costs_;
   for (std::size_t i = 1; i < n; ++i) {
     BoundedSearchEstimate estimate = EstimateBoundedSearch(
@@ -149,6 +150,7 @@ Result<PortfolioResult> RefutationPortfolio::Run(const Budget& budget) {
         BoundedSearchResult result,
         FindCounterexample(scheme_, premises_, conclusion_, o));
     rung.candidates_tested = result.candidates_tested;
+    rung.engine = result.engine;
     out.candidates_tested += result.candidates_tested;
     if (result.counterexample.has_value()) {
       rung.status = RungStatus::kFound;

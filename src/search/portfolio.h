@@ -34,6 +34,8 @@ struct PortfolioOptions {
   /// Rung 0 — always present, always first, never pre-skipped, and funded
   /// before any grown shape sees a step, so a portfolio sweep decides
   /// everything a single fixed-shape search would (see Budget::SplitLadder).
+  /// It runs on whichever engine FindCounterexample picks, including the
+  /// materializing engine when the id-space tables would not fit.
   SearchShape base;
   /// How far the ladder grows each axis beyond the base shape: candidate
   /// rungs are every (t, d) with base.t <= t <= base.t + tuple_growth and
@@ -73,6 +75,9 @@ struct RungReport {
   std::uint64_t share = 0;
   /// Candidate evaluations performed (0 for kSkipped).
   std::uint64_t candidates_tested = 0;
+  /// The engine that ran (BoundedSearchResult::engine); empty for
+  /// kSkipped.
+  std::string engine;
   /// Skip reason / scan summary for the solver's stage reports.
   std::string note;
 };
@@ -105,9 +110,9 @@ struct PortfolioResult {
 /// third tuple or a third value, returning kUnknown with budget to spare.
 /// The portfolio instead generates a ladder of shapes growing both axes,
 /// cost-orders it by each shape's candidate-space bound
-/// (EstimateBoundedSearch), pre-skips rungs whose compiled tables could
-/// never fit (hard caps or Budget::bytes — counted in the result, never
-/// silent), funds the rungs greedily in ladder order from one Budget
+/// (EstimateBoundedSearch), pre-skips grown rungs whose compiled tables
+/// could never fit (hard caps or Budget::bytes — counted in the result,
+/// never silent), funds the rungs greedily in ladder order from one Budget
 /// (Budget::SplitLadder), and scans the funded rungs one at a time,
 /// lowest rung first, stopping at the first counterexample.
 ///

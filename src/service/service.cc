@@ -192,8 +192,7 @@ Result<SolverService::SessionId> SolverService::OpenArmstrong(
   session->inds = std::move(inds);
   session->build = build;
   // The session owns its oracle (the builder only borrows it).
-  session->oracle =
-      std::make_unique<ChaseOracle>(scheme, session->build.chase);
+  session->oracle = std::make_unique<ChaseOracle>(scheme);
   session->armstrong = std::make_unique<ArmstrongSession>(
       std::move(scheme), session->fds, session->inds, session->oracle.get(),
       session->build);
@@ -274,8 +273,7 @@ Status SolverService::ReviveLocked(Session& s) {
           SessionClassificationRecord record,
           DeserializeSessionRecord(s.core->scheme(), chain.restored.aux));
       s.chain->Adopt(chain);
-      s.oracle = std::make_unique<ChaseOracle>(s.core->scheme_ptr(),
-                                               s.build.chase);
+      s.oracle = std::make_unique<ChaseOracle>(s.core->scheme_ptr());
       // Warm start without replay: workspace + classification adopted,
       // zero oracle calls, zero re-interning.
       s.armstrong = std::make_unique<ArmstrongSession>(

@@ -665,11 +665,11 @@ std::string ImplicationSolver::SearchStage(const Dependency& target,
   PortfolioResult& result = *run;
   // One stage report per rung the sweep reached, ladder (cost) order.
   // Skipped rungs keep the empty-engine "skipped" convention; ran rungs
-  // carry their candidate consumption in used.steps.
+  // name the engine that ran and carry their candidate consumption in
+  // used.steps.
   for (std::size_t i = 0; i < result.rungs.size(); ++i) {
     RungReport& rung = result.rungs[i];
-    bool ran = rung.status != RungStatus::kSkipped;
-    StageReport r{"search", ran ? "bounded-search (id-space)" : "",
+    StageReport r{"search", std::move(rung.engine),
                   ImplicationVerdict::kUnknown, std::move(rung.note), {}};
     r.used.steps = rung.candidates_tested;
     if (i == result.winner && result.counterexample.has_value()) {

@@ -10,6 +10,7 @@
 #include "axiom/sentence.h"
 #include "chase/workspace_chase.h"
 #include "core/satisfies.h"
+#include "reference/armstrong.h"
 #include "util/strings.h"
 
 namespace ccfp {
@@ -146,15 +147,12 @@ TEST(ArmstrongSmokeTest, EnginesAgreeOnExactness) {
   // workspace engine keeps chase consequences across rounds).
   MixedInstance instance = MakeMixedInstance(4);
   ChaseOracle oracle(instance.scheme);
-  ArmstrongBuildOptions options;
-  options.engine = ArmstrongEngine::kWorkspace;
   Result<ArmstrongReport> ws = BuildArmstrongDatabase(
       instance.scheme, instance.fds, instance.inds, instance.universe,
-      oracle, options);
-  options.engine = ArmstrongEngine::kLegacy;
-  Result<ArmstrongReport> legacy = BuildArmstrongDatabase(
+      oracle);
+  Result<ArmstrongReport> legacy = reference::BuildArmstrongDatabaseLegacy(
       instance.scheme, instance.fds, instance.inds, instance.universe,
-      oracle, options);
+      oracle);
   ASSERT_TRUE(ws.ok()) << ws.status();
   ASSERT_TRUE(legacy.ok()) << legacy.status();
   EXPECT_EQ(ws->expected, legacy->expected);

@@ -90,16 +90,13 @@ TEST_P(BoundedCrossOracleTest, IdSpaceAndLegacyEnginesAgree) {
   for (int t = 0; t < 3; ++t) {
     Dependency target = RandomTarget(instance, rng, 2);
     if (!Validate(*instance.scheme, target).ok()) continue;
-    BoundedSearchOptions id_space;
-    id_space.engine = BoundedSearchEngine::kIdSpace;
-    BoundedSearchOptions legacy;
-    legacy.engine = BoundedSearchEngine::kLegacy;
     Result<BoundedSearchResult> a =
-        FindCounterexample(instance.scheme, premises, target, id_space);
+        FindCounterexample(instance.scheme, premises, target);
     Result<BoundedSearchResult> b =
-        FindCounterexample(instance.scheme, premises, target, legacy);
+        FindCounterexampleMaterialized(instance.scheme, premises, target);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
+    ASSERT_STREQ(a->engine, "bounded-search (id-space)");
     ASSERT_TRUE(a->exhausted);
     ASSERT_TRUE(b->exhausted);
     EXPECT_EQ(a->counterexample.has_value(), b->counterexample.has_value())

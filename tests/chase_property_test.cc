@@ -8,6 +8,7 @@
 #include "chase/workspace_chase.h"
 #include "core/satisfies.h"
 #include "interact/unary_finite.h"
+#include "reference/chase.h"
 #include "search/bounded.h"
 #include "util/rng.h"
 
@@ -156,7 +157,7 @@ TEST_P(ChasePropertyTest, UnaryUnrestrictedAgreesWithChaseOnAcyclic) {
   }
 }
 
-// --- Incremental vs naive engine equivalence ---------------------------
+// --- Incremental engine vs the naive reference (tests/reference/) ------
 // The delta-driven engine must be observationally identical to the naive
 // reference: same outcome, same per-relation tuple counts, same merge and
 // generation counters, and the same Satisfies verdict for every premise
@@ -193,13 +194,8 @@ TEST_P(ChasePropertyTest, IncrementalAndNaiveEnginesAgree) {
   Chase chase(instance.scheme, instance.fds, instance.inds);
   Database seed = RandomSeed(instance, GetParam() * 97 + 5);
 
-  ChaseOptions incremental;
-  incremental.engine = ChaseEngine::kIncremental;
-  ChaseOptions naive;
-  naive.engine = ChaseEngine::kNaive;
-
-  Result<ChaseResult> a = chase.Run(seed, incremental);
-  Result<ChaseResult> b = chase.Run(seed, naive);
+  Result<ChaseResult> a = chase.Run(seed);
+  Result<ChaseResult> b = reference::NaiveChase(chase, seed);
   ASSERT_EQ(a.ok(), b.ok()) << a.status() << " vs " << b.status();
   if (!a.ok()) return;  // both exhausted: nothing more to compare
 
@@ -228,10 +224,6 @@ TEST_P(ChasePropertyTest, IncrementalAndNaiveEnginesAgree) {
 
 TEST_P(ChasePropertyTest, ChaseImpliesAgreesAcrossEngines) {
   AcyclicInstance instance = MakeAcyclic(GetParam(), 3, 3, false);
-  ChaseOptions incremental;
-  incremental.engine = ChaseEngine::kIncremental;
-  ChaseOptions naive;
-  naive.engine = ChaseEngine::kNaive;
 
   SplitMix64 rng(GetParam() * 53 + 17);
   for (int t = 0; t < 4; ++t) {
@@ -248,9 +240,9 @@ TEST_P(ChasePropertyTest, ChaseImpliesAgreesAcrossEngines) {
                   static_cast<RelId>(rng.Below(instance.scheme->size())),
                   {y}});
     Result<bool> via_inc = ChaseImplies(instance.scheme, instance.fds,
-                                        instance.inds, target, incremental);
-    Result<bool> via_naive = ChaseImplies(instance.scheme, instance.fds,
-                                          instance.inds, target, naive);
+                                        instance.inds, target);
+    Result<bool> via_naive = reference::NaiveChaseImplies(
+        instance.scheme, instance.fds, instance.inds, target);
     ASSERT_EQ(via_inc.ok(), via_naive.ok())
         << target.ToString(*instance.scheme);
     if (!via_inc.ok()) continue;
@@ -283,14 +275,11 @@ TEST_P(ChasePropertyTest, RunInternedMatchesRun) {
   SatisfiesOptions legacy;
   legacy.engine = SatisfiesEngine::kLegacy;
 
-  for (ChaseEngine engine : {ChaseEngine::kIncremental, ChaseEngine::kNaive}) {
-    ChaseOptions options;
-    options.engine = engine;
-    Result<ChaseResult> run = chase.Run(seed, options);
-    Result<InternedChaseResult> interned = chase.RunInterned(seed, options);
+  auto expect_match = [&](const Result<ChaseResult>& run,
+                          const Result<InternedChaseResult>& interned) {
     ASSERT_EQ(run.ok(), interned.ok())
         << run.status() << " vs " << interned.status();
-    if (!run.ok()) continue;
+    if (!run.ok()) return;
     EXPECT_EQ(interned->outcome, run->outcome);
     EXPECT_EQ(interned->fd_merges, run->fd_merges);
     EXPECT_EQ(interned->ind_tuples, run->ind_tuples);
@@ -300,12 +289,15 @@ TEST_P(ChasePropertyTest, RunInternedMatchesRun) {
         << run->db.ToString();
     // A failed chase stops mid-flight with stale tuples; the workspace is
     // only model-checkable at a fixpoint.
-    if (run->outcome != ChaseOutcome::kFixpoint) continue;
+    if (run->outcome != ChaseOutcome::kFixpoint) return;
     for (const Dependency& d : checks) {
       EXPECT_EQ(interned->ws.Satisfies(d), Satisfies(run->db, d, legacy))
           << d.ToString(*instance.scheme);
     }
-  }
+  };
+  expect_match(chase.Run(seed), chase.RunInterned(seed));
+  expect_match(reference::NaiveChase(chase, seed),
+               reference::NaiveChaseInterned(chase, seed));
 }
 
 TEST_P(ChasePropertyTest, ResumingAfterBudgetExhaustionReachesAModel) {

@@ -9,6 +9,7 @@
 #include "bench/workloads.h"
 #include "chase/chase.h"
 #include "core/satisfies.h"
+#include "reference/chase.h"
 
 namespace ccfp {
 namespace {
@@ -19,11 +20,9 @@ TEST(ChaseSmokeTest, DeepCascadeFinishesFast) {
   CascadeInstance instance = MakeDeepCascade(kLevels);
   Database seed = CascadeSeed(instance, kWidth);
   Chase chase(instance.scheme, instance.fds, instance.inds);
-  ChaseOptions options;
-  options.engine = ChaseEngine::kIncremental;
 
   auto start = std::chrono::steady_clock::now();
-  Result<ChaseResult> result = chase.Run(seed, options);
+  Result<ChaseResult> result = chase.Run(seed);
   auto elapsed = std::chrono::steady_clock::now() - start;
 
   ASSERT_TRUE(result.ok()) << result.status();
@@ -51,11 +50,8 @@ TEST(ChaseSmokeTest, EnginesAgreeOnSmallCascade) {
   CascadeInstance instance = MakeDeepCascade(12);
   Database seed = CascadeSeed(instance, 4);
   Chase chase(instance.scheme, instance.fds, instance.inds);
-  ChaseOptions options;
-  options.engine = ChaseEngine::kIncremental;
-  Result<ChaseResult> inc = chase.Run(seed, options);
-  options.engine = ChaseEngine::kNaive;
-  Result<ChaseResult> naive = chase.Run(seed, options);
+  Result<ChaseResult> inc = chase.Run(seed);
+  Result<ChaseResult> naive = reference::NaiveChase(chase, seed);
   ASSERT_TRUE(inc.ok());
   ASSERT_TRUE(naive.ok());
   EXPECT_EQ(inc->outcome, naive->outcome);

@@ -5,6 +5,7 @@
 #include "chase/ind_chase.h"
 #include "core/parser.h"
 #include "core/satisfies.h"
+#include "reference/chase.h"
 
 namespace ccfp {
 namespace {
@@ -248,9 +249,10 @@ TEST_F(ChaseTest, DeepNullMergeChainDoesNotOverflowTheStack) {
   ChaseOptions options;
   options.max_steps = 4 * kChain;
   options.max_tuples = 4 * kChain;
-  for (ChaseEngine engine : {ChaseEngine::kNaive, ChaseEngine::kIncremental}) {
-    options.engine = engine;
-    Result<ChaseResult> result = chase.Run(db, options);
+  for (bool naive : {true, false}) {
+    Result<ChaseResult> result = naive
+                                     ? reference::NaiveChase(chase, db, options)
+                                     : chase.Run(db, options);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_EQ(result->outcome, ChaseOutcome::kFixpoint);
     // Every null collapses into _n1; the pairs dedupe to one tuple per key.

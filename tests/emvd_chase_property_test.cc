@@ -9,6 +9,7 @@
 #include "chase/emvd_chase.h"
 #include "constructions/sagiv_walecka.h"
 #include "core/satisfies.h"
+#include "reference/emvd_chase.h"
 #include "util/rng.h"
 
 namespace ccfp {
@@ -61,12 +62,11 @@ Database RandomDatabase(SplitMix64& rng, const SchemePtr& scheme,
 }
 
 void ExpectSameOutcome(const Database& seed, const std::vector<Emvd>& sigma,
-                       EmvdChaseOptions options, const char* context) {
+                       const EmvdChaseOptions& options, const char* context) {
   Database legacy_db = seed;
   Database ws_db = seed;
-  options.engine = EmvdChaseEngine::kLegacy;
-  Result<std::uint64_t> legacy = EmvdChaseFixpoint(legacy_db, sigma, options);
-  options.engine = EmvdChaseEngine::kWorkspace;
+  Result<std::uint64_t> legacy =
+      reference::LegacyEmvdChaseFixpoint(legacy_db, sigma, options);
   Result<std::uint64_t> ws = EmvdChaseFixpoint(ws_db, sigma, options);
 
   ASSERT_EQ(legacy.ok(), ws.ok()) << context << "\nlegacy: "
@@ -150,10 +150,8 @@ TEST(EmvdChasePropertyTest, ImpliesAgreesAcrossEngines) {
     EmvdChaseOptions options;
     options.max_tuples = 1024;
     options.max_rounds = 10;
-    options.engine = EmvdChaseEngine::kLegacy;
-    Result<bool> legacy = EmvdChaseImplies(c.scheme, c.sigma, c.target,
-                                           options);
-    options.engine = EmvdChaseEngine::kWorkspace;
+    Result<bool> legacy = reference::LegacyEmvdChaseImplies(
+        c.scheme, c.sigma, c.target, options);
     Result<bool> ws = EmvdChaseImplies(c.scheme, c.sigma, c.target, options);
     ASSERT_EQ(legacy.ok(), ws.ok()) << "k = " << k;
     if (legacy.ok()) {

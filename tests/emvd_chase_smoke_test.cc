@@ -10,6 +10,7 @@
 #include "chase/emvd_chase.h"
 #include "constructions/sagiv_walecka.h"
 #include "core/satisfies.h"
+#include "reference/emvd_chase.h"
 
 namespace ccfp {
 namespace {
@@ -28,14 +29,15 @@ Database MakeGrid(const SchemePtr& scheme, int side) {
 }
 
 std::int64_t RunGridMs(const SchemePtr& scheme,
-                       const std::vector<Emvd>& sigma, int side,
-                       EmvdChaseEngine engine, std::uint64_t* added) {
+                       const std::vector<Emvd>& sigma, int side, bool legacy,
+                       std::uint64_t* added) {
   Database db = MakeGrid(scheme, side);
   EmvdChaseOptions options;
   options.max_tuples = 1 << 14;
-  options.engine = engine;
   auto start = std::chrono::steady_clock::now();
-  Result<std::uint64_t> result = EmvdChaseFixpoint(db, sigma, options);
+  Result<std::uint64_t> result =
+      legacy ? reference::LegacyEmvdChaseFixpoint(db, sigma, options)
+             : EmvdChaseFixpoint(db, sigma, options);
   auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_TRUE(result.ok()) << result.status();
   if (result.ok()) *added = *result;
@@ -50,7 +52,7 @@ TEST(EmvdChaseSmokeTest, DenseCrossProductFinishesFast) {
   std::vector<Emvd> sigma = {MakeEmvd(*scheme, "R", {"X"}, {"Y"}, {"Z"})};
   std::uint64_t ws_added = 0;
   std::int64_t ws_ms =
-      RunGridMs(scheme, sigma, side, EmvdChaseEngine::kWorkspace, &ws_added);
+      RunGridMs(scheme, sigma, side, /*legacy=*/false, &ws_added);
   EXPECT_EQ(ws_added, 2u * side * side - 2u * side);
   // The absolute wall: three orders of magnitude of headroom in Release
   // (~5 ms), still comfortable under a sanitized parallel ctest run.
@@ -62,8 +64,8 @@ TEST(EmvdChaseSmokeTest, DenseCrossProductFinishesFast) {
   // this shape; demand a loose 2x so only a real representation
   // regression — not scheduler noise — can trip it.
   std::uint64_t legacy_added = 0;
-  std::int64_t legacy_ms = RunGridMs(scheme, sigma, side,
-                                     EmvdChaseEngine::kLegacy, &legacy_added);
+  std::int64_t legacy_ms =
+      RunGridMs(scheme, sigma, side, /*legacy=*/true, &legacy_added);
   EXPECT_EQ(legacy_added, ws_added);
   EXPECT_LT(ws_ms, std::max<std::int64_t>(legacy_ms / 2, 1))
       << "workspace engine no faster than per-pair copies: ws " << ws_ms

@@ -1,0 +1,28 @@
+#ifndef CCFP_TESTS_REFERENCE_ARMSTRONG_H_
+#define CCFP_TESTS_REFERENCE_ARMSTRONG_H_
+
+#include <vector>
+
+#include "armstrong/builder.h"
+#include "axiom/oracle.h"
+#include "core/dependency.h"
+#include "util/status.h"
+
+namespace ccfp::reference {
+
+/// The re-chase-per-round Armstrong builder: each repair round re-runs
+/// `Chase::RunInterned` on the whole heap seed database (re-interning it)
+/// and verifies the chased workspace by full sweep. Same failure modes as
+/// `BuildArmstrongDatabase`, and also verified-exact, but its tuples may
+/// differ (the library builder keeps chase consequences across rounds).
+/// `options.verify` and `options.checkpoint` are ignored, and
+/// `workspace_stats` stays zero.
+Result<ArmstrongReport> BuildArmstrongDatabaseLegacy(
+    SchemePtr scheme, const std::vector<Fd>& fds,
+    const std::vector<Ind>& inds, const std::vector<Dependency>& universe,
+    const ImplicationOracle& oracle,
+    const ArmstrongBuildOptions& options = {});
+
+}  // namespace ccfp::reference
+
+#endif  // CCFP_TESTS_REFERENCE_ARMSTRONG_H_

@@ -312,6 +312,52 @@ TEST(SolverTest, SearchStageDecidesWithoutEvidenceAttachment) {
   EXPECT_FALSE(v.counterexample.has_value());
 }
 
+TEST(SolverTest, WideQueryFallsBackToTheMaterializingEngineAtRungZero) {
+  // One arity-10 relation: every dependency's id-space key tables are
+  // sized by the 2^10-code tuple space squared, so the 17 dependencies
+  // below bust the id-space table cap even at the 2x2 base shape. The
+  // cyclic IND makes the chase diverge, so rung 0 decides — on the
+  // materializing engine, and the verdict must say so.
+  std::vector<std::string> attrs;
+  for (char c = 'A'; c <= 'J'; ++c) attrs.push_back(std::string(1, c));
+  SchemePtr scheme = MakeScheme({{"R", attrs}});
+  std::vector<Dependency> sigma;
+  for (AttrId a = 0; a + 1 < 10; ++a) {
+    sigma.push_back(Dependency(Fd{0, {a}, {static_cast<AttrId>(a + 1)}}));
+  }
+  for (AttrId a = 0; a < 6; ++a) {
+    sigma.push_back(Dependency(Fd{0, {static_cast<AttrId>(a + 2)}, {a}}));
+  }
+  sigma.push_back(Dependency(Ind{0, {0, 1}, 0, {1, 2}}));
+  Dependency target(Fd{0, {9}, {0}});
+
+  BoundedSearchOptions base;  // the solver's default 2x2 rung 0
+  BoundedSearchEstimate estimate =
+      EstimateBoundedSearch(*scheme, sigma, target, base);
+  EXPECT_FALSE(estimate.id_space_feasible)
+      << estimate.table_entries << " table entries";
+  EXPECT_TRUE(estimate.materialized_feasible);
+
+  Budget budget;
+  budget.tuples = 3072;
+  Result<Verdict> v = SolveImplication(scheme, sigma, target, budget);
+  ASSERT_TRUE(v.ok()) << v.status();
+  EXPECT_EQ(v->fragment, ImplicationFragment::kMixed);
+  ASSERT_EQ(v->outcome, ImplicationVerdict::kNotImplied) << v->ToString(*scheme);
+  EXPECT_EQ(v->engine, "bounded-search (materializing)");
+  const StageReport* rung0 = nullptr;
+  for (const StageReport& r : v->stages) {
+    if (r.stage == "search") {
+      rung0 = &r;
+      break;
+    }
+  }
+  ASSERT_NE(rung0, nullptr) << v->ToString(*scheme);
+  EXPECT_EQ(rung0->engine, "bounded-search (materializing)");
+  EXPECT_EQ(rung0->verdict, ImplicationVerdict::kNotImplied);
+  ExpectGenuineCounterexample(*v, sigma, target, *scheme);
+}
+
 // --- The evidence-carrying ChaseImplies overload ------------------------
 
 TEST(SolverTest, ChaseImpliesBudgetOverloadCarriesEvidence) {
