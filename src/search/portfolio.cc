@@ -55,6 +55,20 @@ const char* RungStatusToString(RungStatus status) {
   return "unknown";
 }
 
+void PortfolioResult::Append(PortfolioResult later) {
+  if (later.winner != kNoRung) {
+    winner = rungs.size() + later.winner;
+    counterexample = std::move(later.counterexample);
+  }
+  for (RungReport& rung : later.rungs) rungs.push_back(std::move(rung));
+  candidates_tested += later.candidates_tested;
+  rungs_scanned += later.rungs_scanned;
+  rungs_skipped += later.rungs_skipped;
+  if (later.largest_scanned.has_value()) {
+    largest_scanned = later.largest_scanned;
+  }
+}
+
 RefutationPortfolio::RefutationPortfolio(SchemePtr scheme,
                                          std::vector<Dependency> premises,
                                          Dependency conclusion,
@@ -92,31 +106,54 @@ RefutationPortfolio::RefutationPortfolio(SchemePtr scheme,
   }
 }
 
+std::size_t RefutationPortfolio::RungsWithin(std::uint64_t max_cost) const {
+  // costs_ is ascending (ladder order is cost order), so the rungs within
+  // the bound are a prefix of the ladder.
+  std::size_t k = static_cast<std::size_t>(
+      std::upper_bound(costs_.begin(), costs_.end(), max_cost) -
+      costs_.begin());
+  return std::max<std::size_t>(k, 1);
+}
+
 Result<PortfolioResult> RefutationPortfolio::Run(const Budget& budget) {
+  return RunRungs(budget, 0, ladder_.size());
+}
+
+Result<PortfolioResult> RefutationPortfolio::RunRungs(const Budget& budget,
+                                                      std::size_t first,
+                                                      std::size_t last) {
   for (const Dependency& p : premises_) {
     CCFP_RETURN_NOT_OK(Validate(*scheme_, p));
   }
   CCFP_RETURN_NOT_OK(Validate(*scheme_, conclusion_));
 
   const std::size_t n = ladder_.size();
+  last = std::min(last, n);
+  first = std::min(first, last);
   PortfolioResult out;
-  out.rungs.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out.rungs[i].shape = ladder_[i];
+  out.rungs.resize(last - first);
+  for (std::size_t i = first; i < last; ++i) {
+    out.rungs[i - first].shape = ladder_[i];
+  }
 
-  // Feasibility against *this* run's byte ceiling. A grown rung only runs
-  // on the id-space engine: the materializing engine allocates its tuple
-  // spaces up front, so letting it loose on a grown shape under the
-  // default (unlimited) byte ceiling would allocate without bound. Rung 0
-  // is never pre-skipped: FindCounterexample runs it on the materializing
-  // engine when the id-space tables would not fit, so a query too wide
-  // for them is still searched at the base shape.
+  // Feasibility against *this* run's byte ceiling, over the whole ladder:
+  // the SplitLadder shares below depend on every rung's funded cost, so a
+  // partial sweep funds its rungs exactly as the full sweep would. A grown
+  // rung only runs on the id-space engine: the materializing engine
+  // allocates its tuple spaces up front, so letting it loose on a grown
+  // shape under the default (unlimited) byte ceiling would allocate
+  // without bound. Rung 0 is never pre-skipped: FindCounterexample runs
+  // it on the materializing engine when the id-space tables would not
+  // fit, so a query too wide for them is still searched at the base
+  // shape.
   std::vector<std::uint64_t> funded_costs = costs_;
   for (std::size_t i = 1; i < n; ++i) {
     BoundedSearchEstimate estimate = EstimateBoundedSearch(
         *scheme_, premises_, conclusion_, ShapeOptions(ladder_[i], budget.bytes));
     if (!estimate.id_space_feasible) {
       funded_costs[i] = 0;  // infeasible rungs ask nothing of the ladder budget
-      out.rungs[i].note =
+      if (i < first || i >= last) continue;
+      out.rungs[i - first].note =
           StrCat("skipped: compiled tables for ", ladder_[i].ToString(),
                  " exceed the id-space caps or the byte ceiling (",
                  estimate.table_bytes, " table bytes)");
@@ -130,8 +167,8 @@ Result<PortfolioResult> RefutationPortfolio::Run(const Budget& budget) {
 
   // The sweep: ladder (cost) order, one rung at a time, stopping at the
   // first find — rungs above the winner are never reached.
-  for (std::size_t i = 0; i < n; ++i) {
-    RungReport& rung = out.rungs[i];
+  for (std::size_t i = first; i < last; ++i) {
+    RungReport& rung = out.rungs[i - first];
     rung.share = shares[i].steps;
     if (i > 0 && (funded_costs[i] == 0 || shares[i].steps == 0)) {
       if (funded_costs[i] != 0) {
@@ -155,9 +192,9 @@ Result<PortfolioResult> RefutationPortfolio::Run(const Budget& budget) {
     if (result.counterexample.has_value()) {
       rung.status = RungStatus::kFound;
       rung.note = StrCat("counterexample found at ", ladder_[i].ToString());
-      out.winner = i;
+      out.winner = i - first;
       out.counterexample = std::move(result.counterexample);
-      out.rungs.resize(i + 1);
+      out.rungs.resize(i - first + 1);
       break;
     }
     if (result.exhausted) {

@@ -88,10 +88,11 @@ struct PortfolioResult {
   /// The winning rung's counterexample — always the lowest-rung, lowest-
   /// candidate-index one (raw: the caller verifies before attaching).
   std::optional<Database> counterexample;
+  /// Index into `rungs` of the winning report (kNoRung without a find).
   std::size_t winner = kNoRung;
   /// One report per ladder rung the sweep reached, ladder order: every
-  /// rung when nothing is found, else the rungs up to and including the
-  /// winner (the sweep stops there).
+  /// swept rung when nothing is found, else the rungs up to and including
+  /// the winner (the sweep stops there).
   std::vector<RungReport> rungs;
   /// Totals over `rungs`.
   std::uint64_t candidates_tested = 0;
@@ -101,6 +102,11 @@ struct PortfolioResult {
   /// the end of its space — what an exhausted-note should name instead of
   /// the base shape.
   std::optional<SearchShape> largest_scanned;
+
+  /// Folds the report of the sweep range that follows this one on the
+  /// same ladder (RefutationPortfolio::RunRungs) into this report, so a
+  /// sweep run in two ranges reports exactly what one Run would.
+  void Append(PortfolioResult later);
 };
 
 /// A portfolio of bounded refutation searches over a deterministic shape
@@ -121,6 +127,11 @@ struct PortfolioResult {
 /// shape, share), and the winner is the lowest-rung, lowest-candidate-
 /// index witness. The wall-clock deadline stays stage-granular (rungs are
 /// not deadline-gated mid-scan).
+///
+/// The sweep can also run in two ranges of one ladder (RunRungs): the
+/// solver sweeps the cheap rungs before a chase that may not terminate
+/// and the rest after it. Both ranges are funded by the same SplitLadder
+/// call, so the pair reproduces Run rung for rung.
 class RefutationPortfolio {
  public:
   RefutationPortfolio(SchemePtr scheme, std::vector<Dependency> premises,
@@ -130,8 +141,20 @@ class RefutationPortfolio {
   const std::vector<SearchShape>& ladder() const { return ladder_; }
 
   /// Runs the portfolio under `budget` (steps fund the ladder; bytes gate
-  /// feasibility). Error statuses only for invalid inputs.
+  /// feasibility): the full sweep. Error statuses only for invalid inputs.
   Result<PortfolioResult> Run(const Budget& budget);
+
+  /// Rungs [first, last) of the sweep Run(budget) makes, each funded with
+  /// the share the full sweep gives it. Running [0, k) and then, when it
+  /// found nothing, [k, ladder().size()) and Append-ing the second report
+  /// to the first equals Run(budget) exactly.
+  Result<PortfolioResult> RunRungs(const Budget& budget, std::size_t first,
+                                   std::size_t last);
+
+  /// How many leading rungs have a candidate bound <= `max_cost`, and at
+  /// least 1: rung 0 always counts. Ladder order is cost order, so those
+  /// rungs are a prefix of the ladder.
+  std::size_t RungsWithin(std::uint64_t max_cost) const;
 
  private:
   SchemePtr scheme_;

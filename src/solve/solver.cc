@@ -5,6 +5,7 @@
 
 #include "chase/chase.h"
 #include "chase/ind_chase.h"
+#include "chase/termination.h"
 #include "core/workspace.h"
 #include "fd/closure.h"
 #include "ind/special.h"
@@ -117,6 +118,43 @@ Database FdCounterexample(SchemePtr scheme, const Fd& target,
   db.Insert(target.rel, std::move(t1));
   db.Insert(target.rel, std::move(t2));
   return db;
+}
+
+/// When the chase may not terminate, the mixed route sweeps the ladder
+/// rungs priced within 1/kCheapRungDivisor of the search share before the
+/// chase: a refutation that costs almost nothing must not wait behind a
+/// chase share that cannot answer.
+constexpr std::uint64_t kCheapRungDivisor = 64;
+
+/// The relation holding the target's canonical chase seed.
+RelId SeedRelation(const Dependency& target) {
+  switch (target.kind()) {
+    case DependencyKind::kInd:
+      return target.ind().lhs_rel;
+    case DependencyKind::kRd:
+      return target.rd().rel;
+    default:
+      return target.fd().rel;
+  }
+}
+
+/// The not-decisive summary of a refutation sweep for the caller's
+/// unknown notes: the portfolio's error, or the largest fully scanned
+/// shape (the strongest exhaustion fact the ladder established) and every
+/// rung that could not run.
+std::string SearchSummary(const Status& searched,
+                          const PortfolioResult& swept) {
+  if (!searched.ok()) return searched.ToString();
+  std::string summary =
+      swept.largest_scanned.has_value()
+          ? StrCat("no counterexample with <= ",
+                   swept.largest_scanned->ToString())
+          : "candidate budget exhausted before any shape was fully scanned";
+  if (swept.rungs_skipped > 0) {
+    summary += StrCat(" (", swept.rungs_skipped, " of ", swept.rungs.size(),
+                      " ladder rungs skipped)");
+  }
+  return summary;
 }
 
 /// Folds a finished stage into the verdict's totals.
@@ -530,19 +568,46 @@ void ImplicationSolver::SolveMixed(const Dependency& target,
     unknown_notes.push_back(StrCat("derivation: ", r.note));
     PushStage(v, std::move(r));
   }
+
+  // --- Stage order: refute first when the chase may not terminate -------
+  // A weakly acyclic IND set guarantees a terminating chase, which is
+  // exact both ways: chase first, then the whole ladder. Otherwise the
+  // chase is only a semi-decision for kImplied, and a divergent one spends
+  // its whole share before any rung starts — so the cheap rungs sweep
+  // first. One SplitLadder funds both ranges: every rung gets the share,
+  // and the sweep finds the witness, that one sweep after the chase would.
+  std::optional<SpecialEdgeCycle> cycle =
+      FindSpecialEdgeCycle(*scheme_, inds_, SeedRelation(target));
+  std::optional<RefutationPortfolio> portfolio;
+  PortfolioResult swept;
+  Status searched;
+  std::size_t cheap_rungs = 0;
+  if (cycle.has_value()) {
+    portfolio.emplace(MakePortfolio(target));
+    cheap_rungs = portfolio->RungsWithin(slice.steps / kCheapRungDivisor);
+    if (DeadlineExpired(budget, v, "search")) return;
+    searched = SearchRungs(*portfolio, target, slice, 0, cheap_rungs, swept, v);
+    if (v.outcome != ImplicationVerdict::kUnknown) return;
+  }
   if (DeadlineExpired(budget, v, "chase")) return;
 
   // --- Stage 2: budgeted chase proof (universal model) ------------------
   if (ChaseStage(target, slice, unknown_notes, v)) return;
   if (DeadlineExpired(budget, v, "search")) return;
 
-  // --- Stage 3: bounded refutation portfolio ----------------------------
-  std::string search_summary = SearchStage(target, slice, v);
+  // --- Stage 3: bounded refutation portfolio (the rest of the ladder) ---
+  if (!portfolio.has_value()) portfolio.emplace(MakePortfolio(target));
+  Status rest = SearchRungs(*portfolio, target, slice, cheap_rungs,
+                            portfolio->ladder().size(), swept, v);
+  if (searched.ok()) searched = rest;
   if (v.outcome == ImplicationVerdict::kUnknown) {
     unknown_notes.push_back(
-        StrCat("search: ", search_summary.empty()
-                               ? "no counterexample within the bound"
-                               : search_summary));
+        StrCat("search: ", SearchSummary(searched, swept)));
+    if (cycle.has_value()) {
+      unknown_notes.push_back(
+          StrCat("the chase need not terminate: special-edge cycle ",
+                 cycle->ToString(*scheme_), " in the IND position graph"));
+    }
     v.reason = StrCat("undecidable fragment — ",
                       JoinStrings(unknown_notes, "; "));
   }
@@ -643,8 +708,8 @@ void ImplicationSolver::SolveUnsupported(const Dependency& target,
   }
 }
 
-std::string ImplicationSolver::SearchStage(const Dependency& target,
-                                           const Budget& budget, Verdict& v) {
+RefutationPortfolio ImplicationSolver::MakePortfolio(
+    const Dependency& target) {
   PortfolioOptions opts;
   opts.base.max_tuples_per_relation = options_.search_max_tuples_per_relation;
   opts.base.domain_size = options_.search_domain_size;
@@ -654,13 +719,30 @@ std::string ImplicationSolver::SearchStage(const Dependency& target,
   opts.workspace = options_.shared_search_tables != nullptr
                        ? options_.shared_search_tables
                        : &search_ws_;
-  RefutationPortfolio portfolio(scheme_, nontrivial_, target, opts);
-  Result<PortfolioResult> run = portfolio.Run(budget);
+  return RefutationPortfolio(scheme_, nontrivial_, target, opts);
+}
+
+std::string ImplicationSolver::SearchStage(const Dependency& target,
+                                           const Budget& budget, Verdict& v) {
+  RefutationPortfolio portfolio = MakePortfolio(target);
+  PortfolioResult swept;
+  Status searched = SearchRungs(portfolio, target, budget, 0,
+                                portfolio.ladder().size(), swept, v);
+  if (v.outcome == ImplicationVerdict::kNotImplied) return "";
+  return SearchSummary(searched, swept);
+}
+
+Status ImplicationSolver::SearchRungs(RefutationPortfolio& portfolio,
+                                      const Dependency& target,
+                                      const Budget& budget, std::size_t first,
+                                      std::size_t last, PortfolioResult& swept,
+                                      Verdict& v) {
+  Result<PortfolioResult> run = portfolio.RunRungs(budget, first, last);
   if (!run.ok()) {
     StageReport r{"search", "bounded-search (portfolio)",
                   ImplicationVerdict::kUnknown, run.status().ToString(), {}};
     PushStage(v, std::move(r));
-    return run.status().ToString();
+    return run.status();
   }
   PortfolioResult& result = *run;
   // One stage report per rung the sweep reached, ladder (cost) order.
@@ -669,13 +751,14 @@ std::string ImplicationSolver::SearchStage(const Dependency& target,
   // used.steps.
   for (std::size_t i = 0; i < result.rungs.size(); ++i) {
     RungReport& rung = result.rungs[i];
-    StageReport r{"search", std::move(rung.engine),
-                  ImplicationVerdict::kUnknown, std::move(rung.note), {}};
+    StageReport r{"search", rung.engine, ImplicationVerdict::kUnknown,
+                  rung.note, {}};
     r.used.steps = rung.candidates_tested;
     if (i == result.winner && result.counterexample.has_value()) {
       bool undecided = v.outcome == ImplicationVerdict::kUnknown;
-      bool genuine = AttachCounterexample(
-          std::move(*result.counterexample), target, v, r);
+      Database witness = std::move(*result.counterexample);
+      result.counterexample.reset();
+      bool genuine = AttachCounterexample(std::move(witness), target, v, r);
       if (genuine) {
         r.verdict = ImplicationVerdict::kNotImplied;
         if (undecided) {
@@ -686,20 +769,8 @@ std::string ImplicationSolver::SearchStage(const Dependency& target,
     }
     PushStage(v, std::move(r));
   }
-  if (v.outcome == ImplicationVerdict::kNotImplied) return "";
-  // Not decisive: summarize the sweep for the caller's unknown notes,
-  // naming the largest fully scanned shape (the strongest exhaustion fact
-  // the ladder established) and every rung that could not run.
-  std::string summary =
-      result.largest_scanned.has_value()
-          ? StrCat("no counterexample with <= ",
-                   result.largest_scanned->ToString())
-          : "candidate budget exhausted before any shape was fully scanned";
-  if (result.rungs_skipped > 0) {
-    summary += StrCat(" (", result.rungs_skipped, " of ", result.rungs.size(),
-                      " ladder rungs skipped)");
-  }
-  return summary;
+  swept.Append(std::move(result));
+  return Status::OK();
 }
 
 Result<Verdict> SolveImplication(SchemePtr scheme,

@@ -42,7 +42,9 @@ enum class ImplicationFragment : std::uint8_t {
   /// Chandra-Vardi), no complete k-ary rule system (Theorem 7.1). Solved
   /// by a staged pipeline: sound derivation rules, then a budgeted chase
   /// proof, then bounded counterexample search — any stage may be
-  /// decisive, or all may exhaust their budget (kUnknown).
+  /// decisive, or all may exhaust their budget (kUnknown). When the
+  /// chase may not terminate (chase/termination.h), the search's cheap
+  /// rungs run before it.
   kMixed = 3,
   /// EMVD/MVD sentences anywhere in the query: no exact engine; only
   /// bounded refutation search applies.
@@ -193,10 +195,12 @@ struct Verdict {
 /// The solver classifies the query fragment and routes it to the exact
 /// engine when one exists (pure FD / pure IND / unary / typed); mixed
 /// queries run the staged pipeline (sound derivation rules ->
-/// workspace-chase proof -> bounded counterexample search), every stage
-/// drawing on one Budget via Split(). One InternedWorkspace carries the
-/// chase stage *and* its evidence check, so a chase-refuting fixpoint is
-/// verified without re-interning a single value; a
+/// workspace-chase proof -> bounded counterexample search, with the
+/// search's cheap rungs first when the IND position graph is not weakly
+/// acyclic; docs/solver.md), every stage drawing on one Budget via
+/// Split(). One InternedWorkspace carries the chase stage *and* its
+/// evidence check, so a chase-refuting fixpoint is verified without
+/// re-interning a single value; a
 /// BoundedSearchWorkspace persists across Solve calls so repeated
 /// searches over the scheme reuse their compiled key tables.
 ///
@@ -241,16 +245,25 @@ class ImplicationSolver {
   /// exhausted path too.
   bool ChaseStage(const Dependency& target, const Budget& slice,
                   std::vector<std::string>& unknown_notes, Verdict& v);
-  /// The refutation stage shared by the mixed and unsupported routes (and
-  /// the unary best-effort evidence pass): the shape-ladder portfolio
-  /// (search/portfolio.h) under `budget`, one "search" stage report per
-  /// rung it reached, the winning counterexample verified through
-  /// watchers. Decisive iff some rung finds (and the watchers verify) a
-  /// counterexample. Returns the not-decisive summary for the caller's
-  /// unknown notes — naming the largest fully scanned shape and the
-  /// skipped-rung counts — or "" when decisive.
+  /// The refutation portfolio (search/portfolio.h) over this solver's
+  /// search options and compiled-table cache.
+  RefutationPortfolio MakePortfolio(const Dependency& target);
+  /// The refutation stage shared by the unsupported route and the unary
+  /// best-effort evidence pass: the whole ladder under `budget`. Returns
+  /// the not-decisive summary for the caller's unknown notes — naming the
+  /// largest fully scanned shape and the skipped-rung counts — or "" when
+  /// decisive.
   std::string SearchStage(const Dependency& target, const Budget& budget,
                           Verdict& v);
+  /// Sweeps rungs [first, last) of `portfolio` under `budget` (see
+  /// RefutationPortfolio::RunRungs): one "search" stage report per rung
+  /// reached, the winning counterexample verified through watchers, the
+  /// sweep's report appended to `swept`. Decisive iff some rung finds
+  /// (and the watchers verify) a counterexample. Returns the portfolio's
+  /// error status (invalid inputs) after reporting it as a stage.
+  Status SearchRungs(RefutationPortfolio& portfolio, const Dependency& target,
+                     const Budget& budget, std::size_t first,
+                     std::size_t last, PortfolioResult& swept, Verdict& v);
   /// Tries to answer kNotImplied from the witness cache (a database from
   /// an earlier Solve that satisfies sigma and violates `target`). On a
   /// hit fills the verdict (stage "witness-cache") and returns true.

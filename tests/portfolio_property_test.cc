@@ -8,6 +8,9 @@
 //   (b) shape monotonicity — a counterexample found within shape (t, d)
 //       is also found within (t+1, d) and (t, d+1): growing the ladder
 //       never loses a refutation;
+//   (a') a sweep split in two ranges of one ladder (RunRungs) — the
+//       solver's cheap rungs before the chase and the rest after it —
+//       reports exactly what one Run does, at every split point;
 //   (c) the PR's acceptance workload — a query whose smallest
 //       counterexample needs a third tuple, kUnknown under the classic
 //       fixed 2x2 search — flips to a verified kNotImplied under the
@@ -151,6 +154,42 @@ void ExpectMatchesStandaloneRungs(const Workload& w, const Budget& budget) {
   }
 }
 
+/// For every split point k: rungs [0, k), then — only when they found
+/// nothing — rungs [k, n) Append-ed, must equal one Run(budget): per-rung
+/// status, share, candidate count and note, winner, totals, largest
+/// scanned shape and witness.
+void ExpectSplitSweepMatchesRun(const Workload& w, const Budget& budget) {
+  BoundedSearchWorkspace tables;
+  PortfolioOptions opts;
+  opts.workspace = &tables;
+  RefutationPortfolio portfolio(w.scheme, w.sigma, w.target, opts);
+  Result<PortfolioResult> whole = portfolio.Run(budget);
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  const std::size_t n = portfolio.ladder().size();
+  for (std::size_t k = 0; k <= n; ++k) {
+    Result<PortfolioResult> split = portfolio.RunRungs(budget, 0, k);
+    ASSERT_TRUE(split.ok()) << split.status();
+    if (split->winner == PortfolioResult::kNoRung) {
+      Result<PortfolioResult> rest = portfolio.RunRungs(budget, k, n);
+      ASSERT_TRUE(rest.ok()) << rest.status();
+      split->Append(rest.MoveValue());
+    }
+    EXPECT_EQ(Render(*split), Render(*whole)) << "split at rung " << k;
+    EXPECT_EQ(split->largest_scanned.has_value(),
+              whole->largest_scanned.has_value());
+    if (split->largest_scanned.has_value() &&
+        whole->largest_scanned.has_value()) {
+      EXPECT_TRUE(*split->largest_scanned == *whole->largest_scanned);
+    }
+    ASSERT_EQ(split->counterexample.has_value(),
+              whole->counterexample.has_value());
+    if (split->counterexample.has_value()) {
+      EXPECT_TRUE(*split->counterexample == *whole->counterexample)
+          << "split at rung " << k;
+    }
+  }
+}
+
 class PortfolioPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
@@ -180,6 +219,26 @@ TEST_P(PortfolioPropertyTest, MatchesStandaloneSearchUnderMidRungStarvation) {
     Budget budget;
     budget.steps = steps;
     ExpectMatchesStandaloneRungs(w, budget);
+  }
+}
+
+// --- (a') a sweep split in two ranges equals one sweep -------------------
+
+TEST_P(PortfolioPropertyTest, SplitSweepEqualsOneRun) {
+  SplitMix64 ample(GetParam() * 193 + 3);  // the ample-budget workloads
+  for (int i = 0; i < 3; ++i) {
+    Workload w = RandomWorkload(ample);
+    Budget budget;
+    budget.steps = 20000;
+    ExpectSplitSweepMatchesRun(w, budget);
+  }
+  SplitMix64 starved(GetParam() * 977 + 41);  // the mid-rung workloads
+  Workload w = RandomWorkload(starved);
+  for (std::uint64_t steps : {1ull, 3ull, 10ull, 40ull, 200ull, 1000ull,
+                              5000ull}) {
+    Budget budget;
+    budget.steps = steps;
+    ExpectSplitSweepMatchesRun(w, budget);
   }
 }
 

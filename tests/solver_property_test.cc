@@ -5,14 +5,20 @@
 //   (b) monotonicity — a decisive verdict (kImplied / kNotImplied) never
 //       flips under a larger Budget; only kUnknown may resolve;
 //   (c) every attached counterexample is genuine (re-checked with the
-//       legacy Value-hashing model checker).
+//       legacy Value-hashing model checker);
+//   (d) on a random mixed mix the refute-first stage order decides
+//       exactly what the chase-first order decided.
 #include <gtest/gtest.h>
 
 #include "chase/chase.h"
+#include "chase/workspace_chase.h"
 #include "core/satisfies.h"
+#include "core/workspace.h"
 #include "fd/closure.h"
 #include "ind/implication.h"
+#include "interact/derivation.h"
 #include "interact/unary_finite.h"
+#include "search/portfolio.h"
 #include "solve/solver.h"
 #include "util/rng.h"
 
@@ -255,6 +261,97 @@ TEST_P(SolverPropertyTest, MixedAgreesWithChaseOnAcyclic) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverPropertyTest,
                          ::testing::Range<std::uint64_t>(1, 26));
+
+// --- (d) refute first vs chase first on a random mixed mix --------------
+
+/// The mixed route in the chase-first stage order, as a reference:
+/// derivation, then the chase of the canonical seed, then one full sweep
+/// of the refutation ladder, each on its Budget::Split share.
+ImplicationVerdict ChaseFirstOutcome(SchemePtr scheme,
+                                     const std::vector<Dependency>& sigma,
+                                     const Dependency& target,
+                                     const Budget& budget) {
+  Budget slice = budget.Split(SolveOptions().mixed_stage_split);
+  std::vector<Dependency> nontrivial;
+  std::vector<Fd> fds;
+  std::vector<Ind> inds;
+  for (const Dependency& dep : sigma) {
+    if (IsTrivial(*scheme, dep)) continue;
+    nontrivial.push_back(dep);
+    if (dep.is_fd()) fds.push_back(dep.fd());
+    if (dep.is_ind()) inds.push_back(dep.ind());
+  }
+  MixedDerivation derivation(scheme, nontrivial,
+                             MixedDerivation::Options::FromBudget(slice));
+  if (derivation.Saturate().ok() && derivation.Derives(target)) {
+    return ImplicationVerdict::kImplied;
+  }
+  InternedWorkspace ws(scheme);
+  ws.AppendDatabase(MakeCanonicalSeed(scheme, target).value());
+  WorkspaceChase chase(&ws, fds, inds);
+  Result<WorkspaceChaseStats> run = chase.Run(ChaseOptions::FromBudget(slice));
+  if (run.ok() && run->outcome != ChaseOutcome::kFailed) {
+    return ws.Satisfies(target) ? ImplicationVerdict::kImplied
+                                : ImplicationVerdict::kNotImplied;
+  }
+  Result<PortfolioResult> sweep =
+      RefutationPortfolio(scheme, nontrivial, target).Run(slice);
+  return sweep.ok() && sweep->counterexample.has_value()
+             ? ImplicationVerdict::kNotImplied
+             : ImplicationVerdict::kUnknown;
+}
+
+TEST(SolverMixedMixTest, RefuteFirstDecidesWhatChaseFirstDecided) {
+  // One arity-4 relation, 1-3 unary FDs, 1-2 INDs of width <= 2, an FD
+  // target; 111 mixed queries from seed 7. The budget is cut to 1/16 of
+  // the default so the divergent chases stay short.
+  SplitMix64 rng(7);
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C", "D"}}});
+  Budget budget;
+  budget.steps /= 16;
+  budget.tuples /= 16;
+  SolveOptions options;
+  options.use_witness_cache = false;
+  auto attrs = [&](std::size_t k) {
+    std::vector<AttrId> all = {0, 1, 2, 3};
+    for (std::size_t i = 0; i < k; ++i) {
+      std::swap(all[i], all[i + rng.Below(4 - i)]);
+    }
+    all.resize(k);
+    return all;
+  };
+  std::size_t queries = 0, decided = 0;
+  while (queries < 111) {
+    std::vector<Dependency> sigma;
+    for (std::size_t i = 1 + rng.Below(3); i > 0; --i) {
+      std::vector<AttrId> xy = attrs(2);
+      sigma.push_back(Dependency(Fd{0, {xy[0]}, {xy[1]}}));
+    }
+    for (std::size_t i = 1 + rng.Below(2); i > 0; --i) {
+      std::size_t width = 1 + rng.Below(2);
+      sigma.push_back(Dependency(Ind{0, attrs(width), 0, attrs(width)}));
+    }
+    std::vector<AttrId> xyz = attrs(3);
+    std::size_t k = 1 + rng.Below(2);
+    Dependency target(
+        Fd{0, std::vector<AttrId>(xyz.begin(), xyz.begin() + k), {xyz[2]}});
+    if (ClassifyImplicationFragment(*scheme, sigma, target) !=
+        ImplicationFragment::kMixed) {
+      continue;
+    }
+    ++queries;
+    ImplicationSolver solver(scheme, sigma, options);
+    Verdict v = solver.Solve(target, budget).value();
+    EXPECT_EQ(v.outcome, ChaseFirstOutcome(scheme, sigma, target, budget))
+        << v.ToString(*scheme);
+    if (v.outcome != ImplicationVerdict::kUnknown) ++decided;
+    if (v.not_implied()) {
+      ASSERT_TRUE(v.counterexample.has_value()) << v.ToString(*scheme);
+      ExpectCounterexampleGenuine(v, sigma, target, *scheme);
+    }
+  }
+  EXPECT_GT(decided, queries / 2);
+}
 
 }  // namespace
 }  // namespace ccfp

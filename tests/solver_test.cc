@@ -12,6 +12,7 @@
 #include "fd/closure.h"
 #include "ind/implication.h"
 #include "search/bounded.h"
+#include "search/portfolio.h"
 #include "solve/solver.h"
 
 namespace ccfp {
@@ -243,6 +244,13 @@ TEST(SolverTest, MixedNotImpliedChaseFixpointIsTheCounterexample) {
   EXPECT_EQ(v.fragment, ImplicationFragment::kMixed);
   EXPECT_EQ(v.outcome, ImplicationVerdict::kNotImplied);
   ExpectGenuineCounterexample(v, sigma, target, *scheme);
+  // R[A, B] <= S[C, D] fills every column of S, so it creates no nulls:
+  // the INDs are weakly acyclic and the chase, which terminates, runs
+  // straight after the derivation stage and decides.
+  EXPECT_EQ(v.engine, "workspace-chase (universal model)");
+  ASSERT_EQ(v.stages.size(), 2u) << v.ToString(*scheme);
+  EXPECT_EQ(v.stages[0].stage, "derivation");
+  EXPECT_EQ(v.stages[1].stage, "chase");
 }
 
 TEST(SolverTest, MixedUndecidableReturnsStructuredUnknown) {
@@ -262,12 +270,74 @@ TEST(SolverTest, MixedUndecidableReturnsStructuredUnknown) {
   EXPECT_EQ(v.fragment, ImplicationFragment::kMixed);
   EXPECT_EQ(v.outcome, ImplicationVerdict::kUnknown);
   EXPECT_FALSE(v.reason.empty());
-  ASSERT_GE(v.stages.size(), 3u);
+  // The INDs are not weakly acyclic, so the cheap ladder prefix (only
+  // rung 0 under this budget) sweeps before the chase and the rest of the
+  // ladder after it.
+  ASSERT_GE(v.stages.size(), 4u);
   EXPECT_EQ(v.stages[0].stage, "derivation");
-  EXPECT_EQ(v.stages[1].stage, "chase");
-  EXPECT_EQ(v.stages[2].stage, "search");
+  EXPECT_EQ(v.stages[1].stage, "search");
+  EXPECT_EQ(v.stages[2].stage, "chase");
+  EXPECT_EQ(v.stages[3].stage, "search");
   // The chase stage must report its (exhausted) step consumption.
-  EXPECT_GT(v.stages[1].used.steps, 0u);
+  EXPECT_GT(v.stages[2].used.steps, 0u);
+}
+
+TEST(SolverTest, MixedUnknownReasonNamesTheSpecialEdgeCycle) {
+  // Same query: the kUnknown reason says why the chase may never answer.
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}});
+  std::vector<Dependency> sigma =
+      ParseDependencies(*scheme,
+                        "R: A -> B\nR[B, C] <= R[A, B]\nR[A] <= R[C]")
+          .value();
+  ImplicationSolver solver(scheme, sigma);
+  Verdict v = MustSolve(solver, Dependency(MakeFd(*scheme, "R", {"C"}, {"B"})),
+                        Budget::Tiny());
+  ASSERT_EQ(v.outcome, ImplicationVerdict::kUnknown);
+  EXPECT_NE(v.reason.find("special-edge cycle R.B => R.C -> R.B"),
+            std::string::npos)
+      << v.reason;
+}
+
+/// {A -> B, R[B, C] <= R[C, A]} over R(A, B, C) does not imply A -> C:
+/// the chase from the target's seed diverges, and the smallest witness
+/// needs three tuples.
+struct WideSolve {
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}});
+  std::vector<Dependency> sigma = {Dependency(Fd{0, {0}, {1}}),
+                                   Dependency(Ind{0, {1, 2}, 0, {2, 0}})};
+  Dependency target{Fd{0, {0}, {2}}};
+};
+
+TEST(SolverTest, WideSolveRefutesBeforeTheChase) {
+  WideSolve w;
+  ImplicationSolver solver(w.scheme, w.sigma);
+  Budget budget;
+  Verdict v = MustSolve(solver, w.target, budget);
+  ASSERT_EQ(v.outcome, ImplicationVerdict::kNotImplied)
+      << v.ToString(*w.scheme);
+  EXPECT_EQ(v.engine, "bounded-search (id-space)");
+  ExpectGenuineCounterexample(v, w.sigma, w.target, *w.scheme);
+  EXPECT_EQ(v.counterexample->TotalTuples(), 3u);
+  for (const StageReport& r : v.stages) {
+    EXPECT_NE(r.stage, "chase") << v.ToString(*w.scheme);
+  }
+  const StageReport& last = v.stages.back();
+  EXPECT_EQ(last.note.rfind("counterexample found at 3 tuples/relation over "
+                            "a 2-value domain", 0),
+            0u)
+      << v.ToString(*w.scheme);
+
+  // The same witness one full sweep of the search share finds.
+  PortfolioResult sweep =
+      RefutationPortfolio(w.scheme, w.sigma, w.target)
+          .Run(budget.Split(SolveOptions().mixed_stage_split))
+          .value();
+  ASSERT_TRUE(sweep.counterexample.has_value());
+  EXPECT_TRUE(*sweep.counterexample == *v.counterexample);
+  ASSERT_EQ(sweep.rungs.size() + 1, v.stages.size());  // + derivation
+  for (std::size_t i = 0; i < sweep.rungs.size(); ++i) {
+    EXPECT_EQ(v.stages[i + 1].used.steps, sweep.rungs[i].candidates_tested);
+  }
 }
 
 TEST(SolverTest, ExhaustedChaseReportsWhatItConsumed) {
