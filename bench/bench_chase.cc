@@ -1,8 +1,9 @@
 // E11: FD+IND chase behaviour — the Section 7 schema chase terminates
 // (its IND graph is acyclic) and scales with n; cyclic IND sets exhaust
 // the budget (the undecidability surface of Mitchell / Chandra-Vardi).
-// Also the incremental-vs-naive engine comparison on a deep IND cascade,
-// emitted to BENCH_chase.json for machine-readable perf tracking.
+// Also the incremental-vs-naive engine comparison on a deep IND cascade
+// and the per-tuple cost of a divergent chase, emitted to
+// BENCH_chase.json for machine-readable perf tracking.
 #include <cstdio>
 #include <string_view>
 
@@ -12,8 +13,12 @@
 #include "bench/reporter.h"
 #include "bench/workloads.h"
 #include "chase/chase.h"
+#include "chase/workspace_chase.h"
 #include "constructions/section7.h"
+#include "core/parser.h"
 #include "reference/chase.h"
+#include "solve/solver.h"
+#include "util/budget.h"
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -108,9 +113,54 @@ void BM_ChaseFixpointSize(benchmark::State& state) {
 
 BENCHMARK(BM_ChaseFixpointSize)->RangeMultiplier(2)->Range(1, 64);
 
-/// Times the deep-cascade workload under both engines and writes
-/// BENCH_chase.json. Runs before the google-benchmark suite so the file
-/// exists even when benchmarks are filtered out.
+/// The divergent R/S cycle of the perfbench mixed_solve template, chased
+/// from the canonical seed of `R: B -> C` with the chase stage's share of
+/// the default Budget until the share runs out: the kernel cost every
+/// kUnknown mixed verdict pays. Entry n = tuples alive at exhaustion,
+/// steps = chase steps; the wall time covers seeding the workspace, the
+/// chase and the teardown, as a solver's chase stage pays them.
+void EmitDivergentCycle(BenchReporter& reporter, bool smoke) {
+  SchemePtr scheme =
+      MakeScheme({{"R", {"A", "B", "C"}}, {"S", {"D", "E", "F"}}});
+  std::vector<Fd> fds;
+  std::vector<Ind> inds;
+  std::vector<Dependency> sigma = ParseDependencies(*scheme,
+                                                    "R: A -> B\n"
+                                                    "R[B, C] <= R[C, A]\n"
+                                                    "S: D -> E\n"
+                                                    "R[A, B] <= S[D, E]\n"
+                                                    "S[E, F] <= R[A, C]\n")
+                                      .value();
+  for (const Dependency& dep : sigma) {
+    if (dep.is_fd()) fds.push_back(dep.fd());
+    if (dep.is_ind()) inds.push_back(dep.ind());
+  }
+  Database seed =
+      MakeCanonicalSeed(scheme, ParseDependency(*scheme, "R: B -> C").value())
+          .value();
+  ChaseOptions options = ChaseOptions::FromBudget(
+      Budget().Split(SolveOptions().mixed_stage_split));
+  std::uint64_t tuples = 0;
+  std::uint64_t steps = 0;
+  std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+    InternedWorkspace ws(scheme);
+    ws.AppendDatabase(seed);
+    WorkspaceChase chase(&ws, fds, inds);
+    CCFP_CHECK(!chase.Run(options).ok());  // the cycle never converges
+    tuples = ws.TotalAliveTuples();
+    steps = chase.last_run().steps;
+  });
+  reporter.Add("divergent_cycle", tuples, wall, steps);
+  std::fprintf(stderr,
+               "divergent_cycle: %.2f ms, %llu tuples, %.0f ns/tuple\n",
+               wall / 1e6, static_cast<unsigned long long>(tuples),
+               static_cast<double>(wall) /
+                   static_cast<double>(tuples == 0 ? 1 : tuples));
+}
+
+/// Times the deep-cascade workload under both engines and the divergent
+/// cycle, and writes BENCH_chase.json. Runs before the google-benchmark
+/// suite so the file exists even when benchmarks are filtered out.
 void EmitJsonReport(bool smoke) {
   BenchReporter reporter("chase");
   for (std::size_t levels : {64, 128, 256}) {
@@ -139,6 +189,7 @@ void EmitJsonReport(bool smoke) {
                  static_cast<double>(wall[0]) /
                      static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
   }
+  EmitDivergentCycle(reporter, smoke);
   reporter.WriteFile();
 }
 

@@ -26,13 +26,18 @@ WorkspaceChase::WorkspaceChase(InternedWorkspace* ws, std::vector<Fd> fds,
   for (std::uint32_t i = 0; i < fds_.size(); ++i) {
     fds_by_rel_[fds_[i].rel].push_back(i);
   }
-  fd_index_.resize(fds_.size());
+  for (const Fd& fd : fds_) fd_index_.emplace_back(fd.lhs.size());
   ind_states_.resize(inds_.size());
   inds_by_lhs_rel_.resize(n);
   inds_by_rhs_rel_.resize(n);
   for (std::uint32_t i = 0; i < inds_.size(); ++i) {
-    inds_by_lhs_rel_[inds_[i].lhs_rel].push_back(i);
-    inds_by_rhs_rel_[inds_[i].rhs_rel].push_back(i);
+    const Ind& ind = inds_[i];
+    inds_by_lhs_rel_[ind.lhs_rel].push_back(i);
+    inds_by_rhs_rel_[ind.rhs_rel].push_back(i);
+    IndState& is = ind_states_[i];
+    is.rhs_keys = IdKeyTable(ind.width());
+    is.source.assign(scheme.relation(ind.rhs_rel).arity(), kFreshNull);
+    for (std::uint32_t k = 0; k < ind.width(); ++k) is.source[ind.rhs[k]] = k;
   }
   queued_.resize(n);
   admitted_.resize(n, 0);
@@ -58,6 +63,13 @@ Status WorkspaceChase::BudgetCheckpoint() {
   return Status::OK();
 }
 
+void WorkspaceChase::Project(RelId rel, std::uint32_t idx,
+                             const std::vector<AttrId>& cols) {
+  const IdTuple& t = ws_->tuple(rel, idx);
+  key_.clear();
+  for (AttrId c : cols) key_.push_back(ws_->Canon(t[c]));
+}
+
 void WorkspaceChase::EnqueueFdDirty(RelId rel, std::uint32_t idx) {
   std::vector<std::uint8_t>& q = queued_[rel];
   if (q.size() <= idx) q.resize(ws_->size(rel), 0);
@@ -68,8 +80,8 @@ void WorkspaceChase::EnqueueFdDirty(RelId rel, std::uint32_t idx) {
 
 void WorkspaceChase::RegisterRhsProjections(RelId rel, std::uint32_t idx) {
   for (std::uint32_t ind_id : inds_by_rhs_rel_[rel]) {
-    ind_states_[ind_id].rhs_keys.insert(
-        ws_->CanonicalProjection(rel, idx, inds_[ind_id].rhs));
+    Project(rel, idx, inds_[ind_id].rhs);
+    ind_states_[ind_id].rhs_keys.Insert(key_.data(), 0);
   }
 }
 
@@ -113,19 +125,22 @@ void WorkspaceChase::AdmitAppended() {
 Status WorkspaceChase::ProbeFd(std::uint32_t fd_id, RelId rel,
                                std::uint32_t idx) {
   const Fd& fd = fds_[fd_id];
-  IdTuple key = ws_->CanonicalProjection(rel, idx, fd.lhs);
-  auto [it, inserted] = fd_index_[fd_id].try_emplace(std::move(key), idx);
-  if (inserted || it->second == idx) return Status::OK();
-  std::uint32_t rep = it->second;
+  IdKeyTable& index = fd_index_[fd_id];
+  Project(rel, idx, fd.lhs);
+  auto [entry, inserted] = index.Insert(key_.data(), idx);
+  if (inserted || index.value(entry) == idx) return Status::OK();
+  std::uint32_t rep = index.value(entry);
+  const IdTuple& rep_t = ws_->tuple(rel, rep);
   // The entry may be stale: the representative's key can have drifted
   // since insertion (its ids merged). A drifted rep was dirtied by the
   // merge and will re-index itself under its new key, so just take over.
-  if (ws_->CanonicalProjection(rel, rep, fd.lhs) != it->first) {
-    it->second = idx;
-    return Status::OK();
+  for (std::size_t i = 0; i < fd.lhs.size(); ++i) {
+    if (ws_->Canon(rep_t[fd.lhs[i]]) != key_[i]) {
+      index.set_value(entry, idx);
+      return Status::OK();
+    }
   }
   const IdTuple& t = ws_->tuple(rel, idx);
-  const IdTuple& rep_t = ws_->tuple(rel, rep);
   for (AttrId y : fd.rhs) {
     ValueId a = ws_->Canon(t[y]);
     ValueId b = ws_->Canon(rep_t[y]);
@@ -197,26 +212,27 @@ Status WorkspaceChase::ProbeInd(std::uint32_t ind_id, std::uint32_t idx,
   const Ind& ind = inds_[ind_id];
   if (!ws_->alive(ind.lhs_rel, idx)) return Status::OK();
   CCFP_RETURN_NOT_OK(BudgetCheckpoint());
-  IdTuple key = ws_->CanonicalProjection(ind.lhs_rel, idx, ind.lhs);
-  auto [it, inserted] = ind_states_[ind_id].rhs_keys.insert(std::move(key));
-  if (!inserted) return Status::OK();
+  IndState& is = ind_states_[ind_id];
+  Project(ind.lhs_rel, idx, ind.lhs);
+  if (is.rhs_keys.Find(key_.data()) != IdKeyTable::kNone) return Status::OK();
   if (FaultFires(FaultSite::kArenaAppend)) {
-    // The arena refused to grow. Un-register the key so a resumed Run
-    // re-probes this slot and creates the witness then.
-    ind_states_[ind_id].rhs_keys.erase(it);
+    // The arena refused to grow. Nothing is registered yet, so a resumed
+    // Run re-probes this slot and creates the witness then.
     return Status::ResourceExhausted("injected arena allocation failure");
   }
-  std::size_t arity = ws_->scheme().relation(ind.rhs_rel).arity();
+  is.rhs_keys.Insert(key_.data(), 0);
+  std::size_t arity = is.source.size();
   IdTuple fresh(arity, 0);
-  // Fresh labels for every position, then overwrite the constrained ones
-  // — byte-for-byte the numbering of the restart-scan reference chase
+  // One label per position, the constrained ones left unused — byte-for-
+  // byte the numbering of the restart-scan reference chase
   // (tests/reference/chase.h), so both produce identically-labeled
-  // databases on deterministic inputs.
-  for (std::size_t a = 0; a < arity; ++a) {
-    fresh[a] = ws_->InternFreshNull();
-  }
-  for (std::size_t i = 0; i < ind.width(); ++i) {
-    fresh[ind.rhs[i]] = (*it)[i];
+  // databases on deterministic inputs. Only the unconstrained positions
+  // are interned; the ids skip the unused labels in order, which keeps
+  // every union-find tie-break (and so every merge) unchanged.
+  std::uint64_t label = ws_->ReserveNullLabels(arity);
+  for (std::size_t a = 0; a < arity; ++a, ++label) {
+    std::uint32_t k = is.source[a];
+    fresh[a] = k == kFreshNull ? ws_->Intern(Value::Null(label)) : key_[k];
   }
   *any = true;
   if (ws_->Append(ind.rhs_rel, std::move(fresh))) {

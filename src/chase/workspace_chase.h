@@ -3,12 +3,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "chase/chase.h"
 #include "core/dependency.h"
+#include "core/flat_table.h"
 #include "core/workspace.h"
 #include "util/status.h"
 
@@ -26,7 +25,11 @@ struct WorkspaceChaseStats {
 /// re-hosted on a caller-owned InternedWorkspace — the substrate keeps the
 /// interner, union-find, tuple stores, and occurrence lists; this class
 /// keeps only the rule machinery (per-FD lhs-key indexes, per-IND rhs
-/// projection sets, dirty worklists, admission cursors).
+/// projection sets, dirty worklists, admission cursors). The rule indexes
+/// are flat open-addressed tables (core/flat_table.h) probed with
+/// projections built into one reused buffer, and a generated tuple
+/// interns only its unconstrained positions as fresh nulls, so the
+/// per-tuple kernel allocates nothing beyond the stored row itself.
 ///
 /// The payoff over the one-shot engine is that the chase is *resumable*:
 /// after Run() reaches a fixpoint, the caller can append more tuples to the
@@ -88,12 +91,18 @@ class WorkspaceChase {
   const WorkspaceChaseStats& last_run() const { return last_run_; }
 
  private:
+  /// Marks an rhs position an IND leaves unconstrained (IndState::source).
+  static constexpr std::uint32_t kFreshNull = UINT32_MAX;
+
   struct IndState {
-    /// Canonical rhs projections present in the rhs relation. Insert-only:
-    /// entries whose ids have since been merged away contain non-root ids
-    /// and can never collide with a canonical probe key, so stale entries
-    /// are harmless.
-    std::unordered_set<IdTuple, IdTupleHash> rhs_keys;
+    /// Canonical rhs projections present in the rhs relation (a set: the
+    /// values are unused). Insert-only: entries whose ids have since been
+    /// merged away contain non-root ids and can never collide with a
+    /// canonical probe key, so stale entries are harmless.
+    IdKeyTable rhs_keys;
+    /// Per rhs-relation position: the index into the lhs projection that
+    /// fills it in a generated tuple, or kFreshNull.
+    std::vector<std::uint32_t> source;
     /// Lhs slots whose canonical form changed since the last pass.
     std::vector<std::uint32_t> dirty;
     /// Lhs slots below this index were scanned in earlier passes.
@@ -105,6 +114,10 @@ class WorkspaceChase {
   /// wall-clock deadline and the workspace byte ceiling. Returning
   /// ResourceExhausted here is always resumable (callers requeue).
   Status BudgetCheckpoint();
+  /// Writes the canonical projection of slot (rel, idx) onto `cols` —
+  /// ids mapped through the union-find, valid even while the slot is
+  /// stale — into the reused buffer `key_`.
+  void Project(RelId rel, std::uint32_t idx, const std::vector<AttrId>& cols);
   void EnqueueFdDirty(RelId rel, std::uint32_t idx);
   void RegisterRhsProjections(RelId rel, std::uint32_t idx);
   /// Takes a freshly appended slot under management: rhs projections into
@@ -124,8 +137,7 @@ class WorkspaceChase {
   std::vector<Ind> inds_;
 
   std::vector<std::vector<std::uint32_t>> fds_by_rel_;
-  std::vector<std::unordered_map<IdTuple, std::uint32_t, IdTupleHash>>
-      fd_index_;  // per FD: canonical lhs key -> representative slot
+  std::vector<IdKeyTable> fd_index_;  // per FD: lhs key -> representative slot
   std::vector<IndState> ind_states_;
   std::vector<std::vector<std::uint32_t>> inds_by_lhs_rel_;
   std::vector<std::vector<std::uint32_t>> inds_by_rhs_rel_;
@@ -134,6 +146,7 @@ class WorkspaceChase {
   std::vector<std::vector<std::uint8_t>> queued_;  // per rel, per slot
   std::vector<std::uint32_t> admitted_;            // per rel: admitted prefix
   std::vector<std::uint64_t> admit_cursor_;        // per rel: feed position
+  IdTuple key_;  ///< projection buffer shared by every probe
   InternedWorkspace::FeedCursorId feed_cursor_ = 0;  ///< pins compaction
   bool failed_ = false;
 

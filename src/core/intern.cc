@@ -1,30 +1,74 @@
 #include "core/intern.h"
 
+#include <algorithm>
+
 namespace ccfp {
 
-ValueId ValueInterner::Intern(const Value& v) {
-  if (base_ != nullptr) {
-    auto bit = base_->ids.find(v);
-    if (bit != base_->ids.end()) return bit->second;
+bool ValueInterner::AboveAllNulls(std::uint64_t label) const {
+  if (!nulls_.empty()) return label > nulls_.back().label;
+  if (base_ != nullptr && !base_->nulls.empty()) {
+    return label > base_->nulls.back().label;
   }
-  auto it = ids_.find(v);
-  if (it != ids_.end()) return it->second;
+  return true;
+}
+
+const ValueInterner::NullEntry* ValueInterner::FindAscendingNull(
+    std::uint64_t label) const {
+  // Local labels are all above the base's, so one vector can hold it.
+  const std::vector<NullEntry>* v = &nulls_;
+  if (base_ != nullptr && !base_->nulls.empty() &&
+      label <= base_->nulls.back().label) {
+    v = &base_->nulls;
+  }
+  auto it = std::lower_bound(
+      v->begin(), v->end(), label,
+      [](const NullEntry& e, std::uint64_t l) { return e.label < l; });
+  return it != v->end() && it->label == label ? &*it : nullptr;
+}
+
+ValueId ValueInterner::Append(const Value& v) {
   ValueId id = base_size_ + static_cast<ValueId>(values_.size());
   values_.push_back(v);
-  ids_.emplace(v, id);
-  if (v.is_null()) NoteNullLabel(v.null_id());
+  if (v.is_null() && AboveAllNulls(v.null_id())) {
+    nulls_.push_back(NullEntry{v.null_id(), id});
+  } else {
+    ids_.emplace(v, id);
+  }
   return id;
 }
 
-ValueId ValueInterner::InternFreshNull() {
-  return Intern(Value::Null(next_null_label_));
+bool ValueInterner::Lookup(const Value& v, ValueId* id) const {
+  if (v.is_null()) {
+    if (AboveAllNulls(v.null_id())) return false;  // absent everywhere
+    if (const NullEntry* e = FindAscendingNull(v.null_id())) {
+      *id = e->id;
+      return true;
+    }
+  }
+  if (base_ != nullptr) {
+    auto bit = base_->ids.find(v);
+    if (bit != base_->ids.end()) {
+      *id = bit->second;
+      return true;
+    }
+  }
+  auto it = ids_.find(v);
+  if (it == ids_.end()) return false;
+  *id = it->second;
+  return true;
+}
+
+ValueId ValueInterner::Intern(const Value& v) {
+  ValueId id = 0;
+  if (Lookup(v, &id)) return id;
+  if (v.is_null()) NoteNullLabel(v.null_id());
+  return Append(v);
 }
 
 bool ValueInterner::InternNew(const Value& v) {
-  if (base_ != nullptr && base_->ids.count(v) != 0) return false;
-  ValueId id = base_size_ + static_cast<ValueId>(values_.size());
-  if (!ids_.emplace(v, id).second) return false;
-  values_.push_back(v);
+  ValueId id = 0;
+  if (Lookup(v, &id)) return false;
+  Append(v);
   return true;
 }
 
@@ -32,16 +76,19 @@ void ValueInterner::Freeze() {
   if (values_.empty() && base_ != nullptr) return;  // nothing new to seal
   auto frozen = std::make_shared<Frozen>();
   frozen->values.reserve(size());
-  if (base_ != nullptr) frozen->values = base_->values;
-  for (Value& v : values_) frozen->values.push_back(std::move(v));
-  frozen->ids.reserve(frozen->values.size());
-  for (ValueId id = 0; id < frozen->values.size(); ++id) {
-    frozen->ids.emplace(frozen->values[id], id);
+  if (base_ != nullptr) {
+    frozen->values = base_->values;
+    frozen->ids = base_->ids;
+    frozen->nulls = base_->nulls;
   }
+  for (Value& v : values_) frozen->values.push_back(std::move(v));
+  frozen->ids.insert(ids_.begin(), ids_.end());
+  frozen->nulls.insert(frozen->nulls.end(), nulls_.begin(), nulls_.end());
   base_size_ = static_cast<ValueId>(frozen->values.size());
   base_ = std::move(frozen);
   values_.clear();
   ids_.clear();
+  nulls_.clear();
 }
 
 void ValueInterner::NoteNullLabel(std::uint64_t label) {

@@ -20,6 +20,17 @@ using ValueId = std::uint32_t;
 /// order, so a deterministic input order yields a deterministic id
 /// assignment.
 ///
+/// ## Ascending nulls
+///
+/// A labeled null whose label is above every null label interned so far
+/// cannot collide with anything, so it skips the hash map: it goes into a
+/// label-ascending side vector, and a null lookup binary-searches that
+/// vector before probing the map. Every fresh null lands there, so the
+/// chase's per-tuple nulls cost a vector append instead of a heap node;
+/// `Intern(Value::Null(L))` still finds them. The placement depends only
+/// on the sequence of values interned, so a snapshot restore that
+/// re-interns the table in id order rebuilds the same layout.
+///
 /// ## Shared frozen base (copy-on-write extension)
 ///
 /// `Freeze()` seals the current contents into an immutable, reference-
@@ -33,15 +44,35 @@ using ValueId = std::uint32_t;
 /// observation (ids, values, size, the null watermark) is unaffected.
 class ValueInterner {
  public:
-  /// Returns the id of `v`, interning it on first sight.
+  /// One ascending null: its label and id.
+  struct NullEntry {
+    std::uint64_t label = 0;
+    ValueId id = 0;
+  };
+
+  /// Returns the id of `v`, interning it on first sight. A null labeled
+  /// above every interned null label (each label ReserveNullLabels hands
+  /// out, interned in ascending order) is appended without any hashing.
   ValueId Intern(const Value& v);
 
-  /// Interns a fresh labeled null (label = one past the largest label seen
-  /// via `NoteNullLabel` or previous fresh nulls).
-  ValueId InternFreshNull();
+  /// Reserves `n` consecutive labels above every label seen so far and
+  /// returns the first. Nothing is interned: the caller interns the
+  /// labels it keeps, in ascending order.
+  std::uint64_t ReserveNullLabels(std::uint64_t n) {
+    std::uint64_t first = next_null_label_;
+    next_null_label_ += n;
+    return first;
+  }
 
   /// Makes sure future fresh nulls are numbered strictly above `label`.
   void NoteNullLabel(std::uint64_t label);
+
+  /// Restore-path append: interns `v` asserting it is unseen. Returns
+  /// false (without interning) when `v` is already present — snapshot
+  /// restores treat that as corruption. Places `v` exactly as Intern
+  /// would, and does not touch the null watermark (restores set it
+  /// explicitly).
+  bool InternNew(const Value& v);
 
   /// Seals the current contents (base + local extension) into a new
   /// immutable shared base; the local extension empties. Idempotent when
@@ -60,28 +91,42 @@ class ValueInterner {
   bool is_const(ValueId id) const { return !value(id).is_null(); }
   std::uint64_t null_label(ValueId id) const { return value(id).null_id(); }
   std::size_t size() const { return base_size_ + values_.size(); }
+  /// Values held as ascending nulls (base and local extension); the other
+  /// size() - ascending_nulls() sit in the hash maps.
+  std::size_t ascending_nulls() const {
+    return (base_ != nullptr ? base_->nulls.size() : 0) + nulls_.size();
+  }
 
  private:
   friend class WorkspaceSnapshotAccess;  ///< serialization (core/snapshot.h)
 
-  /// The sealed table: values in id order plus their reverse index.
-  /// Immutable after construction; shared across forks by shared_ptr.
+  /// The sealed table: values in id order plus their reverse index (the
+  /// hash map for everything but the ascending nulls). Immutable after
+  /// construction; shared across forks by shared_ptr.
   struct Frozen {
     std::vector<Value> values;
     std::unordered_map<Value, ValueId, ValueHash> ids;
+    std::vector<NullEntry> nulls;  ///< label-ascending
   };
 
-  /// Snapshot-restore append: interns `v` asserting it is unseen. Returns
-  /// false (without interning) when `v` is already present in the base or
-  /// the local extension — restore paths treat that as corruption. Does
-  /// not touch the null watermark (restores set it explicitly).
-  bool InternNew(const Value& v);
+  /// True when `label` is above every interned null label: such a null is
+  /// absent everywhere and joins the ascending nulls. (The largest null
+  /// label interned is always an ascending null's.)
+  bool AboveAllNulls(std::uint64_t label) const;
+  /// The ascending null labeled `label`, or nullptr.
+  const NullEntry* FindAscendingNull(std::uint64_t label) const;
+  /// Sets `*id` to the id of `v` and returns true when `v` is interned.
+  bool Lookup(const Value& v, ValueId* id) const;
+  /// Appends `v` (known absent) to the local extension and returns its id.
+  ValueId Append(const Value& v);
 
   std::shared_ptr<const Frozen> base_;  ///< null until the first Freeze
   ValueId base_size_ = 0;               ///< == base_->values.size()
   /// Local extension: entry i holds the value with id base_size_ + i.
   std::vector<Value> values_;
   std::unordered_map<Value, ValueId, ValueHash> ids_;
+  /// Local ascending nulls, every label above the base's.
+  std::vector<NullEntry> nulls_;
   std::uint64_t next_null_label_ = 1;
 };
 

@@ -456,8 +456,9 @@ class WorkspaceSnapshotAccess {
       // Rebuild the dedup index over alive slots (content-determined).
       for (std::uint32_t i = 0; i < rs.tuples.size(); ++i) {
         if (!rs.alive[i]) continue;
-        auto [it, inserted] = rs.dedup.emplace(rs.tuples[i], i);
-        if (!inserted) return Corrupt("duplicate alive tuple");
+        if (!rs.IndexRow(i, rs.tuples[i])) {
+          return Corrupt("duplicate alive tuple");
+        }
       }
       rs.feed_base = r.U64();
       std::uint64_t n_events = r.U64();

@@ -25,14 +25,6 @@ ValueId InternedWorkspace::Intern(const Value& v) {
   return id;
 }
 
-ValueId InternedWorkspace::InternFreshNull() {
-  ++stats_.values_interned;
-  ValueId id = interner_.InternFreshNull();
-  uf_.EnsureSize(interner_.size());
-  occurrences_.resize(interner_.size());
-  return id;
-}
-
 void InternedWorkspace::RegisterOccurrences(RelId rel, std::uint32_t idx,
                                             const IdTuple& t) {
   if (occurrences_.size() < interner_.size()) {
@@ -56,18 +48,17 @@ void InternedWorkspace::JournalRecord(WorkspaceJournalEntry e) const {
 bool InternedWorkspace::Append(RelId rel, IdTuple t) {
   RelStore& rs = rels_[rel];
   std::uint32_t idx = static_cast<std::uint32_t>(rs.tuples.size());
-  auto [it, inserted] = rs.dedup.emplace(std::move(t), idx);
-  if (!inserted) return false;
+  if (!rs.IndexRow(idx, t)) return false;
   if (journal_enabled_) {
     WorkspaceJournalEntry e;
     e.op = WorkspaceJournalEntry::Op::kAppend;
     e.rel = rel;
-    e.ids = it->first;
+    e.ids = t;
     JournalRecord(std::move(e));
   }
-  RegisterOccurrences(rel, idx, it->first);
-  tuple_id_cells_ += it->first.size();
-  rs.tuples.push_back(it->first);
+  RegisterOccurrences(rel, idx, t);
+  tuple_id_cells_ += t.size();
+  rs.tuples.push_back(std::move(t));
   rs.alive.push_back(1);
   ++rs.alive_count;
   ++total_alive_;
@@ -192,13 +183,9 @@ InternedWorkspace::CanonOutcome InternedWorkspace::CanonicalizeTuple(
     e.idx = idx;
     JournalRecord(std::move(e));
   }
-  auto old_it = rs.dedup.find(stored);
-  if (old_it != rs.dedup.end() && old_it->second == idx) {
-    rs.dedup.erase(old_it);
-  }
+  rs.UnindexRow(idx);
   for (ValueId& id : stored) id = uf_.Find(id);
-  auto [new_it, inserted] = rs.dedup.emplace(stored, idx);
-  if (!inserted) {
+  if (!rs.IndexRow(idx, stored)) {
     // Collapsed onto an alive twin; the twin carries all duties.
     rs.alive[idx] = 0;
     --rs.alive_count;
@@ -213,13 +200,11 @@ InternedWorkspace::CanonOutcome InternedWorkspace::CanonicalizeTuple(
   return CanonOutcome::kRewritten;
 }
 
-IdTuple InternedWorkspace::CanonicalProjection(
-    RelId rel, std::uint32_t idx, const std::vector<AttrId>& cols) const {
-  const IdTuple& t = rels_[rel].tuples[idx];
-  IdTuple out;
-  out.reserve(cols.size());
-  for (AttrId c : cols) out.push_back(uf_.Find(t[c]));
-  return out;
+std::optional<std::uint32_t> InternedWorkspace::FindTuple(
+    RelId rel, const IdTuple& ids) const {
+  std::uint32_t slot = rels_[rel].FindRow(ids);
+  if (slot == FlatSlotTable::kNone) return std::nullopt;
+  return slot;
 }
 
 void InternedWorkspace::ExtendPartition(RelId rel,
@@ -396,16 +381,18 @@ MemoryBreakdown InternedWorkspace::MemoryUsage() const {
           (sizeof(IdTuple) + sizeof(std::uint8_t));
   mb.occurrences = occurrence_refs_ * sizeof(WorkspaceTupleRef) +
                    memory::VectorBytes(occurrences_);
+  // Every value: its table entry plus union-find parent/size/rep. A
+  // hashed value adds its map node; an ascending null a (label, id) pair.
+  std::uint64_t ascending = interner_.ascending_nulls();
   mb.interner =
       static_cast<std::uint64_t>(interner_.size()) *
-      (sizeof(Value) + sizeof(std::pair<Value, ValueId>) +
-       memory::kHashNodeOverhead +  // interner values_ + ids_ map
-       3 * sizeof(std::uint32_t));  // union-find parent/size/rep
+          (sizeof(Value) + 3 * sizeof(std::uint32_t)) +
+      (interner_.size() - ascending) *
+          (sizeof(std::pair<Value, ValueId>) + memory::kHashNodeOverhead) +
+      ascending * sizeof(ValueInterner::NullEntry);
   for (RelId rel = 0; rel < scheme_->size(); ++rel) {
     const RelStore& rs = rels_[rel];
-    std::uint64_t arity = scheme_->relation(rel).arity();
-    mb.dedup_index +=
-        memory::IdKeyMapBytes(rs.dedup, arity * sizeof(ValueId));
+    mb.dedup_index += rs.dedup.bytes();
     mb.feed += memory::VectorBytes(rs.feed);
     for (const auto& [cols, cp] : partitions_[rel]) {
       const Partition& p = cp.p;

@@ -9,6 +9,7 @@
 
 #include "core/database.h"
 #include "core/dependency.h"
+#include "core/flat_table.h"
 #include "core/intern.h"
 #include "core/tuple.h"
 #include "util/memory_budget.h"
@@ -89,7 +90,8 @@ struct WorkspaceJournalEntry {
 ///
 ///   * tuples can be appended at any time (heap Values are interned on
 ///     first sight, id-tuples are adopted as-is); duplicates are rejected
-///     against a persistent per-relation dedup index;
+///     against a persistent per-relation dedup index, a slot table keyed
+///     by the stored rows themselves (no second copy of any tuple);
 ///   * value ids can be merged (the FD chase's null unification) through a
 ///     dense union-find with per-id occurrence lists, so only the tuples
 ///     that actually store a losing id are re-canonicalized;
@@ -225,7 +227,14 @@ class InternedWorkspace {
   /// Interns `v` (noting null labels so fresh nulls stay above them).
   ValueId Intern(const Value& v);
   /// Interns a fresh labeled null, numbered above every label seen so far.
-  ValueId InternFreshNull();
+  ValueId InternFreshNull() {
+    return Intern(Value::Null(ReserveNullLabels(1)));
+  }
+  /// Reserves `n` consecutive fresh null labels and returns the first
+  /// (see ValueInterner::ReserveNullLabels); nothing is interned.
+  std::uint64_t ReserveNullLabels(std::uint64_t n) {
+    return interner_.ReserveNullLabels(n);
+  }
   /// Canonical (union-find root) id of `id`.
   ValueId Canon(ValueId id) const { return uf_.Find(id); }
   /// Semantic representative of `id`'s class: its constant if one was
@@ -257,6 +266,9 @@ class InternedWorkspace {
     return rels_[rel].tuples[idx];
   }
   std::size_t AliveTuples(RelId rel) const { return rels_[rel].alive_count; }
+  /// The alive slot of `rel` storing exactly `ids`, found through the
+  /// dedup index; nullopt when no alive slot does.
+  std::optional<std::uint32_t> FindTuple(RelId rel, const IdTuple& ids) const;
   /// O(1): maintained by Append / CanonicalizeTuple (the chase engines
   /// consult it per generated tuple for their budget checks).
   std::size_t TotalAliveTuples() const { return total_alive_; }
@@ -396,11 +408,6 @@ class InternedWorkspace {
   /// relation, and publishes the rewrite/kill on the change feed.
   CanonOutcome CanonicalizeTuple(RelId rel, std::uint32_t idx);
 
-  /// The canonical projection of slot (rel, idx) onto `cols` — ids mapped
-  /// through the union-find, valid even while the slot is stale.
-  IdTuple CanonicalProjection(RelId rel, std::uint32_t idx,
-                              const std::vector<AttrId>& cols) const;
-
   /// --- partitions ---------------------------------------------------------
 
   /// The partition of `rel` by the column sequence `cols`, maintained under
@@ -480,13 +487,34 @@ class InternedWorkspace {
   struct RelStore {
     std::vector<IdTuple> tuples;
     std::vector<std::uint8_t> alive;
-    /// Raw-id form -> owning alive slot (duplicate detection).
-    std::unordered_map<IdTuple, std::uint32_t, IdTupleHash> dedup;
+    /// Duplicate detection: (hash of the stored row, slot) for every alive
+    /// slot, compared through `tuples` itself.
+    FlatSlotTable dedup;
     /// The relation's retained change feed: entry i has sequence
     /// feed_base + i (the prefix below feed_base was compacted away).
     std::vector<WorkspaceEvent> feed;
     std::uint64_t feed_base = 0;
     std::size_t alive_count = 0;
+
+    /// The alive slot storing `row`, or FlatSlotTable::kNone.
+    std::uint32_t FindRow(const IdTuple& row) const {
+      return dedup.Find(HashIds(row.data(), row.size()),
+                        [&](std::uint32_t s) { return tuples[s] == row; });
+    }
+    /// Indexes slot `idx` under `row` (its stored row, or the row about to
+    /// be stored there); false, indexing nothing, when an alive slot
+    /// already stores `row`.
+    bool IndexRow(std::uint32_t idx, const IdTuple& row) {
+      return dedup
+          .Insert(HashIds(row.data(), row.size()), idx,
+                  [&](std::uint32_t s) { return tuples[s] == row; })
+          .second;
+    }
+    /// Drops slot `idx` from the index; call before its row changes.
+    void UnindexRow(std::uint32_t idx) {
+      const IdTuple& row = tuples[idx];
+      dedup.Erase(HashIds(row.data(), row.size()), idx);
+    }
   };
 
   struct FeedCursor {

@@ -15,9 +15,12 @@ namespace ccfp {
 /// behaves exactly as if the real resource had run out (or the real bytes
 /// had been damaged) — same status codes, same resumability contract.
 enum class FaultSite : std::uint8_t {
-  /// Tuple-store admission (InternedWorkspace::Append): the arena refuses
-  /// to grow. Surfaces as ResourceExhausted from the engine driving the
-  /// append (the workspace itself never throws or aborts).
+  /// Tuple-store admission of a chase-generated tuple: the arena refuses
+  /// to grow. WorkspaceChase::ProbeInd consults it after the IND's rhs
+  /// lookup misses and before it registers the key, reserves null labels
+  /// or appends, so a firing leaves nothing to undo. Surfaces as a
+  /// resumable ResourceExhausted from the chase (the workspace itself
+  /// never throws or aborts).
   kArenaAppend = 0,
   /// Watcher/counter growth (IncrementalVerifier budgeted CatchUp).
   kWatcherGrow = 1,

@@ -8,6 +8,8 @@
 
 #include "bench/workloads.h"
 #include "chase/chase.h"
+#include "chase/workspace_chase.h"
+#include "core/parser.h"
 #include "core/satisfies.h"
 #include "reference/chase.h"
 
@@ -58,6 +60,48 @@ TEST(ChaseSmokeTest, EnginesAgreeOnSmallCascade) {
   EXPECT_EQ(inc->fd_merges, naive->fd_merges);
   EXPECT_EQ(inc->ind_tuples, naive->ind_tuples);
   EXPECT_TRUE(inc->db == naive->db);
+}
+
+TEST(ChaseSmokeTest, GeneratedTuplesInternOnlyTheirFreshPositions) {
+  // The divergent R/S cycle of the mixed solve template. A generated
+  // tuple copies its constrained positions from the lhs projection, so
+  // the only values it may add to the interner are the nulls at its
+  // unconstrained positions. A count, not a timer: it holds under ASan.
+  SchemePtr scheme =
+      MakeScheme({{"R", {"A", "B", "C"}}, {"S", {"D", "E", "F"}}});
+  std::vector<Fd> fds;
+  std::vector<Ind> inds;
+  std::vector<Dependency> sigma = ParseDependencies(*scheme,
+                                                    "R: A -> B\n"
+                                                    "R[B, C] <= R[C, A]\n"
+                                                    "S: D -> E\n"
+                                                    "R[A, B] <= S[D, E]\n"
+                                                    "S[E, F] <= R[A, C]\n")
+                                      .value();
+  for (const Dependency& dep : sigma) {
+    if (dep.is_fd()) fds.push_back(dep.fd());
+    if (dep.is_ind()) inds.push_back(dep.ind());
+  }
+  // Every IND here leaves one rhs position unconstrained.
+  for (const Ind& ind : inds) {
+    ASSERT_EQ(scheme->relation(ind.rhs_rel).arity() - ind.width(), 1u);
+  }
+  Database seed =
+      MakeCanonicalSeed(scheme, ParseDependency(*scheme, "R: B -> C").value())
+          .value();
+  InternedWorkspace ws(scheme);
+  ws.AppendDatabase(seed);
+  std::uint64_t seed_values = ws.stats().values_interned;
+
+  WorkspaceChase chase(&ws, fds, inds);
+  ChaseOptions options;
+  options.max_tuples = 4096;
+  Result<WorkspaceChaseStats> run = chase.Run(options);
+  ASSERT_FALSE(run.ok()) << "the cycle must exhaust its tuple budget";
+  std::uint64_t generated = chase.last_run().ind_tuples;
+  EXPECT_GT(generated, 4000u);
+  EXPECT_EQ(ws.stats().values_interned, seed_values + generated);
+  EXPECT_EQ(ws.interner().size(), seed_values + generated);
 }
 
 }  // namespace

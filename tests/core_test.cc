@@ -2,13 +2,87 @@
 
 #include "core/database.h"
 #include "core/dependency.h"
+#include "core/intern.h"
 #include "core/relation.h"
 #include "core/schema.h"
+#include "core/snapshot.h"
 #include "core/tuple.h"
 #include "core/value.h"
+#include "core/workspace.h"
 
 namespace ccfp {
 namespace {
+
+// --- ValueInterner: fresh nulls ----------------------------------------
+
+TEST(InternerTest, FreshNullIsFoundByItsLabelAcrossFreezeAndFork) {
+  ValueInterner in;
+  ValueId c = in.Intern(Value::Int(7));
+  // The chase's shape: reserve one label per position, intern only the
+  // unconstrained one (the middle label here).
+  std::uint64_t first = in.ReserveNullLabels(3);
+  ValueId n = in.Intern(Value::Null(first + 1));
+  EXPECT_EQ(in.ascending_nulls(), 1u);
+  EXPECT_EQ(in.Intern(Value::Null(first + 1)), n);
+  EXPECT_EQ(in.Intern(Value::Int(7)), c);
+  EXPECT_EQ(in.size(), 2u);
+  EXPECT_FALSE(in.InternNew(Value::Null(first + 1)));
+
+  in.Freeze();
+  EXPECT_EQ(in.Intern(Value::Null(first + 1)), n);
+  EXPECT_FALSE(in.InternNew(Value::Null(first + 1)));
+
+  ValueInterner fork = in;  // a frozen interner's copy shares the base
+  ValueId m = fork.Intern(Value::Null(fork.ReserveNullLabels(1)));
+  EXPECT_GT(fork.null_label(m), first + 2);
+  EXPECT_EQ(fork.Intern(Value::Null(first + 1)), n);
+  EXPECT_EQ(fork.Intern(Value::Null(fork.null_label(m))), m);
+  EXPECT_FALSE(fork.InternNew(Value::Null(first + 1)));
+  EXPECT_FALSE(fork.InternNew(fork.value(m)));
+  EXPECT_EQ(fork.size(), 3u);
+
+  // A reserved label nobody interned is a new value, below the ascending
+  // top: it goes to the hash map and is found there afterwards.
+  ValueId skipped = fork.Intern(Value::Null(first));
+  EXPECT_EQ(skipped, 3u);
+  EXPECT_EQ(fork.Intern(Value::Null(first)), skipped);
+  EXPECT_FALSE(fork.InternNew(Value::Null(first)));
+  EXPECT_EQ(fork.ascending_nulls(), 2u);
+  // The base never saw the fork's values.
+  EXPECT_EQ(in.size(), 2u);
+}
+
+TEST(InternerTest, WorkspaceFreshNullSurvivesForkAndSnapshot) {
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B"}}});
+  InternedWorkspace ws(scheme);
+  ValueId a = ws.Intern(Value::Int(1));
+  ValueId n = ws.InternFreshNull();
+  std::uint64_t label = ws.interner().null_label(n);
+  ASSERT_TRUE(ws.Append(0, {a, n}));
+  EXPECT_EQ(ws.Intern(Value::Null(label)), n);
+
+  ws.SealSharedBase();
+  InternedWorkspace fork = ws.Fork();
+  EXPECT_EQ(fork.Intern(Value::Null(label)), n);
+  ValueId n2 = fork.InternFreshNull();
+  std::uint64_t label2 = fork.interner().null_label(n2);
+  EXPECT_GT(label2, label);
+  ASSERT_TRUE(fork.Append(0, {n2, n}));
+
+  Result<RestoredWorkspace> restored =
+      DeserializeWorkspace(scheme, SerializeWorkspace(fork));
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  InternedWorkspace& back = restored->ws;
+  EXPECT_EQ(back.Intern(Value::Null(label)), n);
+  EXPECT_EQ(back.Intern(Value::Null(label2)), n2);
+  EXPECT_EQ(back.interner().size(), fork.interner().size());
+  // The restore re-interns in id order, so it rebuilds the same layout
+  // and charges the same bytes.
+  EXPECT_EQ(back.interner().ascending_nulls(),
+            fork.interner().ascending_nulls());
+  EXPECT_EQ(back.MemoryUsage().interner, fork.MemoryUsage().interner);
+  EXPECT_GT(back.interner().null_label(back.InternFreshNull()), label2);
+}
 
 // --- Value ------------------------------------------------------------
 

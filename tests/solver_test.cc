@@ -298,6 +298,53 @@ TEST(SolverTest, MixedUnknownReasonNamesTheSpecialEdgeCycle) {
       << v.reason;
 }
 
+/// The perfbench mixed_solve template (perfbench/src/workloads.cc). Its
+/// R/S half feeds itself through R[B, C] <= R[C, A], so the chase from
+/// these targets' seeds never reaches a fixpoint and spends its whole
+/// share of the default Budget.
+TEST(SolverTest, DivergentChaseStagesDoExactlyTheRecordedWork) {
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}},
+                                 {"S", {"D", "E", "F"}},
+                                 {"T", {"G", "H", "I", "J"}},
+                                 {"U", {"K", "L", "M"}}});
+  std::vector<Dependency> sigma = ParseDependencies(*scheme,
+                                                    "R: A -> B\n"
+                                                    "R[B, C] <= R[C, A]\n"
+                                                    "S: D -> E\n"
+                                                    "R[A, B] <= S[D, E]\n"
+                                                    "S[E, F] <= R[A, C]\n"
+                                                    "T: G -> H\n"
+                                                    "T[G, H] <= U[K, L]\n"
+                                                    "U: K -> M\n"
+                                                    "T[I, J] <= U[L, M]\n"
+                                                    "U: L, M -> K\n")
+                                      .value();
+  struct Case {
+    const char* target;
+    std::uint64_t steps;
+    std::uint64_t tuples;
+  };
+  // Every rule firing of the chase is pinned: a faster kernel must spend
+  // exactly these counters, as the node-based indexes did.
+  const Case cases[] = {{"R: B -> C", 97865, 87380},
+                        {"S: E -> F", 96473, 87380},
+                        {"R[C, B] <= R[B, C]", 101229, 87381}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.target);
+    ImplicationSolver solver(scheme, sigma);
+    Verdict v = MustSolve(solver, ParseDependency(*scheme, c.target).value());
+    EXPECT_EQ(v.outcome, ImplicationVerdict::kUnknown);
+    int chase_stages = 0;
+    for (const StageReport& stage : v.stages) {
+      if (stage.stage != "chase") continue;
+      ++chase_stages;
+      EXPECT_EQ(stage.used.steps, c.steps);
+      EXPECT_EQ(stage.used.tuples, c.tuples);
+    }
+    EXPECT_EQ(chase_stages, 1);
+  }
+}
+
 /// {A -> B, R[B, C] <= R[C, A]} over R(A, B, C) does not imply A -> C:
 /// the chase from the target's seed diverges, and the smallest witness
 /// needs three tuples.

@@ -14,6 +14,7 @@
 // The shared trace driver lives in tests/trace_util.h.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "chase/workspace_chase.h"
@@ -33,6 +34,29 @@ using testutil::RandomUniverse;
 
 class VerifyPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// The dedup index after a trace step: every alive slot is found by its
+/// own row, no dead slot is found, and appending an alive row again is
+/// refused without touching the store.
+void CheckDedup(InternedWorkspace& ws) {
+  for (RelId rel = 0; rel < ws.scheme().size(); ++rel) {
+    for (std::uint32_t i = 0; i < ws.size(rel); ++i) {
+      const IdTuple& row = ws.tuple(rel, i);
+      std::optional<std::uint32_t> found = ws.FindTuple(rel, row);
+      if (!ws.alive(rel, i)) {
+        EXPECT_NE(found, std::optional<std::uint32_t>(i))
+            << "dead slot " << i << " of rel " << rel << " is indexed";
+        continue;
+      }
+      ASSERT_TRUE(found.has_value()) << "alive slot " << i << " of rel "
+                                     << rel << " is not indexed";
+      EXPECT_EQ(*found, i);
+      std::size_t slots = ws.size(rel);
+      EXPECT_FALSE(ws.Append(rel, row));
+      EXPECT_EQ(ws.size(rel), slots);
+    }
+  }
+}
+
 TEST_P(VerifyPropertyTest, WatchersMatchSweepOnRandomTraces) {
   SplitMix64 rng(GetParam());
   SchemePtr scheme = RandomScheme(rng);
@@ -43,8 +67,12 @@ TEST_P(VerifyPropertyTest, WatchersMatchSweepOnRandomTraces) {
   std::vector<ValueId> pool;
   // A prefix of mutations *before* the verifier exists: watchers must
   // initialize from non-trivial state, not just consume a feed from zero.
-  for (int i = 0; i < 6; ++i) AppendRandomTuple(ws, rng, pool);
+  for (int i = 0; i < 6; ++i) {
+    AppendRandomTuple(ws, rng, pool);
+    CheckDedup(ws);
+  }
   MergeRandomValues(ws, rng, pool);
+  CheckDedup(ws);
 
   IncrementalVerifier verifier(&ws);
   std::vector<WatchId> ids;
@@ -63,6 +91,7 @@ TEST_P(VerifyPropertyTest, WatchersMatchSweepOnRandomTraces) {
       } else {
         MergeRandomValues(ws, rng, pool);
       }
+      CheckDedup(ws);
     }
     CheckAgreement(ws, verifier, deps, ids);
   }
@@ -106,6 +135,7 @@ TEST_P(VerifyPropertyTest, WatchersMatchSweepAcrossChaseRounds) {
       EXPECT_EQ(chaser.event_cursor(rel), ws.EventCount(rel));
     }
     CheckAgreement(ws, verifier, universe, ids);
+    CheckDedup(ws);
     for (int i = 0; i < 3; ++i) AppendRandomTuple(ws, rng, pool);
   }
 }
@@ -135,6 +165,7 @@ TEST_P(VerifyPropertyTest, CursorRespectingCompactionIsInvisible) {
       } else {
         MergeRandomValues(ws, rng, pool);
       }
+      CheckDedup(ws);
     }
     // Compact *before* the verifier catches up: the registered cursor
     // must hold the unconsumed suffix in place.
@@ -185,6 +216,7 @@ TEST_P(VerifyPropertyTest, ForcedTrimTriggersHorizonRebuildSameVerdicts) {
       } else {
         MergeRandomValues(ws, rng, pool);
       }
+      CheckDedup(ws);
     }
     // Force-trim every relation's full feed while the verifier has not
     // replayed this batch yet.
