@@ -92,7 +92,11 @@ BENCHMARK(BM_BuildMixedArmstrong)->DenseRange(2, 5);
 /// Emits a fullsweep/incremental entry pair; the per-round re-sweeps are
 /// exactly what ArmstrongVerifyEngine::kIncremental retires (watchers
 /// answer old members from counters, only the delta is re-processed).
-void EmitSessionReport(BenchReporter& reporter, bool smoke) {
+/// A second pair builds the same universe in one BuildArmstrongDatabase
+/// call under each engine: the measurement behind kAuto resolving to
+/// kFullSweep for the one-shot builder (one verification, so compiling
+/// watchers buys nothing).
+void EmitVerifyEngineReport(BenchReporter& reporter, bool smoke) {
   const std::size_t arity = 10;
   std::vector<std::string> attrs;
   for (std::size_t i = 0; i < arity; ++i) attrs.push_back(StrCat("A", i));
@@ -127,6 +131,28 @@ void EmitSessionReport(BenchReporter& reporter, bool smoke) {
                universe.size(), wall[0] / 1e6, wall[1] / 1e6,
                static_cast<double>(wall[0]) /
                    static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
+
+  std::uint64_t oneshot[2] = {0, 0};
+  for (int engine = 0; engine < 2; ++engine) {
+    ArmstrongBuildOptions build;
+    build.verify = engine == 1 ? ArmstrongVerifyEngine::kIncremental
+                               : ArmstrongVerifyEngine::kFullSweep;
+    oneshot[engine] = MedianWallNs(smoke ? 1 : 5, [&] {
+      Result<ArmstrongReport> report =
+          BuildArmstrongDatabase(scheme, fds, {}, universe, oracle, build);
+      CCFP_CHECK(report.ok());
+    });
+  }
+  reporter.Add("oneshot_fd_arity10_fullsweep", universe.size(), oneshot[0],
+               universe.size());
+  reporter.Add("oneshot_fd_arity10_incremental", universe.size(),
+               oneshot[1], universe.size());
+  std::fprintf(stderr,
+               "oneshot_fd_arity10 (universe %zu, one build): "
+               "fullsweep %.2f ms, incremental %.2f ms, speedup %.2fx\n",
+               universe.size(), oneshot[0] / 1e6, oneshot[1] / 1e6,
+               static_cast<double>(oneshot[0]) /
+                   static_cast<double>(oneshot[1] == 0 ? 1 : oneshot[1]));
 }
 
 /// Times both Armstrong engines on the two recorded workloads and emits
@@ -134,7 +160,7 @@ void EmitSessionReport(BenchReporter& reporter, bool smoke) {
 /// verified per build).
 void EmitJsonReport(bool smoke) {
   BenchReporter reporter("armstrong");
-  EmitSessionReport(reporter, smoke);
+  EmitVerifyEngineReport(reporter, smoke);
   struct Workload {
     const char* name;
     std::size_t n;

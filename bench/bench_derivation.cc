@@ -47,9 +47,9 @@ void BM_ChaseOnSection7(benchmark::State& state) {
   Section7Construction c = MakeSection7(n);
   bool implied = false;
   for (auto _ : state) {
-    Result<bool> result =
-        ChaseImplies(c.scheme, c.fds, c.inds, Dependency(c.sigma));
-    if (result.ok()) implied = *result;
+    Result<ChaseImplication> result =
+        ChaseImplies(c.scheme, c.fds, c.inds, Dependency(c.sigma), Budget());
+    if (result.ok()) implied = result->verdict == ImplicationVerdict::kImplied;
     benchmark::DoNotOptimize(result);
   }
   state.counters["n"] = static_cast<double>(n);
@@ -86,8 +86,9 @@ void BM_ChaseOnProposition41(benchmark::State& state) {
   Dependency target(MakeFd(*scheme, "R", {"X"}, {"Y"}));
   bool implied = false;
   for (auto _ : state) {
-    Result<bool> result = ChaseImplies(scheme, fds, inds, target);
-    if (result.ok()) implied = *result;
+    Result<ChaseImplication> result =
+        ChaseImplies(scheme, fds, inds, target, Budget());
+    if (result.ok()) implied = result->verdict == ImplicationVerdict::kImplied;
     benchmark::DoNotOptimize(result);
   }
   state.counters["derives"] = implied ? 1 : 0;  // 1
@@ -112,9 +113,11 @@ void EmitJsonReport(bool smoke) {
     });
     std::uint64_t chase_steps = 0;
     std::uint64_t chase_wall = MedianWallNs(smoke ? 1 : 5, [&] {
-      Result<bool> implied =
-          ChaseImplies(c.scheme, c.fds, c.inds, Dependency(c.sigma));
-      CCFP_CHECK(implied.ok() && *implied);  // Lemma 7.2
+      Result<ChaseImplication> implied = ChaseImplies(
+          c.scheme, c.fds, c.inds, Dependency(c.sigma), Budget());
+      // Lemma 7.2
+      CCFP_CHECK(implied.ok() &&
+                 implied->verdict == ImplicationVerdict::kImplied);
       chase_steps = 1;
     });
     reporter.Add("arsenal_section7", n, arsenal_wall, arsenal_steps);

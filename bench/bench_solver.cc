@@ -131,8 +131,8 @@ BENCHMARK(BM_FacadeMixedDerivable);
 void BM_LegacyMixedChase(benchmark::State& state) {
   MixedInstance m = MakeMixed();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ChaseImplies(m.scheme, m.fds, m.inds, Dependency(m.derivable)));
+    benchmark::DoNotOptimize(ChaseImplies(m.scheme, m.fds, m.inds,
+                                          Dependency(m.derivable), Budget()));
   }
 }
 BENCHMARK(BM_LegacyMixedChase);
@@ -201,7 +201,7 @@ void EmitJsonReport(bool smoke) {
     std::uint64_t derivation_wall = MedianWallNs(
         smoke ? 1 : 9, [&] { solver.Solve(Dependency(m.derivable)).value(); });
     std::uint64_t legacy_wall = MedianWallNs(smoke ? 1 : 9, [&] {
-      ChaseImplies(m.scheme, m.fds, m.inds, Dependency(m.derivable))
+      ChaseImplies(m.scheme, m.fds, m.inds, Dependency(m.derivable), Budget())
           .value();
     });
     // A refuted query drives the full pipeline to the chase stage.

@@ -97,10 +97,10 @@ ImplicationVerdict ChaseOracle::Implies(
       return ImplicationVerdict::kUnknown;  // RD/EMVD premises unsupported
     }
   }
-  Result<bool> implied = ChaseImplies(scheme_, fds, inds, conclusion);
-  if (!implied.ok()) return ImplicationVerdict::kUnknown;
-  return *implied ? ImplicationVerdict::kImplied
-                  : ImplicationVerdict::kNotImplied;
+  Result<ChaseImplication> chased =
+      ChaseImplies(scheme_, fds, inds, conclusion, Budget());
+  if (!chased.ok()) return ImplicationVerdict::kUnknown;
+  return chased->verdict;
 }
 
 ImplicationVerdict CounterexampleOracle::Implies(

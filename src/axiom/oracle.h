@@ -10,7 +10,6 @@
 #include "core/dependency.h"
 #include "core/schema.h"
 #include "core/workspace.h"
-#include "interact/finite_vs_unrestricted.h"
 
 namespace ccfp {
 
@@ -73,8 +72,9 @@ class UnaryFiniteOracle : public ImplicationOracle {
 };
 
 /// Unrestricted-implication oracle via the FD+IND chase (semi-decision):
-/// kUnknown on budget exhaustion or unsupported premise kinds (trivial RD
-/// premises are ignored).
+/// ChaseImplies under the default Budget(), so a kNotImplied rests on a
+/// sigma-checked fixpoint; kUnknown on budget exhaustion or unsupported
+/// premise kinds (trivial RD premises are ignored).
 class ChaseOracle : public ImplicationOracle {
  public:
   explicit ChaseOracle(SchemePtr scheme) : scheme_(std::move(scheme)) {}

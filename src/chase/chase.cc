@@ -22,29 +22,15 @@ Chase::Chase(SchemePtr scheme, std::vector<Fd> fds, std::vector<Ind> inds)
 
 Result<ChaseResult> Chase::Run(Database initial,
                                const ChaseOptions& options) const {
-  CCFP_ASSIGN_OR_RETURN(InternedChaseResult interned,
-                        RunInterned(std::move(initial), options));
-  ChaseResult result(interned.ws.Materialize());
-  result.outcome = interned.outcome;
-  result.fd_merges = interned.fd_merges;
-  result.ind_tuples = interned.ind_tuples;
-  result.steps = interned.steps;
-  return result;
-}
-
-Result<InternedChaseResult> Chase::RunInterned(
-    Database initial, const ChaseOptions& options) const {
-  InternedChaseResult result(scheme_);
-  result.ws.AppendDatabase(initial);
-  {
-    // Scoped so the chase releases its feed cursor before `result` moves.
-    WorkspaceChase chaser(&result.ws, fds_, inds_);
-    CCFP_ASSIGN_OR_RETURN(WorkspaceChaseStats stats, chaser.Run(options));
-    result.outcome = stats.outcome;
-    result.fd_merges = stats.fd_merges;
-    result.ind_tuples = stats.ind_tuples;
-    result.steps = stats.steps;
-  }
+  InternedWorkspace ws(scheme_);
+  ws.AppendDatabase(initial);
+  WorkspaceChase chaser(&ws, fds_, inds_);
+  CCFP_ASSIGN_OR_RETURN(WorkspaceChaseStats stats, chaser.Run(options));
+  ChaseResult result(ws.Materialize());
+  result.outcome = stats.outcome;
+  result.fd_merges = stats.fd_merges;
+  result.ind_tuples = stats.ind_tuples;
+  result.steps = stats.steps;
   return result;
 }
 
@@ -93,25 +79,6 @@ Result<Database> MakeCanonicalSeed(SchemePtr scheme,
   return seed;
 }
 
-Result<bool> ChaseImplies(SchemePtr scheme, const std::vector<Fd>& fds,
-                          const std::vector<Ind>& inds,
-                          const Dependency& target,
-                          const ChaseOptions& options) {
-  CCFP_ASSIGN_OR_RETURN(Database seed, MakeCanonicalSeed(scheme, target));
-  Chase chase(scheme, fds, inds);
-  CCFP_ASSIGN_OR_RETURN(InternedChaseResult result,
-                        chase.RunInterned(std::move(seed), options));
-  if (result.outcome == ChaseOutcome::kFailed) {
-    // Cannot happen from an all-null seed (no constants to clash); if a
-    // caller seeds constants via Run directly they handle failure there.
-    return Status::Internal("chase failed from an all-null seed");
-  }
-  // The fixpoint is a universal model of (Sigma, seed): the target holds in
-  // it iff Sigma implies the target. The fixpoint is already interned, so
-  // the check is pure integer probing.
-  return result.ws.Satisfies(target);
-}
-
 Result<ChaseImplication> ChaseImplies(SchemePtr scheme,
                                       const std::vector<Fd>& fds,
                                       const std::vector<Ind>& inds,
@@ -135,11 +102,15 @@ Result<ChaseImplication> ChaseImplies(SchemePtr scheme,
     if (run.status().code() != StatusCode::kResourceExhausted) {
       return run.status();
     }
+    out.exhausted = run.status();
     return out;
   }
   if (run->outcome == ChaseOutcome::kFailed) {
+    // Cannot happen from an all-null seed: there are no constants to clash.
     return Status::Internal("chase failed from an all-null seed");
   }
+  // The fixpoint is a universal model of (Sigma, seed): the target holds in
+  // it iff Sigma implies the target.
   if (ws.Satisfies(target)) {
     out.verdict = ImplicationVerdict::kImplied;
     return out;

@@ -9,7 +9,6 @@
 #include "core/database.h"
 #include "core/dependency.h"
 #include "core/verdict.h"
-#include "core/workspace.h"
 #include "util/budget.h"
 #include "util/status.h"
 
@@ -23,7 +22,9 @@ namespace ccfp {
 ///
 /// With cyclic IND sets the chase may run forever — the implication problem
 /// for FDs and INDs together is undecidable (Mitchell; Chandra–Vardi), so
-/// every entry point takes a budget and can report ResourceExhausted.
+/// both entry points take a budget: Chase::Run chases a given database
+/// and can report ResourceExhausted; ChaseImplies decides one
+/// implication query and reports exhaustion as kUnknown.
 
 struct ChaseOptions {
   std::uint64_t max_steps = 1u << 20;
@@ -66,21 +67,6 @@ struct ChaseResult {
   explicit ChaseResult(Database database) : db(std::move(database)) {}
 };
 
-/// Chase result kept in id-space: the chased workspace itself, so
-/// verification (Satisfies / ObeysExactly on `ws`) runs on the engine's
-/// own interner and cached partitions without re-interning a single
-/// Value — the build -> chase -> verify round trip interns values once.
-/// `ws.Materialize()` is the database Chase::Run returns.
-struct InternedChaseResult {
-  ChaseOutcome outcome = ChaseOutcome::kFixpoint;
-  InternedWorkspace ws;
-  std::uint64_t fd_merges = 0;
-  std::uint64_t ind_tuples = 0;
-  std::uint64_t steps = 0;
-
-  explicit InternedChaseResult(SchemePtr scheme) : ws(std::move(scheme)) {}
-};
-
 class Chase {
  public:
   /// CHECK-fails if any dependency is invalid for `scheme`.
@@ -99,11 +85,6 @@ class Chase {
   Result<ChaseResult> Run(Database initial,
                           const ChaseOptions& options = {}) const;
 
-  /// Like Run, but keeps the result interned (see InternedChaseResult):
-  /// the engine chases on the returned workspace directly.
-  Result<InternedChaseResult> RunInterned(
-      Database initial, const ChaseOptions& options = {}) const;
-
  private:
   SchemePtr scheme_;
   std::vector<Fd> fds_;
@@ -115,24 +96,10 @@ class Chase {
 ///   * FD R: X -> Y  — two tuples agreeing (same nulls) on X;
 ///   * IND R[X] <= S[Y] — one all-fresh tuple in R;
 ///   * RD R[X = Y] — one all-fresh tuple in R.
-/// Unimplemented for EMVD/MVD targets. Exposed so budget-staged drivers
-/// (solve/solver.h) can seed their own workspace and chase resumably.
+/// Unimplemented for EMVD/MVD targets. ChaseImplies chases it; it is
+/// exposed for drivers that seed a WorkspaceChase of their own.
 Result<Database> MakeCanonicalSeed(SchemePtr scheme,
                                    const Dependency& target);
-
-/// Semi-decision of unrestricted implication Sigma |= target for FD+IND
-/// Sigma and an FD / IND / RD target, by chasing the canonical database of
-/// the target (the standard universal-model argument). If the chase
-/// reaches a fixpoint, the answer is exact: target holds in the chased
-/// database iff Sigma |= target. Budget exhaustion returns
-/// ResourceExhausted (unknown) — unavoidable, by undecidability.
-///
-/// Deprecated entry point: prefer the Budget overload below (three-valued,
-/// with evidence) or ImplicationSolver::Solve for fragment routing.
-Result<bool> ChaseImplies(SchemePtr scheme, const std::vector<Fd>& fds,
-                          const std::vector<Ind>& inds,
-                          const Dependency& target,
-                          const ChaseOptions& options = {});
 
 /// Verdict-vocabulary outcome of a chase-based implication query.
 struct ChaseImplication {
@@ -151,10 +118,19 @@ struct ChaseImplication {
   /// counters on every verdict — on kUnknown, what the exhausted run
   /// actually did.
   BudgetUse used;
+  /// The engine's ResourceExhausted status when kUnknown; OK otherwise.
+  Status exhausted;
 };
 
-/// Budget-vocabulary ChaseImplies: never errors on exhaustion (that is the
-/// kUnknown verdict); error statuses are reserved for invalid inputs.
+/// The one implication-by-chase entry point: a semi-decision of
+/// unrestricted implication Sigma |= target for FD+IND Sigma and an FD /
+/// IND / RD target, by chasing the canonical seed of the target (the
+/// standard universal-model argument). A fixpoint answers exactly —
+/// kImplied iff the target holds in it, kNotImplied with the fixpoint as
+/// the counterexample otherwise. Budget exhaustion is the kUnknown
+/// verdict (unavoidable, by undecidability), never an error; error
+/// statuses are reserved for invalid inputs and engine faults.
+/// `Budget()` chases with the ChaseOptions{} caps.
 Result<ChaseImplication> ChaseImplies(SchemePtr scheme,
                                       const std::vector<Fd>& fds,
                                       const std::vector<Ind>& inds,

@@ -10,10 +10,9 @@
 namespace ccfp {
 
 /// Three-valued verdict for an implication query. FD+IND implication is
-/// undecidable in general, so engines may have to answer "unknown".
-/// (Moved here from interact/finite_vs_unrestricted.h so the whole stack —
-/// oracles, the solver façade, the comparison driver — shares one
-/// vocabulary.)
+/// undecidable in general, so engines may have to answer "unknown". The
+/// whole stack — oracles, ChaseImplies, the solver façade — shares this
+/// one vocabulary.
 enum class ImplicationVerdict : std::uint8_t {
   kImplied,
   kNotImplied,

@@ -10,7 +10,6 @@
 
 #include "core/database.h"
 #include "core/dependency.h"
-#include "util/budget.h"
 #include "util/status.h"
 
 namespace ccfp {
@@ -131,17 +130,6 @@ struct BoundedSearchOptions {
   /// same scheme (see BoundedSearchWorkspace). Null: each search compiles
   /// its own tables. Not owned; must outlive the search.
   BoundedSearchWorkspace* workspace = nullptr;
-
-  /// Maps the shared Budget vocabulary onto the search's candidate cap
-  /// (steps -> max_candidates) and byte ceiling. The shape knobs (tuples
-  /// per relation, domain size) describe the search *space*, not a
-  /// resource budget, and keep their defaults.
-  static BoundedSearchOptions FromBudget(const Budget& budget) {
-    BoundedSearchOptions options;
-    options.max_candidates = budget.steps;
-    options.max_bytes = budget.bytes;
-    return options;
-  }
 };
 
 /// Static pre-run estimate of what one search shape would cost, computed

@@ -6,7 +6,6 @@
 #include "chase/chase.h"
 #include "chase/ind_chase.h"
 #include "chase/termination.h"
-#include "core/workspace.h"
 #include "fd/closure.h"
 #include "ind/special.h"
 #include "interact/unary_finite.h"
@@ -628,73 +627,42 @@ bool ImplicationSolver::ChaseStage(const Dependency& target,
   }
   StageReport r{"chase", "workspace-chase (universal model)",
                 ImplicationVerdict::kUnknown, "", {}};
-  Result<Database> seed = MakeCanonicalSeed(scheme_, target);
-  if (!seed.ok()) {
-    r.note = seed.status().ToString();
+  Result<ChaseImplication> chased =
+      ChaseImplies(scheme_, fds_, inds_, target, slice);
+  if (chased.ok()) r.used = chased->used;
+  if (!chased.ok() || chased->verdict == ImplicationVerdict::kUnknown) {
+    r.note = chased.ok() ? chased->exhausted.ToString()
+                         : chased.status().ToString();
     unknown_notes.push_back(StrCat("chase: ", r.note));
     PushStage(v, std::move(r));
     return false;
   }
-  // One workspace carries the chase and — on refutation — the evidence
-  // check: the fixpoint is verified in id-space without re-interning,
-  // then materialized once for the caller.
-  InternedWorkspace ws(scheme_);
-  ws.AppendDatabase(*seed);
-  WorkspaceChase chase(&ws, fds_, inds_);
-  Result<WorkspaceChaseStats> run = chase.Run(ChaseOptions::FromBudget(slice));
-  // The chase's own counters, which an exhausted run fills too.
-  r.used.steps = chase.last_run().steps;
-  r.used.tuples = chase.last_run().ind_tuples;
-  if (!run.ok() || run->outcome == ChaseOutcome::kFailed) {
-    r.note = run.ok() ? "chase failed from an all-null seed (engine bug)"
-                      : run.status().ToString();
-    unknown_notes.push_back(StrCat("chase: ", r.note));
-    PushStage(v, std::move(r));
-    return false;
-  }
-  v.chase_stats = *run;
-  bool holds = ws.Satisfies(target);
-  v.engine = r.engine;
-  if (holds) {
+  v.chase_stats = WorkspaceChaseStats{ChaseOutcome::kFixpoint,
+                                      chased->fd_merges, chased->ind_tuples,
+                                      chased->steps};
+  if (chased->verdict == ImplicationVerdict::kImplied) {
     v.outcome = ImplicationVerdict::kImplied;
+    v.engine = r.engine;
     r.verdict = ImplicationVerdict::kImplied;
     r.note = "target holds in the chased fixpoint";
     PushStage(v, std::move(r));
     return true;
   }
-  v.outcome = ImplicationVerdict::kNotImplied;
-  r.verdict = ImplicationVerdict::kNotImplied;
-  if (options_.use_witness_cache) {
-    // The fixpoint satisfies sigma by construction; verify it through
-    // watchers and hand it to the witness cache so later Solves over
-    // this sigma can replay the refutation.
-    Database fixpoint = ws.Materialize();
-    bool genuine = cache().Admit(fixpoint, target).genuine;
-    if (genuine) {
-      if (options_.want_counterexample) {
-        v.counterexample = std::move(fixpoint);
-        v.counterexample_verified = true;
-      }
-      r.note = "chased fixpoint is the counterexample (verified "
-               "through watchers)";
-    } else {
-      r.note = "fixpoint failed its sigma re-check (engine bug)";
-    }
-  } else if (options_.want_counterexample) {
-    // Cache off: verify in id-space on the chase's own workspace
-    // (nothing re-interned).
-    bool genuine = !ws.Satisfies(target) && ws.SatisfiesAll(nontrivial_);
-    if (genuine) {
-      v.counterexample = ws.Materialize();
-      v.counterexample_verified = true;
-      r.note = "chased fixpoint is the counterexample (verified "
-               "in-workspace)";
-    } else {
-      r.note = "fixpoint failed its sigma re-check (engine bug)";
-    }
+  // The fixpoint refutes the target. Like a search rung's witness, it
+  // decides only once the watchers confirm it (and the witness cache may
+  // keep it for later Solves over this sigma).
+  r.note = "chased fixpoint refutes the target";
+  bool genuine = AttachCounterexample(std::move(*chased->counterexample),
+                                      target, v, r);
+  if (genuine) {
+    v.outcome = ImplicationVerdict::kNotImplied;
+    v.engine = r.engine;
+    r.verdict = ImplicationVerdict::kNotImplied;
+  } else {
+    unknown_notes.push_back("chase: fixpoint failed verification");
   }
   PushStage(v, std::move(r));
-  return true;
+  return genuine;
 }
 
 void ImplicationSolver::SolveUnsupported(const Dependency& target,

@@ -198,11 +198,11 @@ struct Verdict {
 /// workspace-chase proof -> bounded counterexample search, with the
 /// search's cheap rungs first when the IND position graph is not weakly
 /// acyclic; docs/solver.md), every stage drawing on one Budget via
-/// Split(). One InternedWorkspace carries the chase stage *and* its
-/// evidence check, so a chase-refuting fixpoint is verified without
-/// re-interning a single value; a
-/// BoundedSearchWorkspace persists across Solve calls so repeated
-/// searches over the scheme reuse their compiled key tables.
+/// Split(). The chase stage is ChaseImplies (chase/chase.h), and every
+/// refuting database — a chased fixpoint or a search witness — decides
+/// only after the watchers verify it; a BoundedSearchWorkspace persists
+/// across Solve calls so repeated searches over the scheme reuse their
+/// compiled key tables.
 ///
 /// Statuses are reserved for invalid inputs; budget exhaustion is the
 /// kUnknown verdict (with per-stage reports), never an error and never an
@@ -238,11 +238,11 @@ class ImplicationSolver {
                   Verdict& v);
   void SolveUnsupported(const Dependency& target, const Budget& budget,
                         Verdict& v);
-  /// Stage 2 of the mixed route: the budgeted chase of the target's
-  /// canonical seed (the universal-model argument). True iff decisive;
-  /// otherwise pushes its reason onto `unknown_notes`. The stage's budget
-  /// use is the chase's own counters (`chase.last_run()`), on the
-  /// exhausted path too.
+  /// Stage 2 of the mixed route: ChaseImplies under `slice` (the
+  /// universal-model argument). True iff decisive — a refuting fixpoint
+  /// decides only once AttachCounterexample verifies it; otherwise pushes
+  /// its reason onto `unknown_notes`. The stage's budget use is the
+  /// chase's own counters, on the exhausted path too.
   bool ChaseStage(const Dependency& target, const Budget& slice,
                   std::vector<std::string>& unknown_notes, Verdict& v);
   /// The refutation portfolio (search/portfolio.h) over this solver's

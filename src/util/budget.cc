@@ -12,25 +12,11 @@ std::string BudgetUse::ToString() const {
                 " expressions=", expressions);
 }
 
-Budget Budget::Unlimited() {
-  Budget b;
-  b.steps = std::numeric_limits<std::uint64_t>::max();
-  b.tuples = std::numeric_limits<std::uint64_t>::max();
-  b.expressions = std::numeric_limits<std::uint64_t>::max();
-  return b;
-}
-
 Budget Budget::Tiny() {
   Budget b;
   b.steps = 8;
   b.tuples = 8;
   b.expressions = 8;
-  return b;
-}
-
-Budget Budget::WithTimeLimit(std::chrono::milliseconds limit) {
-  Budget b;
-  b.deadline = std::chrono::steady_clock::now() + limit;
   return b;
 }
 

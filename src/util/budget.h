@@ -65,18 +65,8 @@ struct Budget {
   std::uint64_t bytes = UINT64_MAX;
   std::optional<std::chrono::steady_clock::time_point> deadline;
 
-  /// The default budget: matches the historical per-engine defaults.
-  static Budget Default() { return Budget{}; }
-
-  /// Effectively unbounded counters (UINT64_MAX), no deadline. For callers
-  /// that know their instance is small and want exactness or bust.
-  static Budget Unlimited();
-
   /// A deliberately tiny budget, for exercising exhaustion paths.
   static Budget Tiny();
-
-  /// Default counters plus a deadline `limit` from now.
-  static Budget WithTimeLimit(std::chrono::milliseconds limit);
 
   /// Default counters plus a ceiling of `limit` live logical bytes.
   static Budget WithByteCeiling(std::uint64_t limit);

@@ -170,15 +170,17 @@ TEST_F(ChaseTest, ChaseImpliesProposition41) {
   std::vector<Fd> fds = {MakeFd(*scheme_, "S", {"C"}, {"D"})};
   std::vector<Ind> inds = {
       MakeInd(*scheme_, "R", {"A", "B"}, "S", {"C", "D"})};
-  Result<bool> implied = ChaseImplies(
-      scheme_, fds, inds, Dependency(MakeFd(*scheme_, "R", {"A"}, {"B"})));
+  Result<ChaseImplication> implied =
+      ChaseImplies(scheme_, fds, inds,
+                   Dependency(MakeFd(*scheme_, "R", {"A"}, {"B"})), Budget());
   ASSERT_TRUE(implied.ok()) << implied.status();
-  EXPECT_TRUE(*implied);
+  EXPECT_EQ(implied->verdict, ImplicationVerdict::kImplied);
   // And not the converse FD.
-  Result<bool> not_implied = ChaseImplies(
-      scheme_, fds, inds, Dependency(MakeFd(*scheme_, "R", {"B"}, {"A"})));
+  Result<ChaseImplication> not_implied =
+      ChaseImplies(scheme_, fds, inds,
+                   Dependency(MakeFd(*scheme_, "R", {"B"}, {"A"})), Budget());
   ASSERT_TRUE(not_implied.ok());
-  EXPECT_FALSE(*not_implied);
+  EXPECT_EQ(not_implied->verdict, ImplicationVerdict::kNotImplied);
 }
 
 TEST_F(ChaseTest, ChaseImpliesProposition43Rd) {
@@ -188,27 +190,30 @@ TEST_F(ChaseTest, ChaseImpliesProposition43Rd) {
   std::vector<Ind> inds = {
       MakeInd(*scheme, "R", {"X", "Y"}, "S", {"T", "U"}),
       MakeInd(*scheme, "R", {"X", "Z"}, "S", {"T", "U"})};
-  Result<bool> implied = ChaseImplies(
-      scheme, fds, inds, Dependency(MakeRd(*scheme, "R", {"Y"}, {"Z"})));
+  Result<ChaseImplication> implied =
+      ChaseImplies(scheme, fds, inds,
+                   Dependency(MakeRd(*scheme, "R", {"Y"}, {"Z"})), Budget());
   ASSERT_TRUE(implied.ok()) << implied.status();
-  EXPECT_TRUE(*implied);
+  EXPECT_EQ(implied->verdict, ImplicationVerdict::kImplied);
 }
 
 TEST_F(ChaseTest, ChaseDivergesOnTheorem44Gadget) {
   // Theorem 4.4's gadget {R: A -> B, R[A] <= R[B]} has only *infinite*
   // countermodels for its conclusions, so the chase cannot terminate: its
   // universal model is the infinite Figure 4.1 relation. The budgeted
-  // chase must report ResourceExhausted rather than guess.
+  // chase must report ResourceExhausted (the kUnknown verdict) rather than
+  // guess.
   std::vector<Fd> fds = {MakeFd(*scheme_, "R", {"A"}, {"B"})};
   std::vector<Ind> inds = {MakeInd(*scheme_, "R", {"A"}, "R", {"B"})};
-  ChaseOptions options;
-  options.max_steps = 500;
-  options.max_tuples = 500;
-  Result<bool> ind_concl = ChaseImplies(
+  Budget budget;
+  budget.steps = 500;
+  budget.tuples = 500;
+  Result<ChaseImplication> ind_concl = ChaseImplies(
       scheme_, fds, inds,
-      Dependency(MakeInd(*scheme_, "R", {"B"}, "R", {"A"})), options);
-  ASSERT_FALSE(ind_concl.ok());
-  EXPECT_EQ(ind_concl.status().code(), StatusCode::kResourceExhausted);
+      Dependency(MakeInd(*scheme_, "R", {"B"}, "R", {"A"})), budget);
+  ASSERT_TRUE(ind_concl.ok()) << ind_concl.status();
+  EXPECT_EQ(ind_concl->verdict, ImplicationVerdict::kUnknown);
+  EXPECT_EQ(ind_concl->exhausted.code(), StatusCode::kResourceExhausted);
 }
 
 TEST_F(ChaseTest, ChaseAgreesWithIndEngineOnPureInds) {
@@ -222,13 +227,15 @@ TEST_F(ChaseTest, ChaseAgreesWithIndEngineOnPureInds) {
        {MakeInd(*scheme, "R", {"B", "A"}, "T", {"E", "F"}),
         MakeInd(*scheme, "R", {"A"}, "T", {"E"}),
         MakeInd(*scheme, "R", {"A"}, "T", {"F"})}) {
-    Result<bool> via_chase =
-        ChaseImplies(scheme, {}, inds, Dependency(target));
+    Result<ChaseImplication> via_chase =
+        ChaseImplies(scheme, {}, inds, Dependency(target), Budget());
     ASSERT_TRUE(via_chase.ok());
+    ASSERT_NE(via_chase->verdict, ImplicationVerdict::kUnknown);
     Result<IndChaseResult> via_rule_star =
         IndChaseDecide(scheme, inds, target);
     ASSERT_TRUE(via_rule_star.ok());
-    EXPECT_EQ(*via_chase, via_rule_star->implied)
+    EXPECT_EQ(via_chase->verdict == ImplicationVerdict::kImplied,
+              via_rule_star->implied)
         << Dependency(target).ToString(*scheme);
   }
 }

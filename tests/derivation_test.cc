@@ -108,10 +108,11 @@ TEST_F(DerivationTest, SoundnessAgainstChaseOnDerivedFacts) {
       MakeInd(*scheme_, "R", {"X", "Z"}, "S", {"T", "V"})};
   // Every interaction-rule conclusion in the trace must be chase-implied.
   for (const MixedDerivation::Step& step : engine.trace()) {
-    Result<bool> implied =
-        ChaseImplies(scheme_, fds, inds, step.conclusion);
+    Result<ChaseImplication> implied =
+        ChaseImplies(scheme_, fds, inds, step.conclusion, Budget());
     ASSERT_TRUE(implied.ok()) << step.ToString(*scheme_);
-    EXPECT_TRUE(*implied) << "unsound: " << step.ToString(*scheme_);
+    EXPECT_EQ(implied->verdict, ImplicationVerdict::kImplied)
+        << "unsound: " << step.ToString(*scheme_);
   }
 }
 
@@ -122,10 +123,10 @@ TEST_F(DerivationTest, IncompleteOnSection7ByTheorem71) {
   // misses the global interaction.
   for (std::size_t n : {1u, 2u, 3u}) {
     Section7Construction c = MakeSection7(n);
-    Result<bool> chase_implied =
-        ChaseImplies(c.scheme, c.fds, c.inds, Dependency(c.sigma));
+    Result<ChaseImplication> chase_implied =
+        ChaseImplies(c.scheme, c.fds, c.inds, Dependency(c.sigma), Budget());
     ASSERT_TRUE(chase_implied.ok());
-    ASSERT_TRUE(*chase_implied);
+    ASSERT_EQ(chase_implied->verdict, ImplicationVerdict::kImplied);
 
     MixedDerivation engine(c.scheme, c.SigmaDeps());
     ASSERT_TRUE(engine.Saturate().ok());

@@ -143,7 +143,7 @@ TEST_P(FaultPropertyTest, BudgetedCatchUpDegradesToExhaustedNeverWrong) {
       // Injected growth failure on the next pending relation.
       fi.Arm(FaultSite::kWatcherGrow, 0);
       ScopedFaultInjector scope(&fi);
-      Status st = verifier.CatchUp(Budget::Default());
+      Status st = verifier.CatchUp(Budget());
       if (pending) {
         ASSERT_FALSE(st.ok());
         EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);

@@ -2,9 +2,9 @@
 
 #include "chase/chase.h"
 #include "core/satisfies.h"
-#include "interact/finite_vs_unrestricted.h"
 #include "interact/rules.h"
 #include "interact/unary_finite.h"
+#include "solve/solver.h"
 #include "util/rng.h"
 
 namespace ccfp {
@@ -267,46 +267,76 @@ TEST_F(UnaryFiniteTest, UnrestrictedEngineRefusesCountingConsequences) {
   EXPECT_TRUE(engine.Implies(MakeFd(*scheme_, "R", {"A"}, {"B"})));
 }
 
-// --- CompareImplication ------------------------------------------------
+// --- Finite vs unrestricted: one Solve per semantics --------------------
 
-TEST(CompareImplicationTest, Theorem44SeparatesTheTwoSemantics) {
+Verdict SolveUnder(ImplicationSemantics semantics, SchemePtr scheme,
+                   const std::vector<Fd>& fds, const std::vector<Ind>& inds,
+                   const Dependency& target) {
+  std::vector<Dependency> sigma;
+  for (const Fd& fd : fds) sigma.push_back(Dependency(fd));
+  for (const Ind& ind : inds) sigma.push_back(Dependency(ind));
+  SolveOptions options;
+  options.semantics = semantics;
+  return SolveImplication(std::move(scheme), std::move(sigma), target,
+                          Budget(), options)
+      .value();
+}
+
+TEST(FiniteVsUnrestrictedTest, Theorem44SeparatesTheTwoSemantics) {
   SchemePtr scheme = MakeScheme({{"R", {"A", "B"}}});
   std::vector<Fd> fds = {MakeFd(*scheme, "R", {"A"}, {"B"})};
   std::vector<Ind> inds = {MakeInd(*scheme, "R", {"A"}, "R", {"B"})};
 
-  FiniteVsUnrestricted ind_verdict = CompareImplication(
-      scheme, fds, inds,
-      Dependency(MakeInd(*scheme, "R", {"B"}, "R", {"A"})));
-  EXPECT_EQ(ind_verdict.finite, ImplicationVerdict::kImplied);
-  EXPECT_EQ(ind_verdict.unrestricted, ImplicationVerdict::kNotImplied);
+  Dependency ind_target(MakeInd(*scheme, "R", {"B"}, "R", {"A"}));
+  EXPECT_EQ(SolveUnder(ImplicationSemantics::kFinite, scheme, fds, inds,
+                       ind_target)
+                .outcome,
+            ImplicationVerdict::kImplied);
+  EXPECT_EQ(SolveUnder(ImplicationSemantics::kUnrestricted, scheme, fds,
+                       inds, ind_target)
+                .outcome,
+            ImplicationVerdict::kNotImplied);
 
-  FiniteVsUnrestricted fd_verdict = CompareImplication(
-      scheme, fds, inds, Dependency(MakeFd(*scheme, "R", {"B"}, {"A"})));
-  EXPECT_EQ(fd_verdict.finite, ImplicationVerdict::kImplied);
-  EXPECT_EQ(fd_verdict.unrestricted, ImplicationVerdict::kNotImplied);
+  Dependency fd_target(MakeFd(*scheme, "R", {"B"}, {"A"}));
+  EXPECT_EQ(
+      SolveUnder(ImplicationSemantics::kFinite, scheme, fds, inds, fd_target)
+          .outcome,
+      ImplicationVerdict::kImplied);
+  EXPECT_EQ(SolveUnder(ImplicationSemantics::kUnrestricted, scheme, fds,
+                       inds, fd_target)
+                .outcome,
+            ImplicationVerdict::kNotImplied);
 }
 
-TEST(CompareImplicationTest, PureIndsAgreeAcrossSemantics) {
+TEST(FiniteVsUnrestrictedTest, PureIndsAgreeAcrossSemantics) {
   // Theorem 3.1: |= equals |=fin for INDs.
   SchemePtr scheme = MakeScheme({{"R", {"A", "B"}}, {"S", {"C", "D"}}});
   std::vector<Ind> inds = {MakeInd(*scheme, "R", {"A"}, "S", {"C"})};
-  FiniteVsUnrestricted verdict = CompareImplication(
-      scheme, {}, inds, Dependency(MakeInd(*scheme, "R", {"A"}, "S", {"C"})));
-  EXPECT_EQ(verdict.finite, verdict.unrestricted);
-  EXPECT_EQ(verdict.unrestricted, ImplicationVerdict::kImplied);
+  Dependency target(MakeInd(*scheme, "R", {"A"}, "S", {"C"}));
+  Verdict finite =
+      SolveUnder(ImplicationSemantics::kFinite, scheme, {}, inds, target);
+  Verdict unrestricted = SolveUnder(ImplicationSemantics::kUnrestricted,
+                                    scheme, {}, inds, target);
+  EXPECT_EQ(finite.outcome, unrestricted.outcome);
+  EXPECT_EQ(unrestricted.outcome, ImplicationVerdict::kImplied);
 }
 
-TEST(CompareImplicationTest, UnrestrictedImpliedTransfersToFinite) {
+TEST(FiniteVsUnrestrictedTest, UnrestrictedImpliedTransfersToFinite) {
   // Proposition 4.1 instance (binary IND, so not the unary engines): the
-  // chase proves |=, and |= transfers to |=fin.
+  // mixed route proves |=, and |= transfers to |=fin.
   SchemePtr scheme = MakeScheme({{"R", {"X", "Y"}}, {"S", {"T", "U"}}});
   std::vector<Fd> fds = {MakeFd(*scheme, "S", {"T"}, {"U"})};
   std::vector<Ind> inds = {
       MakeInd(*scheme, "R", {"X", "Y"}, "S", {"T", "U"})};
-  FiniteVsUnrestricted verdict = CompareImplication(
-      scheme, fds, inds, Dependency(MakeFd(*scheme, "R", {"X"}, {"Y"})));
-  EXPECT_EQ(verdict.unrestricted, ImplicationVerdict::kImplied);
-  EXPECT_EQ(verdict.finite, ImplicationVerdict::kImplied);
+  Dependency target(MakeFd(*scheme, "R", {"X"}, {"Y"}));
+  EXPECT_EQ(SolveUnder(ImplicationSemantics::kUnrestricted, scheme, fds,
+                       inds, target)
+                .outcome,
+            ImplicationVerdict::kImplied);
+  EXPECT_EQ(
+      SolveUnder(ImplicationSemantics::kFinite, scheme, fds, inds, target)
+          .outcome,
+      ImplicationVerdict::kImplied);
 }
 
 }  // namespace

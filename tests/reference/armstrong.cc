@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "chase/workspace_chase.h"
 #include "core/satisfies.h"
 #include "util/strings.h"
 
@@ -52,11 +53,12 @@ Result<ArmstrongReport> BuildLegacy(
     if (tau.is_fd()) SeedFdViolation(seed, tau.fd(), next_null);
   }
 
-  Chase chase(scheme, fds, inds);
-
   for (int round = 0; round <= options.max_repair_rounds; ++round) {
-    CCFP_ASSIGN_OR_RETURN(InternedChaseResult chased,
-                          chase.RunInterned(seed, options.chase));
+    InternedWorkspace ws(scheme);
+    ws.AppendDatabase(seed);
+    WorkspaceChase chase(&ws, fds, inds);
+    CCFP_ASSIGN_OR_RETURN(WorkspaceChaseStats chased,
+                          chase.Run(options.chase));
     if (chased.outcome == ChaseOutcome::kFailed) {
       return Status::Internal(
           "chase failed on an all-null Armstrong seed (constant clash)");
@@ -64,7 +66,7 @@ Result<ArmstrongReport> BuildLegacy(
 
     bool repaired = false;
     for (const Dependency& tau : must_fail) {
-      if (!chased.ws.Satisfies(tau)) continue;
+      if (!ws.Satisfies(tau)) continue;
       // Accidentally satisfied non-consequence: add a targeted seed.
       repaired = true;
       if (tau.is_fd()) {
@@ -84,12 +86,12 @@ Result<ArmstrongReport> BuildLegacy(
       // Exactness check (consequences must hold at the fixpoint; the loop
       // above ensured non-consequences fail).
       std::optional<std::string> mismatch =
-          ObeysExactly(chased.ws, universe, expected);
+          ObeysExactly(ws, universe, expected);
       if (mismatch.has_value()) {
         return Status::Internal(
             StrCat("Armstrong verification failed: ", *mismatch));
       }
-      ArmstrongReport report(chased.ws.Materialize());
+      ArmstrongReport report(ws.Materialize());
       report.expected = std::move(expected);
       report.repair_rounds = round;
       return report;

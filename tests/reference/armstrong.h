@@ -10,11 +10,12 @@
 
 namespace ccfp::reference {
 
-/// The re-chase-per-round Armstrong builder: each repair round re-runs
-/// `Chase::RunInterned` on the whole heap seed database (re-interning it)
-/// and verifies the chased workspace by full sweep. Same failure modes as
-/// `BuildArmstrongDatabase`, and also verified-exact, but its tuples may
-/// differ (the library builder keeps chase consequences across rounds).
+/// The re-chase-per-round Armstrong builder: each repair round appends the
+/// whole heap seed database into a fresh workspace (re-interning it),
+/// runs a fresh `WorkspaceChase` on it and verifies the chased workspace
+/// by full sweep. Same failure modes as `BuildArmstrongDatabase`, and
+/// also verified-exact, but its tuples may differ (the library builder
+/// keeps chase consequences across rounds).
 /// `options.verify` and `options.checkpoint` are ignored, and
 /// `workspace_stats` stays zero.
 Result<ArmstrongReport> BuildArmstrongDatabaseLegacy(

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "core/satisfies.h"
+
 namespace ccfp::reference {
 
 namespace {
@@ -178,32 +180,18 @@ Result<ChaseResult> NaiveChase(const Chase& chase, Database initial,
   return result;
 }
 
-Result<InternedChaseResult> NaiveChaseInterned(const Chase& chase,
-                                               Database initial,
-                                               const ChaseOptions& options) {
-  InternedChaseResult result(initial.scheme_ptr());
-  CCFP_ASSIGN_OR_RETURN(ChaseResult naive,
-                        NaiveChase(chase, std::move(initial), options));
-  result.ws.AppendDatabase(naive.db);
-  result.outcome = naive.outcome;
-  result.fd_merges = naive.fd_merges;
-  result.ind_tuples = naive.ind_tuples;
-  result.steps = naive.steps;
-  return result;
-}
-
 Result<bool> NaiveChaseImplies(SchemePtr scheme, const std::vector<Fd>& fds,
                                const std::vector<Ind>& inds,
                                const Dependency& target,
                                const ChaseOptions& options) {
   CCFP_ASSIGN_OR_RETURN(Database seed, MakeCanonicalSeed(scheme, target));
   Chase chase(scheme, fds, inds);
-  CCFP_ASSIGN_OR_RETURN(InternedChaseResult result,
-                        NaiveChaseInterned(chase, std::move(seed), options));
+  CCFP_ASSIGN_OR_RETURN(ChaseResult result,
+                        NaiveChase(chase, std::move(seed), options));
   if (result.outcome == ChaseOutcome::kFailed) {
     return Status::Internal("chase failed from an all-null seed");
   }
-  return result.ws.Satisfies(target);
+  return Satisfies(result.db, target);
 }
 
 }  // namespace ccfp::reference

@@ -20,13 +20,9 @@ namespace ccfp::reference {
 Result<ChaseResult> NaiveChase(const Chase& chase, Database initial,
                                const ChaseOptions& options = {});
 
-/// NaiveChase with the result database appended into a fresh workspace —
-/// the reference for `Chase::RunInterned`.
-Result<InternedChaseResult> NaiveChaseInterned(
-    const Chase& chase, Database initial, const ChaseOptions& options = {});
-
-/// `ChaseImplies` (the Result<bool> overload) on the naive engine: chase
-/// the canonical seed of `target` and test the target at the fixpoint.
+/// Implication by chase on the naive engine: chase the canonical seed of
+/// `target` and test the target at the fixpoint (the reference for
+/// `ChaseImplies`, whose verdict is kImplied iff this returns true).
 Result<bool> NaiveChaseImplies(SchemePtr scheme, const std::vector<Fd>& fds,
                                const std::vector<Ind>& inds,
                                const Dependency& target,

@@ -39,20 +39,21 @@ TEST(Section7Test, Lemma72ChaseDerivesSigma) {
   // Sigma |= F: A -> C, re-derived by the FD+IND chase for several n.
   for (std::size_t n : {1u, 2u, 3u, 4u}) {
     Section7Construction c = MakeSection7(n);
-    Result<bool> implied =
-        ChaseImplies(c.scheme, c.fds, c.inds, Dependency(c.sigma));
+    Result<ChaseImplication> implied =
+        ChaseImplies(c.scheme, c.fds, c.inds, Dependency(c.sigma), Budget());
     ASSERT_TRUE(implied.ok()) << "n = " << n << ": " << implied.status();
-    EXPECT_TRUE(*implied) << "n = " << n;
+    EXPECT_EQ(implied->verdict, ImplicationVerdict::kImplied) << "n = " << n;
   }
 }
 
 TEST(Section7Test, Lemma73SigmaImpliesPhi) {
   Section7Construction c = MakeSection7(2);
   for (const Fd& fd : c.phi) {
-    Result<bool> implied =
-        ChaseImplies(c.scheme, c.fds, c.inds, Dependency(fd));
+    Result<ChaseImplication> implied =
+        ChaseImplies(c.scheme, c.fds, c.inds, Dependency(fd), Budget());
     ASSERT_TRUE(implied.ok()) << implied.status();
-    EXPECT_TRUE(*implied) << Dependency(fd).ToString(*c.scheme);
+    EXPECT_EQ(implied->verdict, ImplicationVerdict::kImplied)
+        << Dependency(fd).ToString(*c.scheme);
   }
 }
 

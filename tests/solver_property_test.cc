@@ -11,9 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "chase/chase.h"
-#include "chase/workspace_chase.h"
 #include "core/satisfies.h"
-#include "core/workspace.h"
 #include "fd/closure.h"
 #include "ind/implication.h"
 #include "interact/derivation.h"
@@ -248,12 +246,16 @@ TEST_P(SolverPropertyTest, MixedAgreesWithChaseOnAcyclic) {
                   Ind{rel, {x}, static_cast<RelId>(rng.Below(relations)),
                       {y}});
     if (!Validate(*scheme, target).ok()) continue;
-    Result<bool> via_chase = ChaseImplies(scheme, fds, inds, target);
-    if (!via_chase.ok()) continue;  // budget (should not happen: acyclic)
+    Result<ChaseImplication> via_chase =
+        ChaseImplies(scheme, fds, inds, target, Budget());
+    // Budget (should not happen: acyclic).
+    if (!via_chase.ok() || via_chase->verdict == ImplicationVerdict::kUnknown) {
+      continue;
+    }
     Verdict v = solver.Solve(target).value();
     EXPECT_NE(v.outcome, ImplicationVerdict::kUnknown)
         << target.ToString(*scheme);
-    EXPECT_EQ(v.implied(), *via_chase) << target.ToString(*scheme);
+    EXPECT_EQ(v.outcome, via_chase->verdict) << target.ToString(*scheme);
     ExpectCounterexampleGenuine(v, sigma, target, *scheme);
     ExpectMonotone(solver, target, *scheme);
   }
@@ -286,13 +288,10 @@ ImplicationVerdict ChaseFirstOutcome(SchemePtr scheme,
   if (derivation.Saturate().ok() && derivation.Derives(target)) {
     return ImplicationVerdict::kImplied;
   }
-  InternedWorkspace ws(scheme);
-  ws.AppendDatabase(MakeCanonicalSeed(scheme, target).value());
-  WorkspaceChase chase(&ws, fds, inds);
-  Result<WorkspaceChaseStats> run = chase.Run(ChaseOptions::FromBudget(slice));
-  if (run.ok() && run->outcome != ChaseOutcome::kFailed) {
-    return ws.Satisfies(target) ? ImplicationVerdict::kImplied
-                                : ImplicationVerdict::kNotImplied;
+  Result<ChaseImplication> chased =
+      ChaseImplies(scheme, fds, inds, target, slice);
+  if (chased.ok() && chased->verdict != ImplicationVerdict::kUnknown) {
+    return chased->verdict;
   }
   Result<PortfolioResult> sweep =
       RefutationPortfolio(scheme, nontrivial, target).Run(slice);

@@ -253,6 +253,30 @@ TEST(SolverTest, MixedNotImpliedChaseFixpointIsTheCounterexample) {
   EXPECT_EQ(v.stages[1].stage, "chase");
 }
 
+TEST(SolverTest, ChaseRefutationDecidesOnlyOnceVerified) {
+  // With the witness cache and counterexample attachment both off, the
+  // chase's refuting fixpoint must still pass the watcher check before it
+  // decides: the chase stage's note records the verification.
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B"}}, {"S", {"C", "D"}}});
+  std::vector<Dependency> sigma =
+      ParseDependencies(*scheme, "R[A, B] <= S[C, D]\nS: C -> D").value();
+  SolveOptions options;
+  options.use_witness_cache = false;
+  options.want_counterexample = false;
+  ImplicationSolver solver(scheme, sigma, options);
+  Verdict v = MustSolve(solver, Dependency(MakeFd(*scheme, "R", {"B"}, {"A"})));
+  EXPECT_EQ(v.fragment, ImplicationFragment::kMixed);
+  EXPECT_EQ(v.outcome, ImplicationVerdict::kNotImplied);
+  EXPECT_EQ(v.engine, "workspace-chase (universal model)");
+  EXPECT_FALSE(v.counterexample.has_value());
+  ASSERT_EQ(v.stages.size(), 2u) << v.ToString(*scheme);
+  const StageReport& chase = v.stages[1];
+  EXPECT_EQ(chase.stage, "chase");
+  EXPECT_EQ(chase.verdict, ImplicationVerdict::kNotImplied);
+  EXPECT_NE(chase.note.find("fixpoint"), std::string::npos) << chase.note;
+  EXPECT_NE(chase.note.find("verified"), std::string::npos) << chase.note;
+}
+
 TEST(SolverTest, MixedUndecidableReturnsStructuredUnknown) {
   // Cyclic INDs + an FD, with a target none of the stages can decide
   // under a tiny budget: the chase diverges, the bounded search finds no
@@ -496,6 +520,7 @@ TEST(SolverTest, ChaseImpliesBudgetOverloadCarriesEvidence) {
   ASSERT_TRUE(refuted.ok()) << refuted.status();
   EXPECT_EQ(refuted->verdict, ImplicationVerdict::kNotImplied);
   ASSERT_TRUE(refuted->counterexample.has_value());
+  EXPECT_TRUE(refuted->exhausted.ok());
   SatisfiesOptions legacy{SatisfiesEngine::kLegacy};
   for (const Fd& fd : fds) {
     EXPECT_TRUE(Satisfies(*refuted->counterexample, Dependency(fd), legacy));
@@ -524,6 +549,7 @@ TEST(SolverTest, ChaseImpliesBudgetOverloadCarriesEvidence) {
       Dependency(MakeFd(*cyc, "T", {"X"}, {"Y"})), steps200);
   ASSERT_TRUE(exhausted.ok()) << exhausted.status();
   EXPECT_EQ(exhausted->verdict, ImplicationVerdict::kUnknown);
+  EXPECT_EQ(exhausted->exhausted.code(), StatusCode::kResourceExhausted);
   EXPECT_GT(exhausted->used.tuples, 0u);
   EXPECT_LE(exhausted->used.tuples, exhausted->used.steps);
   EXPECT_LE(exhausted->used.steps, 201u);

@@ -2,8 +2,8 @@
 
 #include "constructions/theorem44.h"
 #include "core/satisfies.h"
-#include "interact/finite_vs_unrestricted.h"
 #include "interact/unary_finite.h"
+#include "solve/solver.h"
 
 namespace ccfp {
 namespace {
@@ -88,14 +88,22 @@ TEST(Theorem44Test, WitnessReportsMatchLargePrefixBehaviour) {
   EXPECT_FALSE(Satisfies(prefix, g.ind_conclusion));
 }
 
-TEST(Theorem44Test, CompareImplicationTellsTheWholeStory) {
+TEST(Theorem44Test, TwoSolvesTellTheWholeStory) {
   Theorem44Gadget g = MakeTheorem44Gadget();
-  FiniteVsUnrestricted verdict = CompareImplication(
-      g.scheme, {g.fd}, {g.ind}, Dependency(g.ind_conclusion));
-  EXPECT_EQ(verdict.finite, ImplicationVerdict::kImplied);
-  EXPECT_EQ(verdict.unrestricted, ImplicationVerdict::kNotImplied);
-  EXPECT_FALSE(verdict.finite_engine.empty());
-  EXPECT_FALSE(verdict.unrestricted_engine.empty());
+  std::vector<Dependency> sigma = {Dependency(g.fd), Dependency(g.ind)};
+  SolveOptions finite_options;
+  finite_options.semantics = ImplicationSemantics::kFinite;
+  Verdict finite = SolveImplication(g.scheme, sigma,
+                                    Dependency(g.ind_conclusion), Budget(),
+                                    finite_options)
+                       .value();
+  Verdict unrestricted =
+      SolveImplication(g.scheme, sigma, Dependency(g.ind_conclusion))
+          .value();
+  EXPECT_EQ(finite.outcome, ImplicationVerdict::kImplied);
+  EXPECT_EQ(unrestricted.outcome, ImplicationVerdict::kNotImplied);
+  EXPECT_FALSE(finite.engine.empty());
+  EXPECT_FALSE(unrestricted.engine.empty());
 }
 
 }  // namespace
