@@ -103,6 +103,13 @@ Result<ChaseImplication> ChaseImplies(SchemePtr scheme,
       return run.status();
     }
     out.exhausted = run.status();
+    // The engine tests the tuple ceiling only right after an IND append,
+    // so a seed already above it has not tripped it; after the last append
+    // alive tuples only fall (merges kill duplicates), so ending above the
+    // ceiling means that append tripped it.
+    out.counter_capped = out.steps > budget.steps ||
+                         (out.ind_tuples > 0 &&
+                          ws.TotalAliveTuples() > budget.tuples);
     return out;
   }
   if (run->outcome == ChaseOutcome::kFailed) {

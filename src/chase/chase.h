@@ -120,6 +120,12 @@ struct ChaseImplication {
   BudgetUse used;
   /// The engine's ResourceExhausted status when kUnknown; OK otherwise.
   Status exhausted;
+  /// True iff the run stopped at a counter ceiling: more steps than
+  /// `budget.steps`, or more alive tuples than `budget.tuples` (the engine
+  /// returns at the first step past either). Such a stop depends only on
+  /// Sigma, the seed and those counters; a stop at the deadline, the byte
+  /// ceiling or an injected fault leaves it false.
+  bool counter_capped = false;
 };
 
 /// The one implication-by-chase entry point: a semi-decision of

@@ -240,9 +240,11 @@ Status WorkspaceChase::ProbeInd(std::uint32_t ind_id, std::uint32_t idx,
         static_cast<std::uint32_t>(ws_->size(ind.rhs_rel)) - 1;
     AdmitSlot(ind.rhs_rel, new_idx);
     ++last_run_.ind_tuples;
-    if (++last_run_.steps > options_->max_steps ||
-        ws_->TotalAliveTuples() > options_->max_tuples) {
-      return Status::ResourceExhausted("chase budget exhausted");
+    if (++last_run_.steps > options_->max_steps) {
+      return Status::ResourceExhausted("chase step budget exhausted");
+    }
+    if (ws_->TotalAliveTuples() > options_->max_tuples) {
+      return Status::ResourceExhausted("chase tuple ceiling exceeded");
     }
   }
   return Status::OK();

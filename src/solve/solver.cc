@@ -175,6 +175,77 @@ bool DeadlineExpired(const Budget& budget, Verdict& v, const char* stage) {
 
 }  // namespace
 
+/// Chase runs that stopped at a counter ceiling, replayed for later chase
+/// stages with the same key. Such a run depends only on sigma (fixed per
+/// solver), the canonical seed and the share's counters: the target enters
+/// only the fixpoint check, which an exhausted run never reaches. The key
+/// is exactly what MakeCanonicalSeed reads — the seed relation, and for an
+/// FD target its lhs as a set (IND and RD targets on one relation share
+/// the one-tuple seed) — plus the share's steps, tuples and bytes. An
+/// entry holds counters and a status, never a database.
+struct ImplicationSolver::ChaseMemo {
+  struct Key {
+    RelId rel = 0;
+    bool fd_seed = false;       ///< the two-tuple seed of an FD target
+    std::vector<AttrId> lhs;    ///< the FD's lhs, sorted (no repeats)
+    std::uint64_t steps = 0;
+    std::uint64_t tuples = 0;
+    std::uint64_t bytes = 0;
+
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  struct Entry {
+    Key key;
+    ChaseImplication run;
+    std::uint64_t last_use = 0;
+  };
+  static constexpr std::size_t kCapacity = 64;
+
+  /// The memo key of `target`'s chase under `share`, or none when the share
+  /// has a deadline: a run that a wall-clock instant may stop is neither
+  /// admitted nor answered from the memo.
+  static std::optional<Key> KeyFor(const Dependency& target,
+                                   const Budget& share) {
+    if (share.deadline.has_value()) return std::nullopt;
+    Key key{SeedRelation(target), target.is_fd(), {}, share.steps,
+            share.tuples, share.bytes};
+    if (key.fd_seed) {
+      key.lhs = target.fd().lhs;
+      std::sort(key.lhs.begin(), key.lhs.end());
+    }
+    return key;
+  }
+
+  /// The stored run for `key` (marked most recently used), or null.
+  const ChaseImplication* Find(const Key& key) {
+    for (Entry& e : entries) {
+      if (e.key == key) {
+        e.last_use = ++clock;
+        return &e.run;
+      }
+    }
+    return nullptr;
+  }
+
+  /// Stores a counter-capped run, evicting the least recently used entry
+  /// when full.
+  void Admit(Key key, const ChaseImplication& run) {
+    Entry entry{std::move(key), run, ++clock};
+    if (entries.size() < kCapacity) {
+      entries.push_back(std::move(entry));
+      return;
+    }
+    *std::min_element(entries.begin(), entries.end(),
+                      [](const Entry& a, const Entry& b) {
+                        return a.last_use < b.last_use;
+                      }) = std::move(entry);
+  }
+
+  std::vector<Entry> entries;
+  std::uint64_t clock = 0;
+  ChaseMemoStats stats;
+};
+
 ImplicationFragment ClassifyImplicationFragment(
     const DatabaseScheme& scheme, const std::vector<Dependency>& sigma,
     const Dependency& target) {
@@ -213,7 +284,8 @@ ImplicationSolver::ImplicationSolver(SchemePtr scheme,
                                      SolveOptions options)
     : scheme_(std::move(scheme)),
       sigma_(std::move(sigma)),
-      options_(options) {
+      options_(options),
+      chase_memo_(std::make_unique<ChaseMemo>()) {
   for (const Dependency& dep : sigma_) {
     Status st = Validate(*scheme_, dep);
     if (!st.ok()) {
@@ -242,6 +314,12 @@ ImplicationSolver::ImplicationSolver(SchemePtr scheme,
     witness_cache_ = std::make_unique<WitnessCache>(
         scheme_, nontrivial_, options_.use_witness_cache ? 8 : 0);
   }
+}
+
+ImplicationSolver::~ImplicationSolver() = default;
+
+ImplicationSolver::ChaseMemoStats ImplicationSolver::chase_memo_stats() const {
+  return chase_memo_->stats;
 }
 
 ImplicationFragment ImplicationSolver::Classify(
@@ -627,8 +705,22 @@ bool ImplicationSolver::ChaseStage(const Dependency& target,
   }
   StageReport r{"chase", "workspace-chase (universal model)",
                 ImplicationVerdict::kUnknown, "", {}};
+  // A seed this solver already chased to a counter ceiling under this
+  // share stops there again: replay the stored run instead.
+  ChaseMemo& memo = *chase_memo_;
+  std::optional<ChaseMemo::Key> key = ChaseMemo::KeyFor(target, slice);
+  const ChaseImplication* replay = key ? memo.Find(*key) : nullptr;
   Result<ChaseImplication> chased =
-      ChaseImplies(scheme_, fds_, inds_, target, slice);
+      replay != nullptr ? Result<ChaseImplication>(*replay)
+                        : ChaseImplies(scheme_, fds_, inds_, target, slice);
+  if (replay != nullptr) {
+    ++memo.stats.chase_replays;
+  } else {
+    ++memo.stats.chase_runs;
+    if (key && chased.ok() && chased->counter_capped) {
+      memo.Admit(std::move(*key), *chased);
+    }
+  }
   if (chased.ok()) r.used = chased->used;
   if (!chased.ok() || chased->verdict == ImplicationVerdict::kUnknown) {
     r.note = chased.ok() ? chased->exhausted.ToString()

@@ -200,9 +200,15 @@ struct Verdict {
 /// acyclic; docs/solver.md), every stage drawing on one Budget via
 /// Split(). The chase stage is ChaseImplies (chase/chase.h), and every
 /// refuting database — a chased fixpoint or a search witness — decides
-/// only after the watchers verify it; a BoundedSearchWorkspace persists
-/// across Solve calls so repeated searches over the scheme reuse their
-/// compiled key tables.
+/// only after the watchers verify it. State kept across Solve calls:
+///   * a BoundedSearchWorkspace, so repeated searches over the scheme
+///     reuse their compiled key tables;
+///   * the witness cache (SolveOptions::use_witness_cache);
+///   * a memo of chase runs that stopped at a counter ceiling, keyed by
+///     the target's canonical seed and the chase share, so a repeated
+///     divergent seed is chased once. A replay reports the stored run's
+///     counters and note, so no Verdict can tell it from a fresh run;
+///     only chase_memo_stats() sees the memo.
 ///
 /// Statuses are reserved for invalid inputs; budget exhaustion is the
 /// kUnknown verdict (with per-stage reports), never an error and never an
@@ -213,10 +219,19 @@ class ImplicationSolver {
   /// InvalidArgument on the first Solve (the constructor never aborts).
   ImplicationSolver(SchemePtr scheme, std::vector<Dependency> sigma,
                     SolveOptions options = {});
+  ~ImplicationSolver();
 
   const DatabaseScheme& scheme() const { return *scheme_; }
   const std::vector<Dependency>& sigma() const { return sigma_; }
   const SolveOptions& options() const { return options_; }
+
+  /// Chase-stage traffic: `chase_runs` counts ChaseImplies calls, and
+  /// `chase_replays` the chase stages answered from the memo instead.
+  struct ChaseMemoStats {
+    std::uint64_t chase_runs = 0;
+    std::uint64_t chase_replays = 0;
+  };
+  ChaseMemoStats chase_memo_stats() const;
 
   /// Decides sigma |= target (or |=fin, per options) within `budget`.
   /// Error statuses only for invalid inputs.
@@ -242,7 +257,9 @@ class ImplicationSolver {
   /// universal-model argument). True iff decisive — a refuting fixpoint
   /// decides only once AttachCounterexample verifies it; otherwise pushes
   /// its reason onto `unknown_notes`. The stage's budget use is the
-  /// chase's own counters, on the exhausted path too.
+  /// chase's own counters, on the exhausted path too. A run that stopped
+  /// at a counter ceiling of a deadline-free share is memoized by seed and
+  /// share, and a later stage with the same key replays it.
   bool ChaseStage(const Dependency& target, const Budget& slice,
                   std::vector<std::string>& unknown_notes, Verdict& v);
   /// The refutation portfolio (search/portfolio.h) over this solver's
@@ -306,6 +323,10 @@ class ImplicationSolver {
   /// off — it then only serves as the watcher-based evidence checker).
   /// Null when options_.shared_witness_cache supplies the cache instead.
   std::unique_ptr<WitnessCache> witness_cache_;
+
+  /// Counter-capped chase runs by seed and share (solver.cc).
+  struct ChaseMemo;
+  std::unique_ptr<ChaseMemo> chase_memo_;
 
   /// The effective witness cache (shared when provided, else private).
   WitnessCache& cache() {

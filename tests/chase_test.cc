@@ -6,6 +6,7 @@
 #include "core/parser.h"
 #include "core/satisfies.h"
 #include "reference/chase.h"
+#include "util/fault.h"
 
 namespace ccfp {
 namespace {
@@ -214,6 +215,66 @@ TEST_F(ChaseTest, ChaseDivergesOnTheorem44Gadget) {
   ASSERT_TRUE(ind_concl.ok()) << ind_concl.status();
   EXPECT_EQ(ind_concl->verdict, ImplicationVerdict::kUnknown);
   EXPECT_EQ(ind_concl->exhausted.code(), StatusCode::kResourceExhausted);
+}
+
+TEST_F(ChaseTest, CounterCappedOnlyWhenACounterCeilingStopsTheChase) {
+  // On the Theorem 4.4 gadget the chase of R[B] <= R[A]'s one-tuple seed
+  // appends one tuple per step forever, so whichever limit is lowest stops
+  // it; the note names that limit, and only the two counter ceilings set
+  // counter_capped.
+  std::vector<Fd> fds = {MakeFd(*scheme_, "R", {"A"}, {"B"})};
+  std::vector<Ind> inds = {MakeInd(*scheme_, "R", {"A"}, "R", {"B"})};
+  Dependency divergent(MakeInd(*scheme_, "R", {"B"}, "R", {"A"}));
+  auto chase = [&](const Dependency& target, const Budget& budget) {
+    Result<ChaseImplication> run =
+        ChaseImplies(scheme_, fds, inds, target, budget);
+    EXPECT_TRUE(run.ok()) << run.status();
+    return run.MoveValue();
+  };
+
+  Budget steps;
+  steps.steps = 5;
+  ChaseImplication by_steps = chase(divergent, steps);
+  EXPECT_EQ(by_steps.exhausted.message(), "chase step budget exhausted");
+  EXPECT_EQ(by_steps.steps, 6u);
+  EXPECT_TRUE(by_steps.counter_capped);
+
+  Budget tuples;
+  tuples.tuples = 5;
+  ChaseImplication by_tuples = chase(divergent, tuples);
+  EXPECT_EQ(by_tuples.exhausted.message(), "chase tuple ceiling exceeded");
+  EXPECT_EQ(by_tuples.ind_tuples, 5u);  // the seed plus 5 > 5
+  EXPECT_TRUE(by_tuples.counter_capped);
+
+  Budget bytes;
+  bytes.bytes = 1;
+  ChaseImplication by_bytes = chase(divergent, bytes);
+  EXPECT_EQ(by_bytes.exhausted.message(), "chase byte ceiling exceeded");
+  EXPECT_FALSE(by_bytes.counter_capped);
+
+  // R: B -> A's two-tuple seed starts above a one-tuple ceiling, which the
+  // engine only tests after an IND tuple; a fault stopping the chase first
+  // is not a counter stop.
+  Budget one_tuple;
+  one_tuple.tuples = 1;
+  FaultInjector fi(3);
+  fi.Arm(FaultSite::kEngineExhaust, 0);
+  ChaseImplication faulted;
+  {
+    ScopedFaultInjector scope(&fi);
+    faulted = chase(Dependency(MakeFd(*scheme_, "R", {"B"}, {"A"})),
+                    one_tuple);
+  }
+  EXPECT_EQ(faulted.exhausted.message(), "injected chase exhaustion");
+  EXPECT_FALSE(faulted.counter_capped);
+
+  // A fixpoint (the FD alone) is never counter-capped.
+  Result<ChaseImplication> fixpoint = ChaseImplies(
+      scheme_, fds, {}, Dependency(MakeFd(*scheme_, "R", {"A"}, {"B"})),
+      one_tuple);
+  ASSERT_TRUE(fixpoint.ok()) << fixpoint.status();
+  EXPECT_EQ(fixpoint->verdict, ImplicationVerdict::kImplied);
+  EXPECT_FALSE(fixpoint->counter_capped);
 }
 
 TEST_F(ChaseTest, ChaseAgreesWithIndEngineOnPureInds) {

@@ -168,9 +168,11 @@ Result<ChaseResult> NaiveChase(const Chase& chase, Database initial,
         result.db.Insert(ind.rhs_rel, std::move(fresh));
         ++result.ind_tuples;
         changed = true;
-        if (++result.steps > options.max_steps ||
-            result.db.TotalTuples() > options.max_tuples) {
-          return Status::ResourceExhausted("chase budget exhausted");
+        if (++result.steps > options.max_steps) {
+          return Status::ResourceExhausted("chase step budget exhausted");
+        }
+        if (result.db.TotalTuples() > options.max_tuples) {
+          return Status::ResourceExhausted("chase tuple ceiling exceeded");
         }
       }
     }

@@ -37,19 +37,26 @@ struct Query {
 };
 
 /// One session's query stream: implied members, refuted targets (the
-/// bounded search finds counterexamples), trivia, and a deliberately
-/// starved query (Budget::Tiny -> kUnknown) to pin the mid-flight
-/// exhaustion behavior. Streams differ per session so the comparison is
-/// not accidentally symmetric.
+/// bounded search finds counterexamples), trivia, a deliberately starved
+/// query (Budget::Tiny starves the evidence search) to pin the mid-flight
+/// exhaustion behavior, and a chase stopped at its tuple ceiling, asked
+/// twice: the second ask replays the solver's chase memo unless the
+/// session was evicted in between. Streams differ per session so the
+/// comparison is not accidentally symmetric.
 std::vector<Query> QueryStream(std::size_t session) {
   Budget step_budget;           // counter-only: no deadline, deterministic
+  Budget tuple_starved;         // one tuple per stage share
+  tuple_starved.tuples = 3;
+  const Dependency wide(Ind{0, {0, 1}, 1, {0, 1}});  // mixed, refutable
   std::vector<Query> all = {
       {Dependency(Fd{0, {0}, {1}}), step_budget},      // member: implied
+      {wide, tuple_starved},                           // chase capped
       {Dependency(Fd{0, {1}, {0}}), step_budget},      // refuted
+      {wide, tuple_starved},                           // chase memo replay
       {Dependency(Ind{1, {0}, 0, {0}}), step_budget},  // reverse: refuted
       {Dependency(Fd{0, {0}, {0, 1}}), step_budget},   // equivalent member
       {Dependency(Ind{0, {1}, 1, {1}}), step_budget},  // refuted
-      {Dependency(Fd{0, {1}, {0}}), Budget::Tiny()},   // starved: unknown
+      {Dependency(Fd{0, {1}, {0}}), Budget::Tiny()},   // starved evidence
       {Dependency(Fd{0, {1}, {0}}), step_budget},      // cache replay
   };
   // Rotate so sessions issue different orders (and hence different
@@ -134,10 +141,12 @@ TEST(ServicePropertyTest, ConcurrentSessionsMatchSequential) {
 }
 
 TEST(ServicePropertyTest, EvictionMidStreamPreservesDeterminism) {
-  // With the witness cache off, a solver is memoryless across queries, so
+  // With the witness cache off, the only state a solver carries across
+  // queries is its chase memo, and verdicts cannot see the memo. So
   // dropping and reviving the session's engines mid-stream must be
   // invisible — the whole stream still matches the uninterrupted
-  // sequential reference bit-for-bit.
+  // sequential reference bit-for-bit. Sessions 1-3 evict between the
+  // memo's admission of the capped chase and its replay.
   SchemePtr scheme = RsScheme();
   constexpr std::size_t kSessions = 4;
   SolveOptions cacheless;

@@ -10,6 +10,9 @@
 //       exactly what the chase-first order decided.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "chase/chase.h"
 #include "core/satisfies.h"
 #include "fd/closure.h"
@@ -300,17 +303,14 @@ ImplicationVerdict ChaseFirstOutcome(SchemePtr scheme,
              : ImplicationVerdict::kUnknown;
 }
 
-TEST(SolverMixedMixTest, RefuteFirstDecidesWhatChaseFirstDecided) {
-  // One arity-4 relation, 1-3 unary FDs, 1-2 INDs of width <= 2, an FD
-  // target; 111 mixed queries from seed 7. The budget is cut to 1/16 of
-  // the default so the divergent chases stay short.
-  SplitMix64 rng(7);
-  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C", "D"}}});
-  Budget budget;
-  budget.steps /= 16;
-  budget.tuples /= 16;
-  SolveOptions options;
-  options.use_witness_cache = false;
+/// The random mixed mix: one arity-4 relation, 1-3 unary FDs, 1-2 INDs of
+/// width <= 2, an FD target; only queries the solver routes to kMixed.
+struct MixedMixQuery {
+  std::vector<Dependency> sigma;
+  Dependency target;
+};
+
+MixedMixQuery NextMixedMixQuery(const SchemePtr& scheme, SplitMix64& rng) {
   auto attrs = [&](std::size_t k) {
     std::vector<AttrId> all = {0, 1, 2, 3};
     for (std::size_t i = 0; i < k; ++i) {
@@ -319,8 +319,7 @@ TEST(SolverMixedMixTest, RefuteFirstDecidesWhatChaseFirstDecided) {
     all.resize(k);
     return all;
   };
-  std::size_t queries = 0, decided = 0;
-  while (queries < 111) {
+  while (true) {
     std::vector<Dependency> sigma;
     for (std::size_t i = 1 + rng.Below(3); i > 0; --i) {
       std::vector<AttrId> xy = attrs(2);
@@ -334,22 +333,89 @@ TEST(SolverMixedMixTest, RefuteFirstDecidesWhatChaseFirstDecided) {
     std::size_t k = 1 + rng.Below(2);
     Dependency target(
         Fd{0, std::vector<AttrId>(xyz.begin(), xyz.begin() + k), {xyz[2]}});
-    if (ClassifyImplicationFragment(*scheme, sigma, target) !=
+    if (ClassifyImplicationFragment(*scheme, sigma, target) ==
         ImplicationFragment::kMixed) {
-      continue;
+      return MixedMixQuery{std::move(sigma), std::move(target)};
     }
-    ++queries;
-    ImplicationSolver solver(scheme, sigma, options);
-    Verdict v = solver.Solve(target, budget).value();
-    EXPECT_EQ(v.outcome, ChaseFirstOutcome(scheme, sigma, target, budget))
+  }
+}
+
+/// 1/16 of the default budget, so the divergent chases stay short.
+Budget SixteenthBudget() {
+  Budget budget;
+  budget.steps /= 16;
+  budget.tuples /= 16;
+  return budget;
+}
+
+TEST(SolverMixedMixTest, RefuteFirstDecidesWhatChaseFirstDecided) {
+  // 111 mixed queries from seed 7.
+  SplitMix64 rng(7);
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C", "D"}}});
+  Budget budget = SixteenthBudget();
+  SolveOptions options;
+  options.use_witness_cache = false;
+  std::size_t decided = 0;
+  for (std::size_t queries = 0; queries < 111; ++queries) {
+    MixedMixQuery q = NextMixedMixQuery(scheme, rng);
+    ImplicationSolver solver(scheme, q.sigma, options);
+    Verdict v = solver.Solve(q.target, budget).value();
+    EXPECT_EQ(v.outcome, ChaseFirstOutcome(scheme, q.sigma, q.target, budget))
         << v.ToString(*scheme);
     if (v.outcome != ImplicationVerdict::kUnknown) ++decided;
     if (v.not_implied()) {
       ASSERT_TRUE(v.counterexample.has_value()) << v.ToString(*scheme);
-      ExpectCounterexampleGenuine(v, sigma, target, *scheme);
+      ExpectCounterexampleGenuine(v, q.sigma, q.target, *scheme);
     }
   }
-  EXPECT_GT(decided, queries / 2);
+  EXPECT_GT(decided, 111u / 2);
+}
+
+/// The full observable answer: rendered verdict plus counterexample.
+std::string Render(const Verdict& v, const DatabaseScheme& scheme) {
+  std::string s = v.ToString(scheme);
+  if (v.counterexample.has_value()) {
+    s += "\n--counterexample--\n" + v.counterexample->ToString();
+  }
+  return s;
+}
+
+TEST(SolverMixedMixTest, TheChaseMemoIsInvisible) {
+  // The same 111 queries. Each sigma gets one long-lived solver that is
+  // asked the target, a sibling with the same canonical seed (same lhs,
+  // the fourth attribute as rhs), then both again; every answer must
+  // render exactly as a fresh solver's. The witness cache is off, so the
+  // chase memo is the only state the long-lived solver carries over.
+  SplitMix64 rng(7);
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C", "D"}}});
+  Budget budget = SixteenthBudget();
+  SolveOptions options;
+  options.use_witness_cache = false;
+  std::uint64_t replays = 0;
+  for (std::size_t queries = 0; queries < 111; ++queries) {
+    MixedMixQuery q = NextMixedMixQuery(scheme, rng);
+    const Fd& fd = q.target.fd();
+    AttrId other = 0;
+    while (other == fd.rhs[0] ||
+           std::find(fd.lhs.begin(), fd.lhs.end(), other) != fd.lhs.end()) {
+      ++other;
+    }
+    Dependency sibling(Fd{0, fd.lhs, {other}});
+    std::vector<std::string> want;
+    for (const Dependency& target : {q.target, sibling}) {
+      ImplicationSolver fresh(scheme, q.sigma, options);
+      want.push_back(Render(fresh.Solve(target, budget).value(), *scheme));
+    }
+    ImplicationSolver solver(scheme, q.sigma, options);
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(Render(solver.Solve(q.target, budget).value(), *scheme),
+                want[0]);
+      EXPECT_EQ(Render(solver.Solve(sibling, budget).value(), *scheme),
+                want[1]);
+    }
+    replays += solver.chase_memo_stats().chase_replays;
+  }
+  EXPECT_GT(replays, 0u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <gtest/gtest.h>
 
+#include "core/parser.h"
 #include "solve/solver.h"
 #include "util/strings.h"
 
@@ -108,6 +109,55 @@ TEST(SolverSmokeTest, RefutationSearchReusesCompiledTables) {
   }
   std::int64_t ms = MsSince(start);
   EXPECT_LT(ms, 1000) << "refutation path regressed";
+}
+
+TEST(SolverSmokeTest, RepeatedDivergentSeedsAreChasedOnce) {
+  // The perfbench mixed template at 1/16 of the default budget: six
+  // kUnknown targets with six distinct canonical seeds, each chased to the
+  // share's tuple ceiling. The solver memoizes those runs, so eight more
+  // rounds of the same targets replay them and must cost less in total
+  // than the first round did (without the memo they cost ~8x as much). A
+  // ratio, not a millisecond bound, so it holds under the sanitizers.
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}},
+                                 {"S", {"D", "E", "F"}},
+                                 {"T", {"G", "H", "I", "J"}},
+                                 {"U", {"K", "L", "M"}}});
+  std::vector<Dependency> sigma = ParseDependencies(*scheme,
+                                                    "R: A -> B\n"
+                                                    "R[B, C] <= R[C, A]\n"
+                                                    "S: D -> E\n"
+                                                    "R[A, B] <= S[D, E]\n"
+                                                    "S[E, F] <= R[A, C]\n"
+                                                    "T: G -> H\n"
+                                                    "T[G, H] <= U[K, L]\n"
+                                                    "U: K -> M\n"
+                                                    "T[I, J] <= U[L, M]\n"
+                                                    "U: L, M -> K\n")
+                                      .value();
+  std::vector<Dependency> targets;
+  for (const char* text :
+       {"S: E -> F", "R[C, B] <= R[B, C]", "S[E, F] <= R[C, B]",
+        "R: B -> C", "S: D -> F", "R: C -> B"}) {
+    targets.push_back(ParseDependency(*scheme, text).value());
+  }
+  Budget budget;
+  budget.steps /= 16;
+  budget.tuples /= 16;
+  ImplicationSolver solver(scheme, sigma);
+  auto round = [&] {
+    auto start = std::chrono::steady_clock::now();
+    for (const Dependency& target : targets) {
+      Verdict v = solver.Solve(target, budget).value();
+      EXPECT_TRUE(v.unknown()) << v.ToString(*scheme);
+    }
+    return std::chrono::steady_clock::now() - start;
+  };
+  auto first = round();
+  std::chrono::steady_clock::duration later{};
+  for (int r = 0; r < 8; ++r) later += round();
+  EXPECT_LT(later, first) << "repeated divergent seeds are chased again";
+  EXPECT_EQ(solver.chase_memo_stats().chase_runs, 6u);
+  EXPECT_EQ(solver.chase_memo_stats().chase_replays, 48u);
 }
 
 }  // namespace

@@ -5,6 +5,14 @@
 // Status / kUnknown, never an abort).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+
+#include "chase/chase.h"
 #include "constructions/section7.h"
 #include "constructions/theorem44.h"
 #include "core/parser.h"
@@ -14,6 +22,7 @@
 #include "search/bounded.h"
 #include "search/portfolio.h"
 #include "solve/solver.h"
+#include "util/fault.h"
 
 namespace ccfp {
 namespace {
@@ -324,9 +333,9 @@ TEST(SolverTest, MixedUnknownReasonNamesTheSpecialEdgeCycle) {
 
 /// The perfbench mixed_solve template (perfbench/src/workloads.cc). Its
 /// R/S half feeds itself through R[B, C] <= R[C, A], so the chase from
-/// these targets' seeds never reaches a fixpoint and spends its whole
-/// share of the default Budget.
-TEST(SolverTest, DivergentChaseStagesDoExactlyTheRecordedWork) {
+/// many R/S targets' seeds never reaches a fixpoint and spends its whole
+/// share of the budget.
+struct RsCycle {
   SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}},
                                  {"S", {"D", "E", "F"}},
                                  {"T", {"G", "H", "I", "J"}},
@@ -343,20 +352,30 @@ TEST(SolverTest, DivergentChaseStagesDoExactlyTheRecordedWork) {
                                                     "T[I, J] <= U[L, M]\n"
                                                     "U: L, M -> K\n")
                                       .value();
+
+  Dependency Target(const char* text) const {
+    return ParseDependency(*scheme, text).value();
+  }
+};
+
+TEST(SolverTest, DivergentChaseStagesDoExactlyTheRecordedWork) {
+  RsCycle rs;
   struct Case {
     const char* target;
     std::uint64_t steps;
     std::uint64_t tuples;
   };
   // Every rule firing of the chase is pinned: a faster kernel must spend
-  // exactly these counters, as the node-based indexes did.
+  // exactly these counters, as the node-based indexes did. Each run stops
+  // at the share's tuple ceiling (1 or 2 seed tuples plus the IND tuples
+  // pass 87,381), and its note says so.
   const Case cases[] = {{"R: B -> C", 97865, 87380},
                         {"S: E -> F", 96473, 87380},
                         {"R[C, B] <= R[B, C]", 101229, 87381}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.target);
-    ImplicationSolver solver(scheme, sigma);
-    Verdict v = MustSolve(solver, ParseDependency(*scheme, c.target).value());
+    ImplicationSolver solver(rs.scheme, rs.sigma);
+    Verdict v = MustSolve(solver, rs.Target(c.target));
     EXPECT_EQ(v.outcome, ImplicationVerdict::kUnknown);
     int chase_stages = 0;
     for (const StageReport& stage : v.stages) {
@@ -364,9 +383,219 @@ TEST(SolverTest, DivergentChaseStagesDoExactlyTheRecordedWork) {
       ++chase_stages;
       EXPECT_EQ(stage.used.steps, c.steps);
       EXPECT_EQ(stage.used.tuples, c.tuples);
+      EXPECT_NE(stage.note.find("chase tuple ceiling exceeded"),
+                std::string::npos)
+          << stage.note;
     }
     EXPECT_EQ(chase_stages, 1);
   }
+}
+
+// --- The chase memo -------------------------------------------------------
+
+/// The full observable answer: the rendered verdict (outcome, route,
+/// engine, reason, every stage with its budget use) and the counterexample.
+std::string Render(const Verdict& v, const DatabaseScheme& scheme) {
+  std::string s = v.ToString(scheme);
+  if (v.counterexample.has_value()) {
+    s += "\n--counterexample--\n" + v.counterexample->ToString();
+  }
+  return s;
+}
+
+/// What a solver that has never chased anything answers.
+std::string FreshRender(const SchemePtr& scheme,
+                        const std::vector<Dependency>& sigma,
+                        const Dependency& target, const Budget& budget,
+                        const SolveOptions& options = {}) {
+  ImplicationSolver fresh(scheme, sigma, options);
+  return Render(MustSolve(fresh, target, budget), *scheme);
+}
+
+/// 1/16 of the default budget: the divergent chases stop at 5,461 tuples.
+Budget SixteenthBudget() {
+  Budget budget;
+  budget.steps /= 16;
+  budget.tuples /= 16;
+  return budget;
+}
+
+TEST(SolverChaseMemoTest, SameSeedTargetsReplayTheFirstRun) {
+  RsCycle rs;
+  Budget budget = SixteenthBudget();
+  // Both IND targets chase the same one-tuple R seed.
+  Dependency first = rs.Target("R[C, B] <= R[B, C]");
+  Dependency sibling = rs.Target("R[C, B] <= R[C, A]");
+  ImplicationSolver solver(rs.scheme, rs.sigma);
+  for (const Dependency& target : {first, sibling, first}) {
+    SCOPED_TRACE(target.ToString(*rs.scheme));
+    Verdict v = MustSolve(solver, target, budget);
+    EXPECT_TRUE(v.unknown());
+    EXPECT_EQ(Render(v, *rs.scheme),
+              FreshRender(rs.scheme, rs.sigma, target, budget));
+  }
+  EXPECT_EQ(solver.chase_memo_stats().chase_runs, 1u);
+  EXPECT_EQ(solver.chase_memo_stats().chase_replays, 2u);
+}
+
+TEST(SolverChaseMemoTest, ASmallerShareChasesAgain) {
+  RsCycle rs;
+  Budget budget = SixteenthBudget();
+  Budget half = budget;
+  half.steps /= 2;
+  half.tuples /= 2;
+  Dependency target = rs.Target("R: B -> C");
+  ImplicationSolver solver(rs.scheme, rs.sigma);
+  MustSolve(solver, target, budget);
+  Verdict v = MustSolve(solver, target, half);
+  EXPECT_EQ(Render(v, *rs.scheme),
+            FreshRender(rs.scheme, rs.sigma, target, half));
+  EXPECT_EQ(solver.chase_memo_stats().chase_runs, 2u);
+  EXPECT_EQ(solver.chase_memo_stats().chase_replays, 0u);
+}
+
+TEST(SolverChaseMemoTest, ADeadlineShareIsNeverAdmitted) {
+  RsCycle rs;
+  Budget budget = SixteenthBudget();
+  budget.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+  Dependency target = rs.Target("S: E -> F");
+  ImplicationSolver solver(rs.scheme, rs.sigma);
+  for (int round = 0; round < 2; ++round) {
+    Verdict v = MustSolve(solver, target, budget);
+    EXPECT_EQ(Render(v, *rs.scheme),
+              FreshRender(rs.scheme, rs.sigma, target, budget));
+  }
+  EXPECT_EQ(solver.chase_memo_stats().chase_runs, 2u);
+  EXPECT_EQ(solver.chase_memo_stats().chase_replays, 0u);
+}
+
+TEST(SolverChaseMemoTest, AFaultedRunIsNeverAdmitted) {
+  RsCycle rs;
+  Budget budget = SixteenthBudget();
+  Dependency target = rs.Target("R[C, B] <= R[B, C]");
+  ImplicationSolver solver(rs.scheme, rs.sigma);
+  {
+    // The chase is the only engine that probes kEngineExhaust, so the
+    // fault stops it after 100 checkpoints, far below either ceiling.
+    FaultInjector fi(19);
+    fi.Arm(FaultSite::kEngineExhaust, 100);
+    ScopedFaultInjector scope(&fi);
+    Verdict v = MustSolve(solver, target, budget);
+    std::string rendered = v.ToString(*rs.scheme);
+    EXPECT_NE(rendered.find("injected chase exhaustion"), std::string::npos)
+        << rendered;
+  }
+  std::string want = FreshRender(rs.scheme, rs.sigma, target, budget);
+  EXPECT_EQ(want.find("injected"), std::string::npos);
+  // The faulted run was not admitted: the next query chases for real, and
+  // that run is the one the memo keeps.
+  for (int round = 0; round < 2; ++round) {
+    Verdict v = MustSolve(solver, target, budget);
+    EXPECT_EQ(Render(v, *rs.scheme), want);
+  }
+  EXPECT_EQ(solver.chase_memo_stats().chase_runs, 2u);
+  EXPECT_EQ(solver.chase_memo_stats().chase_replays, 1u);
+}
+
+TEST(SolverChaseMemoTest, EqualKeysMeanEqualSeeds) {
+  // Every FD, IND and RD target over R(A, B, C), S(D, E). The memo keys a
+  // run by the seed relation, whether the seed is the two-tuple FD seed,
+  // and the FD's lhs as a set; targets with equal keys must have equal
+  // canonical seeds. Sigma diverges from every seed, so each chase stage
+  // reached stops at a counter ceiling, and the solver must chase exactly
+  // once per distinct key.
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}, {"S", {"D", "E"}}});
+  std::vector<Dependency> sigma = {
+      Dependency(Fd{0, {0}, {1}}), Dependency(Ind{0, {1}, 0, {0}}),
+      Dependency(Ind{1, {1}, 1, {0}}), Dependency(Ind{0, {0, 1}, 1, {0, 1}})};
+  std::vector<Dependency> targets;
+  for (RelId rel = 0; rel < 2; ++rel) {
+    AttrId arity = static_cast<AttrId>(scheme->relation(rel).arity());
+    for (AttrId a = 0; a < arity; ++a) {
+      for (AttrId b = 0; b < arity; ++b) {
+        if (a == b) continue;
+        targets.push_back(Dependency(Rd{rel, {a}, {b}}));
+        for (AttrId y = 0; y < arity; ++y) {
+          if (y == a || y == b) continue;
+          // Both orders of a two-attribute lhs: the seed reads it as a set.
+          targets.push_back(Dependency(Fd{rel, {a, b}, {y}}));
+        }
+      }
+      for (AttrId y = 0; y < arity; ++y) {
+        if (y == a) continue;
+        targets.push_back(Dependency(Fd{rel, {a}, {y}}));
+      }
+      targets.push_back(Dependency(Fd{rel, {}, {a}}));
+    }
+  }
+  for (RelId r1 = 0; r1 < 2; ++r1) {
+    for (RelId r2 = 0; r2 < 2; ++r2) {
+      AttrId n1 = static_cast<AttrId>(scheme->relation(r1).arity());
+      AttrId n2 = static_cast<AttrId>(scheme->relation(r2).arity());
+      for (AttrId a = 0; a < n1; ++a) {
+        for (AttrId c = 0; c < n2; ++c) {
+          targets.push_back(Dependency(Ind{r1, {a}, r2, {c}}));
+          for (AttrId b = 0; b < n1; ++b) {
+            for (AttrId d = 0; d < n2; ++d) {
+              if (a == b || c == d) continue;
+              targets.push_back(Dependency(Ind{r1, {a, b}, r2, {c, d}}));
+            }
+          }
+        }
+      }
+    }
+  }
+
+  using Key = std::tuple<RelId, bool, std::vector<AttrId>>;
+  auto key_of = [](const Dependency& t) {
+    if (t.is_fd()) {
+      std::vector<AttrId> lhs = t.fd().lhs;
+      std::sort(lhs.begin(), lhs.end());
+      return Key{t.fd().rel, true, lhs};
+    }
+    return Key{t.is_ind() ? t.ind().lhs_rel : t.rd().rel, false, {}};
+  };
+  std::map<Key, Database> seeds;
+  for (const Dependency& t : targets) {
+    Database seed = MakeCanonicalSeed(scheme, t).value();
+    auto [it, inserted] = seeds.emplace(key_of(t), seed);
+    if (!inserted) {
+      EXPECT_TRUE(it->second == seed) << t.ToString(*scheme);
+    }
+  }
+
+  // One step and one tuple per stage share: every chase stops at its
+  // first merge or IND tuple, and the search prefix is too starved to
+  // refute most targets before the chase. Without the witness cache,
+  // every target reaches the stages on its own.
+  Budget budget;
+  budget.steps = 3;
+  budget.tuples = 3;
+  SolveOptions cacheless;
+  cacheless.use_witness_cache = false;
+  ImplicationSolver solver(scheme, sigma, cacheless);
+  std::set<Key> chased;
+  std::size_t reached = 0;
+  for (const Dependency& t : targets) {
+    if (IsTrivial(*scheme, t)) continue;
+    SCOPED_TRACE(t.ToString(*scheme));
+    Verdict v = MustSolve(solver, t, budget);
+    EXPECT_EQ(Render(v, *scheme),
+              FreshRender(scheme, sigma, t, budget, cacheless));
+    for (const StageReport& stage : v.stages) {
+      if (stage.stage != "chase") continue;
+      ++reached;
+      chased.insert(key_of(t));
+      EXPECT_TRUE(stage.note.find("chase tuple ceiling exceeded") !=
+                      std::string::npos ||
+                  stage.note.find("chase step budget exhausted") !=
+                      std::string::npos)
+          << stage.note;
+    }
+  }
+  EXPECT_GT(chased.size(), 6u);
+  EXPECT_EQ(solver.chase_memo_stats().chase_runs, chased.size());
+  EXPECT_EQ(solver.chase_memo_stats().chase_replays, reached - chased.size());
 }
 
 /// {A -> B, R[B, C] <= R[C, A]} over R(A, B, C) does not imply A -> C:
