@@ -144,20 +144,11 @@ ArmstrongSession::ArmstrongSession(InternedWorkspace ws,
   }
 }
 
-Status ArmstrongSession::Checkpoint() {
-  SnapshotChainWriter* chain = options_.checkpoint.chain;
-  if (chain == nullptr) return Status::OK();
+Status ArmstrongSession::Checkpoint(SnapshotChainWriter& chain) const {
   SessionClassificationRecord record;
   record.universe = universe_;
   record.expected = universe_expected_;
-  // One cursor vector: the feed tip per relation. A warm start's fresh
-  // consumers begin at the tip (or rebuild from ranks), so this is the
-  // only position worth persisting.
-  std::vector<std::uint64_t> tip(scheme_->size());
-  for (RelId rel = 0; rel < scheme_->size(); ++rel) {
-    tip[rel] = ws_.EventCount(rel);
-  }
-  return chain->Save(ws_, {std::move(tip)}, SerializeSessionRecord(record));
+  return chain.Save(ws_, {}, SerializeSessionRecord(record));
 }
 
 Status ArmstrongSession::VerifyExactness() {
@@ -225,30 +216,12 @@ Status ArmstrongSession::Extend(const std::vector<Dependency>& delta) {
     }
   }
   CCFP_RETURN_NOT_OK(ChaseVerifyRepair());
-  // Background maintenance is cadence-driven, not per-Extend: both
-  // decisions read measured state (MemoryUsage) against the configured
-  // byte thresholds. With the default thresholds of 0 every Extend still
-  // compacts and (when a chain is configured) checkpoints — the tightest
-  // bound, and the pre-checkpoint behavior for the feed.
-  //
-  // Order matters: compact *before* snapshotting, so the TrimFeedTo
-  // journal entries ride in the same delta record and a restored
-  // workspace's retained feed window matches the live one exactly. Every
-  // registered consumer (the chaser, and the verifier when present) sits
-  // at the feed tip after a successful round, so compaction trims the
-  // whole retained window.
-  MemoryBreakdown usage = ws_.MemoryUsage();
-  if (usage.feed >= options_.checkpoint.compact_feed_bytes) {
-    ws_.CompactFeeds();
-  }
-  if (options_.checkpoint.chain != nullptr &&
-      (!ws_.journal_enabled() ||
-       ws_.JournalBytes() >= options_.checkpoint.snapshot_journal_bytes)) {
-    // A failed checkpoint (e.g. an injected crash) leaves the session
-    // valid and the journal intact; the error is surfaced so the caller
-    // can retry Checkpoint() or keep extending and retry later.
-    CCFP_RETURN_NOT_OK(Checkpoint());
-  }
+  // Every registered consumer (the chaser, and the verifier when
+  // present) sits at the feed tip after a successful round, so
+  // compaction trims the whole retained window. A Checkpoint after this
+  // Extend carries the TrimFeedTo journal entries in the same record, so
+  // a restored workspace's retained feed window matches the live one.
+  ws_.CompactFeeds();
   return Status::OK();
 }
 

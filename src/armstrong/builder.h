@@ -52,31 +52,11 @@ enum class ArmstrongVerifyEngine : std::uint8_t {
   kFullSweep = 2,
 };
 
-/// Background persistence cadence for an ArmstrongSession. Both triggers
-/// are *byte thresholds against measured state* (MemoryUsage), not
-/// per-Extend rituals: a session extending by tiny deltas does not pay a
-/// compaction scan or a snapshot write per call, and a session ingesting
-/// a huge delta checkpoints as soon as the in-flight state warrants it.
-struct SessionCheckpointOptions {
-  /// Compact the change feeds when the retained event window exceeds this
-  /// many logical bytes (MemoryUsage().feed). 0 = compact after every
-  /// Extend (the pre-checkpoint behavior, and the tightest bound).
-  std::uint64_t compact_feed_bytes = 0;
-  /// Write a chain record when the retained mutation journal exceeds this
-  /// many logical bytes (MemoryUsage().journal). 0 = checkpoint after
-  /// every Extend. Ignored when `chain` is null.
-  std::uint64_t snapshot_journal_bytes = 0;
-  /// Where checkpoints go. Null (default) disables persistence entirely;
-  /// the writer must outlive the session.
-  SnapshotChainWriter* chain = nullptr;
-};
-
 struct ArmstrongBuildOptions {
   ChaseOptions chase;
   /// Maximum repair rounds before giving up.
   int max_repair_rounds = 8;
   ArmstrongVerifyEngine verify = ArmstrongVerifyEngine::kAuto;
-  SessionCheckpointOptions checkpoint;
 };
 
 struct ArmstrongReport {
@@ -135,39 +115,29 @@ class ArmstrongSession {
                    std::vector<Ind> inds, const ImplicationOracle* oracle,
                    const ArmstrongBuildOptions& options = {});
 
-  /// Warm-start from a restored workspace (core/snapshot.h): the interned
-  /// tuples, value table, union-find, and cached partitions are adopted
-  /// as-is — nothing is re-interned and no base seeds are added. `ws`
-  /// must be over the same scheme the snapshot was taken with and at a
-  /// chase fixpoint (the state a session leaves behind after a successful
-  /// Extend). Universe classification is not part of the workspace;
-  /// re-Extend with the universe to rebuild it — watchers then build
-  /// straight from the adopted data.
-  ArmstrongSession(InternedWorkspace ws, std::vector<Fd> fds,
-                   std::vector<Ind> inds, const ImplicationOracle* oracle,
-                   const ArmstrongBuildOptions& options = {});
-
-  /// Warm-start *without replay*: adopts the workspace AND the persisted
-  /// universe classification (the `aux` record a checkpointing session
-  /// wrote — see Checkpoint and SessionClassificationRecord). The session
-  /// is immediately in the state the saver left it in: universe, expected
-  /// set, and repair targets are rebuilt with zero oracle calls, and
-  /// under kIncremental the watchers initialize straight from the adopted
-  /// substrate. `record` must come from the same save as `ws`.
+  /// Warm start *without replay* from a restored chain (core/snapshot.h):
+  /// adopts the workspace AND the persisted universe classification (the
+  /// `aux` record Checkpoint wrote — see SessionClassificationRecord).
+  /// The interned tuples, value table, union-find and cached partitions
+  /// are taken as-is: nothing is re-interned and no base seeds are added.
+  /// The session is immediately in the state the saver left it in:
+  /// universe, expected set, and repair targets are rebuilt with zero
+  /// oracle calls, and under kIncremental the watchers initialize
+  /// straight from the adopted substrate. `ws` must be over the same
+  /// scheme, and `record` must come from the same save as `ws`.
   ArmstrongSession(InternedWorkspace ws, SessionClassificationRecord record,
                    std::vector<Fd> fds, std::vector<Ind> inds,
                    const ImplicationOracle* oracle,
                    const ArmstrongBuildOptions& options = {});
 
   /// Writes one chain record (base or delta, per the writer's fold
-  /// policy) carrying the workspace, the verifier-equivalent feed
-  /// cursors, and the universe classification. No-op without a configured
-  /// `options.checkpoint.chain`. Extend calls this automatically when the
-  /// journal threshold trips; callers may also invoke it directly (e.g.
-  /// right before shutdown). On failure — including an injected crash —
-  /// the session stays valid and the journal is retained, so a retry
-  /// writes a superset record at the same chain position.
-  Status Checkpoint();
+  /// policy) carrying the workspace and the universe classification, and
+  /// no consumer cursors: a warm start's fresh watchers rebuild from the
+  /// alive ranks. Call it after a successful Extend. On failure —
+  /// including an injected crash — the session stays valid and the
+  /// workspace journal is retained, so a retry writes a superset record
+  /// at the same chain position.
+  Status Checkpoint(SnapshotChainWriter& chain) const;
 
   /// Grows the universe by `delta` (members already known are skipped),
   /// re-establishes exactness, and reports the same failure modes as
@@ -189,6 +159,12 @@ class ArmstrongSession {
   Database Snapshot() const { return ws_.Materialize(); }
 
  private:
+  /// Adopts `ws` with no base seeds and no classification (the record
+  /// constructor's delegate).
+  ArmstrongSession(InternedWorkspace ws, std::vector<Fd> fds,
+                   std::vector<Ind> inds, const ImplicationOracle* oracle,
+                   const ArmstrongBuildOptions& options);
+
   /// The build loop body: chase to fixpoint, re-check every current
   /// non-consequence, seed repairs, repeat; then re-verify exactness.
   Status ChaseVerifyRepair();

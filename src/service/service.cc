@@ -52,17 +52,12 @@ SolverService::SolverService() : SolverService(Options()) {}
 SolverService::SolverService(Options options) : options_(std::move(options)) {
   // Two service processes must never interleave one session's chain.
   options_.chain_policy.exclusive = true;
-  std::size_t shards = std::max<std::size_t>(1, options_.shards);
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
 }
 
 SolverService::~SolverService() = default;
 
 std::size_t SolverService::ShardOf(const DatabaseScheme& scheme) const {
-  return SchemeFingerprint(scheme) % shards_.size();
+  return SchemeFingerprint(scheme) % kShards;
 }
 
 std::string SolverService::ChainPrefix(SessionId id) const {
@@ -107,12 +102,12 @@ Result<SolverService::SessionId> SolverService::Admit(
         StrCat("session capacity (", options_.max_sessions,
                ") reached; close or evict a session first"));
   }
-  std::size_t shard_index = session->core->fingerprint() % shards_.size();
-  Shard& shard = *shards_[shard_index];
+  std::size_t shard_index = session->core->fingerprint() % kShards;
+  Shard& shard = shards_[shard_index];
   SessionId id;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    id = shard.next++ * shards_.size() + shard_index;
+    id = shard.next++ * kShards + shard_index;
     shard.sessions.emplace(id, std::move(session));
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
@@ -122,7 +117,7 @@ Result<SolverService::SessionId> SolverService::Admit(
 
 Result<std::shared_ptr<SolverService::Session>> SolverService::Find(
     SessionId id) const {
-  const Shard& shard = *shards_[id % shards_.size()];
+  const Shard& shard = shards_[id % kShards];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.sessions.find(id);
   if (it == shard.sessions.end()) {
@@ -134,17 +129,6 @@ Result<std::shared_ptr<SolverService::Session>> SolverService::Find(
 void SolverService::ProvisionSolver(Session& s) {
   SolveOptions o = options_.solve;
   o.shared_search_tables = &s.core->search_tables();
-  if (options_.share_witness_cache) {
-    o.shared_witness_cache = &s.core->witness_cache();
-  } else {
-    // A private cache per session keeps evidence bit-reproducible; owning
-    // it here (instead of inside the solver) surfaces its counters in
-    // SessionStats and lets eviction drop it with the solver.
-    s.private_cache = std::make_unique<WitnessCache>(
-        s.core->scheme_ptr(), s.core->sigma(),
-        o.use_witness_cache ? std::size_t{8} : std::size_t{0});
-    o.shared_witness_cache = s.private_cache.get();
-  }
   s.solver = std::make_unique<ImplicationSolver>(s.core->scheme_ptr(),
                                                  s.core->sigma(), o);
 }
@@ -207,35 +191,16 @@ void SolverService::ChargeLocked(Session& s, std::uint64_t steps) {
   }
 }
 
-void SolverService::FoldLiveStatsLocked(Session& s) const {
-  // Witness counters do not survive a dropped private cache; accumulate.
-  if (s.private_cache != nullptr) {
-    s.stats.witness = SumWitness(s.stats.witness, s.private_cache->stats());
+SolverService::SessionStats SolverService::LiveStatsLocked(
+    const Session& s) const {
+  SessionStats out = s.stats;
+  out.evicted = s.evicted;
+  // Witness counters do not survive a dropped solver; accumulate.
+  if (s.solver != nullptr) {
+    out.witness = SumWitness(out.witness, s.solver->witness_cache_stats());
   }
   // Substrate deltas DO survive (workspace stats ride the snapshot), so
   // they are overwritten, not summed.
-  if (s.mine_ws != nullptr) {
-    s.stats.values_interned = s.mine_ws->stats().values_interned -
-                              s.core->base_stats().values_interned;
-    s.stats.partitions_built = s.mine_ws->stats().partitions_built -
-                               s.core->base_stats().partitions_built;
-  }
-  if (s.armstrong != nullptr) {
-    s.stats.values_interned = s.armstrong->workspace_stats().values_interned;
-    s.stats.partitions_built =
-        s.armstrong->workspace_stats().partitions_built;
-  }
-}
-
-SolverService::SessionStats SolverService::SnapshotStatsLocked(
-    Session& s) const {
-  SessionStats out = s.stats;
-  out.evicted = s.evicted;
-  if (options_.share_witness_cache && s.kind == SessionKind::kSolve) {
-    out.witness = s.core->witness_cache().stats();
-  } else if (s.private_cache != nullptr) {
-    out.witness = SumWitness(out.witness, s.private_cache->stats());
-  }
   if (s.mine_ws != nullptr) {
     out.values_interned = s.mine_ws->stats().values_interned -
                           s.core->base_stats().values_interned;
@@ -253,7 +218,7 @@ Status SolverService::ReviveLocked(Session& s) {
   switch (s.kind) {
     case SessionKind::kSolve:
       // Pure capital: rebuild the engines over the shared core. The
-      // private witness cache restarts cold (its counters were folded).
+      // solver's witness cache restarts cold (its counters were folded).
       ProvisionSolver(s);
       break;
     case SessionKind::kMine: {
@@ -412,26 +377,14 @@ Status SolverService::Evict(SessionId id) {
     case SessionKind::kMine:
       CCFP_RETURN_NOT_OK(s->chain->Save(*s->mine_ws));
       break;
-    case SessionKind::kArmstrong: {
-      // Persist the workspace AND the universe classification so revival
-      // replays zero oracle calls.
-      SessionClassificationRecord record;
-      record.universe = s->armstrong->universe();
-      const std::vector<Dependency>& expected = s->armstrong->expected();
-      record.expected.reserve(record.universe.size());
-      for (const Dependency& member : record.universe) {
-        record.expected.push_back(
-            std::find(expected.begin(), expected.end(), member) !=
-            expected.end());
-      }
-      CCFP_RETURN_NOT_OK(s->chain->Save(s->armstrong->workspace(), {},
-                                        SerializeSessionRecord(record)));
+    case SessionKind::kArmstrong:
+      // Workspace AND universe classification: revival replays zero
+      // oracle calls.
+      CCFP_RETURN_NOT_OK(s->armstrong->Checkpoint(*s->chain));
       break;
-    }
   }
-  FoldLiveStatsLocked(*s);
+  s->stats = LiveStatsLocked(*s);  // fold before the engines go
   s->solver.reset();
-  s->private_cache.reset();
   s->mine_ws.reset();
   s->armstrong.reset();
   s->oracle.reset();
@@ -443,7 +396,7 @@ Status SolverService::Evict(SessionId id) {
 }
 
 Status SolverService::Close(SessionId id) {
-  Shard& shard = *shards_[id % shards_.size()];
+  Shard& shard = shards_[id % kShards];
   std::shared_ptr<Session> s;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -464,7 +417,7 @@ Result<SolverService::SessionStats> SolverService::Stats(
     SessionId id) const {
   CCFP_ASSIGN_OR_RETURN(std::shared_ptr<Session> s, Find(id));
   std::lock_guard<std::mutex> lock(s->mu);
-  return SnapshotStatsLocked(*s);
+  return LiveStatsLocked(*s);
 }
 
 SolverService::ServiceStats SolverService::stats() const {

@@ -1,6 +1,7 @@
 #ifndef CCFP_SERVICE_SERVICE_H_
 #define CCFP_SERVICE_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -61,19 +62,18 @@ namespace ccfp {
 ///
 /// ## Determinism
 ///
-/// By default every solve session gets a *private* witness cache, so its
-/// verdicts AND evidence are bit-identical to a standalone sequential
+/// Every solve session's ImplicationSolver owns its witness cache, built
+/// exactly as a standalone solver builds it, so the session's verdicts
+/// AND evidence are bit-identical to a standalone sequential
 /// ImplicationSolver no matter how many siblings run beside it.
-/// `Options::share_witness_cache` opts a service into cross-session
-/// replay: verdicts stay exact, but which cached witness answers first
-/// becomes history-dependent.
 class SolverService {
  public:
   using SessionId = std::uint64_t;
 
+  /// Session shard count.
+  static constexpr std::size_t kShards = 4;
+
   struct Options {
-    /// Session shard count (fixed at construction).
-    std::size_t shards = 4;
     /// Resident (non-closed) session ceiling; Open beyond it is refused.
     std::size_t max_sessions = 64;
     /// Concurrent in-flight op ceiling across all sessions.
@@ -86,12 +86,8 @@ class SolverService {
     /// Fold policy for spill chains; `exclusive` is forced on so two
     /// service processes can never interleave one session's chain.
     SnapshotChainPolicy chain_policy;
-    /// Share one witness cache per core across its solve sessions (see
-    /// the determinism note above). Off by default.
-    bool share_witness_cache = false;
     /// Base solve options for solve sessions (semantics, evidence,
-    /// search shape). The shared-substrate hooks are overwritten per
-    /// session.
+    /// search shape). `shared_search_tables` is overwritten per session.
     SolveOptions solve;
   };
 
@@ -114,9 +110,8 @@ class SolverService {
     /// shows 0 for both.
     std::uint64_t values_interned = 0;
     std::uint64_t partitions_built = 0;
-    /// The session's effective witness cache counters (private cache:
-    /// exactly this session's traffic; shared cache: the core-wide
-    /// counters this session contributed to).
+    /// The session solver's witness cache counters, summed over every
+    /// life of the session (a revival starts a fresh solver).
     WitnessCache::Stats witness;
   };
 
@@ -185,7 +180,7 @@ class SolverService {
   Result<SessionStats> Stats(SessionId id) const;
   ServiceStats stats() const;
 
-  std::size_t shard_count() const { return shards_.size(); }
+  std::size_t shard_count() const { return kShards; }
   /// The shard a scheme routes to — exposed so tests can pin collisions.
   std::size_t ShardOf(const DatabaseScheme& scheme) const;
 
@@ -194,12 +189,11 @@ class SolverService {
     SessionKind kind = SessionKind::kSolve;
     std::shared_ptr<const SolverCore> core;
     /// Serializes ops on this session (ops across sessions run truly
-    /// concurrently on the shared caches' internal locks).
+    /// concurrently on the shared search tables' internal lock).
     std::mutex mu;
 
     /// Live engine state; null while evicted.
     std::unique_ptr<ImplicationSolver> solver;       // kSolve
-    std::unique_ptr<WitnessCache> private_cache;     // kSolve, default mode
     std::unique_ptr<InternedWorkspace> mine_ws;      // kMine
     std::unique_ptr<ArmstrongSession> armstrong;     // kArmstrong
     std::unique_ptr<ChaseOracle> oracle;             // kArmstrong
@@ -245,16 +239,14 @@ class SolverService {
   /// Counts one op and charges `steps` (at least 1) against the
   /// session's lifetime ceiling. Requires s.mu held.
   void ChargeLocked(Session& s, std::uint64_t steps);
-  /// The session's stats plus the deltas derivable only from live state
-  /// (witness counters, substrate deltas). Requires s.mu held.
-  SessionStats SnapshotStatsLocked(Session& s) const;
-  /// Folds the session's live-derived counters into its persistent stats
-  /// (called right before live engines are dropped). Requires s.mu held.
-  void FoldLiveStatsLocked(Session& s) const;
+  /// The session's stats plus the counters derivable only from live
+  /// engines (witness counters, substrate deltas). Evict stores it back
+  /// into `s.stats` before dropping the engines. Requires s.mu held.
+  SessionStats LiveStatsLocked(const Session& s) const;
   std::string ChainPrefix(SessionId id) const;
 
   Options options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kShards> shards_;
 
   mutable std::mutex cores_mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const SolverCore>> cores_;

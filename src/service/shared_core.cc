@@ -35,8 +35,7 @@ SolverCore::SolverCore(SchemePtr scheme, std::vector<Dependency> sigma)
     : scheme_(scheme),
       sigma_(std::move(sigma)),
       fingerprint_(SchemeFingerprint(*scheme)),
-      base_(scheme),
-      witness_cache_(scheme, sigma_) {}
+      base_(scheme) {}
 
 std::uint64_t SolverCore::Identity(const DatabaseScheme& scheme,
                                    const std::vector<Dependency>& sigma,
@@ -46,12 +45,6 @@ std::uint64_t SolverCore::Identity(const DatabaseScheme& scheme,
 
 Result<std::shared_ptr<const SolverCore>> SolverCore::Build(
     SchemePtr scheme, std::vector<Dependency> sigma, const Database* warm) {
-  return Build(std::move(scheme), std::move(sigma), warm, WarmupOptions());
-}
-
-Result<std::shared_ptr<const SolverCore>> SolverCore::Build(
-    SchemePtr scheme, std::vector<Dependency> sigma, const Database* warm,
-    const WarmupOptions& warmup) {
   for (const Dependency& dep : sigma) {
     CCFP_RETURN_NOT_OK(Validate(*scheme, dep));
   }
@@ -69,14 +62,14 @@ Result<std::shared_ptr<const SolverCore>> SolverCore::Build(
   for (const Dependency& dep : core->sigma_) {
     core->base_.Satisfies(dep);
   }
-  if (warm != nullptr && warmup.premine) {
+  if (warm != nullptr) {
     // One sweep per fragment compiles every candidate projection the
     // miners enumerate; forked sessions re-mining the warm data build
     // zero partitions.
     for (RelId rel = 0; rel < core->scheme_->size(); ++rel) {
-      (void)MineFds(core->base_, rel, warmup.fd);
+      (void)MineFds(core->base_, rel);
     }
-    (void)MineInds(core->base_, warmup.ind);
+    (void)MineInds(core->base_);
     (void)MineRds(core->base_);
   }
   core->base_.SealSharedBase();

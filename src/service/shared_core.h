@@ -12,7 +12,6 @@
 #include "mine/discovery.h"
 #include "search/bounded.h"
 #include "util/status.h"
-#include "verify/witness_cache.h"
 
 namespace ccfp {
 
@@ -26,15 +25,14 @@ namespace ccfp {
 ///     forks it for the price of copying index vectors, and the fork's
 ///     copy-on-write interner extends locally without ever duplicating
 ///     (or re-hashing) the shared value table;
-///   * a thread-safe WitnessCache over sigma (verify/witness_cache.h),
-///     so one session's verified refutation answers its siblings'
-///     probes — opt-in per service, because shared replay makes evidence
-///     history-dependent;
 ///   * a thread-safe BoundedSearchWorkspace (search/bounded.h), so the
 ///     Nth session's refutation searches compile zero key tables.
 ///
-/// A core is deeply immutable after Build (the cache and search tables
-/// mutate internally but are safe for concurrent use), so the service
+/// Witness caches are not shared: each solve session's ImplicationSolver
+/// owns its own, so its evidence never depends on a sibling's history.
+///
+/// A core is deeply immutable after Build (the search tables mutate
+/// internally but are safe for concurrent use), so the service
 /// hands out `shared_ptr<const SolverCore>` with no further locking. The
 /// acceptance proof that sharing works is in the counters: a forked
 /// workspace inherits the base's Stats, so a session's re-interning and
@@ -42,26 +40,13 @@ namespace ccfp {
 /// session that only touches warm state.
 class SolverCore {
  public:
-  /// How Build warms the base workspace before sealing it.
-  struct WarmupOptions {
-    /// Run the mining sweeps over the warm data so every candidate
-    /// projection partition (FD lattice up to `fd.max_lhs`, IND columns,
-    /// RD pairs) is compiled into the shared base. Ignored without warm
-    /// data. Mining sessions forked from a pre-mined core re-mine from
-    /// cached partitions alone.
-    bool premine = true;
-    FdMiningOptions fd;
-    IndMiningOptions ind;
-  };
-
   /// Validates sigma, interns `warm` (when provided), compiles the
-  /// partitions sigma verification and (optionally) mining will touch,
-  /// and seals the result. InvalidArgument on a sigma member that does
-  /// not fit the scheme.
-  static Result<std::shared_ptr<const SolverCore>> Build(
-      SchemePtr scheme, std::vector<Dependency> sigma, const Database* warm,
-      const WarmupOptions& warmup);
-  /// Build with default warm-up (premine on).
+  /// partitions sigma verification touches, and seals the result. With
+  /// warm data it also runs the mining sweeps (default FdMiningOptions /
+  /// IndMiningOptions, plus RDs) so every candidate projection partition
+  /// is compiled into the shared base: mining sessions forked from the
+  /// core re-mine from cached partitions alone. InvalidArgument on a
+  /// sigma member that does not fit the scheme.
   static Result<std::shared_ptr<const SolverCore>> Build(
       SchemePtr scheme, std::vector<Dependency> sigma,
       const Database* warm = nullptr);
@@ -92,9 +77,8 @@ class SolverCore {
   /// identity).
   InternedWorkspace ForkWorkspace() const { return base_.Fork(); }
 
-  /// Shared, thread-safe caches (mutable through a const core: both are
+  /// Shared, thread-safe search key tables (mutable through a const core:
   /// internally synchronized and observationally transparent).
-  WitnessCache& witness_cache() const { return witness_cache_; }
   BoundedSearchWorkspace& search_tables() const { return search_tables_; }
 
  private:
@@ -106,7 +90,6 @@ class SolverCore {
   std::uint64_t identity_ = 0;
   InternedWorkspace base_;
   InternedWorkspace::Stats base_stats_;
-  mutable WitnessCache witness_cache_;
   mutable BoundedSearchWorkspace search_tables_;
 };
 

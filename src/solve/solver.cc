@@ -310,16 +310,19 @@ ImplicationSolver::ImplicationSolver(SchemePtr scheme,
       rds_.push_back(dep.rd());
     }
   }
-  if (options_.shared_witness_cache == nullptr) {
-    witness_cache_ = std::make_unique<WitnessCache>(
-        scheme_, nontrivial_, options_.use_witness_cache ? 8 : 0);
-  }
+  witness_cache_ = std::make_unique<WitnessCache>(
+      scheme_, nontrivial_, options_.use_witness_cache ? 8 : 0);
 }
 
 ImplicationSolver::~ImplicationSolver() = default;
 
 ImplicationSolver::ChaseMemoStats ImplicationSolver::chase_memo_stats() const {
   return chase_memo_->stats;
+}
+
+WitnessCache::Stats ImplicationSolver::witness_cache_stats() const {
+  return witness_cache_ != nullptr ? witness_cache_->stats()
+                                   : WitnessCache::Stats();
 }
 
 ImplicationFragment ImplicationSolver::Classify(
@@ -346,7 +349,7 @@ Result<Verdict> ImplicationSolver::Solve(const Dependency& target,
   // against the query's byte ceiling like everything else: shrink the
   // cache (coldest witness first) before running the stages under it.
   if (options_.use_witness_cache && budget.bytes != UINT64_MAX) {
-    cache().EnforceByteCeiling(budget.bytes);
+    witness_cache_->EnforceByteCeiling(budget.bytes);
   }
   Verdict v;
   v.semantics = options_.semantics;
@@ -390,10 +393,10 @@ Result<Verdict> ImplicationSolver::Solve(const Dependency& target,
 
 bool ImplicationSolver::ProbeWitnessCache(const Dependency& target,
                                           Verdict& v, bool evidence_only) {
-  if (!options_.use_witness_cache || cache().size() == 0) {
+  if (!options_.use_witness_cache || witness_cache_->size() == 0) {
     return false;
   }
-  std::shared_ptr<const Database> hit = cache().Refute(target);
+  std::shared_ptr<const Database> hit = witness_cache_->Refute(target);
   if (hit == nullptr) return false;
   // The cached database satisfies sigma (verified on admission) and its
   // watcher just confirmed it violates the target — a complete
@@ -430,7 +433,7 @@ bool ImplicationSolver::AttachCounterexample(Database db,
   // always runs — it is what makes a search-found candidate decisive;
   // want_counterexample only controls whether the database itself is
   // handed to the caller.
-  bool genuine = cache().Admit(db, target).genuine;
+  bool genuine = witness_cache_->Admit(db, target).genuine;
   if (genuine) {
     if (!report.note.empty()) report.note += "; ";
     report.note += "counterexample verified through watchers";

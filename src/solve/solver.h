@@ -110,21 +110,10 @@ struct SolveOptions {
   /// one-shot watchers, just not retained.
   bool use_witness_cache = true;
 
-  /// --- shared-substrate hooks (service/shared_core.h) -----------------
-  /// All non-owned and optional; null means the solver provisions its own
-  /// private state (the classic standalone behavior).
-
-  /// Cache shared across solvers over the *same sigma* (thread-safe; the
-  /// caller guarantees the sigma match — the service keys cores by
-  /// scheme+sigma identity). When set, the solver allocates no private
-  /// cache: replays, admissions, and evidence checks all go through the
-  /// shared one. Note shared replay makes *evidence* (which cached
-  /// witness answers first) dependent on sibling-session history; callers
-  /// that need bit-reproducible evidence keep this null.
-  WitnessCache* shared_witness_cache = nullptr;
   /// Compiled search key tables shared across solvers over the *same
-  /// scheme* (thread-safe). When set, the per-solver table cache is
-  /// bypassed — the Nth session's searches compile nothing.
+  /// scheme* (thread-safe, non-owned; service/shared_core.h). Null (the
+  /// default) means the solver keeps its own table cache; when set, that
+  /// cache is bypassed — the Nth session's searches compile nothing.
   BoundedSearchWorkspace* shared_search_tables = nullptr;
 };
 
@@ -203,7 +192,9 @@ struct Verdict {
 /// only after the watchers verify it. State kept across Solve calls:
 ///   * a BoundedSearchWorkspace, so repeated searches over the scheme
 ///     reuse their compiled key tables;
-///   * the witness cache (SolveOptions::use_witness_cache);
+///   * the solver's own witness cache (SolveOptions::use_witness_cache)
+///     over the non-trivial members of sigma; witness_cache_stats() reads
+///     its counters;
 ///   * a memo of chase runs that stopped at a counter ceiling, keyed by
 ///     the target's canonical seed and the chase share, so a repeated
 ///     divergent seed is chased once. A replay reports the stored run's
@@ -232,6 +223,10 @@ class ImplicationSolver {
     std::uint64_t chase_replays = 0;
   };
   ChaseMemoStats chase_memo_stats() const;
+
+  /// The counters of this solver's own witness cache (zero when sigma is
+  /// invalid: no cache is built then).
+  WitnessCache::Stats witness_cache_stats() const;
 
   /// Decides sigma |= target (or |=fin, per options) within `budget`.
   /// Error statuses only for invalid inputs.
@@ -321,19 +316,12 @@ class ImplicationSolver {
   /// Verified counterexamples from earlier Solves, replayed against later
   /// targets over the same sigma (capacity 0 when use_witness_cache is
   /// off — it then only serves as the watcher-based evidence checker).
-  /// Null when options_.shared_witness_cache supplies the cache instead.
+  /// Null only when sigma is invalid.
   std::unique_ptr<WitnessCache> witness_cache_;
 
   /// Counter-capped chase runs by seed and share (solver.cc).
   struct ChaseMemo;
   std::unique_ptr<ChaseMemo> chase_memo_;
-
-  /// The effective witness cache (shared when provided, else private).
-  WitnessCache& cache() {
-    return options_.shared_witness_cache != nullptr
-               ? *options_.shared_witness_cache
-               : *witness_cache_;
-  }
 };
 
 /// One-shot façade over a temporary solver:

@@ -816,14 +816,6 @@ bool IncrementalVerifier::Satisfies(WatchId id) {
   return watchers_[id]->ok();
 }
 
-bool IncrementalVerifier::AllSatisfied() {
-  CatchUp();
-  for (const std::unique_ptr<Watcher>& w : watchers_) {
-    if (!w->ok()) return false;
-  }
-  return true;
-}
-
 std::optional<IdViolation> IncrementalVerifier::FindViolation(WatchId id) {
   if (Satisfies(id)) return std::nullopt;
   ++stats_.sweep_fallbacks;

@@ -141,9 +141,6 @@ class IncrementalVerifier {
   /// Current verdict for one watched dependency; O(1) after CatchUp.
   bool Satisfies(WatchId id);
 
-  /// True iff every watched dependency currently holds.
-  bool AllSatisfied();
-
   /// Violation witness (same witness the full sweep reports — the sweep
   /// is delegated to when the counters say "violated", so this is
   /// O(relation) on a violation but O(1) on satisfaction).

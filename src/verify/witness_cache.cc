@@ -42,8 +42,7 @@ bool WitnessCache::EntryViolates(Entry& e, const Dependency& target) {
   return !v.Satisfies(v.Watch(target));
 }
 
-std::uint64_t WitnessCache::MemoryBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::uint64_t WitnessCache::BytesLocked() const {
   std::uint64_t total = 0;
   for (const auto& e : entries_) {
     MemoryBreakdown mb = e->ws.MemoryUsage();
@@ -54,19 +53,15 @@ std::uint64_t WitnessCache::MemoryBytes() const {
   return total;
 }
 
+std::uint64_t WitnessCache::MemoryBytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return BytesLocked();
+}
+
 std::uint64_t WitnessCache::EnforceByteCeiling(std::uint64_t limit) {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t dropped = 0;
-  // Inline byte accounting (MemoryBytes would deadlock on mu_).
-  auto bytes = [this]() {
-    std::uint64_t total = 0;
-    for (const auto& e : entries_) {
-      MemoryBreakdown mb = e->ws.MemoryUsage();
-      total += mb.Total() + mb.tuple_store + e->verifier->MemoryBytes();
-    }
-    return total;
-  };
-  while (!entries_.empty() && bytes() > limit) {
+  while (!entries_.empty() && BytesLocked() > limit) {
     entries_.pop_front();
     ++stats_.evicted;
     ++stats_.byte_evictions;
@@ -78,28 +73,23 @@ std::uint64_t WitnessCache::EnforceByteCeiling(std::uint64_t limit) {
 WitnessCache::AdmitOutcome WitnessCache::Admit(const Database& db,
                                                const Dependency& target) {
   AdmitOutcome out;
-  std::uint64_t scan_generation = 0;
-  {
-    // Phase 1 (locked): identical witness already cached? Its sigma check
-    // stands; answer the target probe from the existing entry's watchers
-    // instead of re-interning (Materialize round-trips make duplicates
-    // common), and refresh its recency — being re-offered is a use.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      Entry* e = entries_[i].get();
-      if (*e->db == db) {
-        out.admitted = true;
-        out.genuine = EntryViolates(*e, target);
-        Touch(i);
-        return out;
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  // Identical witness already cached? Its sigma check stands; answer the
+  // target probe from the existing entry's watchers instead of
+  // re-interning (Materialize round-trips make duplicates common), and
+  // refresh its recency — being re-offered is a use.
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    Entry* e = entries_[i].get();
+    if (*e->db == db) {
+      out.admitted = true;
+      out.genuine = EntryViolates(*e, target);
+      Touch(i);
+      return out;
     }
-    scan_generation = generation_;
   }
 
-  // Phase 2 (unlocked): the expensive part — intern the candidate into a
-  // private workspace and verify sigma + the target through watchers.
-  // Other threads admit and probe concurrently.
+  // Intern the candidate into a fresh workspace and verify sigma + the
+  // target through watchers.
   auto entry = std::make_unique<Entry>(scheme_);
   entry->ws.AppendDatabase(db);
   bool sigma_ok = true;
@@ -112,32 +102,15 @@ WitnessCache::AdmitOutcome WitnessCache::Admit(const Database& db,
   out.genuine =
       sigma_ok && !entry->verifier->Satisfies(entry->verifier->Watch(target));
   if (!sigma_ok) {
-    std::lock_guard<std::mutex> lock(mu_);
     ++stats_.rejected;
     return out;
   }
   if (capacity_ == 0) return out;  // verify-only mode: nothing retained
-
-  // Phase 3 (locked): re-validate the duplicate scan against entries
-  // inserted since phase 1 (their generation stamp exceeds the snapshot),
-  // then insert under capacity.
-  std::lock_guard<std::mutex> lock(mu_);
-  if (generation_ != scan_generation) {
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      Entry* e = entries_[i].get();
-      if (e->generation > scan_generation && *e->db == db) {
-        out.admitted = true;
-        Touch(i);
-        return out;
-      }
-    }
-  }
   if (entries_.size() >= capacity_) {
     entries_.pop_front();
     ++stats_.evicted;
   }
   entry->db = std::make_shared<const Database>(db);  // copied when retained
-  entry->generation = ++generation_;
   entries_.push_back(std::move(entry));
   ++stats_.admitted;
   out.admitted = true;

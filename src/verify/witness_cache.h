@@ -35,16 +35,11 @@ namespace ccfp {
 ///
 /// ## Thread safety
 ///
-/// Safe for concurrent readers and writers: all cache state sits behind
-/// one mutex (probes mutate — Watch registers watchers — so there is no
-/// read-only fast path to speak of), and the expensive part of an
-/// admission (interning the candidate and verifying sigma on a private
-/// workspace) runs *outside* the lock. A cache-wide generation counter,
-/// stamped onto each entry at insertion, lets the admission re-validate
-/// its duplicate scan after relocking: only entries inserted since the
-/// scan (entry generation > the scan's snapshot) must be re-checked.
-/// Refute hands back a shared_ptr so a hit stays alive even if the entry
-/// is evicted the instant the lock drops.
+/// One owner (an ImplicationSolver) per cache. All cache state sits behind
+/// one mutex — probes mutate too (Watch registers watchers) — so stats()
+/// and size() stay safe to read from another thread while the owner
+/// admits and probes. Refute hands back a shared_ptr so a hit stays alive
+/// even if its entry is evicted later.
 class WitnessCache {
  public:
   struct Stats {
@@ -135,10 +130,6 @@ class WitnessCache {
     /// Behind a unique_ptr so the watch-cap reset can rebuild it (the
     /// verifier itself is non-movable — it registers a feed cursor).
     std::unique_ptr<IncrementalVerifier> verifier;
-    /// Cache generation at insertion (see the thread-safety note): an
-    /// admission's post-verify re-scan only re-checks entries stamped
-    /// after its pre-verify scan.
-    std::uint64_t generation = 0;
 
     explicit Entry(SchemePtr scheme)
         : ws(std::move(scheme)),
@@ -153,6 +144,8 @@ class WitnessCache {
   /// Whether the entry's pinned database violates `target`, through its
   /// (possibly rebuilt) verifier. Requires mu_ held.
   bool EntryViolates(Entry& e, const Dependency& target);
+  /// MemoryBytes' sum. Requires mu_ held.
+  std::uint64_t BytesLocked() const;
 
   SchemePtr scheme_;
   std::vector<Dependency> sigma_;
@@ -161,8 +154,6 @@ class WitnessCache {
   mutable std::mutex mu_;
   /// LRU order: front = coldest (next eviction), back = hottest.
   std::deque<std::unique_ptr<Entry>> entries_;
-  /// Bumped on every insertion; stamps Entry::generation.
-  std::uint64_t generation_ = 0;
   Stats stats_;
 };
 

@@ -16,7 +16,7 @@ namespace ccfp::reference {
 /// by full sweep. Same failure modes as `BuildArmstrongDatabase`, and
 /// also verified-exact, but its tuples may differ (the library builder
 /// keeps chase consequences across rounds).
-/// `options.verify` and `options.checkpoint` are ignored, and
+/// `options.verify` is ignored, and
 /// `workspace_stats` stays zero.
 Result<ArmstrongReport> BuildArmstrongDatabaseLegacy(
     SchemePtr scheme, const std::vector<Fd>& fds,

@@ -194,60 +194,6 @@ TEST(ServicePropertyTest, EvictionMidStreamPreservesDeterminism) {
   }
 }
 
-TEST(ServicePropertyTest, SharedWitnessCacheKeepsVerdictsExact) {
-  // Cross-session replay changes which evidence answers first (that is
-  // its point), so this mode asserts the weaker — but still hard —
-  // property: outcomes never change, and every attached counterexample
-  // is verified genuine.
-  SchemePtr scheme = RsScheme();
-  constexpr std::size_t kSessions = 4;
-
-  std::vector<std::vector<ImplicationVerdict>> want(kSessions);
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    ImplicationSolver solver(scheme, MixedSigma());
-    for (const Query& q : QueryStream(s)) {
-      Result<Verdict> v = solver.Solve(q.target, q.budget);
-      ASSERT_TRUE(v.ok());
-      want[s].push_back(v->outcome);
-    }
-  }
-
-  SolverService::Options options;
-  options.share_witness_cache = true;
-  SolverService service(options);
-  std::vector<SolverService::SessionId> ids;
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    Result<SolverService::SessionId> id =
-        service.OpenSolve(scheme, MixedSigma());
-    ASSERT_TRUE(id.ok());
-    ids.push_back(*id);
-  }
-
-  std::vector<std::vector<Verdict>> got(kSessions);
-  std::vector<std::thread> callers;
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    callers.emplace_back([&, s] {
-      for (const Query& q : QueryStream(s)) {
-        Result<Verdict> v = service.Solve(ids[s], q.target, q.budget);
-        ASSERT_TRUE(v.ok()) << v.status();
-        got[s].push_back(std::move(*v));
-      }
-    });
-  }
-  for (std::thread& t : callers) t.join();
-
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    ASSERT_EQ(got[s].size(), want[s].size());
-    for (std::size_t k = 0; k < want[s].size(); ++k) {
-      EXPECT_EQ(got[s][k].outcome, want[s][k]) << "session " << s
-                                               << " query " << k;
-      if (got[s][k].counterexample.has_value()) {
-        EXPECT_TRUE(got[s][k].counterexample_verified);
-      }
-    }
-  }
-}
-
 TEST(ServicePropertyTest, ConcurrentMiningSessionsAgreeWithDirectMining) {
   SchemePtr scheme = RsScheme();
   Database data(scheme);

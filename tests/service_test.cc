@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "core/parser.h"
 #include "mine/discovery.h"
 #include "service/shared_core.h"
 #include "solve/solver.h"
@@ -320,6 +321,35 @@ TEST(ServiceTest, ArmstrongEvictionRevivesWithoutOracleReplay) {
       service.Extend(*id, {Dependency(Fd{0, {2}, {0}})}).ok());
 }
 
+TEST(ServiceTest, ArmstrongEvictionSpillsTheSessionCheckpoint) {
+  // Evict writes the session's own Checkpoint record: the universe
+  // classification in extend order, and no consumer cursors.
+  SolverService::Options options;
+  options.spill_dir = ::testing::TempDir();
+  SolverService service(options);
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}});
+  Result<SolverService::SessionId> id =
+      service.OpenArmstrong(scheme, {Fd{0, {0}, {1}}}, {});
+  ASSERT_TRUE(id.ok()) << id.status();
+  std::vector<Dependency> universe = {
+      Dependency(Fd{0, {0}, {1}}),
+      Dependency(Fd{0, {0}, {2}}),
+      Dependency(Fd{0, {1}, {0}}),
+  };
+  ASSERT_TRUE(service.Extend(*id, universe).ok());
+  ASSERT_TRUE(service.Evict(*id).ok());
+
+  Result<RestoredChain> chain = LoadSnapshotChain(
+      scheme, ::testing::TempDir() + "/session_" + std::to_string(*id));
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  EXPECT_TRUE(chain->restored.consumer_cursors.empty());
+  Result<SessionClassificationRecord> record =
+      DeserializeSessionRecord(*scheme, chain->restored.aux);
+  ASSERT_TRUE(record.ok()) << record.status();
+  EXPECT_EQ(record->universe, universe);
+  EXPECT_EQ(record->expected, (std::vector<bool>{true, false, false}));
+}
+
 TEST(ServiceTest, OpsOnTheWrongKindOrUnknownSessionFailCleanly) {
   SolverService service;
   SchemePtr scheme = RsScheme();
@@ -345,9 +375,7 @@ TEST(ServiceTest, OpsOnTheWrongKindOrUnknownSessionFailCleanly) {
 }
 
 TEST(ServiceTest, SessionIdsEncodeTheirShard) {
-  SolverService::Options options;
-  options.shards = 4;
-  SolverService service(options);
+  SolverService service;
   SchemePtr scheme = RsScheme();
   for (int i = 0; i < 3; ++i) {
     Result<SolverService::SessionId> id =
@@ -370,16 +398,105 @@ TEST(ServiceTest, PerSessionWitnessCountersAreIsolated) {
   // witness cache (the unary decision engines never consult it).
   Dependency refuted(Fd{0, {1}, {0, 1}});
   // Session a: first solve admits a witness, second replays it.
-  ASSERT_TRUE(service.Solve(*a, refuted).ok());
-  ASSERT_TRUE(service.Solve(*a, refuted).ok());
+  ImplicationSolver standalone(scheme, MixedSigma());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(service.Solve(*a, refuted).ok());
+    ASSERT_TRUE(standalone.Solve(refuted).ok());
+  }
   Result<SolverService::SessionStats> sa = service.Stats(*a);
   Result<SolverService::SessionStats> sb = service.Stats(*b);
   ASSERT_TRUE(sa.ok() && sb.ok());
   EXPECT_GT(sa->witness.admitted, 0u);
   EXPECT_GT(sa->witness.hits, 0u);
-  // Session b never solved: its private cache is untouched.
+  // Session b never solved: its solver's cache is untouched.
   EXPECT_EQ(sb->witness.admitted, 0u);
   EXPECT_EQ(sb->witness.probes, 0u);
+
+  // The session reports its solver's own counters, field by field.
+  auto expect_equal = [](const WitnessCache::Stats& got,
+                         const WitnessCache::Stats& want) {
+    EXPECT_EQ(got.admitted, want.admitted);
+    EXPECT_EQ(got.rejected, want.rejected);
+    EXPECT_EQ(got.evicted, want.evicted);
+    EXPECT_EQ(got.probes, want.probes);
+    EXPECT_EQ(got.hits, want.hits);
+    EXPECT_EQ(got.misses, want.misses);
+    EXPECT_EQ(got.watcher_resets, want.watcher_resets);
+    EXPECT_EQ(got.byte_evictions, want.byte_evictions);
+  };
+  WitnessCache::Stats first_life = standalone.witness_cache_stats();
+  expect_equal(sa->witness, first_life);
+
+  // After an eviction the revived session starts a fresh solver; its
+  // stats are the sum of both lives.
+  ASSERT_TRUE(service.Evict(*a).ok());
+  ImplicationSolver second(scheme, MixedSigma());
+  ASSERT_TRUE(service.Solve(*a, refuted).ok());
+  ASSERT_TRUE(second.Solve(refuted).ok());
+  WitnessCache::Stats second_life = second.witness_cache_stats();
+  sa = service.Stats(*a);
+  ASSERT_TRUE(sa.ok());
+  EXPECT_EQ(sa->revivals, 1u);
+  WitnessCache::Stats both = first_life;
+  both.admitted += second_life.admitted;
+  both.rejected += second_life.rejected;
+  both.evicted += second_life.evicted;
+  both.probes += second_life.probes;
+  both.hits += second_life.hits;
+  both.misses += second_life.misses;
+  both.watcher_resets += second_life.watcher_resets;
+  both.byte_evictions += second_life.byte_evictions;
+  expect_equal(sa->witness, both);
+}
+
+TEST(ServiceTest, TrivialSigmaMemberKeepsServiceEvidenceEqualToStandalone) {
+  // A trivial sigma member (here the RD R[B = B]) must not change what a
+  // session's witness cache holds: the service's solve session and a
+  // standalone solver must agree on every verdict and every piece of
+  // evidence, also under a byte ceiling exactly the size of the
+  // standalone solver's cache.
+  SchemePtr scheme = RsScheme();
+  Result<std::vector<Dependency>> sigma = ParseDependencies(
+      *scheme, "R: A -> B\nR[A] <= S[C]\nR[B = B]");
+  ASSERT_TRUE(sigma.ok()) << sigma.status();
+  Result<Dependency> target = ParseDependency(*scheme, "R: B -> A");
+  ASSERT_TRUE(target.ok()) << target.status();
+
+  SolverService service;
+  Result<SolverService::SessionId> id = service.OpenSolve(scheme, *sigma);
+  ASSERT_TRUE(id.ok()) << id.status();
+  ImplicationSolver standalone(scheme, *sigma);
+
+  Result<Verdict> first_got = service.Solve(*id, *target);
+  Result<Verdict> first_want = standalone.Solve(*target);
+  ASSERT_TRUE(first_got.ok() && first_want.ok());
+  ASSERT_TRUE(first_want->counterexample.has_value());
+
+  // The standalone solver's cache after the first ask: one admitted
+  // witness over the non-trivial members of sigma.
+  std::vector<Dependency> nontrivial;
+  for (const Dependency& dep : *sigma) {
+    if (!IsTrivial(*scheme, dep)) nontrivial.push_back(dep);
+  }
+  ASSERT_EQ(nontrivial.size(), 2u);
+  WitnessCache probe(scheme, nontrivial);
+  ASSERT_TRUE(probe.Admit(*first_want->counterexample, *target).admitted);
+  Budget tight;
+  tight.bytes = probe.MemoryBytes();
+
+  Result<Verdict> second_got = service.Solve(*id, *target, tight);
+  Result<Verdict> second_want = standalone.Solve(*target, tight);
+  ASSERT_TRUE(second_got.ok() && second_want.ok());
+
+  auto render = [&](const Verdict& v) {
+    std::string out = v.ToString(*scheme);
+    if (v.counterexample.has_value()) {
+      out += "\n" + v.counterexample->ToString();
+    }
+    return out;
+  };
+  EXPECT_EQ(render(*first_got), render(*first_want));
+  EXPECT_EQ(render(*second_got), render(*second_want));
 }
 
 }  // namespace

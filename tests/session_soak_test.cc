@@ -101,10 +101,10 @@ TEST(SessionSoakTest, MixedFdIndSessionStaysBoundedAcrossExtends) {
 }
 
 TEST(SessionSoakTest, SnapshotCycleWarmStartsAnEquivalentSession) {
-  // Mid-session persistence: save the workspace, load it, adopt it via
-  // the warm-start constructor, replay the universe to rebuild the
-  // (non-persisted) classification — from there the restored session
-  // must certify the same consequence sets as the uninterrupted one.
+  // Mid-session persistence: checkpoint the session into a chain, load
+  // the chain, decode its classification record, and adopt both via the
+  // warm-start constructor — from there the restored session must
+  // certify the same consequence sets as the uninterrupted one.
   SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}});
   std::vector<Fd> fds = {MakeFd(*scheme, "R", {"A"}, {"B"}),
                          MakeFd(*scheme, "R", {"B"}, {"C"})};
@@ -125,15 +125,20 @@ TEST(SessionSoakTest, SnapshotCycleWarmStartsAnEquivalentSession) {
       universe.begin() + universe.size() / 2, universe.end());
   ASSERT_TRUE(session.Extend(first_half).ok());
 
-  std::string path =
-      ::testing::TempDir() + "/ccfp_session_soak_snapshot.bin";
-  ASSERT_TRUE(SaveWorkspaceSnapshot(session.workspace(), path).ok());
-  Result<RestoredWorkspace> restored = LoadWorkspaceSnapshot(scheme, path);
+  std::string prefix = ::testing::TempDir() + "/ccfp_session_soak_chain";
+  SnapshotChainWriter chain(prefix);
+  ASSERT_TRUE(session.Checkpoint(chain).ok());
+  Result<RestoredChain> restored = LoadSnapshotChain(scheme, prefix);
   ASSERT_TRUE(restored.ok()) << restored.status();
+  Result<SessionClassificationRecord> record =
+      DeserializeSessionRecord(*scheme, restored->restored.aux);
+  ASSERT_TRUE(record.ok()) << record.status();
 
-  std::uint64_t interned_at_restore = restored->ws.stats().values_interned;
-  ArmstrongSession warm(std::move(restored->ws), fds, {}, &oracle, opts);
-  ASSERT_TRUE(warm.Extend(first_half).ok());
+  std::uint64_t interned_at_restore =
+      restored->restored.ws.stats().values_interned;
+  ArmstrongSession warm(std::move(restored->restored.ws), record.MoveValue(),
+                        fds, {}, &oracle, opts);
+  EXPECT_EQ(warm.universe(), session.universe());
   EXPECT_EQ(warm.expected(), session.expected());
 
   // Both sessions continue; the warm one must stay indistinguishable.

@@ -210,9 +210,7 @@ TEST_P(SnapshotCrashPropertyTest, WarmReloadAfterMidSaveCrashMatchesControl) {
   SnapshotChainPolicy policy;
   policy.max_deltas = 3;  // the crash lands on a delta or a fold by seed
   SnapshotChainWriter chain(prefix, policy);
-  ArmstrongBuildOptions vopts = copts;
-  vopts.checkpoint.chain = &chain;  // thresholds 0: checkpoint per Extend
-  ArmstrongSession victim(scheme, fds, {}, &oracle, vopts);
+  ArmstrongSession victim(scheme, fds, {}, &oracle, copts);
 
   std::size_t crash_at = 1 + seed % (universe.size() - 1);
   FaultSite site = kCrashSites[seed % 4];
@@ -220,13 +218,15 @@ TEST_P(SnapshotCrashPropertyTest, WarmReloadAfterMidSaveCrashMatchesControl) {
     ASSERT_TRUE(control.Extend({universe[i]}).ok());
     if (i < crash_at) {
       ASSERT_TRUE(victim.Extend({universe[i]}).ok());
+      ASSERT_TRUE(victim.Checkpoint(chain).ok());
     } else if (i == crash_at) {
+      ASSERT_TRUE(victim.Extend({universe[i]}).ok());
       FaultInjector fi(seed);
       fi.Arm(site, 0);
       ScopedFaultInjector scope(&fi);
-      Status st = victim.Extend({universe[i]});
+      Status st = victim.Checkpoint(chain);
       ASSERT_EQ(fi.fired(site), 1u);
-      ASSERT_FALSE(st.ok()) << "a crashed checkpoint must fail the Extend";
+      ASSERT_FALSE(st.ok()) << "a crashed checkpoint must fail";
     }
     // i > crash_at: the victim process is dead; only the control runs.
   }
@@ -251,12 +251,11 @@ TEST_P(SnapshotCrashPropertyTest, WarmReloadAfterMidSaveCrashMatchesControl) {
   // members are no-ops, the lost tail is re-classified.
   SnapshotChainWriter chain2(prefix, policy);
   chain2.Adopt(*loaded);
-  ArmstrongBuildOptions wopts = copts;
-  wopts.checkpoint.chain = &chain2;
   ArmstrongSession warm(std::move(loaded->restored.ws), record.MoveValue(),
-                        fds, {}, &oracle, wopts);
+                        fds, {}, &oracle, copts);
   for (const Dependency& dep : universe) {
     ASSERT_TRUE(warm.Extend({dep}).ok()) << dep.ToString(*scheme);
+    ASSERT_TRUE(warm.Checkpoint(chain2).ok()) << dep.ToString(*scheme);
   }
 
   ASSERT_EQ(warm.universe().size(), control.universe().size());

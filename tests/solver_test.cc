@@ -826,6 +826,9 @@ TEST(SolverTest, InvalidInputsAreStatusesNotAborts) {
       bad_sigma.Solve(Dependency(MakeFd(*scheme, "R", {"A"}, {"B"})));
   EXPECT_FALSE(v1.ok());
   EXPECT_EQ(v1.status().code(), StatusCode::kInvalidArgument);
+  // No witness cache is built over an invalid sigma: zero counters.
+  EXPECT_EQ(bad_sigma.witness_cache_stats().probes, 0u);
+  EXPECT_EQ(bad_sigma.witness_cache_stats().admitted, 0u);
   // Invalid target.
   ImplicationSolver ok_sigma(scheme, {});
   Result<Verdict> v2 = ok_sigma.Solve(Dependency(Fd{0, {0}, {9}}));
