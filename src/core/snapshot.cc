@@ -9,7 +9,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "util/fault.h"
 #include "util/strings.h"
@@ -594,27 +597,166 @@ class WorkspaceSnapshotAccess {
     return out;
   }
 
+  /// A delta record's body, decoded: everything after its base link.
+  struct DeltaRecord {
+    std::uint64_t values_from = 0;  ///< interner size the growth extends
+    std::vector<Value> values;      ///< the growth, in id order
+    std::uint64_t next_null_label = 0;
+    std::vector<WorkspaceJournalEntry> entries;
+    std::vector<std::vector<std::uint64_t>> cursors;
+    std::string aux;
+  };
+
   static void SerializeDeltaPayload(
       const InternedWorkspace& ws,
       const std::vector<std::vector<std::uint64_t>>& cursors,
       std::string_view aux, Writer& w) {
-    w.U8(kSnapshotRecordDelta);
-    w.U64(SchemeFingerprint(*ws.scheme_));
-    w.U64(ws.snapshot_base_id_);
+    WriteDelta(*ws.scheme_, ws.snapshot_base_id_, ws.journal_values_base_,
+               Growth(ws, ws.journal_values_base_),
+               ws.interner_.next_null_label_, ws.journal_, cursors, aux, w);
+  }
 
-    // Interner growth since the base: values [from, size()).
-    const ValueInterner& in = ws.interner_;
-    std::uint64_t from = ws.journal_values_base_;
-    w.U64(from);
-    w.U64(in.size());
-    for (std::uint64_t i = from; i < in.size(); ++i) {
-      SerializeValue(in.value(static_cast<ValueId>(i)), w);
+  /// One delta linked to `root_id` that replays, from the root, to exactly
+  /// `ws`: the records of the chain `root_id` -> ... -> ws.SnapshotBaseId()
+  /// concatenated (growth after growth, journal after journal), then the
+  /// workspace's own unpersisted growth and journal. Interning only
+  /// extends the tables and journal entries name ids that exist by then,
+  /// so replaying all the growth first is the same as interleaving it.
+  static Result<std::string> SerializeCollapsedDelta(
+      const InternedWorkspace& ws, std::uint64_t root_id,
+      const std::vector<std::string>& records,
+      const std::vector<std::vector<std::uint64_t>>& cursors,
+      std::string_view aux) {
+    std::uint64_t link = root_id;
+    std::optional<std::uint64_t> values_from;
+    std::vector<Value> values;
+    std::vector<WorkspaceJournalEntry> entries;
+    for (const std::string& bytes : records) {
+      CCFP_ASSIGN_OR_RETURN(RecordView view, CheckRecord(bytes));
+      Reader r(view.payload);
+      CCFP_ASSIGN_OR_RETURN(std::uint64_t base_id,
+                            ReadDeltaHeader(*ws.scheme_, r));
+      if (base_id != link) return Corrupt("collapsed chain is not linked");
+      CCFP_ASSIGN_OR_RETURN(DeltaRecord d, ReadDeltaBody(*ws.scheme_, r));
+      if (values_from.has_value() &&
+          d.values_from != *values_from + values.size()) {
+        return Corrupt("collapsed chain interner watermarks do not line up");
+      }
+      if (!values_from.has_value()) values_from = d.values_from;
+      for (Value& v : d.values) values.push_back(std::move(v));
+      for (WorkspaceJournalEntry& e : d.entries) {
+        entries.push_back(std::move(e));
+      }
+      link = view.checksum;
     }
-    w.U64(in.next_null_label_);
+    if (link != ws.snapshot_base_id_) {
+      return Status::FailedPrecondition(
+          "workspace snapshot: the workspace is not at the collapsed chain's "
+          "tip");
+    }
+    if (!values_from.has_value()) values_from = ws.journal_values_base_;
+    if (*values_from + values.size() != ws.journal_values_base_) {
+      return Corrupt("collapsed chain interner watermark inconsistent");
+    }
+    for (Value& v : Growth(ws, ws.journal_values_base_)) {
+      values.push_back(std::move(v));
+    }
+    entries.insert(entries.end(), ws.journal_.begin(), ws.journal_.end());
+    Writer w;
+    WriteDelta(*ws.scheme_, root_id, *values_from, values,
+               ws.interner_.next_null_label_, entries, cursors, aux, w);
+    return EncodeRecord(w.Take());
+  }
+
+  static Result<WorkspaceDeltaInfo> ApplyDeltaPayload(InternedWorkspace& ws,
+                                                      std::string_view in,
+                                                      std::uint64_t checksum) {
+    Reader r(in);
+    CCFP_ASSIGN_OR_RETURN(std::uint64_t base_id,
+                          ReadDeltaHeader(*ws.scheme_, r));
+    // Linkage is validated *before* any mutation: a stale delta (left
+    // behind by a fold) must leave the workspace untouched so chain loads
+    // can treat it as end-of-chain.
+    if (!ws.HasSnapshotBase() || base_id != ws.SnapshotBaseId()) {
+      return Status::FailedPrecondition(StrCat(
+          "workspace snapshot: delta links to record ", base_id,
+          " but the workspace is at record ", ws.SnapshotBaseId()));
+    }
+
+    // Decode everything up front (so damage is caught while the workspace
+    // is still intact where possible; replay failures below mean the
+    // record lied about its base and the workspace must be discarded).
+    CCFP_ASSIGN_OR_RETURN(DeltaRecord d, ReadDeltaBody(*ws.scheme_, r));
+    if (d.values_from != ws.interner_.size()) {
+      return Corrupt("delta interner watermark inconsistent with base");
+    }
+
+    // --- mutation begins; any failure below poisons the workspace ---
+
+    // Interner growth (ids must extend the table exactly).
+    ValueInterner& interner = ws.interner_;
+    for (Value& v : d.values) {
+      if (!interner.InternNew(v)) {
+        return Corrupt("delta value already interned in base");
+      }
+    }
+    if (d.next_null_label < interner.next_null_label_) {
+      return Corrupt("delta null watermark went backwards");
+    }
+    interner.next_null_label_ = d.next_null_label;
+    ws.uf_.EnsureSize(interner.size());
+    ws.occurrences_.resize(interner.size());
+    ws.stats_.values_interned += d.values.size();
+
+    // Replay the journal through the public mutation API with journaling
+    // suppressed (the replayed entries are already persisted).
+    bool was_enabled = ws.journal_enabled_;
+    ws.journal_enabled_ = false;
+    Status replay = ReplayJournal(ws, d.entries);
+    ws.journal_enabled_ = was_enabled;
+    CCFP_RETURN_NOT_OK(replay);
+
+    ws.MarkJournalPersisted(checksum);
+    WorkspaceDeltaInfo info;
+    info.base_id = base_id;
+    info.id = checksum;
+    info.consumer_cursors = std::move(d.cursors);
+    info.aux = std::move(d.aux);
+    return info;
+  }
+
+ private:
+  /// The interner's values [from, size()), in id order.
+  static std::vector<Value> Growth(const InternedWorkspace& ws,
+                                   std::uint64_t from) {
+    std::vector<Value> out;
+    out.reserve(static_cast<std::size_t>(ws.interner_.size() - from));
+    for (std::uint64_t i = from; i < ws.interner_.size(); ++i) {
+      out.push_back(ws.interner_.value(static_cast<ValueId>(i)));
+    }
+    return out;
+  }
+
+  static void WriteDelta(const DatabaseScheme& scheme, std::uint64_t base_id,
+                         std::uint64_t values_from,
+                         const std::vector<Value>& values,
+                         std::uint64_t next_null_label,
+                         const std::vector<WorkspaceJournalEntry>& entries,
+                         const std::vector<std::vector<std::uint64_t>>& cursors,
+                         std::string_view aux, Writer& w) {
+    w.U8(kSnapshotRecordDelta);
+    w.U64(SchemeFingerprint(scheme));
+    w.U64(base_id);
+
+    // Interner growth since the base: values [from, from + size).
+    w.U64(values_from);
+    w.U64(values_from + values.size());
+    for (const Value& v : values) SerializeValue(v, w);
+    w.U64(next_null_label);
 
     // The retained mutation journal, per-op minimal encoding.
-    w.U64(ws.journal_.size());
-    for (const WorkspaceJournalEntry& e : ws.journal_) {
+    w.U64(entries.size());
+    for (const WorkspaceJournalEntry& e : entries) {
       w.U8(static_cast<std::uint8_t>(e.op));
       switch (e.op) {
         case WorkspaceJournalEntry::Op::kAppend:
@@ -642,53 +784,45 @@ class WorkspaceSnapshotAccess {
     w.Str(aux);
   }
 
-  static Result<WorkspaceDeltaInfo> ApplyDeltaPayload(InternedWorkspace& ws,
-                                                      std::string_view in,
-                                                      std::uint64_t checksum) {
-    Reader r(in);
+  /// Reads a delta's kind byte and scheme fingerprint; returns its base
+  /// link.
+  static Result<std::uint64_t> ReadDeltaHeader(const DatabaseScheme& scheme,
+                                               Reader& r) {
     std::uint8_t kind = r.U8();
     if (kind == kSnapshotRecordFull) {
       return Corrupt("expected a delta record, found a full record");
     }
     if (kind != kSnapshotRecordDelta) return Corrupt("bad record kind");
-    if (r.U64() != SchemeFingerprint(*ws.scheme_)) {
+    if (r.U64() != SchemeFingerprint(scheme)) {
       return Corrupt("scheme fingerprint mismatch");
     }
+    return r.U64();
+  }
 
-    // Linkage is validated *before* any mutation: a stale delta (left
-    // behind by a fold) must leave the workspace untouched so chain loads
-    // can treat it as end-of-chain.
-    std::uint64_t base_id = r.U64();
-    if (!ws.HasSnapshotBase() || base_id != ws.SnapshotBaseId()) {
-      return Status::FailedPrecondition(StrCat(
-          "workspace snapshot: delta links to record ", base_id,
-          " but the workspace is at record ", ws.SnapshotBaseId()));
-    }
-
-    // Decode everything up front (so damage is caught while the workspace
-    // is still intact where possible; replay failures below mean the
-    // record lied about its base and the workspace must be discarded).
-    std::uint64_t values_from = r.U64();
+  /// Decodes the rest of a delta (after ReadDeltaHeader), bounds-checking
+  /// every relation, arity and id against the record itself.
+  static Result<DeltaRecord> ReadDeltaBody(const DatabaseScheme& scheme,
+                                           Reader& r) {
+    DeltaRecord d;
+    d.values_from = r.U64();
     std::uint64_t values_to = r.U64();
-    if (values_from != ws.interner_.size() || values_to < values_from) {
+    if (values_to < d.values_from) {
       return Corrupt("delta interner watermark inconsistent with base");
     }
-    std::uint64_t growth = values_to - values_from;
+    std::uint64_t growth = values_to - d.values_from;
     if (!r.Fits(growth, 9)) return Corrupt("delta value table truncated");
-    std::vector<Value> new_values;
-    new_values.reserve(static_cast<std::size_t>(growth));
+    d.values.reserve(static_cast<std::size_t>(growth));
     for (std::uint64_t i = 0; i < growth; ++i) {
       Value v;
       CCFP_RETURN_NOT_OK(DeserializeValue(r, v));
       if (!r.Ok()) return Corrupt("delta value table truncated");
-      new_values.push_back(std::move(v));
+      d.values.push_back(std::move(v));
     }
-    std::uint64_t next_null_label = r.U64();
+    d.next_null_label = r.U64();
 
     std::uint64_t n_journal = r.U64();
     if (!r.Fits(n_journal, 1)) return Corrupt("delta journal truncated");
-    std::vector<WorkspaceJournalEntry> entries;
-    entries.reserve(static_cast<std::size_t>(n_journal));
+    d.entries.reserve(static_cast<std::size_t>(n_journal));
     for (std::uint64_t i = 0; i < n_journal; ++i) {
       WorkspaceJournalEntry e;
       std::uint8_t op = r.U8();
@@ -699,12 +833,11 @@ class WorkspaceSnapshotAccess {
       switch (e.op) {
         case WorkspaceJournalEntry::Op::kAppend: {
           e.rel = r.U32();
-          if (e.rel >= ws.scheme_->size()) {
+          if (e.rel >= scheme.size()) {
             return Corrupt("journal relation out of range");
           }
           std::uint64_t n_ids = r.U64();
-          if (n_ids != ws.scheme_->relation(e.rel).arity() ||
-              !r.Fits(n_ids, 4)) {
+          if (n_ids != scheme.relation(e.rel).arity() || !r.Fits(n_ids, 4)) {
             return Corrupt("journal append arity mismatch");
           }
           e.ids.reserve(static_cast<std::size_t>(n_ids));
@@ -726,59 +859,28 @@ class WorkspaceSnapshotAccess {
         case WorkspaceJournalEntry::Op::kCanonicalize:
           e.rel = r.U32();
           e.idx = r.U32();
-          if (e.rel >= ws.scheme_->size()) {
+          if (e.rel >= scheme.size()) {
             return Corrupt("journal relation out of range");
           }
           break;
         case WorkspaceJournalEntry::Op::kTrim:
           e.rel = r.U32();
           e.horizon = r.U64();
-          if (e.rel >= ws.scheme_->size()) {
+          if (e.rel >= scheme.size()) {
             return Corrupt("journal relation out of range");
           }
           break;
       }
-      entries.push_back(std::move(e));
+      d.entries.push_back(std::move(e));
     }
 
-    WorkspaceDeltaInfo info;
-    info.base_id = base_id;
-    info.id = checksum;
-    CCFP_RETURN_NOT_OK(DeserializeCursors(r, info.consumer_cursors));
-    info.aux = r.Str();
+    CCFP_RETURN_NOT_OK(DeserializeCursors(r, d.cursors));
+    d.aux = r.Str();
     if (!r.Ok()) return Corrupt("delta payload truncated");
     if (!r.AtEnd()) return Corrupt("trailing bytes after delta payload");
-
-    // --- mutation begins; any failure below poisons the workspace ---
-
-    // Interner growth (ids must extend the table exactly).
-    ValueInterner& interner = ws.interner_;
-    for (Value& v : new_values) {
-      if (!interner.InternNew(v)) {
-        return Corrupt("delta value already interned in base");
-      }
-    }
-    if (next_null_label < interner.next_null_label_) {
-      return Corrupt("delta null watermark went backwards");
-    }
-    interner.next_null_label_ = next_null_label;
-    ws.uf_.EnsureSize(interner.size());
-    ws.occurrences_.resize(interner.size());
-    ws.stats_.values_interned += growth;
-
-    // Replay the journal through the public mutation API with journaling
-    // suppressed (the replayed entries are already persisted).
-    bool was_enabled = ws.journal_enabled_;
-    ws.journal_enabled_ = false;
-    Status replay = ReplayJournal(ws, entries);
-    ws.journal_enabled_ = was_enabled;
-    CCFP_RETURN_NOT_OK(replay);
-
-    ws.MarkJournalPersisted(checksum);
-    return info;
+    return d;
   }
 
- private:
   static void SerializeValue(const Value& v, Writer& w) {
     w.U8(static_cast<std::uint8_t>(v.kind()));
     if (v.is_str()) {
@@ -1015,6 +1117,17 @@ SnapshotChainWriter::SnapshotChainWriter(std::string prefix,
                                          SnapshotWriteOptions write)
     : prefix_(std::move(prefix)), policy_(policy), write_(write) {}
 
+SnapshotChainWriter SnapshotChainWriter::RootedAt(std::string prefix,
+                                                  std::uint64_t root_id,
+                                                  SnapshotChainPolicy policy,
+                                                  SnapshotWriteOptions write) {
+  SnapshotChainWriter writer(std::move(prefix), policy, write);
+  writer.external_root_ = true;
+  writer.root_id_ = root_id;
+  writer.tip_id_ = root_id;
+  return writer;
+}
+
 std::string SnapshotChainWriter::BasePath() const {
   return StrCat(prefix_, ".base");
 }
@@ -1033,9 +1146,30 @@ Status SnapshotChainWriter::Save(
   if (policy_.exclusive && !lock_.held()) {
     CCFP_RETURN_NOT_OK(lock_.Acquire(prefix_));
   }
+  bool at_tip = ws.journal_enabled() && ws.HasSnapshotBase() &&
+                ws.SnapshotBaseId() == tip_id_;
+  if (external_root_) {
+    // The root is not ours to write, so a workspace off the chain cannot
+    // start a new one here.
+    if (!at_tip) {
+      return Status::FailedPrecondition(StrCat(
+          "snapshot chain ", prefix_,
+          ": the workspace is not at the tip of its externally rooted chain"));
+    }
+    if (deltas_ == 0) {
+      // A fresh chain: whatever an earlier writer left under this prefix
+      // (a reused session id) goes first, so no foreign record can ever
+      // follow ours.
+      std::remove(BasePath().c_str());
+      for (std::size_t k = 1; std::remove(DeltaPath(k).c_str()) == 0; ++k) {
+      }
+    }
+    return deltas_ >= policy_.max_deltas
+               ? SaveCollapsed(ws, consumer_cursors, aux)
+               : SaveDelta(ws, consumer_cursors, aux);
+  }
   bool fold =
-      !has_base_ || !ws.journal_enabled() || !ws.HasSnapshotBase() ||
-      ws.SnapshotBaseId() != tip_id_ || deltas_ >= policy_.max_deltas ||
+      !has_base_ || !at_tip || deltas_ >= policy_.max_deltas ||
       (policy_.fold_delta_percent > 0 &&
        delta_bytes_ * 100 > base_bytes_ * policy_.fold_delta_percent);
   return fold ? SaveBase(ws, consumer_cursors, aux)
@@ -1043,7 +1177,7 @@ Status SnapshotChainWriter::Save(
 }
 
 void SnapshotChainWriter::Adopt(const RestoredChain& chain) {
-  has_base_ = true;
+  has_base_ = !external_root_;
   deltas_ = chain.deltas_applied;
   tip_id_ = chain.restored.snapshot_id;
   base_bytes_ = chain.base_bytes;
@@ -1094,13 +1228,54 @@ Status SnapshotChainWriter::SaveDelta(
   return Status::OK();
 }
 
+Status SnapshotChainWriter::SaveCollapsed(
+    const InternedWorkspace& ws,
+    const std::vector<std::vector<std::uint64_t>>& cursors,
+    std::string_view aux) {
+  std::vector<std::string> records;
+  records.reserve(deltas_);
+  for (std::size_t k = 1; k <= deltas_; ++k) {
+    CCFP_ASSIGN_OR_RETURN(std::string bytes, ReadFileRaw(DeltaPath(k)));
+    records.push_back(std::move(bytes));
+  }
+  CCFP_ASSIGN_OR_RETURN(
+      std::string bytes,
+      WorkspaceSnapshotAccess::SerializeCollapsedDelta(ws, root_id_, records,
+                                                       cursors, aux));
+  std::uint64_t id = BlobId(bytes);
+  std::uint64_t n_bytes = bytes.size();
+  CCFP_RETURN_NOT_OK(WriteSnapshotBlob(std::move(bytes), DeltaPath(1), write_));
+  // Crash-safe by linkage, like a base fold: the old `.delta.2` links to
+  // the old `.delta.1`, not to the record that just replaced it.
+  for (std::size_t k = 2; std::remove(DeltaPath(k).c_str()) == 0; ++k) {
+  }
+  deltas_ = 1;
+  tip_id_ = id;
+  delta_bytes_ = n_bytes;
+  ws.MarkJournalPersisted(id);
+  return Status::OK();
+}
+
 Result<RestoredChain> LoadSnapshotChain(SchemePtr scheme,
-                                        const std::string& prefix) {
-  std::string base_path = StrCat(prefix, ".base");
-  CCFP_ASSIGN_OR_RETURN(std::string base_bytes, ReadFileRaw(base_path));
-  CCFP_ASSIGN_OR_RETURN(RestoredWorkspace restored,
-                        DeserializeWorkspace(scheme, base_bytes));
-  RestoredChain chain{std::move(restored), 0, base_bytes.size(), 0};
+                                        const std::string& prefix,
+                                        std::optional<InternedWorkspace> root) {
+  RestoredChain chain{RestoredWorkspace{InternedWorkspace(scheme), {}, {}, 0},
+                      0, 0, 0};
+  if (root.has_value()) {
+    // An externally rooted chain: the caller's workspace is record 0.
+    if (!root->HasSnapshotBase()) {
+      return Status::FailedPrecondition(
+          "snapshot chain: the root workspace has no record identity");
+    }
+    chain.restored.snapshot_id = root->SnapshotBaseId();
+    chain.restored.ws = std::move(*root);
+  } else {
+    CCFP_ASSIGN_OR_RETURN(std::string base_bytes,
+                          ReadFileRaw(StrCat(prefix, ".base")));
+    CCFP_ASSIGN_OR_RETURN(chain.restored,
+                          DeserializeWorkspace(scheme, base_bytes));
+    chain.base_bytes = base_bytes.size();
+  }
   for (std::size_t k = 1;; ++k) {
     Result<std::string> delta_bytes = ReadFileRaw(StrCat(prefix, ".delta.", k));
     if (!delta_bytes.ok()) break;  // end of chain on disk

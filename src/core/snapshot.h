@@ -2,6 +2,7 @@
 #define CCFP_CORE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -235,7 +236,7 @@ class SnapshotChainLock {
 struct RestoredChain {
   RestoredWorkspace restored;  ///< cursors/aux are the *tip* record's
   std::size_t deltas_applied = 0;
-  std::uint64_t base_bytes = 0;
+  std::uint64_t base_bytes = 0;  ///< 0 for an externally rooted chain
   std::uint64_t delta_bytes = 0;  ///< cumulative on-disk delta bytes
 };
 
@@ -254,11 +255,29 @@ struct RestoredChain {
 /// stale delta files are deleted best-effort afterwards — a crash in
 /// between leaves deltas whose base link no longer matches, which loads
 /// treat as end-of-chain.
+///
+/// A chain made by `RootedAt` has no `.base` file: its record 0 is a state
+/// the caller keeps elsewhere (a shared core's sealed base; see
+/// service/shared_core.h) and hands LoadSnapshotChain as `root`, so every
+/// record it writes is a delta and its size follows the workspace's own
+/// mutations, not the root's. Its first Save removes whatever an earlier
+/// writer left under the prefix. It folds on `max_deltas` alone (there is
+/// no base to weigh the deltas against) by collapsing the whole chain into
+/// one delta linked to the root, written over `.delta.1`.
 class SnapshotChainWriter {
  public:
   explicit SnapshotChainWriter(std::string prefix,
                                SnapshotChainPolicy policy = {},
                                SnapshotWriteOptions write = {});
+
+  /// A chain rooted at the external record `root_id`. Save then requires
+  /// a workspace journaling from the chain tip — at first, one marked
+  /// persisted as `root_id` (InternedWorkspace::MarkJournalPersisted) —
+  /// and refuses any other with FailedPrecondition.
+  static SnapshotChainWriter RootedAt(std::string prefix,
+                                      std::uint64_t root_id,
+                                      SnapshotChainPolicy policy = {},
+                                      SnapshotWriteOptions write = {});
 
   /// Writes the next chain record for `ws` (base or delta per the policy
   /// above). On success the workspace journal is marked persisted.
@@ -267,8 +286,9 @@ class SnapshotChainWriter {
                   consumer_cursors = {},
               std::string_view aux = {});
 
-  /// Continues a chain restored by LoadSnapshotChain: the next Save
-  /// appends a delta after the restored tip instead of rewriting a base.
+  /// Continues a chain restored by LoadSnapshotChain (with a `root`
+  /// exactly when this writer is RootedAt): the next Save appends a delta
+  /// after the restored tip instead of rewriting a base.
   void Adopt(const RestoredChain& chain);
 
   const std::string& prefix() const { return prefix_; }
@@ -289,27 +309,36 @@ class SnapshotChainWriter {
   Status SaveDelta(const InternedWorkspace& ws,
                    const std::vector<std::vector<std::uint64_t>>& cursors,
                    std::string_view aux);
+  /// The external-root fold: chain + unpersisted journal as one delta.
+  Status SaveCollapsed(const InternedWorkspace& ws,
+                       const std::vector<std::vector<std::uint64_t>>& cursors,
+                       std::string_view aux);
 
   std::string prefix_;
   SnapshotChainPolicy policy_;
   SnapshotWriteOptions write_;
   SnapshotChainLock lock_;
   bool has_base_ = false;
+  bool external_root_ = false;
+  std::uint64_t root_id_ = 0;
   std::size_t deltas_ = 0;
   std::uint64_t tip_id_ = 0;
   std::uint64_t base_bytes_ = 0;
   std::uint64_t delta_bytes_ = 0;
 };
 
-/// Loads `<prefix>.base` and replays every linked `<prefix>.delta.k` in
-/// order (`LoadChain` of the chain layout above). A delta whose base link
-/// does not match the running tip — a stale leftover from before a fold —
-/// ends the chain; a damaged record fails the whole load with
+/// Loads the chain's root — `<prefix>.base`, or `root` when given (an
+/// externally rooted chain; `root` must carry its record identity, see
+/// SnapshotChainWriter::RootedAt, and `<prefix>.base` is never read) — and
+/// replays every linked `<prefix>.delta.k` onto it in order. A delta whose
+/// base link does not match the running tip — a stale leftover from before
+/// a fold — ends the chain; a damaged record fails the whole load with
 /// InvalidArgument. The restored workspace has journaling enabled and its
 /// snapshot identity at the chain tip, ready for a SnapshotChainWriter
 /// (`Adopt`) to continue.
-Result<RestoredChain> LoadSnapshotChain(SchemePtr scheme,
-                                        const std::string& prefix);
+Result<RestoredChain> LoadSnapshotChain(
+    SchemePtr scheme, const std::string& prefix,
+    std::optional<InternedWorkspace> root = std::nullopt);
 
 /// The universe classification an ArmstrongSession persists alongside its
 /// workspace (as the chain records' `aux` payload) so a warm start skips

@@ -468,8 +468,10 @@ class InternedWorkspace {
   /// only forked from.
   void SealSharedBase();
 
-  /// An independent copy sharing the frozen interner base (cheap after
-  /// SealSharedBase; a deep copy of tuples/partitions either way).
+  /// An independent copy sharing the frozen interner base after
+  /// SealSharedBase. Only the interner's value table is shared: the
+  /// tuples, occurrence lists, dedup indexes and compiled partitions are
+  /// deep-copied, so a fork costs time and memory in the size of the base.
   /// Session-local state that must not leak across sessions is reset:
   /// registered feed cursors, the mutation journal, and the snapshot-chain
   /// identity. Stats counters are inherited so reuse deltas read zero.

@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "util/strings.h"
@@ -21,6 +22,24 @@ WitnessCache::Stats SumWitness(const WitnessCache::Stats& a,
   s.watcher_resets += b.watcher_resets;
   s.byte_evictions += b.byte_evictions;
   return s;
+}
+
+/// Loads a session's spill chain (onto `root` when it is core-rooted)
+/// and checks that it reaches the last record the session wrote: a chain
+/// that ends early, at a lost or foreign record, would revive stale state.
+Result<RestoredChain> LoadSpill(const SolverCore& core,
+                                const SnapshotChainWriter& writer,
+                                std::optional<InternedWorkspace> root) {
+  CCFP_ASSIGN_OR_RETURN(
+      RestoredChain chain,
+      LoadSnapshotChain(core.scheme_ptr(), writer.prefix(), std::move(root)));
+  if (chain.restored.snapshot_id != writer.tip_id()) {
+    return Status::InvalidArgument(
+        StrCat("spill chain ", writer.prefix(), " ends at record ",
+               chain.restored.snapshot_id, ", not at the session's last spill ",
+               writer.tip_id()));
+  }
+  return chain;
 }
 
 }  // namespace
@@ -66,6 +85,10 @@ std::string SolverService::ChainPrefix(SessionId id) const {
 
 Result<std::shared_ptr<const SolverCore>> SolverService::AcquireCore(
     SchemePtr scheme, std::vector<Dependency> sigma, const Database* warm) {
+  // Validate before Identity, which renders every sigma member.
+  for (const Dependency& dep : sigma) {
+    CCFP_RETURN_NOT_OK(Validate(*scheme, dep));
+  }
   std::uint64_t identity = SolverCore::Identity(*scheme, sigma, warm);
   {
     std::lock_guard<std::mutex> lock(cores_mu_);
@@ -80,8 +103,8 @@ Result<std::shared_ptr<const SolverCore>> SolverService::AcquireCore(
   // duplicate build is wasted work, not a correctness problem — first
   // insert wins and both callers share it.
   CCFP_ASSIGN_OR_RETURN(std::shared_ptr<const SolverCore> core,
-                        SolverCore::Build(std::move(scheme), std::move(sigma),
-                                          warm));
+                        SolverCore::Build(identity, std::move(scheme),
+                                          std::move(sigma), warm));
   std::lock_guard<std::mutex> lock(cores_mu_);
   auto [it, inserted] = cores_.emplace(identity, core);
   if (!inserted) {
@@ -156,6 +179,11 @@ Result<SolverService::SessionId> SolverService::OpenMine(
   session->core = std::move(core);
   session->mine_ws =
       std::make_unique<InternedWorkspace>(session->core->ForkWorkspace());
+  // The sealed base is record 0 of the session's spill chain: journal the
+  // overlay from here, so an eviction writes only the session's own delta.
+  session->mine_ws->EnableJournal();
+  session->mine_ws->MarkJournalPersisted(session->core->identity());
+  session->mine_life_base = session->core->base_stats();
   return Admit(std::move(session));
 }
 
@@ -199,14 +227,18 @@ SolverService::SessionStats SolverService::LiveStatsLocked(
   if (s.solver != nullptr) {
     out.witness = SumWitness(out.witness, s.solver->witness_cache_stats());
   }
-  // Substrate deltas DO survive (workspace stats ride the snapshot), so
-  // they are overwritten, not summed.
+  // A mining session's substrate work is summed over its lives: a
+  // revival replays its overlay onto a fresh fork, so the fork's counters
+  // restart from `mine_life_base` (and partitions the core did not compile
+  // are compiled, and counted, again when next needed).
   if (s.mine_ws != nullptr) {
-    out.values_interned = s.mine_ws->stats().values_interned -
-                          s.core->base_stats().values_interned;
-    out.partitions_built = s.mine_ws->stats().partitions_built -
-                           s.core->base_stats().partitions_built;
+    out.values_interned += s.mine_ws->stats().values_interned -
+                           s.mine_life_base.values_interned;
+    out.partitions_built += s.mine_ws->stats().partitions_built -
+                            s.mine_life_base.partitions_built;
   }
+  // An Armstrong session's workspace stats ride its full snapshot, so
+  // they are overwritten, not summed.
   if (s.armstrong != nullptr) {
     out.values_interned = s.armstrong->workspace_stats().values_interned;
     out.partitions_built = s.armstrong->workspace_stats().partitions_built;
@@ -222,18 +254,21 @@ Status SolverService::ReviveLocked(Session& s) {
       ProvisionSolver(s);
       break;
     case SessionKind::kMine: {
-      CCFP_ASSIGN_OR_RETURN(
-          RestoredChain chain,
-          LoadSnapshotChain(s.core->scheme_ptr(), s.chain->prefix()));
+      // Fork + replay: a fresh overlay over the shared core, rooted at the
+      // core's identity, plus the session's own delta records.
+      InternedWorkspace fork = s.core->ForkWorkspace();
+      fork.MarkJournalPersisted(s.core->identity());
+      CCFP_ASSIGN_OR_RETURN(RestoredChain chain,
+                            LoadSpill(*s.core, *s.chain, std::move(fork)));
       s.mine_ws =
           std::make_unique<InternedWorkspace>(std::move(chain.restored.ws));
+      s.mine_life_base = s.mine_ws->stats();
       s.chain->Adopt(chain);
       break;
     }
     case SessionKind::kArmstrong: {
-      CCFP_ASSIGN_OR_RETURN(
-          RestoredChain chain,
-          LoadSnapshotChain(s.core->scheme_ptr(), s.chain->prefix()));
+      CCFP_ASSIGN_OR_RETURN(RestoredChain chain,
+                            LoadSpill(*s.core, *s.chain, std::nullopt));
       CCFP_ASSIGN_OR_RETURN(
           SessionClassificationRecord record,
           DeserializeSessionRecord(s.core->scheme(), chain.restored.aux));
@@ -367,8 +402,14 @@ Status SolverService::Evict(SessionId id) {
           "session eviction needs Options::spill_dir");
     }
     if (s->chain == nullptr) {
-      s->chain = std::make_unique<SnapshotChainWriter>(ChainPrefix(id),
-                                                       options_.chain_policy);
+      // A mining session's chain is rooted at its core; an Armstrong
+      // session owns its workspace, so its chain starts from a base file.
+      s->chain = std::make_unique<SnapshotChainWriter>(
+          s->kind == SessionKind::kMine
+              ? SnapshotChainWriter::RootedAt(ChainPrefix(id),
+                                              s->core->identity(),
+                                              options_.chain_policy)
+              : SnapshotChainWriter(ChainPrefix(id), options_.chain_policy));
     }
   }
   switch (s->kind) {

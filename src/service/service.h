@@ -52,13 +52,15 @@ namespace ccfp {
 ///     resident session count; both overflows are ResourceExhausted with
 ///     a reason, never queueing and never degraded results.
 ///   * **Eviction/revival**: Evict spills a session's state to its
-///     snapshot chain under `spill_dir` (mining: the forked workspace;
-///     Armstrong: workspace + universe classification as the chain's aux
-///     record; solve sessions are pure capital and just drop their
-///     engines) and frees the memory. The next op on an evicted session
-///     revives it transparently — warm-starting from the chain with zero
-///     re-interning and zero oracle replay. Chains are written under the
-///     exclusive cross-process lock (SnapshotChainPolicy::exclusive).
+///     snapshot chain under `spill_dir` and frees the memory. Mining: the
+///     overlay's own delta records, in a chain rooted at the shared core
+///     (its sealed base is record 0, never written); revival forks the
+///     core again and replays them. Armstrong: workspace + universe
+///     classification as the chain's aux record, revived with zero oracle
+///     replay. Solve sessions are pure capital and just drop their
+///     engines. The next op on an evicted session revives it
+///     transparently. Chains are written under the exclusive
+///     cross-process lock (SnapshotChainPolicy::exclusive).
 ///
 /// ## Determinism
 ///
@@ -105,9 +107,12 @@ class SolverService {
     std::uint64_t steps_used = 0;
     std::uint64_t evictions = 0;
     std::uint64_t revivals = 0;
-    /// Substrate deltas over the shared core's sealed baseline — the
-    /// shared-core reuse proof: a session that only reads warm state
-    /// shows 0 for both.
+    /// Substrate work over the shared core's sealed baseline, summed
+    /// over the session's lives — the shared-core reuse proof: a session
+    /// that only reads warm state shows 0 for both. A mining revival
+    /// re-interns nothing (the replayed growth is not counted again), but
+    /// a partition the core did not compile is compiled again, and
+    /// counted again, the first time a revived session needs it.
     std::uint64_t values_interned = 0;
     std::uint64_t partitions_built = 0;
     /// The session solver's witness cache counters, summed over every
@@ -195,6 +200,8 @@ class SolverService {
     /// Live engine state; null while evicted.
     std::unique_ptr<ImplicationSolver> solver;       // kSolve
     std::unique_ptr<InternedWorkspace> mine_ws;      // kMine
+    /// mine_ws's counters when this life began (open or revival).
+    InternedWorkspace::Stats mine_life_base;         // kMine
     std::unique_ptr<ArmstrongSession> armstrong;     // kArmstrong
     std::unique_ptr<ChaseOracle> oracle;             // kArmstrong
     std::vector<Fd> fds;                             // kArmstrong params

@@ -1,6 +1,6 @@
 #include "service/shared_core.h"
 
-#include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/snapshot.h"
@@ -10,24 +10,25 @@ namespace ccfp {
 
 namespace {
 
-/// Canonical rendering of a core's inputs — what Identity hashes. Sigma
-/// order matters deliberately: the solver's stage pipeline and the
-/// witness cache verify sigma in order, so differently-ordered sigmas are
-/// different (if logically equal) substrates.
-std::string IdentityString(const DatabaseScheme& scheme,
-                           const std::vector<Dependency>& sigma,
-                           const Database* warm) {
-  std::string s = scheme.ToString();
-  s += '\n';
-  for (const Dependency& dep : sigma) {
-    s += dep.ToString(scheme);
-    s += '\n';
+/// FNV-1a 64 (Fnv1a64's constants), fed one field at a time.
+class IdentityHash {
+ public:
+  void U8(std::uint8_t b) {
+    h_ ^= b;
+    h_ *= 1099511628211ULL;
   }
-  if (warm != nullptr) {
-    s += warm->ToString();
+  void U64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) U8(static_cast<std::uint8_t>(v >> (8 * i)));
   }
-  return s;
-}
+  void Str(std::string_view s) {
+    U64(s.size());
+    for (char c : s) U8(static_cast<std::uint8_t>(c));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ULL;
+};
 
 }  // namespace
 
@@ -37,22 +38,59 @@ SolverCore::SolverCore(SchemePtr scheme, std::vector<Dependency> sigma)
       fingerprint_(SchemeFingerprint(*scheme)),
       base_(scheme) {}
 
+/// A canonical byte stream of a core's inputs, hashed as it is produced:
+/// the scheme's text, sigma's texts in order (sigma order matters
+/// deliberately: the solver's stage pipeline and the witness cache verify
+/// sigma in order, so differently-ordered sigmas are different, if
+/// logically equal, substrates), then each warm relation's tuple count
+/// and every value as its kind byte plus its int64 payload (ints, null
+/// labels) or its length-prefixed bytes (strings). Every variable-length
+/// field carries its length, so no two distinct inputs share a stream;
+/// the per-relation counts also tell an empty warm Database from none.
 std::uint64_t SolverCore::Identity(const DatabaseScheme& scheme,
                                    const std::vector<Dependency>& sigma,
                                    const Database* warm) {
-  return Fnv1a64(IdentityString(scheme, sigma, warm));
+  IdentityHash h;
+  h.Str(scheme.ToString());
+  h.U64(sigma.size());
+  for (const Dependency& dep : sigma) h.Str(dep.ToString(scheme));
+  if (warm == nullptr) return h.value();
+  for (RelId rel = 0; rel < scheme.size(); ++rel) {
+    const std::vector<Tuple>& tuples = warm->relation(rel).tuples();
+    h.U64(tuples.size());
+    for (const Tuple& t : tuples) {
+      for (const Value& v : t) {
+        h.U8(static_cast<std::uint8_t>(v.kind()));
+        if (v.is_str()) {
+          h.Str(v.as_str());
+        } else {
+          h.U64(v.is_null() ? v.null_id()
+                            : static_cast<std::uint64_t>(v.as_int()));
+        }
+      }
+    }
+  }
+  return h.value();
 }
 
 Result<std::shared_ptr<const SolverCore>> SolverCore::Build(
     SchemePtr scheme, std::vector<Dependency> sigma, const Database* warm) {
+  // Validate before Identity, which renders every sigma member.
   for (const Dependency& dep : sigma) {
     CCFP_RETURN_NOT_OK(Validate(*scheme, dep));
   }
+  std::uint64_t identity = Identity(*scheme, sigma, warm);
+  return Build(identity, std::move(scheme), std::move(sigma), warm);
+}
+
+Result<std::shared_ptr<const SolverCore>> SolverCore::Build(
+    std::uint64_t identity, SchemePtr scheme, std::vector<Dependency> sigma,
+    const Database* warm) {
   // make_shared needs a public constructor; the core is handed out const,
   // so a private-ctor new is the simpler seam.
   std::shared_ptr<SolverCore> core(
       new SolverCore(std::move(scheme), std::move(sigma)));
-  core->identity_ = Identity(*core->scheme_, core->sigma_, warm);
+  core->identity_ = identity;
   if (warm != nullptr) {
     core->base_.AppendDatabase(*warm);
   }

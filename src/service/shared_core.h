@@ -22,9 +22,10 @@ namespace ccfp {
 ///   * a *sealed* base workspace: the value interner frozen behind a
 ///     shared table (core/intern.h), every warm tuple interned, and every
 ///     projection partition the warm-up touched compiled — a session
-///     forks it for the price of copying index vectors, and the fork's
-///     copy-on-write interner extends locally without ever duplicating
-///     (or re-hashing) the shared value table;
+///     forks it for the price of copying the tuples and the partitions
+///     (never the value table), and the fork's copy-on-write interner
+///     extends locally without ever duplicating (or re-hashing) the shared
+///     value table;
 ///   * a thread-safe BoundedSearchWorkspace (search/bounded.h), so the
 ///     Nth session's refutation searches compile zero key tables.
 ///
@@ -52,8 +53,10 @@ class SolverCore {
       const Database* warm = nullptr);
 
   /// Stable identity of the substrate: scheme + sigma + warm data,
-  /// canonically rendered and hashed. Two Build calls with equal inputs
-  /// collide here — the service's dedup key.
+  /// hashed from a canonical byte encoding (FNV-1a) without rendering the
+  /// data to text. Two Build calls with equal inputs collide here — the
+  /// service's dedup key, and the record id a mining session's spill
+  /// chain is rooted at (the sealed base is record 0 of every such chain).
   static std::uint64_t Identity(const DatabaseScheme& scheme,
                                 const std::vector<Dependency>& sigma,
                                 const Database* warm = nullptr);
@@ -71,10 +74,11 @@ class SolverCore {
   /// measured against.
   const InternedWorkspace::Stats& base_stats() const { return base_stats_; }
 
-  /// A cheap mutable overlay: shares the frozen interner table, copies
-  /// the (small) index state, inherits the compiled partitions. See
-  /// InternedWorkspace::Fork for what is reset (journal, cursors, chain
-  /// identity).
+  /// A mutable overlay: shares the frozen interner table and deep-copies
+  /// everything else — the tuples, occurrence lists and every compiled
+  /// partition (~592 KB of partitions for a premined 1,296-row warm
+  /// base). See InternedWorkspace::Fork for what is reset (journal,
+  /// cursors, chain identity).
   InternedWorkspace ForkWorkspace() const { return base_.Fork(); }
 
   /// Shared, thread-safe search key tables (mutable through a const core:
@@ -82,7 +86,17 @@ class SolverCore {
   BoundedSearchWorkspace& search_tables() const { return search_tables_; }
 
  private:
+  // The service looks a core up by Identity before building it; it hands
+  // that identity to Build rather than hashing the warm data twice.
+  friend class SolverService;
+
   SolverCore(SchemePtr scheme, std::vector<Dependency> sigma);
+
+  /// Build over a validated sigma with `identity` ==
+  /// Identity(*scheme, sigma, warm) precomputed.
+  static Result<std::shared_ptr<const SolverCore>> Build(
+      std::uint64_t identity, SchemePtr scheme,
+      std::vector<Dependency> sigma, const Database* warm);
 
   SchemePtr scheme_;
   std::vector<Dependency> sigma_;

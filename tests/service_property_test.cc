@@ -4,10 +4,13 @@
 // standalone sequential ImplicationSolver running the same per-session
 // query streams — including queries that exhaust their step budget
 // mid-flight and sessions that are evicted and revived between queries.
-// Runs under TSan and ASan via the property label.
+// Also: random append/mine/evict/revive traces on mining sessions, whose
+// revival is fork + replay of a chain rooted at the shared core, against
+// a never-evicted twin. Runs under TSan and ASan via the property label.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,10 +18,14 @@
 #include "core/database.h"
 #include "core/dependency.h"
 #include "core/schema.h"
+#include "core/snapshot.h"
 #include "mine/discovery.h"
 #include "service/service.h"
+#include "service/shared_core.h"
 #include "solve/solver.h"
+#include "tests/trace_util.h"
 #include "util/budget.h"
+#include "util/rng.h"
 
 namespace ccfp {
 namespace {
@@ -238,6 +245,171 @@ TEST(ServicePropertyTest, ConcurrentMiningSessionsAgreeWithDirectMining) {
     EXPECT_EQ(stats->partitions_built, 0u);
   }
 }
+
+/// A random value from a small domain, so appends collide with the warm
+/// data, with each other, and with earlier appends (duplicates included).
+Value RandomValue(SplitMix64& rng) {
+  std::int64_t v = static_cast<std::int64_t>(rng.Below(12));
+  return rng.Below(5) == 0 ? Value::Str("s" + std::to_string(v))
+                           : Value::Int(v);
+}
+
+Database RandomRows(const SchemePtr& scheme, SplitMix64& rng,
+                    std::size_t rows) {
+  Database db(scheme);
+  for (std::size_t i = 0; i < rows; ++i) {
+    RelId rel = static_cast<RelId>(rng.Below(scheme->size()));
+    Tuple t;
+    for (std::size_t c = 0; c < scheme->relation(rel).arity(); ++c) {
+      t.push_back(RandomValue(rng));
+    }
+    db.Insert(rel, std::move(t));
+  }
+  return db;
+}
+
+std::string FreshSpillDir(const std::string& name) {
+  std::string dir = ::testing::TempDir() + "/ccfp_service_property_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+class MiningRevivalPropertyTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Two mining sessions over one core receive the same random appends and
+// mining ops; one of them is also evicted at random points (with a small
+// max_deltas so the chain collapses too). Every answer must match the
+// never-evicted twin's. The counters: `values_interned` always matches
+// (the replayed growth is not counted twice). Every projection mined
+// here with default options was premined by the core, so
+// `partitions_built` stays 0 on both. Had the core not premined them,
+// each revival would compile them again when next needed and count them
+// again, so the evicted session would read >= its twin (pinned exactly
+// in ServiceTest.RevivedMiningSessionCountsItsOwnSubstrateWork).
+TEST_P(MiningRevivalPropertyTest, RevivedSessionMinesLikeItsTwin) {
+  SplitMix64 rng(GetParam() * 0x9E3779B97F4A7C15ull + 17);
+  SchemePtr scheme = testutil::RandomScheme(rng);
+  Database warm = RandomRows(scheme, rng, 20 + rng.Below(30));
+
+  SolverService::Options options;
+  options.spill_dir = FreshSpillDir("service_" + std::to_string(GetParam()));
+  options.chain_policy.max_deltas = 1 + rng.Below(4);
+  SolverService service(options);
+  Result<SolverService::SessionId> evicted = service.OpenMine(scheme, warm);
+  Result<SolverService::SessionId> twin = service.OpenMine(scheme, warm);
+  ASSERT_TRUE(evicted.ok() && twin.ok());
+
+  std::uint64_t evictions = 0;
+  bool resident = true;  // Evict of an evicted session is a no-op
+  for (int step = 0; step < 40; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::uint64_t op = rng.Below(4);
+    if (op == 2) {
+      ASSERT_TRUE(service.Evict(*evicted).ok());
+      evictions += resident ? 1 : 0;
+      resident = false;
+      continue;
+    }
+    resident = true;  // every other op revives
+    switch (op) {
+      case 0:
+      case 1: {
+        Database delta = RandomRows(scheme, rng, 1 + rng.Below(4));
+        ASSERT_TRUE(service.Append(*evicted, delta).ok());
+        ASSERT_TRUE(service.Append(*twin, delta).ok());
+        break;
+      }
+      default: {
+        RelId rel = static_cast<RelId>(rng.Below(scheme->size()));
+        Result<std::vector<Fd>> got = service.MineSessionFds(*evicted, rel);
+        Result<std::vector<Fd>> want = service.MineSessionFds(*twin, rel);
+        ASSERT_TRUE(got.ok() && want.ok()) << got.status();
+        EXPECT_EQ(*got, *want);
+        Result<std::vector<Ind>> got_inds = service.MineSessionInds(*evicted);
+        Result<std::vector<Ind>> want_inds = service.MineSessionInds(*twin);
+        ASSERT_TRUE(got_inds.ok() && want_inds.ok());
+        EXPECT_EQ(*got_inds, *want_inds);
+        Result<std::vector<Rd>> got_rds = service.MineSessionRds(*evicted);
+        Result<std::vector<Rd>> want_rds = service.MineSessionRds(*twin);
+        ASSERT_TRUE(got_rds.ok() && want_rds.ok());
+        EXPECT_EQ(*got_rds, *want_rds);
+        break;
+      }
+    }
+  }
+  // Revive (if evicted) and compare the counters.
+  ASSERT_TRUE(service.MineSessionInds(*evicted).ok());
+  ASSERT_TRUE(service.MineSessionInds(*twin).ok());
+  Result<SolverService::SessionStats> got = service.Stats(*evicted);
+  Result<SolverService::SessionStats> want = service.Stats(*twin);
+  ASSERT_TRUE(got.ok() && want.ok());
+  EXPECT_EQ(got->evictions, evictions);
+  // Mining ops charge the alive tuple count: equal charges, equal tuples.
+  EXPECT_EQ(got->steps_used, want->steps_used);
+  EXPECT_EQ(got->values_interned, want->values_interned);
+  EXPECT_EQ(got->partitions_built, 0u);
+  EXPECT_EQ(want->partitions_built, 0u);
+  std::filesystem::remove_all(options.spill_dir);
+}
+
+// The substrate under the service: a fork journaling against the core's
+// identity, spilled through a core-rooted chain and revived as a fresh
+// fork plus replay, must materialize exactly like a never-spilled fork
+// that saw the same appends, and mine the same.
+TEST_P(MiningRevivalPropertyTest, ForkPlusReplayMaterializesLikeTheTwin) {
+  SplitMix64 rng(GetParam() * 0xBF58476D1CE4E5B9ull + 5);
+  SchemePtr scheme = testutil::RandomScheme(rng);
+  Database warm = RandomRows(scheme, rng, 20 + rng.Below(30));
+  Result<std::shared_ptr<const SolverCore>> core =
+      SolverCore::Build(scheme, {}, &warm);
+  ASSERT_TRUE(core.ok()) << core.status();
+  auto rooted_fork = [&] {
+    InternedWorkspace fork = (*core)->ForkWorkspace();
+    fork.MarkJournalPersisted((*core)->identity());
+    return fork;
+  };
+
+  std::string dir = FreshSpillDir("fork_" + std::to_string(GetParam()));
+  SnapshotChainPolicy policy;
+  policy.max_deltas = 1 + rng.Below(4);
+  SnapshotChainWriter writer = SnapshotChainWriter::RootedAt(
+      dir + "/chain", (*core)->identity(), policy);
+  InternedWorkspace live = rooted_fork();
+  live.EnableJournal();
+  InternedWorkspace twin = (*core)->ForkWorkspace();
+
+  for (int step = 0; step < 30; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    if (rng.Below(3) != 0) {
+      Database delta = RandomRows(scheme, rng, 1 + rng.Below(4));
+      live.AppendDatabase(delta);
+      twin.AppendDatabase(delta);
+    } else {
+      ASSERT_TRUE(writer.Save(live).ok());
+      EXPECT_LE(writer.delta_count(), policy.max_deltas);
+      Result<RestoredChain> chain =
+          LoadSnapshotChain(scheme, writer.prefix(), rooted_fork());
+      ASSERT_TRUE(chain.ok()) << chain.status();
+      live = std::move(chain->restored.ws);
+      writer.Adopt(*chain);
+    }
+    ASSERT_EQ(live.Materialize(), twin.Materialize());
+    EXPECT_EQ(live.stats().values_interned, twin.stats().values_interned);
+    EXPECT_EQ(live.stats().tuples_appended, twin.stats().tuples_appended);
+  }
+  for (RelId rel = 0; rel < scheme->size(); ++rel) {
+    EXPECT_EQ(MineFds(live, rel), MineFds(twin, rel));
+  }
+  EXPECT_EQ(MineInds(live), MineInds(twin));
+  EXPECT_EQ(MineRds(live), MineRds(twin));
+  EXPECT_FALSE(std::filesystem::exists(writer.BasePath()));
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MiningRevivalPropertyTest,
+                         ::testing::Range<std::uint64_t>(0, 12));
 
 }  // namespace
 }  // namespace ccfp

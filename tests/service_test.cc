@@ -2,11 +2,14 @@
 // deduplication with the zero-re-interning reuse proof, admission control
 // (session capacity, in-flight ceiling, lifetime step budgets — always
 // ResourceExhausted, never a wrong verdict), snapshot-backed eviction and
-// revival for every session kind, and the per-session stats counters.
+// revival for every session kind (a mining session spills only its own
+// overlay, in a chain rooted at its core), and the per-session stats
+// counters.
 #include "service/service.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -45,11 +48,70 @@ TEST(SolverCoreTest, IdentityDedupsAndValidates) {
   EXPECT_NE(SolverCore::Identity(*scheme, MixedSigma()),
             SolverCore::Identity(*scheme, {}));
 
-  // A sigma member that does not fit the scheme is refused at Build.
+  // A sigma member that does not fit the scheme is refused at Build, and
+  // at open, before anything renders it for the identity.
   Result<std::shared_ptr<const SolverCore>> bad =
       SolverCore::Build(scheme, {Dependency(Fd{5, {0}, {1}})});
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  SolverService service;
+  Result<SolverService::SessionId> refused =
+      service.OpenSolve(scheme, {Dependency(Fd{5, {0}, {1}})});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.stats().cores, 0u);
+}
+
+/// A fresh, empty spill directory private to one test.
+std::string FreshSpillDir(const std::string& name) {
+  std::string dir = ::testing::TempDir() + "/ccfp_service_test_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(SolverCoreTest, IdentityCoversEveryWarmByte) {
+  SchemePtr scheme = RsScheme();
+  auto identity = [&](const Database& warm) {
+    return SolverCore::Identity(*scheme, MixedSigma(), &warm);
+  };
+  auto db = [&](std::vector<Tuple> r, std::vector<Tuple> s) {
+    Database out(scheme);
+    for (Tuple& t : r) out.Insert(0, std::move(t));
+    for (Tuple& t : s) out.Insert(1, std::move(t));
+    return out;
+  };
+  Value one = Value::Int(1), two = Value::Int(2);
+  Database base = db({{one, two}}, {{two, one}});
+
+  // Equal inputs, equal identities (built separately, not copied).
+  EXPECT_EQ(identity(base), identity(db({{one, two}}, {{two, one}})));
+
+  // The kind of every value counts, not just its payload or its text.
+  EXPECT_NE(identity(base),
+            identity(db({{Value::Str("1"), two}}, {{two, one}})));
+  EXPECT_NE(identity(base),
+            identity(db({{Value::Null(1), two}}, {{two, one}})));
+
+  // Values moving across a tuple boundary, a relation boundary or a
+  // string boundary: the same value sequence, cut differently.
+  Value three = Value::Int(3), four = Value::Int(4);
+  EXPECT_NE(identity(db({{one, two}, {three, four}}, {})),
+            identity(db({{one, two}}, {{three, four}})));
+  SchemePtr wide = MakeScheme({{"R", {"A", "B"}}, {"S", {"C", "D", "E", "F"}}});
+  Database two_tuples(wide);
+  two_tuples.Insert(0, {one, two});
+  two_tuples.Insert(0, {three, four});
+  Database one_tuple(wide);
+  one_tuple.Insert(1, {one, two, three, four});
+  EXPECT_NE(SolverCore::Identity(*wide, {}, &two_tuples),
+            SolverCore::Identity(*wide, {}, &one_tuple));
+  EXPECT_NE(identity(db({{Value::Str("ab"), Value::Str("c")}}, {})),
+            identity(db({{Value::Str("a"), Value::Str("bc")}}, {})));
+
+  // No warm data is not the same substrate as empty warm data.
+  Database empty(scheme);
+  EXPECT_NE(SolverCore::Identity(*scheme, MixedSigma()), identity(empty));
 }
 
 TEST(SolverCoreTest, ForkPaysZeroReInterningAndZeroCompilation) {
@@ -251,7 +313,7 @@ TEST(ServiceTest, SolveSessionEvictionDropsEnginesAndRevivesTransparently) {
 
 TEST(ServiceTest, MiningEvictionSpillsAndRevivesWithLocalAppends) {
   SolverService::Options options;
-  options.spill_dir = ::testing::TempDir();
+  options.spill_dir = FreshSpillDir("mining");
   SolverService service(options);
   SchemePtr scheme = RsScheme();
   Database data = WarmData(scheme);
@@ -281,6 +343,216 @@ TEST(ServiceTest, MiningEvictionSpillsAndRevivesWithLocalAppends) {
   EXPECT_EQ(*inds, MineInds(combined));
 }
 
+TEST(ServiceTest, MiningChainFoldsPastMaxDeltasAndStaysExact) {
+  // More evictions than SnapshotChainPolicy::max_deltas: the core-rooted
+  // chain collapses into one delta instead of writing a base, and every
+  // revival mines exactly what a never-evicted twin mines.
+  SolverService::Options options;
+  options.spill_dir = FreshSpillDir("fold");
+  SolverService service(options);
+  SchemePtr scheme = RsScheme();
+  Database data = WarmData(scheme);
+  Result<SolverService::SessionId> id = service.OpenMine(scheme, data);
+  Result<SolverService::SessionId> twin = service.OpenMine(scheme, data);
+  ASSERT_TRUE(id.ok() && twin.ok());
+  std::string prefix = options.spill_dir + "/session_" + std::to_string(*id);
+
+  const std::size_t max_deltas = SnapshotChainPolicy().max_deltas;
+  for (std::size_t round = 0; round < 2 * max_deltas + 3; ++round) {
+    Database delta(scheme);
+    std::int64_t v = static_cast<std::int64_t>(round);
+    delta.Insert(round % 2, {Value::Int(100 + v), Value::Int(v % 3)});
+    ASSERT_TRUE(service.Append(*id, delta).ok());
+    ASSERT_TRUE(service.Append(*twin, delta).ok());
+    ASSERT_TRUE(service.Evict(*id).ok()) << "round " << round;
+
+    EXPECT_FALSE(std::filesystem::exists(prefix + ".base"));
+    EXPECT_FALSE(std::filesystem::exists(
+        prefix + ".delta." + std::to_string(max_deltas + 1)));
+
+    for (RelId rel = 0; rel < scheme->size(); ++rel) {
+      Result<std::vector<Fd>> got = service.MineSessionFds(*id, rel);
+      Result<std::vector<Fd>> want = service.MineSessionFds(*twin, rel);
+      ASSERT_TRUE(got.ok() && want.ok()) << got.status();
+      EXPECT_EQ(*got, *want) << "round " << round;
+    }
+    Result<std::vector<Ind>> got_inds = service.MineSessionInds(*id);
+    Result<std::vector<Ind>> want_inds = service.MineSessionInds(*twin);
+    ASSERT_TRUE(got_inds.ok() && want_inds.ok());
+    EXPECT_EQ(*got_inds, *want_inds) << "round " << round;
+    Result<std::vector<Rd>> got_rds = service.MineSessionRds(*id);
+    Result<std::vector<Rd>> want_rds = service.MineSessionRds(*twin);
+    ASSERT_TRUE(got_rds.ok() && want_rds.ok());
+    EXPECT_EQ(*got_rds, *want_rds) << "round " << round;
+
+    Result<SolverService::SessionStats> got_stats = service.Stats(*id);
+    Result<SolverService::SessionStats> want_stats = service.Stats(*twin);
+    ASSERT_TRUE(got_stats.ok() && want_stats.ok());
+    EXPECT_EQ(got_stats->revivals, round + 1);
+    EXPECT_EQ(got_stats->values_interned, want_stats->values_interned);
+    // Every mining op charges the session's alive tuple count, so equal
+    // charges mean the revived session holds exactly the twin's tuples.
+    EXPECT_EQ(got_stats->steps_used, want_stats->steps_used);
+  }
+}
+
+TEST(ServiceTest, MiningSpillIgnoresAForeignChainUnderItsPrefix) {
+  // Session ids restart at 0 in every service, so a new service over an
+  // old spill_dir reuses the old sessions' prefixes. The session's chain
+  // is rooted at its core and never reads `.base`; its first spill
+  // clears the prefix, so no foreign record can follow its own.
+  std::string dir = FreshSpillDir("foreign");
+  SchemePtr scheme = RsScheme();
+  Database data = WarmData(scheme);
+  Database delta(scheme);
+  delta.Insert(0, {Value::Int(1), Value::Int(99)});
+
+  // Two foreign chains the first session's prefix could meet: one a file
+  // chain over unrelated tuples (.base, .delta.1, .delta.2), one left by
+  // an earlier service that ran the same session one step further — its
+  // `.delta.1` is byte-identical to the new session's first spill, so
+  // only the prefix clearing keeps its `.delta.2` out.
+  auto plant_file_chain = [&](const std::string& prefix) {
+    InternedWorkspace foreign(scheme);
+    SnapshotChainWriter writer(prefix);
+    for (std::int64_t k = 0; k < 3; ++k) {
+      foreign.Append(0, {foreign.Intern(Value::Int(500 + k)),
+                         foreign.Intern(Value::Int(600 + k))});
+      ASSERT_TRUE(writer.Save(foreign).ok());
+    }
+    ASSERT_TRUE(std::filesystem::exists(prefix + ".base"));
+    ASSERT_TRUE(std::filesystem::exists(prefix + ".delta.2"));
+  };
+  auto plant_earlier_service = [&]() {
+    SolverService::Options options;
+    options.spill_dir = dir;
+    SolverService earlier(options);
+    Result<SolverService::SessionId> id = earlier.OpenMine(scheme, data);
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(earlier.Append(*id, delta).ok());
+    ASSERT_TRUE(earlier.Evict(*id).ok());
+    Database more(scheme);
+    more.Insert(1, {Value::Int(42), Value::Int(43)});
+    ASSERT_TRUE(earlier.Append(*id, more).ok());
+    ASSERT_TRUE(earlier.Evict(*id).ok());
+  };
+
+  Database expected = data;
+  expected.Insert(0, {Value::Int(1), Value::Int(99)});
+  for (int variant = 0; variant < 2; ++variant) {
+    SCOPED_TRACE(variant == 0 ? "foreign file chain" : "earlier service");
+    SolverService::Options options;
+    options.spill_dir = dir;
+    SolverService service(options);
+    // The first mining session over this scheme gets the shard's first id.
+    std::string prefix =
+        dir + "/session_" + std::to_string(service.ShardOf(*scheme));
+    if (variant == 0) {
+      plant_file_chain(prefix);
+    } else {
+      plant_earlier_service();
+    }
+    ASSERT_TRUE(std::filesystem::exists(prefix + ".delta.2"));
+
+    Result<SolverService::SessionId> id = service.OpenMine(scheme, data);
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(dir + "/session_" + std::to_string(*id), prefix);
+    ASSERT_TRUE(service.Append(*id, delta).ok());
+    ASSERT_TRUE(service.Evict(*id).ok());
+    EXPECT_FALSE(std::filesystem::exists(prefix + ".base"));
+    EXPECT_TRUE(std::filesystem::exists(prefix + ".delta.1"));
+    EXPECT_FALSE(std::filesystem::exists(prefix + ".delta.2"));
+
+    // Revival replays exactly the session's own record.
+    Result<std::vector<Ind>> inds = service.MineSessionInds(*id);
+    ASSERT_TRUE(inds.ok()) << inds.status();
+    EXPECT_EQ(*inds, MineInds(expected));
+    for (RelId rel = 0; rel < scheme->size(); ++rel) {
+      Result<std::vector<Fd>> fds = service.MineSessionFds(*id, rel);
+      ASSERT_TRUE(fds.ok());
+      EXPECT_EQ(*fds, MineFds(expected, rel));
+    }
+    Result<std::shared_ptr<const SolverCore>> core =
+        SolverCore::Build(scheme, {}, &data);
+    ASSERT_TRUE(core.ok());
+    InternedWorkspace root = (*core)->ForkWorkspace();
+    root.MarkJournalPersisted((*core)->identity());
+    Result<RestoredChain> chain =
+        LoadSnapshotChain(scheme, prefix, std::move(root));
+    ASSERT_TRUE(chain.ok()) << chain.status();
+    EXPECT_EQ(chain->deltas_applied, 1u);
+    EXPECT_EQ(chain->restored.ws.Materialize(), expected);
+  }
+}
+
+TEST(ServiceTest, RevivalRefusesAChainShortOfTheLastSpill) {
+  // A spill chain that ends before the session's last record (a lost
+  // file) would revive stale state: revival refuses, and the session
+  // stays evicted.
+  SolverService::Options options;
+  options.spill_dir = FreshSpillDir("short");
+  SolverService service(options);
+  SchemePtr scheme = RsScheme();
+  Result<SolverService::SessionId> id =
+      service.OpenMine(scheme, WarmData(scheme));
+  ASSERT_TRUE(id.ok());
+  for (std::int64_t k = 0; k < 2; ++k) {
+    Database delta(scheme);
+    delta.Insert(1, {Value::Int(50 + k), Value::Int(k)});
+    ASSERT_TRUE(service.Append(*id, delta).ok());
+    ASSERT_TRUE(service.Evict(*id).ok());
+  }
+  std::string prefix = options.spill_dir + "/session_" + std::to_string(*id);
+  ASSERT_TRUE(std::filesystem::remove(prefix + ".delta.2"));
+
+  Result<std::vector<Ind>> refused = service.MineSessionInds(*id);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  Result<SolverService::SessionStats> stats = service.Stats(*id);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_TRUE(stats->evicted);
+  EXPECT_EQ(stats->revivals, 1u);
+}
+
+TEST(ServiceTest, RevivedMiningSessionCountsItsOwnSubstrateWork) {
+  // Revival is fork + replay: the replayed interner growth is not counted
+  // again, the premined partitions come back from the core for free, and
+  // a partition the core did not premine is compiled (and counted) again
+  // the first time the revived session needs it.
+  SolverService::Options options;
+  options.spill_dir = FreshSpillDir("stats");
+  SolverService service(options);
+  SchemePtr scheme = RsScheme();
+  Database data = WarmData(scheme);
+  Result<SolverService::SessionId> id = service.OpenMine(scheme, data);
+  ASSERT_TRUE(id.ok());
+  Database delta(scheme);
+  delta.Insert(0, {Value::Int(7), Value::Int(77)});  // 77 is new
+  ASSERT_TRUE(service.Append(*id, delta).ok());
+  IndMiningOptions wide;  // width 2: projections the core never compiled
+  wide.max_width = 2;
+  ASSERT_TRUE(service.MineSessionFds(*id, 0).ok());
+  ASSERT_TRUE(service.MineSessionInds(*id, wide).ok());
+  Result<SolverService::SessionStats> before = service.Stats(*id);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before->values_interned, 1u);
+  std::uint64_t built = before->partitions_built;
+  ASSERT_GT(built, 0u);
+
+  ASSERT_TRUE(service.Evict(*id).ok());
+  ASSERT_TRUE(service.MineSessionFds(*id, 0).ok());  // premined: free
+  Result<SolverService::SessionStats> revived = service.Stats(*id);
+  ASSERT_TRUE(revived.ok());
+  EXPECT_EQ(revived->values_interned, 1u);
+  EXPECT_EQ(revived->partitions_built, built);
+
+  ASSERT_TRUE(service.MineSessionInds(*id, wide).ok());
+  Result<SolverService::SessionStats> remined = service.Stats(*id);
+  ASSERT_TRUE(remined.ok());
+  EXPECT_EQ(remined->values_interned, 1u);
+  EXPECT_EQ(remined->partitions_built, 2 * built);
+}
+
 TEST(ServiceTest, MiningEvictionWithoutSpillDirIsFailedPrecondition) {
   SolverService service;
   SchemePtr scheme = RsScheme();
@@ -294,7 +566,7 @@ TEST(ServiceTest, MiningEvictionWithoutSpillDirIsFailedPrecondition) {
 
 TEST(ServiceTest, ArmstrongEvictionRevivesWithoutOracleReplay) {
   SolverService::Options options;
-  options.spill_dir = ::testing::TempDir();
+  options.spill_dir = FreshSpillDir("armstrong");
   SolverService service(options);
   SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}});
   std::vector<Fd> fds = {Fd{0, {0}, {1}}};
@@ -325,7 +597,7 @@ TEST(ServiceTest, ArmstrongEvictionSpillsTheSessionCheckpoint) {
   // Evict writes the session's own Checkpoint record: the universe
   // classification in extend order, and no consumer cursors.
   SolverService::Options options;
-  options.spill_dir = ::testing::TempDir();
+  options.spill_dir = FreshSpillDir("checkpoint");
   SolverService service(options);
   SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}});
   Result<SolverService::SessionId> id =
@@ -340,7 +612,7 @@ TEST(ServiceTest, ArmstrongEvictionSpillsTheSessionCheckpoint) {
   ASSERT_TRUE(service.Evict(*id).ok());
 
   Result<RestoredChain> chain = LoadSnapshotChain(
-      scheme, ::testing::TempDir() + "/session_" + std::to_string(*id));
+      scheme, options.spill_dir + "/session_" + std::to_string(*id));
   ASSERT_TRUE(chain.ok()) << chain.status();
   EXPECT_TRUE(chain->restored.consumer_cursors.empty());
   Result<SessionClassificationRecord> record =

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -324,6 +325,103 @@ TEST(SnapshotChainLockTest, ExclusiveWriterLocksOnFirstSave) {
 
   SnapshotChainWriter carefree(prefix);
   EXPECT_TRUE(carefree.Save(ws).ok());
+}
+
+TEST(SnapshotChainTest, RootedChainWritesDeltasOnlyAndRejectsDamage) {
+  // A chain rooted at an external record: no `.base` ever, each record a
+  // delta, loads replay onto the caller's root, the fold collapses the
+  // chain into one delta, and every damage case still fails the load.
+  SchemePtr scheme = TwoRelScheme();
+  InternedWorkspace base = PopulatedWorkspace(scheme, nullptr);
+  constexpr std::uint64_t kRoot = 0x5eed;
+  auto root = [&] {
+    InternedWorkspace ws = base.Fork();
+    ws.MarkJournalPersisted(kRoot);
+    return ws;
+  };
+  std::string prefix = ::testing::TempDir() + "/ccfp_rooted_chain";
+  SnapshotChainPolicy policy;
+  policy.max_deltas = 2;
+  SnapshotChainWriter writer =
+      SnapshotChainWriter::RootedAt(prefix, kRoot, policy);
+
+  // A workspace that is not journaling from the root is refused, and
+  // nothing is written.
+  InternedWorkspace stray = base.Fork();
+  Status refused = writer.Save(stray);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+
+  InternedWorkspace live = root();
+  live.EnableJournal();
+  auto append = [&](std::int64_t k) {
+    live.Append(1, {live.Intern(Value::Int(9000 + k)),
+                    live.Intern(Value::Str("x" + std::to_string(k)))});
+  };
+  for (std::int64_t k = 0; k < 2; ++k) {
+    append(k);
+    ASSERT_TRUE(writer.Save(live).ok());
+  }
+  EXPECT_FALSE(std::ifstream(writer.BasePath()).good());
+  EXPECT_EQ(writer.delta_count(), 2u);
+
+  Result<RestoredChain> chain = LoadSnapshotChain(scheme, prefix, root());
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  EXPECT_EQ(chain->deltas_applied, 2u);
+  EXPECT_EQ(chain->base_bytes, 0u);
+  EXPECT_EQ(chain->restored.ws.Materialize(), live.Materialize());
+
+  // A root without a record identity is refused; a root at another
+  // record links to none of the deltas, so the chain ends at the root.
+  Result<RestoredChain> anonymous =
+      LoadSnapshotChain(scheme, prefix, base.Fork());
+  ASSERT_FALSE(anonymous.ok());
+  EXPECT_EQ(anonymous.status().code(), StatusCode::kFailedPrecondition);
+  InternedWorkspace other = base.Fork();
+  other.MarkJournalPersisted(kRoot + 1);
+  Result<RestoredChain> unlinked =
+      LoadSnapshotChain(scheme, prefix, std::move(other));
+  ASSERT_TRUE(unlinked.ok()) << unlinked.status();
+  EXPECT_EQ(unlinked->deltas_applied, 0u);
+  EXPECT_EQ(unlinked->restored.ws.Materialize(), base.Materialize());
+
+  // Past max_deltas the chain collapses into one delta over the root.
+  append(2);
+  ASSERT_TRUE(writer.Save(live).ok());
+  EXPECT_EQ(writer.delta_count(), 1u);
+  EXPECT_FALSE(std::ifstream(writer.DeltaPath(2)).good());
+  chain = LoadSnapshotChain(scheme, prefix, root());
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  EXPECT_EQ(chain->deltas_applied, 1u);
+  EXPECT_EQ(chain->restored.ws.Materialize(), live.Materialize());
+
+  // Damage in a delta fails the load (never a silent end of chain).
+  append(3);
+  ASSERT_TRUE(writer.Save(live).ok());
+  std::string path = writer.DeltaPath(2);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 40u);
+  bytes[bytes.size() - 5] ^= 0x10;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  Result<RestoredChain> damaged = LoadSnapshotChain(scheme, prefix, root());
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.status().code(), StatusCode::kInvalidArgument);
+
+  // A collapse that meets the damaged record fails and keeps the
+  // journal, so nothing unpersisted is lost.
+  append(4);
+  Status collapse = writer.Save(live);
+  ASSERT_FALSE(collapse.ok());
+  EXPECT_EQ(collapse.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(live.journal().empty());
 }
 
 }  // namespace
