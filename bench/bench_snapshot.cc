@@ -55,7 +55,8 @@ void MergeOne(InternedWorkspace& ws, SplitMix64& rng,
   ValueId b = ws.Canon(pool[rng.Below(pool.size())]);
   InternedWorkspace::MergeResult m = ws.MergeValues(a, b);
   if (!m.merged) return;
-  std::vector<WorkspaceTupleRef> stale = ws.occurrences(m.loser);
+  OccurrenceRange occ = ws.occurrences(m.loser);
+  std::vector<WorkspaceTupleRef> stale(occ.begin(), occ.end());
   ws.RerouteOccurrences(m.loser, m.winner);
   for (const WorkspaceTupleRef& ref : stale) {
     ws.CanonicalizeTuple(ref.rel, ref.idx);

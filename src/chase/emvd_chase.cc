@@ -105,9 +105,9 @@ Result<std::uint64_t> EmvdChaseFixpointOnWorkspace(
             for (std::size_t a = 0; a < arity; ++a) {
               t3[a] = ws.InternFreshNull();
             }
-            const IdTuple& txy = ws.tuple(e.rel, xy_src);
+            IdRow txy = ws.tuple(e.rel, xy_src);
             for (AttrId c : state.xy) t3[c] = txy[c];
-            const IdTuple& txz = ws.tuple(e.rel, xz_src);
+            IdRow txz = ws.tuple(e.rel, xz_src);
             for (AttrId c : state.xz) t3[c] = txz[c];
             new_tuples.push_back(std::move(t3));
           }

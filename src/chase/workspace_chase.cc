@@ -35,7 +35,7 @@ WorkspaceChase::WorkspaceChase(InternedWorkspace* ws, std::vector<Fd> fds,
     inds_by_lhs_rel_[ind.lhs_rel].push_back(i);
     inds_by_rhs_rel_[ind.rhs_rel].push_back(i);
     IndState& is = ind_states_[i];
-    is.rhs_keys = IdKeyTable(ind.width());
+    is.rhs_keys = IdKeySet(ind.width());
     is.source.assign(scheme.relation(ind.rhs_rel).arity(), kFreshNull);
     for (std::uint32_t k = 0; k < ind.width(); ++k) is.source[ind.rhs[k]] = k;
   }
@@ -65,7 +65,7 @@ Status WorkspaceChase::BudgetCheckpoint() {
 
 void WorkspaceChase::Project(RelId rel, std::uint32_t idx,
                              const std::vector<AttrId>& cols) {
-  const IdTuple& t = ws_->tuple(rel, idx);
+  IdRow t = ws_->tuple(rel, idx);
   key_.clear();
   for (AttrId c : cols) key_.push_back(ws_->Canon(t[c]));
 }
@@ -81,7 +81,7 @@ void WorkspaceChase::EnqueueFdDirty(RelId rel, std::uint32_t idx) {
 void WorkspaceChase::RegisterRhsProjections(RelId rel, std::uint32_t idx) {
   for (std::uint32_t ind_id : inds_by_rhs_rel_[rel]) {
     Project(rel, idx, inds_[ind_id].rhs);
-    ind_states_[ind_id].rhs_keys.Insert(key_.data(), 0);
+    ind_states_[ind_id].rhs_keys.Insert(key_.data());
   }
 }
 
@@ -130,7 +130,7 @@ Status WorkspaceChase::ProbeFd(std::uint32_t fd_id, RelId rel,
   auto [entry, inserted] = index.Insert(key_.data(), idx);
   if (inserted || index.value(entry) == idx) return Status::OK();
   std::uint32_t rep = index.value(entry);
-  const IdTuple& rep_t = ws_->tuple(rel, rep);
+  IdRow rep_t = ws_->tuple(rel, rep);
   // The entry may be stale: the representative's key can have drifted
   // since insertion (its ids merged). A drifted rep was dirtied by the
   // merge and will re-index itself under its new key, so just take over.
@@ -140,7 +140,7 @@ Status WorkspaceChase::ProbeFd(std::uint32_t fd_id, RelId rel,
       return Status::OK();
     }
   }
-  const IdTuple& t = ws_->tuple(rel, idx);
+  IdRow t = ws_->tuple(rel, idx);
   for (AttrId y : fd.rhs) {
     ValueId a = ws_->Canon(t[y]);
     ValueId b = ws_->Canon(rep_t[y]);
@@ -214,15 +214,15 @@ Status WorkspaceChase::ProbeInd(std::uint32_t ind_id, std::uint32_t idx,
   CCFP_RETURN_NOT_OK(BudgetCheckpoint());
   IndState& is = ind_states_[ind_id];
   Project(ind.lhs_rel, idx, ind.lhs);
-  if (is.rhs_keys.Find(key_.data()) != IdKeyTable::kNone) return Status::OK();
+  if (is.rhs_keys.Find(key_.data()) != IdKeySet::kNone) return Status::OK();
   if (FaultFires(FaultSite::kArenaAppend)) {
     // The arena refused to grow. Nothing is registered yet, so a resumed
     // Run re-probes this slot and creates the witness then.
     return Status::ResourceExhausted("injected arena allocation failure");
   }
-  is.rhs_keys.Insert(key_.data(), 0);
+  is.rhs_keys.Insert(key_.data());
   std::size_t arity = is.source.size();
-  IdTuple fresh(arity, 0);
+  fresh_.resize(arity);
   // One label per position, the constrained ones left unused — byte-for-
   // byte the numbering of the restart-scan reference chase
   // (tests/reference/chase.h), so both produce identically-labeled
@@ -232,10 +232,10 @@ Status WorkspaceChase::ProbeInd(std::uint32_t ind_id, std::uint32_t idx,
   std::uint64_t label = ws_->ReserveNullLabels(arity);
   for (std::size_t a = 0; a < arity; ++a, ++label) {
     std::uint32_t k = is.source[a];
-    fresh[a] = k == kFreshNull ? ws_->Intern(Value::Null(label)) : key_[k];
+    fresh_[a] = k == kFreshNull ? ws_->Intern(Value::Null(label)) : key_[k];
   }
   *any = true;
-  if (ws_->Append(ind.rhs_rel, std::move(fresh))) {
+  if (ws_->Append(ind.rhs_rel, fresh_)) {
     std::uint32_t new_idx =
         static_cast<std::uint32_t>(ws_->size(ind.rhs_rel)) - 1;
     AdmitSlot(ind.rhs_rel, new_idx);

@@ -95,11 +95,11 @@ class WorkspaceChase {
   static constexpr std::uint32_t kFreshNull = UINT32_MAX;
 
   struct IndState {
-    /// Canonical rhs projections present in the rhs relation (a set: the
-    /// values are unused). Insert-only: entries whose ids have since been
-    /// merged away contain non-root ids and can never collide with a
-    /// canonical probe key, so stale entries are harmless.
-    IdKeyTable rhs_keys;
+    /// Canonical rhs projections present in the rhs relation. Insert-only:
+    /// entries whose ids have since been merged away contain non-root ids
+    /// and can never collide with a canonical probe key, so stale entries
+    /// are harmless.
+    IdKeySet rhs_keys;
     /// Per rhs-relation position: the index into the lhs projection that
     /// fills it in a generated tuple, or kFreshNull.
     std::vector<std::uint32_t> source;
@@ -146,7 +146,8 @@ class WorkspaceChase {
   std::vector<std::vector<std::uint8_t>> queued_;  // per rel, per slot
   std::vector<std::uint32_t> admitted_;            // per rel: admitted prefix
   std::vector<std::uint64_t> admit_cursor_;        // per rel: feed position
-  IdTuple key_;  ///< projection buffer shared by every probe
+  IdTuple key_;    ///< projection buffer shared by every probe
+  IdTuple fresh_;  ///< generated-tuple buffer (Append copies it)
   InternedWorkspace::FeedCursorId feed_cursor_ = 0;  ///< pins compaction
   bool failed_ = false;
 

@@ -26,7 +26,7 @@ inline std::uint64_t HashIds(const std::uint32_t* ids, std::size_t n) {
 /// Open-addressed table of (hash, payload) slots: linear probing over a
 /// power-of-two array kept at most half full, backward-shift erase (no
 /// tombstones). It stores no keys. A payload names where its key lives —
-/// a tuple slot of the workspace store, an entry of an IdKeyTable arena —
+/// a tuple slot of the workspace store, an entry of an IdKeySet arena —
 /// and lookups compare through a caller predicate on payloads. Growing
 /// rehashes from the stored hashes alone, so no key is ever re-read.
 class FlatSlotTable {
@@ -116,33 +116,85 @@ class FlatSlotTable {
   std::size_t size_ = 0;
 };
 
-/// Insert-only map from fixed-width id keys to one uint32 value each.
+/// Insert-only set of fixed-width id keys, numbered in insertion order.
 /// Keys live back to back in one arena (entry e holds ids [e * width,
 /// (e + 1) * width)), and a FlatSlotTable indexes the entries, so an
-/// insert appends to two flat vectors and never allocates a node. The
-/// chase's per-FD lhs-key index and per-IND rhs-projection set use it
-/// (the set ignores the value).
-class IdKeyTable {
+/// insert appends to two flat vectors and never allocates a node, a key is
+/// readable by its entry number, and a copy is two vector copies. The
+/// workspace partitions use it with group id == entry.
+class IdKeySet {
  public:
   static constexpr std::uint32_t kNone = FlatSlotTable::kNone;
 
-  explicit IdKeyTable(std::size_t width = 0) : width_(width) {}
+  explicit IdKeySet(std::size_t width = 0) : width_(width) {}
+
+  std::size_t width() const { return width_; }
+  /// Number of entries (distinct keys inserted so far).
+  std::uint32_t size() const { return size_; }
+
+  /// Entry `entry`'s key: `width()` ids.
+  const std::uint32_t* key(std::uint32_t entry) const {
+    return keys_.data() + static_cast<std::size_t>(entry) * width_;
+  }
 
   /// The entry holding `key` (`width` ids), or kNone.
   std::uint32_t Find(const std::uint32_t* key) const {
     return index_.Find(HashIds(key, width_), Matches{this, key});
   }
 
+  /// The entry holding `key`, adding it as entry size() on first sight;
+  /// `.second` says whether it was added. `key` must not point into this
+  /// set's own arena.
+  std::pair<std::uint32_t, bool> Insert(const std::uint32_t* key) {
+    auto found = index_.Insert(HashIds(key, width_), size_, Matches{this, key});
+    if (found.second) {
+      keys_.insert(keys_.end(), key, key + width_);
+      ++size_;
+    }
+    return found;
+  }
+
+  /// Logical bytes: the key arena plus the index's slot array.
+  std::uint64_t bytes() const {
+    return keys_.size() * sizeof(std::uint32_t) + index_.bytes();
+  }
+
+ private:
+  /// FlatSlotTable predicate: does arena entry `e` hold `key`?
+  struct Matches {
+    const IdKeySet* set;
+    const std::uint32_t* key;
+    bool operator()(std::uint32_t e) const {
+      return std::equal(key, key + set->width_, set->key(e));
+    }
+  };
+
+  std::size_t width_;
+  std::uint32_t size_ = 0;
+  std::vector<std::uint32_t> keys_;
+  FlatSlotTable index_;
+};
+
+/// Insert-only map from fixed-width id keys to one uint32 value each (an
+/// IdKeySet plus one value per entry). The chase's per-FD lhs-key index
+/// uses it.
+class IdKeyTable {
+ public:
+  static constexpr std::uint32_t kNone = IdKeySet::kNone;
+
+  explicit IdKeyTable(std::size_t width = 0) : keys_(width) {}
+
+  /// The entry holding `key` (`width` ids), or kNone.
+  std::uint32_t Find(const std::uint32_t* key) const {
+    return keys_.Find(key);
+  }
+
   /// The entry holding `key`, adding it with `value` on first sight;
   /// `.second` says whether it was added.
   std::pair<std::uint32_t, bool> Insert(const std::uint32_t* key,
                                         std::uint32_t value) {
-    std::uint32_t next = static_cast<std::uint32_t>(values_.size());
-    auto found = index_.Insert(HashIds(key, width_), next, Matches{this, key});
-    if (found.second) {
-      keys_.insert(keys_.end(), key, key + width_);
-      values_.push_back(value);
-    }
+    auto found = keys_.Insert(key);
+    if (found.second) values_.push_back(value);
     return found;
   }
 
@@ -152,23 +204,8 @@ class IdKeyTable {
   }
 
  private:
-  const std::uint32_t* key(std::uint32_t entry) const {
-    return keys_.data() + static_cast<std::size_t>(entry) * width_;
-  }
-
-  /// FlatSlotTable predicate: does arena entry `e` hold `key`?
-  struct Matches {
-    const IdKeyTable* table;
-    const std::uint32_t* key;
-    bool operator()(std::uint32_t e) const {
-      return std::equal(key, key + table->width_, table->key(e));
-    }
-  };
-
-  std::size_t width_;
-  std::vector<std::uint32_t> keys_;
+  IdKeySet keys_;
   std::vector<std::uint32_t> values_;
-  FlatSlotTable index_;
 };
 
 }  // namespace ccfp

@@ -287,7 +287,7 @@ Violation RenderViolation(const InternedWorkspace& ws, const Dependency& dep,
   v.rel = idv.rel;
   v.tuple_indices.assign(idv.tuple_indices.begin(), idv.tuple_indices.end());
   for (std::uint32_t idx : idv.tuple_indices) {
-    const IdTuple& it = ws.tuple(idv.rel, idx);
+    IdRow it = ws.tuple(idv.rel, idx);
     Tuple t;
     t.reserve(it.size());
     for (ValueId id : it) t.push_back(ws.interner().value(id));

@@ -4,6 +4,7 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -35,21 +36,38 @@ constexpr std::uint32_t kSessionRecordVersion = 1;
 class Writer {
  public:
   void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) U8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) U8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void U32(std::uint32_t v) { Le<4>(v); }
+  void U64(std::uint64_t v) { Le<8>(v); }
   void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
   void Str(std::string_view s) {
     U64(s.size());
     out_.append(s);
   }
 
+  /// Bytes written so far: the offset of the next write.
+  std::size_t size() const { return out_.size(); }
+  /// Overwrites the U64 written at offset `at` (a count known only after
+  /// the items it prefixes were written).
+  void PatchU64(std::size_t at, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      out_[at + i] = static_cast<char>(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+
   std::string Take() { return std::move(out_); }
 
  private:
+  /// Appends the low `N` bytes of `v`, least significant first, in one
+  /// append.
+  template <int N>
+  void Le(std::uint64_t v) {
+    char bytes[N];
+    for (int i = 0; i < N; ++i) {
+      bytes[i] = static_cast<char>(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    out_.append(bytes, N);
+  }
+
   std::string out_;
 };
 
@@ -312,9 +330,9 @@ class WorkspaceSnapshotAccess {
     w.U64(ws.rels_.size());
     for (RelId rel = 0; rel < ws.rels_.size(); ++rel) {
       const auto& rs = ws.rels_[rel];
-      w.U64(rs.tuples.size());
-      for (std::uint32_t i = 0; i < rs.tuples.size(); ++i) {
-        for (ValueId id : rs.tuples[i]) w.U32(id);
+      w.U64(rs.alive.size());
+      for (std::uint32_t i = 0; i < rs.alive.size(); ++i) {
+        for (ValueId id : rs.row(i)) w.U32(id);
         w.U8(rs.alive[i]);
       }
       w.U64(rs.feed_base);
@@ -327,13 +345,17 @@ class WorkspaceSnapshotAccess {
 
     // Occurrence lists, exactly: their order drives deterministic chase
     // worklists, so a rebuild is not equivalent.
-    w.U64(ws.occurrences_.size());
-    for (const auto& occ : ws.occurrences_) {
-      w.U64(occ.size());
-      for (const WorkspaceTupleRef& ref : occ) {
+    w.U64(ws.occ_lists_.size());
+    for (ValueId id = 0; id < ws.occ_lists_.size(); ++id) {
+      std::size_t count_at = w.size();
+      w.U64(0);
+      std::uint64_t n = 0;
+      for (const WorkspaceTupleRef& ref : ws.occurrences(id)) {
         w.U32(ref.rel);
         w.U32(ref.idx);
+        ++n;
       }
+      w.PatchU64(count_at, n);
     }
 
     // Compiled partitions: the warm-start capital. Group ids (including
@@ -353,9 +375,12 @@ class WorkspaceSnapshotAccess {
         w.U32(p.alive_groups);
         w.U64(p.group_size.size());
         for (std::uint32_t s : p.group_size) w.U32(s);
-        w.U64(p.key_to_group.size());
-        for (const auto& [key, g] : p.key_to_group) {
-          for (ValueId id : key) w.U32(id);
+        // Keys in group order, a linear sweep of the key arena, so the
+        // bytes depend only on the partition's content.
+        w.U64(p.group_count);
+        for (std::uint32_t g = 0; g < p.group_count; ++g) {
+          const ValueId* key = p.key(g);
+          for (std::size_t c = 0; c < cols.size(); ++c) w.U32(key[c]);
           w.U32(g);
         }
       }
@@ -436,20 +461,16 @@ class WorkspaceSnapshotAccess {
       if (!r.Fits(n_slots, arity * 4 + 1)) {
         return Corrupt("tuple store truncated");
       }
-      rs.tuples.reserve(static_cast<std::size_t>(n_slots));
+      rs.cells.reserve(static_cast<std::size_t>(n_slots * arity));
       rs.alive.reserve(static_cast<std::size_t>(n_slots));
       for (std::uint64_t i = 0; i < n_slots; ++i) {
-        IdTuple t;
-        t.reserve(static_cast<std::size_t>(arity));
         for (std::uint64_t c = 0; c < arity; ++c) {
           ValueId id = r.U32();
           if (id >= n_values) return Corrupt("tuple id out of range");
-          t.push_back(id);
+          rs.cells.push_back(id);
         }
         std::uint8_t alive = r.U8();
         if (alive > 1) return Corrupt("bad alive flag");
-        ws.tuple_id_cells_ += t.size();
-        rs.tuples.push_back(std::move(t));
         rs.alive.push_back(alive);
         if (alive) {
           ++rs.alive_count;
@@ -457,9 +478,9 @@ class WorkspaceSnapshotAccess {
         }
       }
       // Rebuild the dedup index over alive slots (content-determined).
-      for (std::uint32_t i = 0; i < rs.tuples.size(); ++i) {
+      for (std::uint32_t i = 0; i < rs.alive.size(); ++i) {
         if (!rs.alive[i]) continue;
-        if (!rs.IndexRow(i, rs.tuples[i])) {
+        if (!rs.IndexRow(i, rs.row(i))) {
           return Corrupt("duplicate alive tuple");
         }
       }
@@ -470,7 +491,7 @@ class WorkspaceSnapshotAccess {
       for (std::uint64_t i = 0; i < n_events; ++i) {
         std::uint8_t ekind = r.U8();
         std::uint32_t idx = r.U32();
-        if (ekind > 2 || idx >= rs.tuples.size()) {
+        if (ekind > 2 || idx >= rs.alive.size()) {
           return Corrupt("bad feed event");
         }
         rs.feed.push_back(WorkspaceEvent{
@@ -481,23 +502,20 @@ class WorkspaceSnapshotAccess {
     // Occurrences (exact).
     std::uint64_t n_occ = r.U64();
     if (n_occ != n_values) return Corrupt("occurrence table size mismatch");
-    ws.occurrences_.resize(static_cast<std::size_t>(n_occ));
+    ws.occ_lists_.resize(static_cast<std::size_t>(n_occ));
     for (std::uint64_t i = 0; i < n_occ; ++i) {
       std::uint64_t n_refs = r.U64();
       if (!r.Fits(n_refs, 8)) return Corrupt("occurrences truncated");
-      auto& occ = ws.occurrences_[static_cast<std::size_t>(i)];
-      occ.reserve(static_cast<std::size_t>(n_refs));
       for (std::uint64_t j = 0; j < n_refs; ++j) {
         WorkspaceTupleRef ref;
         ref.rel = r.U32();
         ref.idx = r.U32();
         if (ref.rel >= scheme->size() ||
-            ref.idx >= ws.rels_[ref.rel].tuples.size()) {
+            ref.idx >= ws.rels_[ref.rel].alive.size()) {
           return Corrupt("occurrence ref out of range");
         }
-        occ.push_back(ref);
+        ws.PushOccurrence(static_cast<ValueId>(i), ref);
       }
-      ws.occurrence_refs_ += n_refs;
     }
 
     // Partitions.
@@ -517,7 +535,7 @@ class WorkspaceSnapshotAccess {
         }
         InternedWorkspace::CachedPartition cp;
         cp.covered = r.U32();
-        if (cp.covered > ws.rels_[rel].tuples.size()) {
+        if (cp.covered > ws.rels_[rel].alive.size()) {
           return Corrupt("partition covers unknown slots");
         }
         InternedWorkspace::Partition& p = cp.p;
@@ -546,19 +564,34 @@ class WorkspaceSnapshotAccess {
             return Corrupt("partition group id out of range");
           }
         }
+        // One key per group, in any order (records written before keys
+        // were swept in group order carry hash-table order): place each
+        // by its group, then index them in group order so entry == group.
         std::uint64_t n_keys = r.U64();
+        if (n_keys != p.group_count) {
+          return Corrupt("partition key count mismatch");
+        }
         if (!r.Fits(n_keys, n_cols * 4 + 4)) {
           return Corrupt("partition keys truncated");
         }
+        std::size_t width = static_cast<std::size_t>(n_cols);
+        std::vector<ValueId> placed(static_cast<std::size_t>(n_keys) * width);
+        std::vector<std::uint8_t> seen(static_cast<std::size_t>(n_keys), 0);
+        IdTuple key(width);
         for (std::uint64_t i = 0; i < n_keys; ++i) {
-          IdTuple key;
-          key.reserve(static_cast<std::size_t>(n_cols));
-          for (std::uint64_t c = 0; c < n_cols; ++c) key.push_back(r.U32());
+          for (ValueId& id : key) id = r.U32();
           std::uint32_t g = r.U32();
           if (g >= p.group_count) {
             return Corrupt("partition key group out of range");
           }
-          if (!p.key_to_group.emplace(std::move(key), g).second) {
+          if (seen[g]) return Corrupt("duplicate partition key group");
+          seen[g] = 1;
+          std::copy(key.begin(), key.end(), placed.begin() + g * width);
+        }
+        // n_keys == group_count distinct groups: none is missing.
+        p.keys = IdKeySet(width);
+        for (std::uint32_t g = 0; g < p.group_count; ++g) {
+          if (!p.keys.Insert(placed.data() + g * width).second) {
             return Corrupt("duplicate partition key");
           }
         }
@@ -705,7 +738,7 @@ class WorkspaceSnapshotAccess {
     }
     interner.next_null_label_ = d.next_null_label;
     ws.uf_.EnsureSize(interner.size());
-    ws.occurrences_.resize(interner.size());
+    ws.occ_lists_.resize(interner.size());
     ws.stats_.values_interned += d.values.size();
 
     // Replay the journal through the public mutation API with journaling
@@ -953,6 +986,7 @@ class WorkspaceSnapshotAccess {
           }
           break;
         case WorkspaceJournalEntry::Op::kReroute:
+          if (e.a == e.b) return Corrupt("delta reroutes a list onto itself");
           ws.RerouteOccurrences(e.a, e.b);
           break;
         case WorkspaceJournalEntry::Op::kCanonicalize:

@@ -30,7 +30,11 @@ namespace ccfp {
 ///     their order feeds the chase's deterministic dirty worklists, and a
 ///     rebuild could reorder them;
 ///   * every compiled projection partition, including tombstoned groups
-///     and stable group ids — the capital a warm start is meant to keep;
+///     and stable group ids — the capital a warm start is meant to keep.
+///     Its keys are written in group order (a sweep of the key arena), so
+///     a record's bytes depend only on the workspace's content and a
+///     save -> load -> save round trip is byte-identical. The loader takes
+///     keys in any order but requires exactly one key per group;
 ///   * the substrate Stats, so a restored session reports continuously;
 ///   * caller-supplied consumer cursors (e.g. a verifier's per-relation
 ///     feed positions), so delta consumers resume where they stopped;
@@ -45,8 +49,8 @@ namespace ccfp {
 ///   magic "CCFPWS" | u32 version | u64 payload_size | u64 fnv1a64(payload)
 ///   | payload
 ///
-/// All integers little-endian, written byte-by-byte (no aliasing, no
-/// endianness traps under the sanitizers). The payload opens with a record
+/// All integers little-endian, assembled byte by byte from shifts (no
+/// aliasing, no endianness traps under the sanitizers). The payload opens with a record
 /// kind byte — full (0) or delta (1) — followed by a fingerprint of the
 /// scheme; load rejects a snapshot taken under a different scheme. Any
 /// damage — bad magic, unknown version, size mismatch, checksum mismatch,

@@ -2,6 +2,7 @@
 #define CCFP_CORE_TUPLE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,10 @@ struct TupleHash {
 /// TupleHash's per-Value hashing. (Projection lives with the engine, which
 /// must canonicalize ids through its union-find.)
 using IdTuple = std::vector<std::uint32_t>;
+
+/// A read-only view of one interned row, such as an InternedWorkspace
+/// tuple slot (core/workspace.h); valid until that workspace next appends.
+using IdRow = std::span<const std::uint32_t>;
 
 struct IdTupleHash {
   std::size_t operator()(const IdTuple& t) const {

@@ -7,10 +7,17 @@
 
 namespace ccfp {
 
+// Partition::GroupOfKey reports a missing key as IdKeySet::kNone.
+static_assert(InternedWorkspace::kNoGroup == IdKeySet::kNone);
+
 InternedWorkspace::InternedWorkspace(SchemePtr scheme)
     : scheme_(std::move(scheme)),
       rels_(scheme_->size()),
-      partitions_(scheme_->size()) {}
+      partitions_(scheme_->size()) {
+  for (RelId rel = 0; rel < scheme_->size(); ++rel) {
+    rels_[rel].arity = scheme_->relation(rel).arity();
+  }
+}
 
 ValueId InternedWorkspace::Intern(const Value& v) {
   std::size_t before = interner_.size();
@@ -20,21 +27,30 @@ ValueId InternedWorkspace::Intern(const Value& v) {
     // Every handed-out id is immediately Canon/Merge/occurrences-safe,
     // whether or not it ever lands in a tuple.
     uf_.EnsureSize(interner_.size());
-    occurrences_.resize(interner_.size());
+    occ_lists_.resize(interner_.size());
   }
   return id;
 }
 
 void InternedWorkspace::RegisterOccurrences(RelId rel, std::uint32_t idx,
-                                            const IdTuple& t) {
-  if (occurrences_.size() < interner_.size()) {
-    occurrences_.resize(interner_.size());
+                                            IdRow t) {
+  if (occ_lists_.size() < interner_.size()) {
+    occ_lists_.resize(interner_.size());
   }
   uf_.EnsureSize(interner_.size());
-  for (ValueId id : t) {
-    occurrences_[id].push_back(WorkspaceTupleRef{rel, idx});
+  for (ValueId id : t) PushOccurrence(id, WorkspaceTupleRef{rel, idx});
+}
+
+void InternedWorkspace::PushOccurrence(ValueId id, WorkspaceTupleRef ref) {
+  std::uint32_t cell = static_cast<std::uint32_t>(occ_cells_.size());
+  occ_cells_.push_back(OccurrenceCell{ref, OccurrenceCell::kEnd});
+  OccurrenceList& list = occ_lists_[id];
+  if (list.head == OccurrenceCell::kEnd) {
+    list.head = cell;
+  } else {
+    occ_cells_[list.tail].next = cell;
   }
-  occurrence_refs_ += t.size();
+  list.tail = cell;
 }
 
 void InternedWorkspace::JournalRecord(WorkspaceJournalEntry e) const {
@@ -45,9 +61,10 @@ void InternedWorkspace::JournalRecord(WorkspaceJournalEntry e) const {
   journal_.push_back(std::move(e));
 }
 
-bool InternedWorkspace::Append(RelId rel, IdTuple t) {
+bool InternedWorkspace::Append(RelId rel, const IdTuple& t) {
   RelStore& rs = rels_[rel];
-  std::uint32_t idx = static_cast<std::uint32_t>(rs.tuples.size());
+  CCFP_CHECK(t.size() == rs.arity);
+  std::uint32_t idx = static_cast<std::uint32_t>(rs.alive.size());
   if (!rs.IndexRow(idx, t)) return false;
   if (journal_enabled_) {
     WorkspaceJournalEntry e;
@@ -57,8 +74,7 @@ bool InternedWorkspace::Append(RelId rel, IdTuple t) {
     JournalRecord(std::move(e));
   }
   RegisterOccurrences(rel, idx, t);
-  tuple_id_cells_ += t.size();
-  rs.tuples.push_back(std::move(t));
+  rs.cells.insert(rs.cells.end(), t.begin(), t.end());
   rs.alive.push_back(1);
   ++rs.alive_count;
   ++total_alive_;
@@ -83,7 +99,9 @@ void InternedWorkspace::AppendDatabase(const Database& db) {
 
 void InternedWorkspace::AppendRelation(const Database& db, RelId rel) {
   const Relation& r = db.relation(rel);
-  rels_[rel].tuples.reserve(rels_[rel].tuples.size() + r.size());
+  RelStore& rs = rels_[rel];
+  rs.cells.reserve(rs.cells.size() + r.size() * rs.arity);
+  rs.alive.reserve(rs.alive.size() + r.size());
   for (const Tuple& t : r.tuples()) AppendTuple(rel, t);
 }
 
@@ -109,6 +127,7 @@ InternedWorkspace::MergeResult InternedWorkspace::MergeValues(ValueId a,
 }
 
 void InternedWorkspace::RerouteOccurrences(ValueId loser, ValueId winner) {
+  CCFP_CHECK(loser != winner);
   if (journal_enabled_) {
     WorkspaceJournalEntry e;
     e.op = WorkspaceJournalEntry::Op::kReroute;
@@ -116,26 +135,29 @@ void InternedWorkspace::RerouteOccurrences(ValueId loser, ValueId winner) {
     e.b = winner;
     JournalRecord(std::move(e));
   }
-  std::vector<WorkspaceTupleRef>& from = occurrences_[loser];
-  std::vector<WorkspaceTupleRef>& to = occurrences_[winner];
-  to.insert(to.end(), from.begin(), from.end());
-  from.clear();
-  from.shrink_to_fit();
+  OccurrenceList& from = occ_lists_[loser];
+  OccurrenceList& to = occ_lists_[winner];
+  if (from.head == OccurrenceCell::kEnd) return;
+  if (to.head == OccurrenceCell::kEnd) {
+    to.head = from.head;
+  } else {
+    occ_cells_[to.tail].next = from.head;
+  }
+  to.tail = from.tail;
+  from = OccurrenceList{};
 }
 
 void InternedWorkspace::RepairPartitionsForRewrite(RelId rel,
                                                    std::uint32_t idx) {
-  const IdTuple& t = rels_[rel].tuples[idx];
+  IdRow t = rels_[rel].row(idx);
   IdTuple key;
   for (auto& [cols, cp] : partitions_[rel]) {
     if (cp.covered <= idx) continue;  // the extension will pick it up
     Partition& p = cp.p;
     std::uint32_t g = p.group_of[idx];
     key.clear();
-    key.reserve(cols.size());
     for (AttrId c : cols) key.push_back(t[c]);
-    auto [kit, inserted] = p.key_to_group.emplace(key, p.group_count);
-    std::uint32_t g2 = kit->second;
+    auto [g2, inserted] = p.keys.Insert(key.data());
     if (!inserted && g2 == g) continue;  // projection unchanged
     if (--p.group_size[g] == 0) --p.alive_groups;  // tombstone
     if (inserted) {
@@ -167,10 +189,10 @@ InternedWorkspace::CanonOutcome InternedWorkspace::CanonicalizeTuple(
     RelId rel, std::uint32_t idx) {
   RelStore& rs = rels_[rel];
   if (!rs.alive[idx]) return CanonOutcome::kUnchanged;
-  IdTuple& stored = rs.tuples[idx];
+  ValueId* stored = rs.mutable_row(idx);
   bool changed = false;
-  for (ValueId id : stored) {
-    if (uf_.Find(id) != id) {
+  for (std::size_t k = 0; k < rs.arity; ++k) {
+    if (uf_.Find(stored[k]) != stored[k]) {
       changed = true;
       break;
     }
@@ -184,8 +206,8 @@ InternedWorkspace::CanonOutcome InternedWorkspace::CanonicalizeTuple(
     JournalRecord(std::move(e));
   }
   rs.UnindexRow(idx);
-  for (ValueId& id : stored) id = uf_.Find(id);
-  if (!rs.IndexRow(idx, stored)) {
+  for (std::size_t k = 0; k < rs.arity; ++k) stored[k] = uf_.Find(stored[k]);
+  if (!rs.IndexRow(idx, rs.row(idx))) {
     // Collapsed onto an alive twin; the twin carries all duties.
     rs.alive[idx] = 0;
     --rs.alive_count;
@@ -200,8 +222,8 @@ InternedWorkspace::CanonOutcome InternedWorkspace::CanonicalizeTuple(
   return CanonOutcome::kRewritten;
 }
 
-std::optional<std::uint32_t> InternedWorkspace::FindTuple(
-    RelId rel, const IdTuple& ids) const {
+std::optional<std::uint32_t> InternedWorkspace::FindTuple(RelId rel,
+                                                         IdRow ids) const {
   std::uint32_t slot = rels_[rel].FindRow(ids);
   if (slot == FlatSlotTable::kNone) return std::nullopt;
   return slot;
@@ -212,7 +234,7 @@ void InternedWorkspace::ExtendPartition(RelId rel,
                                         CachedPartition& cp) const {
   const RelStore& rs = rels_[rel];
   Partition& p = cp.p;
-  std::uint32_t end = static_cast<std::uint32_t>(rs.tuples.size());
+  std::uint32_t end = static_cast<std::uint32_t>(rs.alive.size());
   p.group_of.reserve(end);
   IdTuple key;
   key.reserve(cols.size());
@@ -221,18 +243,18 @@ void InternedWorkspace::ExtendPartition(RelId rel,
       p.group_of.push_back(kNoGroup);
       continue;
     }
-    const IdTuple& t = rs.tuples[i];
+    IdRow t = rs.row(i);
     key.clear();
     for (AttrId c : cols) key.push_back(t[c]);
-    auto [kit, inserted] = p.key_to_group.emplace(key, p.group_count);
+    auto [g, inserted] = p.keys.Insert(key.data());
     if (inserted) {
       p.group_size.push_back(1);
       ++p.group_count;
       ++p.alive_groups;
-    } else if (++p.group_size[kit->second] == 1) {
+    } else if (++p.group_size[g] == 1) {
       ++p.alive_groups;  // a canonical twin re-populating a tombstone
     }
-    p.group_of.push_back(kit->second);
+    p.group_of.push_back(g);
   }
   cp.covered = end;
 }
@@ -240,7 +262,7 @@ void InternedWorkspace::ExtendPartition(RelId rel,
 void InternedWorkspace::ExtendAllPartitions(RelId rel) const {
   const RelStore& rs = rels_[rel];
   for (auto& [cols, cp] : partitions_[rel]) {
-    if (cp.covered == rs.tuples.size()) {
+    if (cp.covered == rs.alive.size()) {
       continue;  // already current; repairs keep covered slots right
     }
     ++stats_.partitions_extended;
@@ -254,7 +276,7 @@ const InternedWorkspace::Partition& InternedWorkspace::partition(
   auto [it, inserted] = partitions_[rel].try_emplace(cols);
   CachedPartition& cp = it->second;
   if (!inserted) {
-    if (cp.covered == rs.tuples.size()) {
+    if (cp.covered == rs.alive.size()) {
       ++stats_.partitions_reused;
     } else {
       ++stats_.partitions_extended;
@@ -263,6 +285,7 @@ const InternedWorkspace::Partition& InternedWorkspace::partition(
     return cp.p;
   }
   ++stats_.partitions_built;
+  cp.p.keys = IdKeySet(cols.size());
   ExtendPartition(rel, cols, cp);
   return cp.p;
 }
@@ -375,12 +398,8 @@ InternedWorkspace InternedWorkspace::Fork() const {
 MemoryBreakdown InternedWorkspace::MemoryUsage() const {
   MemoryBreakdown mb;
   mb.journal = journal_bytes_;
-  mb.tuple_store =
-      tuple_id_cells_ * sizeof(ValueId) +
-      static_cast<std::uint64_t>(stats_.tuples_appended) *
-          (sizeof(IdTuple) + sizeof(std::uint8_t));
-  mb.occurrences = occurrence_refs_ * sizeof(WorkspaceTupleRef) +
-                   memory::VectorBytes(occurrences_);
+  mb.occurrences =
+      memory::VectorBytes(occ_cells_) + memory::VectorBytes(occ_lists_);
   // Every value: its table entry plus union-find parent/size/rep. A
   // hashed value adds its map node; an ascending null a (label, id) pair.
   std::uint64_t ascending = interner_.ascending_nulls();
@@ -392,14 +411,14 @@ MemoryBreakdown InternedWorkspace::MemoryUsage() const {
       ascending * sizeof(ValueInterner::NullEntry);
   for (RelId rel = 0; rel < scheme_->size(); ++rel) {
     const RelStore& rs = rels_[rel];
+    mb.tuple_store += memory::VectorBytes(rs.cells) +
+                      memory::VectorBytes(rs.alive);
     mb.dedup_index += rs.dedup.bytes();
     mb.feed += memory::VectorBytes(rs.feed);
     for (const auto& [cols, cp] : partitions_[rel]) {
       const Partition& p = cp.p;
-      mb.partitions +=
-          memory::VectorBytes(p.group_of) + memory::VectorBytes(p.group_size) +
-          memory::IdKeyMapBytes(p.key_to_group,
-                                cols.size() * sizeof(ValueId));
+      mb.partitions += memory::VectorBytes(p.group_of) +
+                       memory::VectorBytes(p.group_size) + p.keys.bytes();
     }
   }
   return mb;
@@ -409,9 +428,9 @@ namespace {
 
 /// True iff `key` names a group with at least one alive member of `p`
 /// (tombstoned groups left behind by surgical repair do not count).
-bool HasAliveGroup(const InternedWorkspace::Partition& p, const IdTuple& key) {
-  auto it = p.key_to_group.find(key);
-  return it != p.key_to_group.end() && p.group_size[it->second] > 0;
+bool HasAliveGroup(const InternedWorkspace::Partition& p, const ValueId* key) {
+  std::uint32_t g = p.GroupOfKey(key);
+  return g != InternedWorkspace::kNoGroup && p.group_size[g] > 0;
 }
 
 bool SatisfiesEmvdOn(const InternedWorkspace& ws, RelId rel,
@@ -515,18 +534,18 @@ bool InternedWorkspace::Satisfies(const Ind& ind) const {
   const Partition& rhs_p = partition(ind.rhs_rel, ind.rhs);
   // Each alive lhs group's key IS the projection of its members onto
   // ind.lhs — probe it into the rhs partition directly.
-  for (const auto& [key, g] : lhs_p.key_to_group) {
+  for (std::uint32_t g = 0; g < lhs_p.group_count; ++g) {
     if (lhs_p.group_size[g] == 0) continue;  // tombstone
-    if (!HasAliveGroup(rhs_p, key)) return false;
+    if (!HasAliveGroup(rhs_p, lhs_p.key(g))) return false;
   }
   return true;
 }
 
 bool InternedWorkspace::Satisfies(const Rd& rd) const {
   const RelStore& rs = rels_[rd.rel];
-  for (std::uint32_t i = 0; i < rs.tuples.size(); ++i) {
+  for (std::uint32_t i = 0; i < rs.alive.size(); ++i) {
     if (!rs.alive[i]) continue;
-    const IdTuple& t = rs.tuples[i];
+    IdRow t = rs.row(i);
     for (std::size_t k = 0; k < rd.lhs.size(); ++k) {
       if (t[rd.lhs[k]] != t[rd.rhs[k]]) return false;
     }
@@ -592,7 +611,6 @@ std::optional<IdViolation> InternedWorkspace::FindViolation(
       const Ind& ind = dep.ind();
       const Partition& lhs_p = partition(ind.lhs_rel, ind.lhs);
       const Partition& rhs_p = partition(ind.rhs_rel, ind.rhs);
-      IdTuple key;
       // Front-to-back over slots, probing each group once — the first
       // slot of the first missing group in slot order is the witness,
       // identical to a legacy front-to-back scan (and independent of the
@@ -603,10 +621,7 @@ std::optional<IdViolation> InternedWorkspace::FindViolation(
         std::uint32_t g = lhs_p.group_of[i];
         if (g == kNoGroup || checked[g]) continue;
         checked[g] = 1;
-        const IdTuple& t = tuple(ind.lhs_rel, i);
-        key.clear();
-        for (AttrId c : ind.lhs) key.push_back(t[c]);
-        if (!HasAliveGroup(rhs_p, key)) {
+        if (!HasAliveGroup(rhs_p, lhs_p.key(g))) {
           return IdViolation{ind.lhs_rel, {i}};
         }
       }
@@ -615,9 +630,9 @@ std::optional<IdViolation> InternedWorkspace::FindViolation(
     case DependencyKind::kRd: {
       const Rd& rd = dep.rd();
       const RelStore& rs = rels_[rd.rel];
-      for (std::uint32_t i = 0; i < rs.tuples.size(); ++i) {
+      for (std::uint32_t i = 0; i < rs.alive.size(); ++i) {
         if (!rs.alive[i]) continue;
-        const IdTuple& t = rs.tuples[i];
+        IdRow t = rs.row(i);
         for (std::size_t k = 0; k < rd.lhs.size(); ++k) {
           if (t[rd.lhs[k]] != t[rd.rhs[k]]) return IdViolation{rd.rel, {i}};
         }
@@ -639,11 +654,11 @@ Database InternedWorkspace::Materialize() const {
   for (RelId rel = 0; rel < scheme_->size(); ++rel) {
     const RelStore& rs = rels_[rel];
     out.relation(rel).Reserve(rs.alive_count);
-    for (std::uint32_t i = 0; i < rs.tuples.size(); ++i) {
+    for (std::uint32_t i = 0; i < rs.alive.size(); ++i) {
       if (!rs.alive[i]) continue;
       Tuple t;
-      t.reserve(rs.tuples[i].size());
-      for (ValueId id : rs.tuples[i]) {
+      t.reserve(rs.arity);
+      for (ValueId id : rs.row(i)) {
         t.push_back(interner_.value(uf_.Rep(id)));
       }
       out.Insert(rel, std::move(t));

@@ -1,10 +1,12 @@
 #ifndef CCFP_CORE_WORKSPACE_H_
 #define CCFP_CORE_WORKSPACE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/database.h"
@@ -20,6 +22,58 @@ namespace ccfp {
 struct WorkspaceTupleRef {
   RelId rel = 0;
   std::uint32_t idx = 0;
+};
+
+/// One cell of a workspace's intrusive occurrence lists: a tuple slot and
+/// the next cell of the same value's list.
+struct OccurrenceCell {
+  static constexpr std::uint32_t kEnd = UINT32_MAX;
+  WorkspaceTupleRef ref;
+  std::uint32_t next = kEnd;
+};
+
+/// A value's occurrence list in registration order, read through the
+/// workspace's one cell array (InternedWorkspace::occurrences). Valid
+/// until the workspace next appends a tuple or reroutes a list.
+class OccurrenceRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = WorkspaceTupleRef;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const WorkspaceTupleRef*;
+    using reference = const WorkspaceTupleRef&;
+
+    iterator() = default;
+    iterator(const OccurrenceCell* cells, std::uint32_t cell)
+        : cells_(cells), cell_(cell) {}
+    reference operator*() const { return cells_[cell_].ref; }
+    pointer operator->() const { return &cells_[cell_].ref; }
+    iterator& operator++() {
+      cell_ = cells_[cell_].next;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator was = *this;
+      ++*this;
+      return was;
+    }
+    bool operator==(const iterator& o) const { return cell_ == o.cell_; }
+
+   private:
+    const OccurrenceCell* cells_ = nullptr;
+    std::uint32_t cell_ = OccurrenceCell::kEnd;
+  };
+
+  OccurrenceRange(const OccurrenceCell* cells, std::uint32_t head)
+      : cells_(cells), head_(head) {}
+  iterator begin() const { return {cells_, head_}; }
+  iterator end() const { return {cells_, OccurrenceCell::kEnd}; }
+
+ private:
+  const OccurrenceCell* cells_;
+  std::uint32_t head_;
 };
 
 /// One entry of a relation's change feed (see InternedWorkspace). The
@@ -89,9 +143,11 @@ struct WorkspaceJournalEntry {
 /// The workspace is *incrementally maintainable*:
 ///
 ///   * tuples can be appended at any time (heap Values are interned on
-///     first sight, id-tuples are adopted as-is); duplicates are rejected
-///     against a persistent per-relation dedup index, a slot table keyed
-///     by the stored rows themselves (no second copy of any tuple);
+///     first sight, id-tuples are copied in); each relation stores its rows
+///     back to back in one arity-strided id arena, and duplicates are
+///     rejected against a persistent per-relation dedup index, a slot
+///     table keyed by the stored rows themselves (no second copy of any
+///     tuple);
 ///   * value ids can be merged (the FD chase's null unification) through a
 ///     dense union-find with per-id occurrence lists, so only the tuples
 ///     that actually store a losing id are re-canonicalized;
@@ -148,8 +204,11 @@ struct WorkspaceJournalEntry {
 ///     *tombstone* — group ids are never reused or renumbered) and, for a
 ///     rewrite, joins the group of its new key (created on demand).
 /// `group_size[g]` counts the alive covered members of `g`;
-/// `alive_groups` counts the groups with `group_size > 0`. Tombstoned
-/// groups keep their `key_to_group` entry: a stale key contains at least
+/// `alive_groups` counts the groups with `group_size > 0`. Keys are never
+/// erased and a group is created exactly when its key is first inserted,
+/// so group id == key entry: `key(g)` reads group g's key straight from
+/// the flat key arena, and `GroupOfKey` probes it without building a
+/// tuple. Tombstoned groups keep their key: a stale key contains at least
 /// one merged-away (non-root) id in the changed column, so it can never
 /// collide with a canonical probe key; probes must still treat a hit on a
 /// `group_size == 0` group as a miss (the model checks below do). Repairs
@@ -182,13 +241,25 @@ class InternedWorkspace {
   /// counted in any group.
   struct Partition {
     std::vector<std::uint32_t> group_of;
+    /// == keys.size(): every group owns exactly one key entry.
     std::uint32_t group_count = 0;
     /// Number of groups with at least one alive covered member. Equal to
     /// group_count until a repair tombstones a group.
     std::uint32_t alive_groups = 0;
     /// group_size[g]: alive covered members of group g (0 = tombstone).
     std::vector<std::uint32_t> group_size;
-    std::unordered_map<IdTuple, std::uint32_t, IdTupleHash> key_to_group;
+    /// The group keys, one entry per group in creation order: group g's
+    /// key (the projection of its members onto the column sequence) is
+    /// `key(g)`, tombstones included.
+    IdKeySet keys;
+
+    /// Group g's key: `keys.width()` ids.
+    const ValueId* key(std::uint32_t g) const { return keys.key(g); }
+    /// The group whose key is `key` (`keys.width()` ids), tombstoned
+    /// groups included, or kNoGroup.
+    std::uint32_t GroupOfKey(const ValueId* key) const {
+      return keys.Find(key);
+    }
   };
 
   /// Substrate-level maintenance counters, exposed so tests and benches
@@ -243,10 +314,11 @@ class InternedWorkspace {
 
   /// --- tuples -------------------------------------------------------------
 
-  /// Appends `t` (ids must come from this workspace's interner). Returns
-  /// true if the tuple was new; duplicates (on raw ids) are rejected.
-  /// Registers per-id occurrences so later merges can find the tuple.
-  bool Append(RelId rel, IdTuple t);
+  /// Appends `t` (ids must come from this workspace's interner; its size
+  /// must be the relation's arity). Returns true if the tuple was new;
+  /// duplicates (on raw ids) are rejected. Registers per-id occurrences so
+  /// later merges can find the tuple.
+  bool Append(RelId rel, const IdTuple& t);
   /// Interns every Value of `t` and appends.
   bool AppendTuple(RelId rel, const Tuple& t);
   /// Appends every tuple of `db` (relations in scheme order, tuples in
@@ -258,17 +330,20 @@ class InternedWorkspace {
   void AppendRelation(const Database& db, RelId rel);
 
   /// Number of tuple *slots* in `rel`, dead ones included.
-  std::size_t size(RelId rel) const { return rels_[rel].tuples.size(); }
+  std::size_t size(RelId rel) const { return rels_[rel].alive.size(); }
   bool alive(RelId rel, std::uint32_t idx) const {
     return rels_[rel].alive[idx] != 0;
   }
-  const IdTuple& tuple(RelId rel, std::uint32_t idx) const {
-    return rels_[rel].tuples[idx];
+  /// Slot `idx`'s stored ids, viewed in the relation's row arena: valid
+  /// until the next Append to `rel` (CanonicalizeTuple rewrites them in
+  /// place).
+  IdRow tuple(RelId rel, std::uint32_t idx) const {
+    return rels_[rel].row(idx);
   }
   std::size_t AliveTuples(RelId rel) const { return rels_[rel].alive_count; }
   /// The alive slot of `rel` storing exactly `ids`, found through the
   /// dedup index; nullopt when no alive slot does.
-  std::optional<std::uint32_t> FindTuple(RelId rel, const IdTuple& ids) const;
+  std::optional<std::uint32_t> FindTuple(RelId rel, IdRow ids) const;
   /// O(1): maintained by Append / CanonicalizeTuple (the chase engines
   /// consult it per generated tuple for their budget checks).
   std::size_t TotalAliveTuples() const { return total_alive_; }
@@ -389,12 +464,13 @@ class InternedWorkspace {
   /// the list.
   MergeResult MergeValues(ValueId a, ValueId b);
 
-  /// Tuple slots whose stored (raw) ids include `id`.
-  const std::vector<WorkspaceTupleRef>& occurrences(ValueId id) const {
-    return occurrences_[id];
+  /// Tuple slots whose stored (raw) ids include `id`, in registration
+  /// order (rerouted lists follow the winner's own entries).
+  OccurrenceRange occurrences(ValueId id) const {
+    return {occ_cells_.data(), occ_lists_[id].head};
   }
-  /// Splices `loser`'s occurrence list onto `winner`'s (the merged class
-  /// keeps one list; the loser's empties).
+  /// Splices `loser`'s occurrence list onto the tail of `winner`'s in O(1)
+  /// (the merged class keeps one list; the loser's empties).
   void RerouteOccurrences(ValueId loser, ValueId winner);
 
   enum class CanonOutcome : std::uint8_t {
@@ -446,9 +522,9 @@ class InternedWorkspace {
 
   /// Logical bytes of live substrate state, by component (see
   /// util/memory_budget.h for what "logical" means). O(#relations +
-  /// #cached partitions): the per-tuple and per-occurrence sums are
-  /// maintained incrementally, so engines can afford to call this at
-  /// periodic budget checkpoints.
+  /// #cached partitions): tuples, occurrences and partition keys live in
+  /// flat arrays whose sizes are the sums, so engines can afford to call
+  /// this at periodic budget checkpoints.
   MemoryBreakdown MemoryUsage() const;
 
   /// --- shared core (fork semantics) ---------------------------------------
@@ -469,9 +545,12 @@ class InternedWorkspace {
   void SealSharedBase();
 
   /// An independent copy sharing the frozen interner base after
-  /// SealSharedBase. Only the interner's value table is shared: the
-  /// tuples, occurrence lists, dedup indexes and compiled partitions are
-  /// deep-copied, so a fork costs time and memory in the size of the base.
+  /// SealSharedBase. Only the interner's value table is shared; the rest
+  /// is copied, but every container is flat — one row arena per relation,
+  /// one occurrence cell array, and per cached partition its group arrays
+  /// plus a key arena and its index — so a fork is a few vector copies
+  /// and its teardown a few frees: O(relations + cached partitions)
+  /// allocations whatever the row count (tests/workspace_fork_smoke_test).
   /// Session-local state that must not leak across sessions is reset:
   /// registered feed cursors, the mutation journal, and the snapshot-chain
   /// identity. Stats counters are inherited so reuse deltas read zero.
@@ -487,10 +566,13 @@ class InternedWorkspace {
   friend class WorkspaceSnapshotAccess;
 
   struct RelStore {
-    std::vector<IdTuple> tuples;
+    std::size_t arity = 0;
+    /// Row arena: slot i stores ids [i * arity, (i + 1) * arity).
+    std::vector<ValueId> cells;
+    /// Per slot; its size is the slot count.
     std::vector<std::uint8_t> alive;
     /// Duplicate detection: (hash of the stored row, slot) for every alive
-    /// slot, compared through `tuples` itself.
+    /// slot, compared through the arena itself.
     FlatSlotTable dedup;
     /// The relation's retained change feed: entry i has sequence
     /// feed_base + i (the prefix below feed_base was compacted away).
@@ -498,24 +580,33 @@ class InternedWorkspace {
     std::uint64_t feed_base = 0;
     std::size_t alive_count = 0;
 
-    /// The alive slot storing `row`, or FlatSlotTable::kNone.
-    std::uint32_t FindRow(const IdTuple& row) const {
-      return dedup.Find(HashIds(row.data(), row.size()),
-                        [&](std::uint32_t s) { return tuples[s] == row; });
+    IdRow row(std::uint32_t idx) const {
+      return {cells.data() + static_cast<std::size_t>(idx) * arity, arity};
     }
-    /// Indexes slot `idx` under `row` (its stored row, or the row about to
+    ValueId* mutable_row(std::uint32_t idx) {
+      return cells.data() + static_cast<std::size_t>(idx) * arity;
+    }
+    /// The alive slot storing `ids`, or FlatSlotTable::kNone.
+    std::uint32_t FindRow(IdRow ids) const {
+      return dedup.Find(HashIds(ids.data(), ids.size()), [&](std::uint32_t s) {
+        return std::ranges::equal(row(s), ids);
+      });
+    }
+    /// Indexes slot `idx` under `ids` (its stored row, or the row about to
     /// be stored there); false, indexing nothing, when an alive slot
-    /// already stores `row`.
-    bool IndexRow(std::uint32_t idx, const IdTuple& row) {
+    /// already stores `ids`.
+    bool IndexRow(std::uint32_t idx, IdRow ids) {
       return dedup
-          .Insert(HashIds(row.data(), row.size()), idx,
-                  [&](std::uint32_t s) { return tuples[s] == row; })
+          .Insert(HashIds(ids.data(), ids.size()), idx,
+                  [&](std::uint32_t s) {
+                    return std::ranges::equal(row(s), ids);
+                  })
           .second;
     }
     /// Drops slot `idx` from the index; call before its row changes.
     void UnindexRow(std::uint32_t idx) {
-      const IdTuple& row = tuples[idx];
-      dedup.Erase(HashIds(row.data(), row.size()), idx);
+      IdRow ids = row(idx);
+      dedup.Erase(HashIds(ids.data(), ids.size()), idx);
     }
   };
 
@@ -529,7 +620,9 @@ class InternedWorkspace {
     Partition p;
   };
 
-  void RegisterOccurrences(RelId rel, std::uint32_t idx, const IdTuple& t);
+  void RegisterOccurrences(RelId rel, std::uint32_t idx, IdRow t);
+  /// Appends one cell for `ref` to the tail of `id`'s occurrence list.
+  void PushOccurrence(ValueId id, WorkspaceTupleRef ref);
   /// Appends `e` to the mutation journal when journaling is on.
   void JournalRecord(WorkspaceJournalEntry e) const;
   /// Incorporates slots [from, size) into `cp` (skipping dead ones).
@@ -547,13 +640,16 @@ class InternedWorkspace {
   mutable DenseUnionFind uf_;  ///< Find path-halves; logically const
   std::vector<RelStore> rels_;
   std::size_t total_alive_ = 0;
-  std::vector<std::vector<WorkspaceTupleRef>> occurrences_;  // by ValueId
+  /// Intrusive occurrence lists: every list's cells live in one array,
+  /// chained through OccurrenceCell::next from the value's head to its
+  /// tail.
+  struct OccurrenceList {
+    std::uint32_t head = OccurrenceCell::kEnd;
+    std::uint32_t tail = OccurrenceCell::kEnd;
+  };
+  std::vector<OccurrenceCell> occ_cells_;
+  std::vector<OccurrenceList> occ_lists_;  // by ValueId
   mutable std::vector<FeedCursor> cursors_;  ///< by id; logically const
-  /// Maintained sums for O(1)-amortized MemoryUsage: total id cells
-  /// stored across all tuple slots, and total occurrence refs (constant
-  /// under RerouteOccurrences, which splices without copying growth).
-  std::uint64_t tuple_id_cells_ = 0;
-  std::uint64_t occurrence_refs_ = 0;
   /// Per relation: column sequence -> cached partition. std::map keeps
   /// Partition references stable across inserts.
   mutable std::vector<std::map<std::vector<AttrId>, CachedPartition>>

@@ -223,6 +223,7 @@ SolverService::SessionStats SolverService::LiveStatsLocked(
     const Session& s) const {
   SessionStats out = s.stats;
   out.evicted = s.evicted;
+  out.resident_bytes = 0;
   // Witness counters do not survive a dropped solver; accumulate.
   if (s.solver != nullptr) {
     out.witness = SumWitness(out.witness, s.solver->witness_cache_stats());
@@ -236,12 +237,14 @@ SolverService::SessionStats SolverService::LiveStatsLocked(
                            s.mine_life_base.values_interned;
     out.partitions_built += s.mine_ws->stats().partitions_built -
                             s.mine_life_base.partitions_built;
+    out.resident_bytes = s.mine_ws->MemoryUsage().Total();
   }
   // An Armstrong session's workspace stats ride its full snapshot, so
   // they are overwritten, not summed.
   if (s.armstrong != nullptr) {
     out.values_interned = s.armstrong->workspace_stats().values_interned;
     out.partitions_built = s.armstrong->workspace_stats().partitions_built;
+    out.resident_bytes = s.armstrong->workspace().MemoryUsage().Total();
   }
   return out;
 }

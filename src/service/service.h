@@ -118,6 +118,11 @@ class SolverService {
     /// The session solver's witness cache counters, summed over every
     /// life of the session (a revival starts a fresh solver).
     WitnessCache::Stats witness;
+    /// Logical bytes of the resident session's workspace,
+    /// `MemoryUsage().Total()` with its mutation journal: a mining
+    /// session's journal grows with every append until the next spill.
+    /// 0 for solve sessions and while evicted.
+    std::uint64_t resident_bytes = 0;
   };
 
   struct ServiceStats {

@@ -22,8 +22,8 @@ namespace ccfp {
 ///   * a *sealed* base workspace: the value interner frozen behind a
 ///     shared table (core/intern.h), every warm tuple interned, and every
 ///     projection partition the warm-up touched compiled — a session
-///     forks it for the price of copying the tuples and the partitions
-///     (never the value table), and the fork's copy-on-write interner
+///     forks it for the price of a few flat vector copies (never the
+///     value table), and the fork's copy-on-write interner
 ///     extends locally without ever duplicating (or re-hashing) the shared
 ///     value table;
 ///   * a thread-safe BoundedSearchWorkspace (search/bounded.h), so the
@@ -74,11 +74,11 @@ class SolverCore {
   /// measured against.
   const InternedWorkspace::Stats& base_stats() const { return base_stats_; }
 
-  /// A mutable overlay: shares the frozen interner table and deep-copies
-  /// everything else — the tuples, occurrence lists and every compiled
-  /// partition (~592 KB of partitions for a premined 1,296-row warm
-  /// base). See InternedWorkspace::Fork for what is reset (journal,
-  /// cursors, chain identity).
+  /// A mutable overlay: shares the frozen interner table and copies the
+  /// rest — the row arenas, occurrence cells and every compiled partition
+  /// — as flat vectors, so a fork costs O(relations + partitions)
+  /// allocations whatever the warm row count. See InternedWorkspace::Fork
+  /// for what is reset (journal, cursors, chain identity).
   InternedWorkspace ForkWorkspace() const { return base_.Fork(); }
 
   /// Shared, thread-safe search key tables (mutable through a const core:

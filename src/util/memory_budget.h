@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace ccfp {
@@ -70,23 +68,6 @@ inline constexpr std::uint64_t kHashNodeOverhead = 4 * sizeof(void*);
 template <typename T>
 std::uint64_t VectorBytes(const std::vector<T>& v) {
   return static_cast<std::uint64_t>(v.size()) * sizeof(T);
-}
-
-/// Logical bytes of an unordered_map whose keys are id-tuples (vectors):
-/// per entry, the inline pair plus the key's payload plus node overhead.
-template <typename K, typename V, typename H>
-std::uint64_t IdKeyMapBytes(const std::unordered_map<K, V, H>& m,
-                            std::uint64_t key_payload_bytes) {
-  return static_cast<std::uint64_t>(m.size()) *
-         (sizeof(std::pair<K, V>) + key_payload_bytes + kHashNodeOverhead);
-}
-
-/// Same, for an unordered_set of id-tuples.
-template <typename K, typename H>
-std::uint64_t IdKeySetBytes(const std::unordered_set<K, H>& s,
-                            std::uint64_t key_payload_bytes) {
-  return static_cast<std::uint64_t>(s.size()) *
-         (sizeof(K) + key_payload_bytes + kHashNodeOverhead);
 }
 
 }  // namespace memory

@@ -32,21 +32,6 @@ std::vector<AttrId> SortedUnique(std::vector<AttrId> cols) {
   return cols;
 }
 
-void BuildKey(const IdTuple& t, const std::vector<AttrId>& cols,
-              IdTuple& key) {
-  key.clear();
-  for (AttrId c : cols) key.push_back(t[c]);
-}
-
-/// Group named by `key` in `p`, or kNone. Tombstoned groups still resolve
-/// — the link is structural (key -> id); alive-ness is the caller's
-/// watcher-side count.
-std::uint32_t GroupOfKey(const InternedWorkspace::Partition& p,
-                         const IdTuple& key) {
-  auto it = p.key_to_group.find(key);
-  return it == p.key_to_group.end() ? kNone : it->second;
-}
-
 /// Open-addressed uint64 -> uint32 map for the group counters' hot path
 /// (one op per event): linear probing, power-of-two capacity, insert-only
 /// (group ids are never recycled — a vacated group keeps its id as a
@@ -191,12 +176,12 @@ struct IncrementalVerifier::GroupTracker {
   std::vector<std::uint32_t> cnt;         ///< per group: alive members
   std::vector<Sub> subs;
 
-  void Apply(const InternedWorkspace& ws, std::uint32_t idx);
+  void Apply(std::uint32_t idx);
 
   void Init(const InternedWorkspace& ws) {
     std::uint32_t n = static_cast<std::uint32_t>(ws.size(rel));
     slot_group.assign(n, kNone);
-    for (std::uint32_t i = 0; i < n; ++i) Apply(ws, i);
+    for (std::uint32_t i = 0; i < n; ++i) Apply(i);
   }
 
   std::uint64_t bytes() const {
@@ -263,7 +248,6 @@ struct IncrementalVerifier::IndWatcher : Watcher {
   std::vector<std::uint32_t> l2r;  ///< lhs group -> same-key rhs group
   std::vector<std::uint32_t> r2l;  ///< rhs group -> same-key lhs group
   std::uint64_t missing = 0;
-  IdTuple key;  ///< scratch
 
   IndWatcher(Dependency d, Ind i) : Watcher(std::move(d)), ind(std::move(i)) {}
 
@@ -275,13 +259,13 @@ struct IncrementalVerifier::IndWatcher : Watcher {
     return (g < l2r.size() && l2r[g] != kNone) ? CntOf(rt, l2r[g]) : 0;
   }
 
-  /// Lhs group `g` went 0 -> 1 alive members (witnessed by slot `idx`).
-  void OnLhsBorn(const InternedWorkspace& ws, std::uint32_t g,
-                 std::uint32_t idx) {
+  /// Lhs group `g` went 0 -> 1 alive members. Tombstoned rhs groups
+  /// still resolve: the link is structural (key -> group); alive-ness is
+  /// the trackers' count.
+  void OnLhsBorn(std::uint32_t g) {
     EnsureGroups(l2r, g + 1);
     if (l2r[g] == kNone) {
-      BuildKey(ws.tuple(ind.lhs_rel, idx), ind.lhs, key);
-      std::uint32_t h = GroupOfKey(*rhs_p, key);
+      std::uint32_t h = rhs_p->GroupOfKey(lhs_p->key(g));
       if (h != kNone) {
         l2r[g] = h;
         EnsureGroups(r2l, h + 1);
@@ -296,13 +280,11 @@ struct IncrementalVerifier::IndWatcher : Watcher {
     if (Witness(g) == 0) --missing;
   }
 
-  /// Rhs group `h` went 0 -> 1 alive members (witnessed by slot `idx`).
-  void OnRhsBorn(const InternedWorkspace& ws, std::uint32_t h,
-                 std::uint32_t idx) {
+  /// Rhs group `h` went 0 -> 1 alive members.
+  void OnRhsBorn(std::uint32_t h) {
     EnsureGroups(r2l, h + 1);
     if (r2l[h] == kNone) {
-      BuildKey(ws.tuple(ind.rhs_rel, idx), ind.rhs, key);
-      std::uint32_t g = GroupOfKey(*lhs_p, key);
+      std::uint32_t g = lhs_p->GroupOfKey(rhs_p->key(h));
       if (g != kNone) {
         r2l[h] = g;
         EnsureGroups(l2r, g + 1);
@@ -319,20 +301,16 @@ struct IncrementalVerifier::IndWatcher : Watcher {
     if (g != kNone && CntOf(lt, g) > 0) ++missing;  // witness went 1 -> 0
   }
 
-  void Init(const InternedWorkspace& ws) override {
+  void Init(const InternedWorkspace&) override {
     if (trivial) return;
     // The shared trackers are already caught up (Watch aligns the cursors
     // first), so only the watcher-private links and `missing` need
-    // building. Every alive lhs group has an alive slot whose current
-    // projection is the group's key, so one scan resolves all links.
-    std::uint32_t nl = static_cast<std::uint32_t>(ws.size(ind.lhs_rel));
-    for (std::uint32_t i = 0; i < nl; ++i) {
-      std::uint32_t g = lhs_p->group_of[i];
-      if (g == kNone) continue;
+    // building: one pass over the alive lhs groups, probing each group's
+    // key into the rhs partition.
+    for (std::uint32_t g = 0; g < lhs_p->group_count; ++g) {
+      if (lhs_p->group_size[g] == 0) continue;  // tombstone
       EnsureGroups(l2r, g + 1);
-      if (l2r[g] != kNone) continue;
-      BuildKey(ws.tuple(ind.lhs_rel, i), ind.lhs, key);
-      std::uint32_t h = GroupOfKey(*rhs_p, key);
+      std::uint32_t h = rhs_p->GroupOfKey(lhs_p->key(g));
       if (h == kNone) continue;
       l2r[g] = h;
       EnsureGroups(r2l, h + 1);
@@ -351,13 +329,11 @@ struct IncrementalVerifier::IndWatcher : Watcher {
   bool ok() const override { return missing == 0; }
 
   std::uint64_t bytes() const override {
-    return memory::VectorBytes(l2r) + memory::VectorBytes(r2l) +
-           memory::VectorBytes(key);
+    return memory::VectorBytes(l2r) + memory::VectorBytes(r2l);
   }
 };
 
-void IncrementalVerifier::GroupTracker::Apply(const InternedWorkspace& ws,
-                                              std::uint32_t idx) {
+void IncrementalVerifier::GroupTracker::Apply(std::uint32_t idx) {
   if (slot_group.size() <= idx) slot_group.resize(idx + 1, kNone);
   std::uint32_t now = p->group_of[idx];
   std::uint32_t was = slot_group[idx];
@@ -376,9 +352,9 @@ void IncrementalVerifier::GroupTracker::Apply(const InternedWorkspace& ws,
     if (cnt[now]++ == 0) {
       for (const Sub& s : subs) {
         if (s.is_lhs) {
-          s.w->OnLhsBorn(ws, now, idx);
+          s.w->OnLhsBorn(now);
         } else {
-          s.w->OnRhsBorn(ws, now, idx);
+          s.w->OnRhsBorn(now);
         }
       }
     }
@@ -396,7 +372,7 @@ struct IncrementalVerifier::RdWatcher : Watcher {
 
   RdWatcher(Dependency d, Rd r) : Watcher(std::move(d)), rd(std::move(r)) {}
 
-  bool Violates(const IdTuple& t) const {
+  bool Violates(IdRow t) const {
     for (std::size_t k = 0; k < rd.lhs.size(); ++k) {
       if (t[rd.lhs[k]] != t[rd.rhs[k]]) return true;
     }
@@ -728,7 +704,7 @@ void IncrementalVerifier::CatchUpRelation(RelId rel) {
       for (std::uint32_t i = 0; i < n; ++i) gc->Apply(i);
     }
     for (GroupTracker* gt : gts) {
-      for (std::uint32_t i = 0; i < n; ++i) gt->Apply(*ws_, i);
+      for (std::uint32_t i = 0; i < n; ++i) gt->Apply(i);
     }
     WorkspaceEvent ev{WorkspaceEventKind::kRewrite, 0};
     for (WatchId w : subs) {
@@ -756,7 +732,7 @@ void IncrementalVerifier::CatchUpRelation(RelId rel) {
     for (GroupTracker* gt : gts) {
       for (std::uint64_t i = from; i < log.size(); ++i) {
         ++stats_.watcher_events;
-        gt->Apply(*ws_, log[i].idx);
+        gt->Apply(log[i].idx);
       }
     }
     for (WatchId w : subs) {

@@ -553,6 +553,55 @@ TEST(ServiceTest, RevivedMiningSessionCountsItsOwnSubstrateWork) {
   EXPECT_EQ(remined->partitions_built, 2 * built);
 }
 
+TEST(ServiceTest, ResidentBytesCountTheJournalUntilTheNextSpill) {
+  // A mining session journals every append from OpenMine on, and only a
+  // spill drops the journal: resident_bytes grows with each append, reads
+  // 0 while evicted, and a revived session (journal persisted) holds less
+  // than the same state did before its spill.
+  SolverService::Options options;
+  options.spill_dir = FreshSpillDir("resident");
+  SolverService service(options);
+  SchemePtr scheme = RsScheme();
+  Result<SolverService::SessionId> id =
+      service.OpenMine(scheme, WarmData(scheme));
+  ASSERT_TRUE(id.ok());
+  Result<SolverService::SessionStats> opened = service.Stats(*id);
+  ASSERT_TRUE(opened.ok());
+  std::uint64_t resident = opened->resident_bytes;
+  EXPECT_GT(resident, 0u);
+  for (std::int64_t k = 0; k < 4; ++k) {
+    Database delta(scheme);
+    delta.Insert(0, {Value::Int(100 + k), Value::Int(10)});
+    delta.Insert(1, {Value::Int(200 + k), Value::Int(7)});
+    ASSERT_TRUE(service.Append(*id, delta).ok());
+    Result<SolverService::SessionStats> grown = service.Stats(*id);
+    ASSERT_TRUE(grown.ok());
+    EXPECT_GT(grown->resident_bytes, resident) << "append " << k;
+    resident = grown->resident_bytes;
+  }
+  auto mine_all = [&] {
+    ASSERT_TRUE(service.MineSessionFds(*id, 0).ok());
+    ASSERT_TRUE(service.MineSessionInds(*id).ok());
+  };
+  mine_all();
+  Result<SolverService::SessionStats> before = service.Stats(*id);
+  ASSERT_TRUE(before.ok());
+
+  ASSERT_TRUE(service.Evict(*id).ok());
+  Result<SolverService::SessionStats> evicted = service.Stats(*id);
+  ASSERT_TRUE(evicted.ok());
+  EXPECT_TRUE(evicted->evicted);
+  EXPECT_EQ(evicted->resident_bytes, 0u);
+
+  mine_all();  // revives, then reads the same partitions as before
+  Result<SolverService::SessionStats> revived = service.Stats(*id);
+  ASSERT_TRUE(revived.ok());
+  EXPECT_FALSE(revived->evicted);
+  EXPECT_GT(revived->resident_bytes, 0u);
+  EXPECT_LT(revived->resident_bytes, before->resident_bytes)
+      << "the revived session still charges a journal";
+}
+
 TEST(ServiceTest, MiningEvictionWithoutSpillDirIsFailedPrecondition) {
   SolverService service;
   SchemePtr scheme = RsScheme();

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -116,6 +117,153 @@ TEST(SnapshotTest, RestoredPartitionsAreWarmCapital) {
   for (const Dependency& dep : deps) restored->ws.Satisfies(dep);
   EXPECT_EQ(restored->ws.stats().partitions_built, built_before)
       << "restored partitions were rebuilt instead of reused";
+}
+
+TEST(SnapshotTest, SaveLoadSaveIsByteIdentical) {
+  // Partitions compiled *before* the merges, so the repairs leave
+  // tombstoned groups behind; a record must not depend on the order keys
+  // were hashed in, so a restored workspace re-saves to the same bytes.
+  SchemePtr scheme = TwoRelScheme();
+  SplitMix64 rng(77);
+  InternedWorkspace ws(scheme);
+  std::vector<ValueId> pool;
+  for (int i = 0; i < 40; ++i) AppendRandomTuple(ws, rng, pool);
+  std::vector<Dependency> deps = RandomUniverse(scheme, rng, 12);
+  for (const Dependency& dep : deps) ws.Satisfies(dep);
+  for (int i = 0; i < 8; ++i) MergeRandomValues(ws, rng, pool);
+  for (int i = 0; i < 10; ++i) AppendRandomTuple(ws, rng, pool);
+  for (const Dependency& dep : deps) ws.Satisfies(dep);
+  ASSERT_GT(ws.stats().tuples_killed, 0u);
+  ASSERT_GT(ws.stats().partition_slots_repaired, 0u);
+  bool tombstone = false;
+  for (RelId rel = 0; rel < scheme->size(); ++rel) {
+    std::vector<AttrId> all(scheme->relation(rel).arity());
+    for (AttrId a = 0; a < all.size(); ++a) all[a] = a;
+    for (const std::vector<AttrId>& cols :
+         {std::vector<AttrId>{0}, std::vector<AttrId>{1}, all}) {
+      const InternedWorkspace::Partition& p = ws.partition(rel, cols);
+      tombstone = tombstone || p.alive_groups < p.group_count;
+    }
+  }
+  ASSERT_TRUE(tombstone) << "the trace must tombstone a partition group";
+
+  std::string first = SerializeWorkspace(ws, {{1, 2}}, "aux");
+  Result<RestoredWorkspace> restored = DeserializeWorkspace(scheme, first);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  std::string second = SerializeWorkspace(restored->ws, {{1, 2}}, "aux");
+  EXPECT_TRUE(first == second) << "re-saved record differs";
+}
+
+/// Byte surgery on a full record of one relation R(A, B) with a single
+/// cached partition, on {A}: that partition's keys are the last section
+/// before the stats (11 u64), an empty cursor list (u64) and an empty aux
+/// string (u64). Each key entry is (id, group), 4 bytes each.
+class PartitionKeyRecord {
+ public:
+  static constexpr std::size_t kHeader = 26;  // magic, version, size, sum
+  static constexpr std::size_t kTail = 11 * 8 + 8 + 8;
+
+  PartitionKeyRecord() : scheme_(MakeScheme({{"R", {"A", "B"}}})) {
+    InternedWorkspace ws(scheme_);
+    for (std::int64_t i = 0; i < 6; ++i) {
+      ws.AppendTuple(0, {Value::Int(i % 4), Value::Int(i)});
+    }
+    groups_ = ws.partition(0, {0}).group_count;
+    blob_ = SerializeWorkspace(ws);
+    payload_ = blob_.substr(kHeader);
+  }
+
+  const SchemePtr& scheme() const { return scheme_; }
+  const std::string& blob() const { return blob_; }
+  std::uint32_t groups() const { return groups_; }
+
+  /// Offset in the payload of key entry `i`.
+  std::size_t Entry(std::uint32_t i) const {
+    return payload_.size() - kTail - (groups_ - i) * 8;
+  }
+  std::uint32_t U32At(std::size_t off) const {
+    std::uint32_t v = 0;
+    for (int b = 0; b < 4; ++b) {
+      v |= std::uint32_t{static_cast<std::uint8_t>(payload_[off + b])}
+           << (8 * b);
+    }
+    return v;
+  }
+  void SetU32(std::size_t off, std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      payload_[off + b] = static_cast<char>(v >> (8 * b));
+    }
+  }
+  /// Drops the last key entry and decrements the key count.
+  void DropLastKey() {
+    std::size_t count_at = Entry(0) - 8;
+    payload_.erase(Entry(groups_ - 1), 8);
+    SetU32(count_at, U32At(count_at) - 1);
+  }
+
+  /// The edited payload under a valid header.
+  std::string Encode() const {
+    std::string out = blob_.substr(0, 10);  // magic + version
+    std::uint64_t size = payload_.size();
+    std::uint64_t sum = Fnv1a64(payload_);
+    for (int b = 0; b < 8; ++b) out += static_cast<char>(size >> (8 * b));
+    for (int b = 0; b < 8; ++b) out += static_cast<char>(sum >> (8 * b));
+    return out + payload_;
+  }
+
+ private:
+  SchemePtr scheme_;
+  std::uint32_t groups_ = 0;
+  std::string blob_;
+  std::string payload_;
+};
+
+TEST(SnapshotTest, PartitionKeysLoadInAnyOrder) {
+  // A record whose keys are not in group order (as written in hash-table
+  // order before keys were swept by group) loads, and re-saves in group
+  // order.
+  PartitionKeyRecord rec;
+  ASSERT_EQ(rec.groups(), 4u);
+  ASSERT_EQ(rec.Encode(), rec.blob());  // the surgery's offsets are right
+  for (std::uint32_t g = 0; g < rec.groups(); ++g) {
+    ASSERT_EQ(rec.U32At(rec.Entry(g) + 4), g) << "keys saved by group";
+  }
+  PartitionKeyRecord reversed;
+  for (std::uint32_t i = 0; i < rec.groups(); ++i) {
+    std::uint32_t from = rec.groups() - 1 - i;
+    reversed.SetU32(reversed.Entry(i), rec.U32At(rec.Entry(from)));
+    reversed.SetU32(reversed.Entry(i) + 4, rec.U32At(rec.Entry(from) + 4));
+  }
+  Result<RestoredWorkspace> restored =
+      DeserializeWorkspace(rec.scheme(), reversed.Encode());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_TRUE(SerializeWorkspace(restored->ws) == rec.blob());
+}
+
+TEST(SnapshotTest, PartitionKeysMustNameEveryGroupOnce) {
+  auto expect_rejected = [](const PartitionKeyRecord& rec,
+                            const std::string& what) {
+    Result<RestoredWorkspace> restored =
+        DeserializeWorkspace(rec.scheme(), rec.Encode());
+    ASSERT_FALSE(restored.ok()) << what;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(restored.status().message(), "workspace snapshot: " + what);
+  };
+  PartitionKeyRecord missing;
+  missing.DropLastKey();
+  expect_rejected(missing, "partition key count mismatch");
+
+  PartitionKeyRecord twice;  // group 0 named twice, group 1 never
+  twice.SetU32(twice.Entry(1) + 4, 0);
+  expect_rejected(twice, "duplicate partition key group");
+
+  PartitionKeyRecord same_key;  // groups 0 and 1 under one key
+  same_key.SetU32(same_key.Entry(1), same_key.U32At(same_key.Entry(0)));
+  expect_rejected(same_key, "duplicate partition key");
+
+  PartitionKeyRecord out_of_range;
+  out_of_range.SetU32(out_of_range.Entry(2) + 4, out_of_range.groups());
+  expect_rejected(out_of_range, "partition key group out of range");
 }
 
 TEST(SnapshotTest, SchemeMismatchRejected) {

@@ -151,7 +151,8 @@ inline void MergeRandomValues(InternedWorkspace& ws, SplitMix64& rng,
   ValueId b = ws.Canon(pool[rng.Below(pool.size())]);
   InternedWorkspace::MergeResult m = ws.MergeValues(a, b);
   if (!m.merged) return;  // equal already, or a constant clash
-  std::vector<WorkspaceTupleRef> stale = ws.occurrences(m.loser);
+  OccurrenceRange occ = ws.occurrences(m.loser);
+  std::vector<WorkspaceTupleRef> stale(occ.begin(), occ.end());
   ws.RerouteOccurrences(m.loser, m.winner);
   for (const WorkspaceTupleRef& ref : stale) {
     ws.CanonicalizeTuple(ref.rel, ref.idx);
@@ -235,7 +236,7 @@ inline void ExpectObservablyEquivalent(const InternedWorkspace& a,
     }
     for (std::uint32_t i = 0; i < a.size(rel); ++i) {
       ASSERT_EQ(a.alive(rel, i), b.alive(rel, i)) << "slot " << i;
-      ASSERT_EQ(a.tuple(rel, i), b.tuple(rel, i))
+      ASSERT_TRUE(std::ranges::equal(a.tuple(rel, i), b.tuple(rel, i)))
           << "raw stored ids, rel " << rel << " slot " << i;
     }
   }

@@ -40,7 +40,7 @@ class VerifyPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 void CheckDedup(InternedWorkspace& ws) {
   for (RelId rel = 0; rel < ws.scheme().size(); ++rel) {
     for (std::uint32_t i = 0; i < ws.size(rel); ++i) {
-      const IdTuple& row = ws.tuple(rel, i);
+      IdTuple row(ws.tuple(rel, i).begin(), ws.tuple(rel, i).end());
       std::optional<std::uint32_t> found = ws.FindTuple(rel, row);
       if (!ws.alive(rel, i)) {
         EXPECT_NE(found, std::optional<std::uint32_t>(i))

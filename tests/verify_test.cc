@@ -25,7 +25,8 @@ SchemePtr TwoColScheme() { return MakeScheme({{"R", {"A", "B"}}}); }
 void MergeAndCanonicalize(InternedWorkspace& ws, ValueId a, ValueId b) {
   InternedWorkspace::MergeResult m = ws.MergeValues(ws.Canon(a), ws.Canon(b));
   ASSERT_TRUE(m.merged);
-  std::vector<WorkspaceTupleRef> stale = ws.occurrences(m.loser);
+  OccurrenceRange occ = ws.occurrences(m.loser);
+  std::vector<WorkspaceTupleRef> stale(occ.begin(), occ.end());
   ws.RerouteOccurrences(m.loser, m.winner);
   for (const WorkspaceTupleRef& ref : stale) {
     ws.CanonicalizeTuple(ref.rel, ref.idx);
