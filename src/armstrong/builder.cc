@@ -219,7 +219,7 @@ Status ArmstrongSession::Extend(const std::vector<Dependency>& delta) {
   // Every registered consumer (the chaser, and the verifier when
   // present) sits at the feed tip after a successful round, so
   // compaction trims the whole retained window. A Checkpoint after this
-  // Extend carries the TrimFeedTo journal entries in the same record, so
+  // Extend carries the feed-trim journal entries in the same record, so
   // a restored workspace's retained feed window matches the live one.
   ws_.CompactFeeds();
   return Status::OK();

@@ -95,10 +95,12 @@ void WorkspaceChase::AdmitAppended() {
   for (RelId rel = 0; rel < ws_->scheme().size(); ++rel) {
     std::uint64_t end = ws_->EventCount(rel);
     if (admit_cursor_[rel] < ws_->FeedBase(rel)) {
-      // Behind the compaction horizon (a forced TrimFeedTo outran us):
-      // the feed delta is gone, but between Runs outside parties only
-      // append, so scanning the unadmitted slot suffix recovers exactly
-      // the lost events.
+      // Behind the compaction horizon: the cursor starts at 0, so the
+      // first admission over a workspace whose feeds were compacted
+      // before this chase registered (a warm-started ArmstrongSession, a
+      // fork of a sealed core) lands here. The feed delta is gone, but
+      // between Runs outside parties only append, so scanning the
+      // unadmitted slot suffix recovers exactly the lost events.
       std::uint32_t size = static_cast<std::uint32_t>(ws_->size(rel));
       for (std::uint32_t idx = admitted_[rel]; idx < size; ++idx) {
         AdmitSlot(rel, idx);

@@ -94,7 +94,11 @@ class ValueInterner {
   /// Values held as ascending nulls (base and local extension); the other
   /// size() - ascending_nulls() sit in the hash maps.
   std::size_t ascending_nulls() const {
-    return (base_ != nullptr ? base_->nulls.size() : 0) + nulls_.size();
+    return base_ascending_nulls() + nulls_.size();
+  }
+  /// The ascending nulls of the frozen base (ids below base_size()).
+  std::size_t base_ascending_nulls() const {
+    return base_ != nullptr ? base_->nulls.size() : 0;
   }
 
  private:

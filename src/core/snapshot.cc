@@ -226,31 +226,16 @@ void FsyncDir(const std::string& dir) {
   ::close(fd);
 }
 
-/// Writes one serialized record to `path` under `write`, consulting the
-/// installed FaultInjector at every crash instant (see the policy table in
-/// core/snapshot.h). Under the atomic policy a failure — injected or real
-/// — leaves `path` untouched except for the one instant *after* the
-/// rename, where the new record is already in place but the caller sees
-/// Internal (and must treat the save as failed).
-Status WriteSnapshotBlob(std::string bytes, const std::string& path,
-                         const SnapshotWriteOptions& write) {
+/// Writes one serialized record to `path` atomically and durably,
+/// consulting the installed FaultInjector at every crash instant (see
+/// "Crash safety" in core/snapshot.h). A failure — injected or real —
+/// leaves `path` untouched except for the one instant *after* the rename,
+/// where the new record is already in place but the caller sees Internal
+/// (and must treat the save as failed).
+Status WriteSnapshotBlob(std::string bytes, const std::string& path) {
   FaultInjector* fi = InstalledFaultInjector();
-  if (!write.atomic) {
-    // Legacy direct write: injected damage lands in the target file and
-    // the save still reports success — bit rot the loader must detect.
-    if (fi != nullptr) {
-      if (fi->ShouldFail(FaultSite::kSnapshotCorrupt)) {
-        fi->CorruptBytes(bytes);
-      }
-      if (fi->ShouldFail(FaultSite::kSnapshotTruncate)) {
-        fi->TruncateBytes(bytes);
-      }
-    }
-    return WriteFileRaw(path, bytes);
-  }
-
-  // Atomic policy: all damage is confined to the temp file, and a damaged
-  // temp write "crashes" before the rename — the target keeps old state.
+  // All damage is confined to the temp file, and a damaged temp write
+  // "crashes" before the rename — the target keeps old state.
   std::string tmp = StrCat(path, ".tmp");
   bool torn = false;
   if (fi != nullptr) {
@@ -272,7 +257,7 @@ Status WriteSnapshotBlob(std::string bytes, const std::string& path,
     return Status::Internal(
         StrCat("crash before snapshot fsync (fault injection): ", tmp));
   }
-  if (write.durable) CCFP_RETURN_NOT_OK(FsyncFile(tmp));
+  CCFP_RETURN_NOT_OK(FsyncFile(tmp));
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     return Status::Internal(StrCat("rename failed ", tmp, " -> ", path));
   }
@@ -280,7 +265,7 @@ Status WriteSnapshotBlob(std::string bytes, const std::string& path,
     return Status::Internal(
         StrCat("crash after snapshot rename (fault injection): ", path));
   }
-  if (write.durable) FsyncDir(DirnameOf(path));
+  FsyncDir(DirnameOf(path));
   return Status::OK();
 }
 
@@ -1046,26 +1031,17 @@ Result<RestoredWorkspace> DeserializeWorkspace(SchemePtr scheme,
 
 Result<WorkspaceDeltaInfo> ApplyWorkspaceDelta(InternedWorkspace& ws,
                                                std::string_view bytes) {
+  // A replayed kTrim ignores feed cursors, so a registered consumer could
+  // be stranded behind the horizon. Not FailedPrecondition: chain loads
+  // read that code as "end of chain".
+  if (ws.RegisteredFeedCursors() > 0) {
+    return Status::InvalidArgument(
+        "workspace snapshot: a delta applies only to a workspace with no "
+        "registered feed cursors");
+  }
   CCFP_ASSIGN_OR_RETURN(RecordView record, CheckRecord(bytes));
   return WorkspaceSnapshotAccess::ApplyDeltaPayload(ws, record.payload,
                                                     record.checksum);
-}
-
-Status SaveWorkspaceSnapshot(
-    const InternedWorkspace& ws, const std::string& path,
-    const std::vector<std::vector<std::uint64_t>>& consumer_cursors,
-    const SnapshotWriteOptions& write) {
-  std::string bytes = SerializeWorkspace(ws, consumer_cursors);
-  std::uint64_t id = BlobId(bytes);
-  CCFP_RETURN_NOT_OK(WriteSnapshotBlob(std::move(bytes), path, write));
-  ws.MarkJournalPersisted(id);
-  return Status::OK();
-}
-
-Result<RestoredWorkspace> LoadWorkspaceSnapshot(SchemePtr scheme,
-                                                const std::string& path) {
-  CCFP_ASSIGN_OR_RETURN(std::string bytes, ReadFileRaw(path));
-  return DeserializeWorkspace(std::move(scheme), bytes);
 }
 
 /// --- snapshot chains ------------------------------------------------------
@@ -1147,15 +1123,13 @@ void SnapshotChainLock::Release() {
 }
 
 SnapshotChainWriter::SnapshotChainWriter(std::string prefix,
-                                         SnapshotChainPolicy policy,
-                                         SnapshotWriteOptions write)
-    : prefix_(std::move(prefix)), policy_(policy), write_(write) {}
+                                         SnapshotChainPolicy policy)
+    : prefix_(std::move(prefix)), policy_(policy) {}
 
 SnapshotChainWriter SnapshotChainWriter::RootedAt(std::string prefix,
                                                   std::uint64_t root_id,
-                                                  SnapshotChainPolicy policy,
-                                                  SnapshotWriteOptions write) {
-  SnapshotChainWriter writer(std::move(prefix), policy, write);
+                                                  SnapshotChainPolicy policy) {
+  SnapshotChainWriter writer(std::move(prefix), policy);
   writer.external_root_ = true;
   writer.root_id_ = root_id;
   writer.tip_id_ = root_id;
@@ -1198,14 +1172,12 @@ Status SnapshotChainWriter::Save(
       for (std::size_t k = 1; std::remove(DeltaPath(k).c_str()) == 0; ++k) {
       }
     }
-    return deltas_ >= policy_.max_deltas
+    return deltas_ >= kMaxDeltas
                ? SaveCollapsed(ws, consumer_cursors, aux)
                : SaveDelta(ws, consumer_cursors, aux);
   }
-  bool fold =
-      !has_base_ || !at_tip || deltas_ >= policy_.max_deltas ||
-      (policy_.fold_delta_percent > 0 &&
-       delta_bytes_ * 100 > base_bytes_ * policy_.fold_delta_percent);
+  bool fold = !has_base_ || !at_tip || deltas_ >= kMaxDeltas ||
+              delta_bytes_ * 100 > base_bytes_ * kFoldDeltaPercent;
   return fold ? SaveBase(ws, consumer_cursors, aux)
               : SaveDelta(ws, consumer_cursors, aux);
 }
@@ -1225,7 +1197,7 @@ Status SnapshotChainWriter::SaveBase(
   std::string bytes = SerializeWorkspace(ws, cursors, aux);
   std::uint64_t id = BlobId(bytes);
   std::uint64_t n_bytes = bytes.size();
-  CCFP_RETURN_NOT_OK(WriteSnapshotBlob(std::move(bytes), BasePath(), write_));
+  CCFP_RETURN_NOT_OK(WriteSnapshotBlob(std::move(bytes), BasePath()));
   // Best-effort unlink of the previous chain's deltas. A crash before (or
   // during) this loop leaves delta files whose base link no longer
   // matches the new base's identity — loads treat them as end-of-chain,
@@ -1254,7 +1226,7 @@ Status SnapshotChainWriter::SaveDelta(
   // rewrites the same chain position with a superset journal linked to
   // the same base, so nothing is lost and nothing is double-applied.
   CCFP_RETURN_NOT_OK(
-      WriteSnapshotBlob(std::move(bytes), DeltaPath(deltas_ + 1), write_));
+      WriteSnapshotBlob(std::move(bytes), DeltaPath(deltas_ + 1)));
   ++deltas_;
   tip_id_ = id;
   delta_bytes_ += n_bytes;
@@ -1278,7 +1250,7 @@ Status SnapshotChainWriter::SaveCollapsed(
                                                        cursors, aux));
   std::uint64_t id = BlobId(bytes);
   std::uint64_t n_bytes = bytes.size();
-  CCFP_RETURN_NOT_OK(WriteSnapshotBlob(std::move(bytes), DeltaPath(1), write_));
+  CCFP_RETURN_NOT_OK(WriteSnapshotBlob(std::move(bytes), DeltaPath(1)));
   // Crash-safe by linkage, like a base fold: the old `.delta.2` links to
   // the old `.delta.1`, not to the record that just replaced it.
   for (std::size_t k = 2; std::remove(DeltaPath(k).c_str()) == 0; ++k) {

@@ -74,37 +74,25 @@ namespace ccfp {
 /// Saving a quiescent session is therefore O(in-flight delta), not
 /// O(state).
 ///
-/// ## Crash safety (SnapshotWriteOptions)
+/// ## Crash safety
 ///
-/// The default write policy is atomic-and-durable: serialize to
+/// Every record is written atomically and durably: serialize to
 /// `<path>.tmp`, fsync, rename over `path`, fsync the directory. A crash
 /// at any byte offset leaves `path` holding either the complete previous
-/// snapshot or the complete new one — never a torn file on the primary
+/// record or the complete new one — never a torn file on the primary
 /// path. The installed FaultInjector (util/fault.h) is consulted so every
 /// crash instant is testable deterministically:
 ///   * kSnapshotCorrupt / kSnapshotTruncate — the temp write is torn (the
 ///     damaged bytes go to the temp file, the save fails before the
-///     rename, the target keeps the old state). Under the non-atomic
-///     legacy policy (`atomic = false`) the damage is written straight to
-///     `path` and the save still reports success — bit rot the *loader*
-///     must detect.
+///     rename, the target keeps the old state).
 ///   * kSnapshotFsync — crash before the temp file is durable: the save
 ///     fails, the target keeps the old state.
 ///   * kSnapshotRename — crash immediately *after* the rename lands: the
-///     target holds the new snapshot, but the saver never observed
+///     target holds the new record, but the saver never observed
 ///     success (so callers must treat the save as failed and may retry).
-
-/// How snapshot bytes reach the filesystem.
-struct SnapshotWriteOptions {
-  /// Write to `<path>.tmp`, fsync, rename — the crash-safe default. When
-  /// false, bytes are written straight to `path` (the legacy policy the
-  /// bit-rot tests use: injected damage lands in the target file and the
-  /// save still reports success).
-  bool atomic = true;
-  /// fsync the temp file before the rename and the directory after it.
-  /// Leave on outside of tests.
-  bool durable = true;
-};
+///
+/// Bit rot on disk is the loader's to catch: any damaged record fails
+/// LoadSnapshotChain with InvalidArgument.
 
 /// A deserialized snapshot: the workspace plus the consumer cursors and
 /// the opaque aux record the saver embedded.
@@ -155,34 +143,17 @@ Result<RestoredWorkspace> DeserializeWorkspace(SchemePtr scheme,
 /// re-bases the workspace's snapshot identity onto this record.
 /// FailedPrecondition when the delta's base link does not match
 /// `ws.SnapshotBaseId()` (a stale record from before a fold) — `ws` is
-/// untouched in that case. InvalidArgument on damage; the workspace may
-/// then be half-applied and must be discarded (chain loads discard the
-/// whole restore).
+/// untouched in that case. InvalidArgument, with `ws` untouched, when
+/// `ws` has registered feed cursors: a replayed feed trim would strand
+/// them behind the compaction horizon, so deltas apply only to a fresh
+/// root (a deserialized record or a fork). InvalidArgument on damage; the
+/// workspace may then be half-applied and must be discarded (chain loads
+/// discard the whole restore).
 Result<WorkspaceDeltaInfo> ApplyWorkspaceDelta(InternedWorkspace& ws,
                                                std::string_view bytes);
 
-/// Serializes a full record and writes it to `path` under `write` (atomic
-/// + durable by default; see SnapshotWriteOptions). On success the
-/// workspace's journal is marked persisted, so a subsequent delta save
-/// serializes only later mutations.
-Status SaveWorkspaceSnapshot(
-    const InternedWorkspace& ws, const std::string& path,
-    const std::vector<std::vector<std::uint64_t>>& consumer_cursors = {},
-    const SnapshotWriteOptions& write = {});
-
-/// Reads `path` and deserializes a full record. NotFound if the file
-/// cannot be read.
-Result<RestoredWorkspace> LoadWorkspaceSnapshot(SchemePtr scheme,
-                                                const std::string& path);
-
-/// When a chain folds its deltas back into a full base snapshot.
+/// How a SnapshotChainWriter shares its chain prefix.
 struct SnapshotChainPolicy {
-  /// Fold after this many deltas (each load replays every delta, so this
-  /// caps restore cost).
-  std::size_t max_deltas = 8;
-  /// Fold when cumulative on-disk delta bytes exceed this percentage of
-  /// the base's bytes (0 disables the byte trigger).
-  std::uint32_t fold_delta_percent = 50;
   /// Acquire a cross-process advisory lock (see SnapshotChainLock) on the
   /// chain prefix before the first Save, and fail FailedPrecondition if
   /// another live process holds it. Off by default: single-process callers
@@ -246,33 +217,40 @@ struct RestoredChain {
 
 /// Owns the on-disk layout of one snapshot chain: `<prefix>.base` plus
 /// `<prefix>.delta.1`, `<prefix>.delta.2`, ... Every record is written
-/// under the configured SnapshotWriteOptions (atomic + durable by
-/// default), and the workspace's journal is marked persisted only after a
-/// durable success — a save that fails (or "crashes" via the injector)
-/// keeps the journal, and the retried save simply rewrites a superset
-/// record at the same chain position.
+/// atomically and durably (see "Crash safety" above), and the workspace's
+/// journal is marked persisted only after a durable success — a save that
+/// fails (or "crashes" via the injector) keeps the journal, and the
+/// retried save simply rewrites a superset record at the same chain
+/// position.
 ///
 /// `Save` writes a full base on the first call (enabling the workspace's
-/// journal for subsequent deltas), a delta while the fold policy allows,
-/// and folds the chain back into a fresh base when it does not. Folding
-/// is crash-safe by linkage: the new base is renamed into place first and
-/// stale delta files are deleted best-effort afterwards — a crash in
-/// between leaves deltas whose base link no longer matches, which loads
-/// treat as end-of-chain.
+/// journal for subsequent deltas), then deltas, and folds the chain back
+/// into a fresh base once it holds kMaxDeltas deltas or its delta bytes
+/// pass kFoldDeltaPercent of the base's. Folding is crash-safe by
+/// linkage: the new base is renamed into place first and stale delta
+/// files are deleted best-effort afterwards — a crash in between leaves
+/// deltas whose base link no longer matches, which loads treat as
+/// end-of-chain.
 ///
 /// A chain made by `RootedAt` has no `.base` file: its record 0 is a state
 /// the caller keeps elsewhere (a shared core's sealed base; see
 /// service/shared_core.h) and hands LoadSnapshotChain as `root`, so every
 /// record it writes is a delta and its size follows the workspace's own
 /// mutations, not the root's. Its first Save removes whatever an earlier
-/// writer left under the prefix. It folds on `max_deltas` alone (there is
+/// writer left under the prefix. It folds on kMaxDeltas alone (there is
 /// no base to weigh the deltas against) by collapsing the whole chain into
 /// one delta linked to the root, written over `.delta.1`.
 class SnapshotChainWriter {
  public:
+  /// Fold after this many deltas (each load replays every delta, so this
+  /// caps restore cost).
+  static constexpr std::size_t kMaxDeltas = 8;
+  /// Fold a based chain when its cumulative on-disk delta bytes exceed
+  /// this percentage of the base's bytes.
+  static constexpr std::uint32_t kFoldDeltaPercent = 50;
+
   explicit SnapshotChainWriter(std::string prefix,
-                               SnapshotChainPolicy policy = {},
-                               SnapshotWriteOptions write = {});
+                               SnapshotChainPolicy policy = {});
 
   /// A chain rooted at the external record `root_id`. Save then requires
   /// a workspace journaling from the chain tip — at first, one marked
@@ -280,10 +258,9 @@ class SnapshotChainWriter {
   /// and refuses any other with FailedPrecondition.
   static SnapshotChainWriter RootedAt(std::string prefix,
                                       std::uint64_t root_id,
-                                      SnapshotChainPolicy policy = {},
-                                      SnapshotWriteOptions write = {});
+                                      SnapshotChainPolicy policy = {});
 
-  /// Writes the next chain record for `ws` (base or delta per the policy
+  /// Writes the next chain record for `ws` (base, delta or fold, as
   /// above). On success the workspace journal is marked persisted.
   Status Save(const InternedWorkspace& ws,
               const std::vector<std::vector<std::uint64_t>>&
@@ -320,7 +297,6 @@ class SnapshotChainWriter {
 
   std::string prefix_;
   SnapshotChainPolicy policy_;
-  SnapshotWriteOptions write_;
   SnapshotChainLock lock_;
   bool has_base_ = false;
   bool external_root_ = false;

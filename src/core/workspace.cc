@@ -395,20 +395,29 @@ InternedWorkspace InternedWorkspace::Fork() const {
   return fork;
 }
 
+namespace {
+
+/// Interner table bytes of `values` values, `ascending` of them ascending
+/// nulls: each value's table entry, plus its map node when hashed or its
+/// (label, id) pair when an ascending null.
+std::uint64_t ValueTableBytes(std::uint64_t values, std::uint64_t ascending) {
+  return values * sizeof(Value) +
+         (values - ascending) *
+             (sizeof(std::pair<Value, ValueId>) + memory::kHashNodeOverhead) +
+         ascending * sizeof(ValueInterner::NullEntry);
+}
+
+}  // namespace
+
 MemoryBreakdown InternedWorkspace::MemoryUsage() const {
   MemoryBreakdown mb;
   mb.journal = journal_bytes_;
   mb.occurrences =
       memory::VectorBytes(occ_cells_) + memory::VectorBytes(occ_lists_);
-  // Every value: its table entry plus union-find parent/size/rep. A
-  // hashed value adds its map node; an ascending null a (label, id) pair.
-  std::uint64_t ascending = interner_.ascending_nulls();
-  mb.interner =
-      static_cast<std::uint64_t>(interner_.size()) *
-          (sizeof(Value) + 3 * sizeof(std::uint32_t)) +
-      (interner_.size() - ascending) *
-          (sizeof(std::pair<Value, ValueId>) + memory::kHashNodeOverhead) +
-      ascending * sizeof(ValueInterner::NullEntry);
+  // Every value: its table entry plus union-find parent/size/rep.
+  mb.interner = ValueTableBytes(interner_.size(), interner_.ascending_nulls()) +
+                static_cast<std::uint64_t>(interner_.size()) * 3 *
+                    sizeof(std::uint32_t);
   for (RelId rel = 0; rel < scheme_->size(); ++rel) {
     const RelStore& rs = rels_[rel];
     mb.tuple_store += memory::VectorBytes(rs.cells) +
@@ -422,6 +431,11 @@ MemoryBreakdown InternedWorkspace::MemoryUsage() const {
     }
   }
   return mb;
+}
+
+std::uint64_t InternedWorkspace::SharedInternerBytes() const {
+  return ValueTableBytes(interner_.base_size(),
+                         interner_.base_ascending_nulls());
 }
 
 namespace {

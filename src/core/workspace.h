@@ -119,7 +119,7 @@ struct WorkspaceJournalEntry {
     kMerge = 1,         ///< MergeValues(a, b) actually merged
     kReroute = 2,       ///< RerouteOccurrences(loser, winner)
     kCanonicalize = 3,  ///< CanonicalizeTuple(rel, idx) changed the slot
-    kTrim = 4,          ///< TrimFeedTo(rel, horizon) dropped events
+    kTrim = 4,          ///< CompactFeed(rel) dropped events below horizon
   };
   Op op = Op::kAppend;
   std::uint32_t rel = 0;      ///< kAppend / kCanonicalize / kTrim
@@ -187,12 +187,13 @@ struct WorkspaceJournalEntry {
 /// (`AdvanceFeedCursor`), and `CompactFeed(s)` trims the prefix every
 /// registered cursor has passed. `event(rel, seq)` serves any retained
 /// sequence; asking for a trimmed one is a programming error
-/// (CCFP_CHECK). A consumer that finds its cursor *behind* the horizon —
-/// possible only via the forced `TrimFeedTo` path, since CompactFeed
-/// never outruns a registered cursor — must rebuild its state from the
-/// alive ranks instead of replaying (verify/verifier.h does exactly
-/// that). With no cursors registered, CompactFeed trims everything: a
-/// workspace used purely for model checking carries no log at all.
+/// (CCFP_CHECK). CompactFeed never outruns a registered cursor, so a
+/// consumer that registers before reading never finds its cursor behind
+/// the horizon; one that starts at sequence 0 over an already compacted
+/// feed (a chase over a sealed base's fork) must take the horizon as its
+/// starting point. With no cursors registered, CompactFeed trims
+/// everything: a workspace used purely for model checking carries no log
+/// at all.
 ///
 /// ## Partition maintenance contract
 ///
@@ -397,11 +398,6 @@ class InternedWorkspace {
   std::uint64_t CompactFeed(RelId rel);
   /// CompactFeed over every relation; returns the total dropped.
   std::uint64_t CompactFeeds();
-  /// Forced trim of `rel`'s feed below `horizon` (clamped to
-  /// [FeedBase, EventCount]), *ignoring* registered cursors — the
-  /// operator/test path that strands slow consumers behind the horizon so
-  /// their rebuild path can be exercised. Returns the events dropped.
-  std::uint64_t TrimFeedTo(RelId rel, std::uint64_t horizon);
 
   /// --- mutation journal (incremental persistence) -------------------------
   ///
@@ -526,6 +522,11 @@ class InternedWorkspace {
   /// flat arrays whose sizes are the sums, so engines can afford to call
   /// this at periodic budget checkpoints.
   MemoryBreakdown MemoryUsage() const;
+  /// The part of MemoryUsage().interner held by the frozen value table
+  /// that forks share (ids below the interner's base size; 0 before
+  /// SealSharedBase). A fork copies everything else, union-find cells
+  /// included, so what one fork costs on its own is Total() minus this.
+  std::uint64_t SharedInternerBytes() const;
 
   /// --- shared core (fork semantics) ---------------------------------------
   ///
@@ -564,6 +565,13 @@ class InternedWorkspace {
 
  private:
   friend class WorkspaceSnapshotAccess;
+
+  /// Trims `rel`'s feed below `horizon` (clamped to [FeedBase,
+  /// EventCount]) and journals it, *ignoring* registered cursors: callers
+  /// are CompactFeed, which passes the minimum cursor, and the replay of a
+  /// journaled trim onto a cursor-free root (core/snapshot.cc). Returns
+  /// the events dropped.
+  std::uint64_t TrimFeedTo(RelId rel, std::uint64_t horizon);
 
   struct RelStore {
     std::size_t arity = 0;

@@ -68,10 +68,7 @@ class SolverService::InflightGuard {
 
 SolverService::SolverService() : SolverService(Options()) {}
 
-SolverService::SolverService(Options options) : options_(std::move(options)) {
-  // Two service processes must never interleave one session's chain.
-  options_.chain_policy.exclusive = true;
-}
+SolverService::SolverService(Options options) : options_(std::move(options)) {}
 
 SolverService::~SolverService() = default;
 
@@ -237,7 +234,9 @@ SolverService::SessionStats SolverService::LiveStatsLocked(
                            s.mine_life_base.values_interned;
     out.partitions_built += s.mine_ws->stats().partitions_built -
                             s.mine_life_base.partitions_built;
-    out.resident_bytes = s.mine_ws->MemoryUsage().Total();
+    // The frozen value table is the core's, shared by every fork.
+    out.resident_bytes = s.mine_ws->MemoryUsage().Total() -
+                         s.mine_ws->SharedInternerBytes();
   }
   // An Armstrong session's workspace stats ride its full snapshot, so
   // they are overwritten, not summed.
@@ -407,12 +406,13 @@ Status SolverService::Evict(SessionId id) {
     if (s->chain == nullptr) {
       // A mining session's chain is rooted at its core; an Armstrong
       // session owns its workspace, so its chain starts from a base file.
+      // Two service processes must never interleave one session's chain.
+      const SnapshotChainPolicy exclusive{.exclusive = true};
       s->chain = std::make_unique<SnapshotChainWriter>(
           s->kind == SessionKind::kMine
               ? SnapshotChainWriter::RootedAt(ChainPrefix(id),
-                                              s->core->identity(),
-                                              options_.chain_policy)
-              : SnapshotChainWriter(ChainPrefix(id), options_.chain_policy));
+                                              s->core->identity(), exclusive)
+              : SnapshotChainWriter(ChainPrefix(id), exclusive));
     }
   }
   switch (s->kind) {

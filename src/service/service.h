@@ -85,9 +85,6 @@ class SolverService {
     /// Where evicted sessions spill their snapshot chains. Empty
     /// disables Evict for stateful sessions (FailedPrecondition).
     std::string spill_dir;
-    /// Fold policy for spill chains; `exclusive` is forced on so two
-    /// service processes can never interleave one session's chain.
-    SnapshotChainPolicy chain_policy;
     /// Base solve options for solve sessions (semantics, evidence,
     /// search shape). `shared_search_tables` is overwritten per session.
     SolveOptions solve;
@@ -121,7 +118,9 @@ class SolverService {
     /// Logical bytes of the resident session's workspace,
     /// `MemoryUsage().Total()` with its mutation journal: a mining
     /// session's journal grows with every append until the next spill.
-    /// 0 for solve sessions and while evicted.
+    /// A mining session is not charged the core's frozen value table,
+    /// which its fork shares (`SharedInternerBytes()`). 0 for solve
+    /// sessions and while evicted.
     std::uint64_t resident_bytes = 0;
   };
 

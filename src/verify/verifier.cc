@@ -693,53 +693,33 @@ void IncrementalVerifier::CatchUpRelation(RelId rel) {
   const std::vector<GroupCounter*>& gcs = counters_by_rel_[rel];
   const std::vector<GroupTracker*>& gts = trackers_by_rel_[rel];
   std::uint64_t base = ws_->FeedBase(rel);
-  if (cursor_[rel] < base) {
-    // A forced trim (TrimFeedTo) stranded this cursor behind the
-    // compaction horizon. No abort: every update path is idempotent given
-    // its per-slot "what I counted" memory, so re-applying all slots
-    // against the caught-up partitions recovers exactly the missed
-    // transitions — lost intermediate events telescope away.
-    std::uint32_t n = static_cast<std::uint32_t>(ws_->size(rel));
-    for (GroupCounter* gc : gcs) {
-      for (std::uint32_t i = 0; i < n; ++i) gc->Apply(i);
+  // The registered cursor pins compaction, so the unread suffix is always
+  // retained.
+  CCFP_CHECK(cursor_[rel] >= base);
+  const std::vector<WorkspaceEvent>& log = ws_->events(rel);
+  std::uint64_t from = cursor_[rel] - base;
+  stats_.events_consumed += log.size() - from;
+  // Consumer-outer iteration: each counter / tracker / watcher replays
+  // the whole delta with its own state hot instead of being re-fetched
+  // per event, and counters run in creation order so composed layers
+  // read already-caught-up sources. Trackers run after counters and
+  // before the subscribed watchers.
+  for (GroupCounter* gc : gcs) {
+    for (std::uint64_t i = from; i < log.size(); ++i) {
+      ++stats_.watcher_events;
+      gc->Apply(log[i].idx);
     }
-    for (GroupTracker* gt : gts) {
-      for (std::uint32_t i = 0; i < n; ++i) gt->Apply(i);
+  }
+  for (GroupTracker* gt : gts) {
+    for (std::uint64_t i = from; i < log.size(); ++i) {
+      ++stats_.watcher_events;
+      gt->Apply(log[i].idx);
     }
-    WorkspaceEvent ev{WorkspaceEventKind::kRewrite, 0};
-    for (WatchId w : subs) {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        ev.idx = i;
-        watchers_[w]->OnEvent(*ws_, rel, ev);
-      }
-    }
-    ++stats_.horizon_rebuilds;
-  } else {
-    const std::vector<WorkspaceEvent>& log = ws_->events(rel);
-    std::uint64_t from = cursor_[rel] - base;
-    stats_.events_consumed += log.size() - from;
-    // Consumer-outer iteration: each counter / tracker / watcher replays
-    // the whole delta with its own state hot instead of being re-fetched
-    // per event, and counters run in creation order so composed layers
-    // read already-caught-up sources. Trackers run after counters and
-    // before the subscribed watchers.
-    for (GroupCounter* gc : gcs) {
-      for (std::uint64_t i = from; i < log.size(); ++i) {
-        ++stats_.watcher_events;
-        gc->Apply(log[i].idx);
-      }
-    }
-    for (GroupTracker* gt : gts) {
-      for (std::uint64_t i = from; i < log.size(); ++i) {
-        ++stats_.watcher_events;
-        gt->Apply(log[i].idx);
-      }
-    }
-    for (WatchId w : subs) {
-      for (std::uint64_t i = from; i < log.size(); ++i) {
-        ++stats_.watcher_events;
-        watchers_[w]->OnEvent(*ws_, rel, log[i]);
-      }
+  }
+  for (WatchId w : subs) {
+    for (std::uint64_t i = from; i < log.size(); ++i) {
+      ++stats_.watcher_events;
+      watchers_[w]->OnEvent(*ws_, rel, log[i]);
     }
   }
   cursor_[rel] = end;

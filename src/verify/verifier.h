@@ -75,16 +75,13 @@ using WatchId = std::size_t;
 /// ## Compaction and memory
 ///
 /// The verifier registers a feed cursor with the workspace (released on
-/// destruction), so ordinary `CompactFeed` calls never trim events it has
-/// not replayed. If a *forced* trim (`TrimFeedTo`) strands its cursor
-/// behind the compaction horizon anyway, CatchUp does not abort: it
-/// rebuilds that relation's counters by re-applying every slot from the
-/// alive ranks (all update paths are idempotent given their "what I
-/// counted" memory) and counts the recovery in `stats().horizon_rebuilds`.
-/// `MemoryBytes()` reports the watcher-side live state, and the budgeted
-/// `CatchUp(Budget)` overload returns ResourceExhausted at the byte
-/// ceiling mid-stream (resumable: a later CatchUp finishes the replay;
-/// verdicts must not be read before one completes).
+/// destruction), so `CompactFeed` never trims events it has not replayed
+/// and nothing else trims a watched workspace's feed (a snapshot delta
+/// refuses a workspace with registered cursors). `MemoryBytes()` reports
+/// the watcher-side live state, and the budgeted `CatchUp(Budget)`
+/// overload returns ResourceExhausted at the byte ceiling mid-stream
+/// (resumable: a later CatchUp finishes the replay; verdicts must not be
+/// read before one completes).
 class IncrementalVerifier {
  public:
   struct Stats {
@@ -92,7 +89,6 @@ class IncrementalVerifier {
     std::uint64_t events_consumed = 0;  ///< feed entries read
     std::uint64_t watcher_events = 0;   ///< (event, subscribed watcher) pairs
     std::uint64_t sweep_fallbacks = 0;  ///< FindViolation sweep delegations
-    std::uint64_t horizon_rebuilds = 0; ///< relations rebuilt from ranks
   };
 
   /// The verifier holds `ws` by pointer; it must outlive the verifier.
@@ -120,9 +116,7 @@ class IncrementalVerifier {
 
   /// Consumes every unseen change-feed event, updating the affected
   /// watchers; O(delta). Called implicitly by the query methods, so
-  /// explicit calls are only needed for timing control. A relation whose
-  /// cursor fell behind the compaction horizon is rebuilt from alive
-  /// ranks instead (O(relation), counted in stats().horizon_rebuilds).
+  /// explicit calls are only needed for timing control.
   void CatchUp();
 
   /// Budgeted CatchUp: between relations, checks `budget.bytes` against
@@ -175,8 +169,7 @@ class IncrementalVerifier {
   /// side over the same (rel, cols).
   GroupTracker* RegisterTracker(RelId rel, const std::vector<AttrId>& cols);
   void Subscribe(RelId rel, WatchId id);
-  /// Replays `rel`'s retained feed suffix from cursor_[rel] (or rebuilds
-  /// from alive ranks when the cursor is behind the horizon) and advances
+  /// Replays `rel`'s retained feed suffix from cursor_[rel] and advances
   /// the cursor.
   void CatchUpRelation(RelId rel);
 

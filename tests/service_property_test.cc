@@ -279,10 +279,11 @@ class MiningRevivalPropertyTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Two mining sessions over one core receive the same random appends and
-// mining ops; one of them is also evicted at random points (with a small
-// max_deltas so the chain collapses too). Every answer must match the
-// never-evicted twin's. The counters: `values_interned` always matches
-// (the replayed growth is not counted twice). Every projection mined
+// mining ops; one of them is also evicted at random points, then evicted
+// until its chain has passed kMaxDeltas records, so it collapses too.
+// Every answer must match the never-evicted twin's. The counters:
+// `values_interned` always matches (the replayed growth is not counted
+// twice). Every projection mined
 // here with default options was premined by the core, so
 // `partitions_built` stays 0 on both. Had the core not premined them,
 // each revival would compile them again when next needed and count them
@@ -295,7 +296,6 @@ TEST_P(MiningRevivalPropertyTest, RevivedSessionMinesLikeItsTwin) {
 
   SolverService::Options options;
   options.spill_dir = FreshSpillDir("service_" + std::to_string(GetParam()));
-  options.chain_policy.max_deltas = 1 + rng.Below(4);
   SolverService service(options);
   Result<SolverService::SessionId> evicted = service.OpenMine(scheme, warm);
   Result<SolverService::SessionId> twin = service.OpenMine(scheme, warm);
@@ -339,6 +339,28 @@ TEST_P(MiningRevivalPropertyTest, RevivedSessionMinesLikeItsTwin) {
       }
     }
   }
+  // Every eviction of a resident session writes one record; past
+  // kMaxDeltas the core-rooted chain collapses to one delta and regrows,
+  // so only the records since the last collapse are on disk.
+  while (evictions <= SnapshotChainWriter::kMaxDeltas) {
+    Database delta = RandomRows(scheme, rng, 1);
+    ASSERT_TRUE(service.Append(*evicted, delta).ok());
+    ASSERT_TRUE(service.Append(*twin, delta).ok());
+    ASSERT_TRUE(service.Evict(*evicted).ok());
+    ++evictions;
+  }
+  std::string prefix =
+      options.spill_dir + "/session_" + std::to_string(*evicted) + ".delta.";
+  std::uint64_t on_disk = (evictions - 1) % SnapshotChainWriter::kMaxDeltas + 1;
+  EXPECT_TRUE(std::filesystem::exists(prefix + std::to_string(on_disk)));
+  EXPECT_FALSE(std::filesystem::exists(prefix + std::to_string(on_disk + 1)))
+      << "the chain never collapsed";
+  for (RelId rel = 0; rel < scheme->size(); ++rel) {
+    Result<std::vector<Fd>> got = service.MineSessionFds(*evicted, rel);
+    Result<std::vector<Fd>> want = service.MineSessionFds(*twin, rel);
+    ASSERT_TRUE(got.ok() && want.ok()) << got.status();
+    EXPECT_EQ(*got, *want);
+  }
   // Revive (if evicted) and compare the counters.
   ASSERT_TRUE(service.MineSessionInds(*evicted).ok());
   ASSERT_TRUE(service.MineSessionInds(*twin).ok());
@@ -372,28 +394,35 @@ TEST_P(MiningRevivalPropertyTest, ForkPlusReplayMaterializesLikeTheTwin) {
   };
 
   std::string dir = FreshSpillDir("fork_" + std::to_string(GetParam()));
-  SnapshotChainPolicy policy;
-  policy.max_deltas = 1 + rng.Below(4);
-  SnapshotChainWriter writer = SnapshotChainWriter::RootedAt(
-      dir + "/chain", (*core)->identity(), policy);
+  SnapshotChainWriter writer =
+      SnapshotChainWriter::RootedAt(dir + "/chain", (*core)->identity());
   InternedWorkspace live = rooted_fork();
   live.EnableJournal();
   InternedWorkspace twin = (*core)->ForkWorkspace();
 
-  for (int step = 0; step < 30; ++step) {
+  // Spill and revive as fork + replay; count the saves that collapsed
+  // the chain instead of growing it.
+  std::size_t collapses = 0;
+  auto spill_and_revive = [&] {
+    std::size_t before = writer.delta_count();
+    ASSERT_TRUE(writer.Save(live).ok());
+    EXPECT_LE(writer.delta_count(), SnapshotChainWriter::kMaxDeltas);
+    collapses += writer.delta_count() <= before ? 1 : 0;
+    Result<RestoredChain> chain =
+        LoadSnapshotChain(scheme, writer.prefix(), rooted_fork());
+    ASSERT_TRUE(chain.ok()) << chain.status();
+    live = std::move(chain->restored.ws);
+    writer.Adopt(*chain);
+  };
+  // A random phase, then spills until the chain has collapsed once.
+  for (int step = 0; step < 30 || collapses == 0; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
-    if (rng.Below(3) != 0) {
+    if (step < 30 && rng.Below(3) != 0) {
       Database delta = RandomRows(scheme, rng, 1 + rng.Below(4));
       live.AppendDatabase(delta);
       twin.AppendDatabase(delta);
     } else {
-      ASSERT_TRUE(writer.Save(live).ok());
-      EXPECT_LE(writer.delta_count(), policy.max_deltas);
-      Result<RestoredChain> chain =
-          LoadSnapshotChain(scheme, writer.prefix(), rooted_fork());
-      ASSERT_TRUE(chain.ok()) << chain.status();
-      live = std::move(chain->restored.ws);
-      writer.Adopt(*chain);
+      spill_and_revive();
     }
     ASSERT_EQ(live.Materialize(), twin.Materialize());
     EXPECT_EQ(live.stats().values_interned, twin.stats().values_interned);

@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
@@ -18,6 +19,7 @@
 #include "mine/discovery.h"
 #include "service/shared_core.h"
 #include "solve/solver.h"
+#include "util/memory_budget.h"
 
 namespace ccfp {
 namespace {
@@ -344,7 +346,7 @@ TEST(ServiceTest, MiningEvictionSpillsAndRevivesWithLocalAppends) {
 }
 
 TEST(ServiceTest, MiningChainFoldsPastMaxDeltasAndStaysExact) {
-  // More evictions than SnapshotChainPolicy::max_deltas: the core-rooted
+  // More evictions than SnapshotChainWriter::kMaxDeltas: the core-rooted
   // chain collapses into one delta instead of writing a base, and every
   // revival mines exactly what a never-evicted twin mines.
   SolverService::Options options;
@@ -357,7 +359,7 @@ TEST(ServiceTest, MiningChainFoldsPastMaxDeltasAndStaysExact) {
   ASSERT_TRUE(id.ok() && twin.ok());
   std::string prefix = options.spill_dir + "/session_" + std::to_string(*id);
 
-  const std::size_t max_deltas = SnapshotChainPolicy().max_deltas;
+  const std::size_t max_deltas = SnapshotChainWriter::kMaxDeltas;
   for (std::size_t round = 0; round < 2 * max_deltas + 3; ++round) {
     Database delta(scheme);
     std::int64_t v = static_cast<std::int64_t>(round);
@@ -366,9 +368,14 @@ TEST(ServiceTest, MiningChainFoldsPastMaxDeltasAndStaysExact) {
     ASSERT_TRUE(service.Append(*twin, delta).ok());
     ASSERT_TRUE(service.Evict(*id).ok()) << "round " << round;
 
+    // Records 1..kMaxDeltas, then each collapse restarts the count at 1.
+    std::size_t on_disk = round % max_deltas + 1;
     EXPECT_FALSE(std::filesystem::exists(prefix + ".base"));
+    EXPECT_TRUE(std::filesystem::exists(
+        prefix + ".delta." + std::to_string(on_disk)));
     EXPECT_FALSE(std::filesystem::exists(
-        prefix + ".delta." + std::to_string(max_deltas + 1)));
+        prefix + ".delta." + std::to_string(on_disk + 1)))
+        << "round " << round;
 
     for (RelId rel = 0; rel < scheme->size(); ++rel) {
       Result<std::vector<Fd>> got = service.MineSessionFds(*id, rel);
@@ -600,6 +607,37 @@ TEST(ServiceTest, ResidentBytesCountTheJournalUntilTheNextSpill) {
   EXPECT_GT(revived->resident_bytes, 0u);
   EXPECT_LT(revived->resident_bytes, before->resident_bytes)
       << "the revived session still charges a journal";
+}
+
+TEST(ServiceTest, ResidentBytesLeaveOutTheCoresSharedValueTable) {
+  // A mining session's fork shares its core's frozen value table, so the
+  // session is charged its fork's bytes minus exactly that table; the
+  // union-find cells, which each fork copies, stay charged.
+  SolverService service;
+  SchemePtr scheme = RsScheme();
+  Database warm = WarmData(scheme);
+  Result<SolverService::SessionId> id = service.OpenMine(scheme, warm);
+  ASSERT_TRUE(id.ok());
+  Result<SolverService::SessionStats> opened = service.Stats(*id);
+  ASSERT_TRUE(opened.ok());
+
+  // The same fork outside the service: nothing interned locally yet, so
+  // every value (and every ascending null) is the frozen base's.
+  Result<std::shared_ptr<const SolverCore>> core =
+      SolverCore::Build(scheme, {}, &warm);
+  ASSERT_TRUE(core.ok()) << core.status();
+  InternedWorkspace fork = (*core)->ForkWorkspace();
+  const ValueInterner& interner = fork.interner();
+  std::uint64_t values = interner.base_size();
+  std::uint64_t nulls = interner.ascending_nulls();
+  ASSERT_GT(values, 0u);
+  ASSERT_EQ(interner.size(), values);
+  std::uint64_t shared =
+      values * sizeof(Value) +
+      (values - nulls) *
+          (sizeof(std::pair<Value, ValueId>) + memory::kHashNodeOverhead) +
+      nulls * sizeof(ValueInterner::NullEntry);
+  EXPECT_EQ(opened->resident_bytes, fork.MemoryUsage().Total() - shared);
 }
 
 TEST(ServiceTest, MiningEvictionWithoutSpillDirIsFailedPrecondition) {

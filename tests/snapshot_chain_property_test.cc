@@ -36,9 +36,9 @@ class SnapshotChainPropertyTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Fresh watchers on both sides agree with the sweep, the fresh
-// re-intern, and *each other*. Scoped per batch: a persistent watcher
-// would pin the mirror's feed, and replayed kTrim entries use the
-// forced TrimFeedTo path that ignores registered cursors.
+// re-intern, and *each other*. Scoped per batch: replayed kTrim entries
+// ignore registered cursors, so ApplyWorkspaceDelta refuses a mirror
+// that a persistent watcher would register on.
 void CheckBothSides(const InternedWorkspace& live,
                     const InternedWorkspace& mirror,
                     const std::vector<Dependency>& deps) {

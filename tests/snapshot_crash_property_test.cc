@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -49,6 +50,19 @@ constexpr FaultSite kCrashSites[] = {
 
 class SnapshotCrashPropertyTest
     : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// True when `writer`'s next Save of a workspace at its tip folds the
+/// chain into a fresh base — the writer's own rule (kMaxDeltas deltas, or
+/// delta bytes past kFoldDeltaPercent of the base's), read off the files.
+bool NextSaveFolds(const SnapshotChainWriter& writer) {
+  std::uintmax_t delta_bytes = 0;
+  for (std::size_t k = 1; k <= writer.delta_count(); ++k) {
+    delta_bytes += std::filesystem::file_size(writer.DeltaPath(k));
+  }
+  return writer.delta_count() >= SnapshotChainWriter::kMaxDeltas ||
+         delta_bytes * 100 > std::filesystem::file_size(writer.BasePath()) *
+                                 SnapshotChainWriter::kFoldDeltaPercent;
+}
 
 void MutateBatch(InternedWorkspace& ws, SplitMix64& rng,
                  std::vector<ValueId>& pool, std::size_t ops) {
@@ -139,18 +153,19 @@ TEST_P(SnapshotCrashPropertyTest, CrashedFoldKeepsACompleteChainLoadable) {
 
   std::string prefix = ::testing::TempDir() + "/ccfp_crash_fold_" +
                        std::to_string(seed);
-  SnapshotChainPolicy policy;
-  policy.max_deltas = 1;  // base, one delta, then every save folds
-  policy.fold_delta_percent = 0;
-  SnapshotChainWriter writer(prefix, policy);
+  SnapshotChainWriter writer(prefix);
   ASSERT_TRUE(writer.Save(ws).ok());  // base: S0
-  MutateBatch(ws, rng, pool, 1 + rng.Below(4));
-  ASSERT_TRUE(writer.Save(ws).ok());  // delta 1: S1
-  Result<RestoredChain> s1 = LoadSnapshotChain(scheme, prefix);
-  ASSERT_TRUE(s1.ok()) << s1.status();
-  ASSERT_EQ(s1->deltas_applied, 1u);
+  do {  // deltas S1..Sk, until the next save folds (by count or bytes)
+    MutateBatch(ws, rng, pool, 1 + rng.Below(4));
+    ASSERT_TRUE(writer.Save(ws).ok());
+  } while (!NextSaveFolds(writer));
+  const std::size_t k = writer.delta_count();
+  ASSERT_GE(k, 1u);
+  Result<RestoredChain> sk = LoadSnapshotChain(scheme, prefix);
+  ASSERT_TRUE(sk.ok()) << sk.status();
+  ASSERT_EQ(sk->deltas_applied, k);
 
-  MutateBatch(ws, rng, pool, 1 + rng.Below(4));  // S2; next save folds
+  MutateBatch(ws, rng, pool, 1 + rng.Below(4));  // the fold's new state
   FaultSite site = kCrashSites[seed % 4];
   FaultInjector fi(seed * 3 + 1);
   fi.Arm(site, 0);
@@ -165,17 +180,18 @@ TEST_P(SnapshotCrashPropertyTest, CrashedFoldKeepsACompleteChainLoadable) {
   Result<RestoredChain> after = LoadSnapshotChain(scheme, prefix);
   ASSERT_TRUE(after.ok()) << after.status();
   if (site == FaultSite::kSnapshotRename) {
-    // New base landed; the old delta survives on disk but its base link
-    // no longer matches, so the load treats it as end-of-chain.
+    // New base landed; the old deltas survive on disk but their base
+    // link no longer matches, so the load treats them as end-of-chain.
     EXPECT_EQ(after->deltas_applied, 0u);
     ExpectObservablyEquivalent(after->restored.ws, ws);
   } else {
-    EXPECT_EQ(after->deltas_applied, 1u);
-    ExpectObservablyEquivalent(after->restored.ws, s1->restored.ws);
+    EXPECT_EQ(after->deltas_applied, k);
+    ExpectObservablyEquivalent(after->restored.ws, sk->restored.ws);
   }
 
   // The retried fold completes and sweeps the stale delta files.
   ASSERT_TRUE(writer.Save(ws).ok());
+  EXPECT_EQ(writer.delta_count(), 0u) << "the retried save must fold";
   EXPECT_FALSE(std::ifstream(writer.DeltaPath(1)).good())
       << "fold left a stale delta file behind";
   Result<RestoredChain> folded = LoadSnapshotChain(scheme, prefix);
@@ -207,9 +223,10 @@ TEST_P(SnapshotCrashPropertyTest, WarmReloadAfterMidSaveCrashMatchesControl) {
 
   std::string prefix = ::testing::TempDir() + "/ccfp_crash_session_" +
                        std::to_string(seed);
-  SnapshotChainPolicy policy;
-  policy.max_deltas = 3;  // the crash lands on a delta or a fold by seed
-  SnapshotChainWriter chain(prefix, policy);
+  // Each checkpoint's aux carries the whole classification, so the byte
+  // trigger folds every few saves: the crash lands on a delta or a fold
+  // by seed.
+  SnapshotChainWriter chain(prefix);
   ArmstrongSession victim(scheme, fds, {}, &oracle, copts);
 
   std::size_t crash_at = 1 + seed % (universe.size() - 1);
@@ -249,14 +266,17 @@ TEST_P(SnapshotCrashPropertyTest, WarmReloadAfterMidSaveCrashMatchesControl) {
   // Warm start from the record (zero oracle calls for the persisted
   // prefix), adopt the chain, and re-extend the full universe: known
   // members are no-ops, the lost tail is re-classified.
-  SnapshotChainWriter chain2(prefix, policy);
+  SnapshotChainWriter chain2(prefix);
   chain2.Adopt(*loaded);
   ArmstrongSession warm(std::move(loaded->restored.ws), record.MoveValue(),
                         fds, {}, &oracle, copts);
+  std::size_t folds = 0;
   for (const Dependency& dep : universe) {
     ASSERT_TRUE(warm.Extend({dep}).ok()) << dep.ToString(*scheme);
     ASSERT_TRUE(warm.Checkpoint(chain2).ok()) << dep.ToString(*scheme);
+    folds += chain2.delta_count() == 0 ? 1 : 0;
   }
+  EXPECT_GT(folds, 0u) << "the recovered chain never folded";
 
   ASSERT_EQ(warm.universe().size(), control.universe().size());
   EXPECT_EQ(warm.expected(), control.expected());

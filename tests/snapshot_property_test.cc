@@ -6,8 +6,9 @@
 // (tests/trace_util.h drives the same traces as the verifier suite). The
 // restored side replays the identical mutation suffix, which works
 // because a restore is id-exact: the shared value pool carries over.
-// Also pinned here: save-side injected corruption/truncation across
-// random states is always rejected at load, never half-restored.
+// Also pinned here: a chain base damaged on disk (a bit flip or a
+// truncation) across random states is always rejected at load, never
+// half-restored.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -103,9 +104,10 @@ TEST_P(SnapshotPropertyTest, RestoredSessionAnswersIdenticallyAtEveryCursor) {
 }
 
 TEST_P(SnapshotPropertyTest, InjectedSaveFaultsAlwaysRejectedAtLoad) {
-  // Whatever state the trace reached, a save whose bytes were damaged by
-  // the injector (bit rot or torn write) must be rejected by the load —
-  // and an undamaged save must restore observably intact.
+  // Whatever state the trace reached, a saved record whose bytes were
+  // damaged on disk by the injector (bit rot or a torn tail) must be
+  // rejected by the load — and an undamaged save must restore observably
+  // intact.
   SplitMix64 rng(GetParam() * 2654435761 + 17);
   SchemePtr scheme = RandomScheme(rng);
   InternedWorkspace ws(scheme);
@@ -122,31 +124,23 @@ TEST_P(SnapshotPropertyTest, InjectedSaveFaultsAlwaysRejectedAtLoad) {
     ws.Satisfies(dep);  // compile some partitions into the snapshot
   }
 
-  std::string path = ::testing::TempDir() + "/ccfp_snapshot_prop_" +
-                     std::to_string(GetParam()) + ".bin";
-  // Non-atomic legacy policy: the damage must reach the target file (the
-  // atomic default confines it to the temp file and fails the save —
-  // snapshot_crash_property_test exercises that side).
-  SnapshotWriteOptions direct;
-  direct.atomic = false;
+  std::string prefix = ::testing::TempDir() + "/ccfp_snapshot_prop_" +
+                       std::to_string(GetParam());
+  ASSERT_TRUE(SnapshotChainWriter(prefix).Save(ws).ok());
   FaultInjector fi(GetParam());
   FaultSite site = rng.Chance(1, 2) ? FaultSite::kSnapshotCorrupt
                                     : FaultSite::kSnapshotTruncate;
-  fi.Arm(site, 0);
-  {
-    ScopedFaultInjector scope(&fi);
-    ASSERT_TRUE(SaveWorkspaceSnapshot(ws, path, {}, direct).ok());
-  }
-  ASSERT_EQ(fi.fired(site), 1u);
-  Result<RestoredWorkspace> damaged = LoadWorkspaceSnapshot(scheme, path);
+  testutil::DamageFileInPlace(prefix + ".base", fi, site);
+  Result<RestoredChain> damaged = LoadSnapshotChain(scheme, prefix);
   ASSERT_FALSE(damaged.ok()) << "damaged snapshot restored";
   EXPECT_EQ(damaged.status().code(), StatusCode::kInvalidArgument);
 
-  // The recovery path: re-save without the fault, load, verify verdicts.
-  ASSERT_TRUE(SaveWorkspaceSnapshot(ws, path).ok());
-  Result<RestoredWorkspace> ok = LoadWorkspaceSnapshot(scheme, path);
+  // The recovery path: a fresh chain rewrites the base; load, compare.
+  ASSERT_TRUE(SnapshotChainWriter(prefix).Save(ws).ok());
+  Result<RestoredChain> ok = LoadSnapshotChain(scheme, prefix);
   ASSERT_TRUE(ok.ok()) << ok.status();
-  EXPECT_EQ(ws.Materialize().ToString(), ok->ws.Materialize().ToString());
+  EXPECT_EQ(ws.Materialize().ToString(),
+            ok->restored.ws.Materialize().ToString());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotPropertyTest,

@@ -2,8 +2,10 @@
 // round-trip contract (a restored workspace is observably identical,
 // including its warm partition capital), the damage contract (every
 // single-bit flip and every truncation is InvalidArgument, never a crash
-// or a half-restored workspace), the file round-trip, and the injected
-// save-side faults (util/fault.h) the recovery suites lean on.
+// or a half-restored workspace), the chain file round-trip with on-disk
+// damage caught at load, the delta guard against registered feed
+// cursors, and the injected save-side faults (util/fault.h) the recovery
+// suites lean on.
 #include "core/snapshot.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +14,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "tests/trace_util.h"
 #include "util/fault.h"
 #include "util/rng.h"
+#include "verify/verifier.h"
 
 namespace ccfp {
 namespace {
@@ -324,66 +326,62 @@ TEST(SnapshotTest, FileRoundTrip) {
   SchemePtr scheme = TwoRelScheme();
   std::vector<Dependency> deps;
   InternedWorkspace ws = PopulatedWorkspace(scheme, &deps);
-  std::string path = ::testing::TempDir() + "/ccfp_snapshot_roundtrip.bin";
+  std::string prefix = ::testing::TempDir() + "/ccfp_snapshot_roundtrip";
 
-  ASSERT_TRUE(SaveWorkspaceSnapshot(ws, path, {{7}}).ok());
-  Result<RestoredWorkspace> restored = LoadWorkspaceSnapshot(scheme, path);
+  SnapshotChainWriter writer(prefix);
+  ASSERT_TRUE(writer.Save(ws, {{7}}).ok());
+  ASSERT_TRUE(writer.has_base());
+  Result<RestoredChain> restored = LoadSnapshotChain(scheme, prefix);
   ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->consumer_cursors,
+  EXPECT_EQ(restored->restored.consumer_cursors,
             (std::vector<std::vector<std::uint64_t>>{{7}}));
-  ExpectObservablyEqual(ws, restored->ws, deps);
+  ExpectObservablyEqual(ws, restored->restored.ws, deps);
+
+  // The on-disk base is checked against the loader's scheme too.
+  Result<RestoredChain> foreign = LoadSnapshotChain(
+      MakeScheme({{"R0", {"A", "B", "C"}}, {"R1", {"A", "C"}}}), prefix);
+  ASSERT_FALSE(foreign.ok());
+  EXPECT_EQ(foreign.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotTest, MissingFileIsNotFound) {
   SchemePtr scheme = TwoRelScheme();
-  Result<RestoredWorkspace> restored = LoadWorkspaceSnapshot(
-      scheme, ::testing::TempDir() + "/ccfp_snapshot_does_not_exist.bin");
+  Result<RestoredChain> restored = LoadSnapshotChain(
+      scheme, ::testing::TempDir() + "/ccfp_snapshot_does_not_exist");
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kNotFound);
 }
 
-TEST(SnapshotTest, InjectedCorruptionIsDetectedAtLoad) {
-  // The save-side kSnapshotCorrupt fault under the *non-atomic* legacy
-  // policy simulates bit rot between save and load: the save itself
-  // succeeds, the load must reject. (Under the atomic default the damage
-  // never reaches the target — snapshot_crash_property_test covers that.)
+/// Saves a chain base, damages it on disk at `site`, and expects the
+/// chain load to refuse it.
+void ExpectDamagedBaseRejected(FaultSite site, std::uint64_t seed,
+                               const std::string& name) {
   SchemePtr scheme = TwoRelScheme();
   InternedWorkspace ws = PopulatedWorkspace(scheme, nullptr);
-  std::string path = ::testing::TempDir() + "/ccfp_snapshot_corrupt.bin";
-  SnapshotWriteOptions direct;
-  direct.atomic = false;
+  std::string prefix = ::testing::TempDir() + "/" + name;
+  SnapshotChainWriter writer(prefix);
+  ASSERT_TRUE(writer.Save(ws).ok());
+  ASSERT_TRUE(LoadSnapshotChain(scheme, prefix).ok());
 
-  FaultInjector fi(99);
-  fi.Arm(FaultSite::kSnapshotCorrupt, 0);
-  {
-    ScopedFaultInjector scope(&fi);
-    ASSERT_TRUE(SaveWorkspaceSnapshot(ws, path, {}, direct).ok());
-  }
-  EXPECT_EQ(fi.fired(FaultSite::kSnapshotCorrupt), 1u);
-  Result<RestoredWorkspace> restored = LoadWorkspaceSnapshot(scheme, path);
+  FaultInjector fi(seed);
+  testutil::DamageFileInPlace(writer.BasePath(), fi, site);
+  Result<RestoredChain> restored = LoadSnapshotChain(scheme, prefix);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SnapshotTest, InjectedTruncationIsDetectedAtLoad) {
-  // kSnapshotTruncate under the non-atomic legacy policy simulates the
-  // torn partial write of a crash mid-save reaching the target file.
-  SchemePtr scheme = TwoRelScheme();
-  InternedWorkspace ws = PopulatedWorkspace(scheme, nullptr);
-  std::string path = ::testing::TempDir() + "/ccfp_snapshot_truncated.bin";
-  SnapshotWriteOptions direct;
-  direct.atomic = false;
+TEST(SnapshotTest, InjectedCorruptionIsDetectedAtLoad) {
+  // Bit rot between save and load: the save succeeded, the load must
+  // reject. (A fault injected *during* a save never reaches the target —
+  // snapshot_crash_property_test covers that side.)
+  ExpectDamagedBaseRejected(FaultSite::kSnapshotCorrupt, 99,
+                            "ccfp_snapshot_corrupt");
+}
 
-  FaultInjector fi(7);
-  fi.Arm(FaultSite::kSnapshotTruncate, 0);
-  {
-    ScopedFaultInjector scope(&fi);
-    ASSERT_TRUE(SaveWorkspaceSnapshot(ws, path, {}, direct).ok());
-  }
-  EXPECT_EQ(fi.fired(FaultSite::kSnapshotTruncate), 1u);
-  Result<RestoredWorkspace> restored = LoadWorkspaceSnapshot(scheme, path);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+TEST(SnapshotTest, InjectedTruncationIsDetectedAtLoad) {
+  // A record cut short on disk.
+  ExpectDamagedBaseRejected(FaultSite::kSnapshotTruncate, 7,
+                            "ccfp_snapshot_truncated");
 }
 
 TEST(SnapshotTest, UnarmedInjectorIsInvisible) {
@@ -391,16 +389,58 @@ TEST(SnapshotTest, UnarmedInjectorIsInvisible) {
   SchemePtr scheme = TwoRelScheme();
   std::vector<Dependency> deps;
   InternedWorkspace ws = PopulatedWorkspace(scheme, &deps);
-  std::string path = ::testing::TempDir() + "/ccfp_snapshot_unarmed.bin";
+  std::string prefix = ::testing::TempDir() + "/ccfp_snapshot_unarmed";
 
   FaultInjector fi(1);
   {
     ScopedFaultInjector scope(&fi);
-    ASSERT_TRUE(SaveWorkspaceSnapshot(ws, path).ok());
+    ASSERT_TRUE(SnapshotChainWriter(prefix).Save(ws).ok());
   }
-  Result<RestoredWorkspace> restored = LoadWorkspaceSnapshot(scheme, path);
+  Result<RestoredChain> restored = LoadSnapshotChain(scheme, prefix);
   ASSERT_TRUE(restored.ok()) << restored.status();
-  ExpectObservablyEqual(ws, restored->ws, deps);
+  ExpectObservablyEqual(ws, restored->restored.ws, deps);
+}
+
+TEST(SnapshotTest, DeltaRefusesATargetWithFeedCursors) {
+  // A delta's journaled feed trim ignores feed cursors, so a target with
+  // a registered consumer is refused before anything changes — with
+  // InvalidArgument, never the "end of chain" FailedPrecondition.
+  SchemePtr scheme = TwoRelScheme();
+  InternedWorkspace live = PopulatedWorkspace(scheme, nullptr);
+  Result<RestoredWorkspace> target =
+      DeserializeWorkspace(scheme, SerializeWorkspace(live));
+  ASSERT_TRUE(target.ok()) << target.status();
+  live.MarkJournalPersisted(target->snapshot_id);
+  live.EnableJournal();
+  live.Append(1, {live.Intern(Value::Int(77)), live.Intern(Value::Str("t"))});
+  live.CompactFeeds();
+  bool trims = false;
+  for (const WorkspaceJournalEntry& e : live.journal()) {
+    trims |= e.op == WorkspaceJournalEntry::Op::kTrim;
+  }
+  ASSERT_TRUE(trims) << "the delta must carry a feed trim";
+  Result<std::string> delta = SerializeWorkspaceDelta(live);
+  ASSERT_TRUE(delta.ok()) << delta.status();
+
+  InternedWorkspace& ws = target->ws;
+  Database before = ws.Materialize();
+  std::vector<std::uint64_t> events;
+  for (RelId rel = 0; rel < scheme->size(); ++rel) {
+    events.push_back(ws.EventCount(rel));
+  }
+  {
+    IncrementalVerifier verifier(&ws);
+    Result<WorkspaceDeltaInfo> refused = ApplyWorkspaceDelta(ws, *delta);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(ws.Materialize(), before);
+    for (RelId rel = 0; rel < scheme->size(); ++rel) {
+      EXPECT_EQ(ws.EventCount(rel), events[rel]);
+    }
+  }
+  // With the consumer gone the same delta applies.
+  ASSERT_TRUE(ApplyWorkspaceDelta(ws, *delta).ok());
+  EXPECT_EQ(ws.Materialize(), live.Materialize());
 }
 
 TEST(SnapshotChainLockTest, ExcludesSecondHolderUntilReleased) {
@@ -488,10 +528,7 @@ TEST(SnapshotChainTest, RootedChainWritesDeltasOnlyAndRejectsDamage) {
     return ws;
   };
   std::string prefix = ::testing::TempDir() + "/ccfp_rooted_chain";
-  SnapshotChainPolicy policy;
-  policy.max_deltas = 2;
-  SnapshotChainWriter writer =
-      SnapshotChainWriter::RootedAt(prefix, kRoot, policy);
+  SnapshotChainWriter writer = SnapshotChainWriter::RootedAt(prefix, kRoot);
 
   // A workspace that is not journaling from the root is refused, and
   // nothing is written.
@@ -506,16 +543,17 @@ TEST(SnapshotChainTest, RootedChainWritesDeltasOnlyAndRejectsDamage) {
     live.Append(1, {live.Intern(Value::Int(9000 + k)),
                     live.Intern(Value::Str("x" + std::to_string(k)))});
   };
-  for (std::int64_t k = 0; k < 2; ++k) {
+  constexpr std::int64_t kFull = SnapshotChainWriter::kMaxDeltas;
+  for (std::int64_t k = 0; k < kFull; ++k) {
     append(k);
     ASSERT_TRUE(writer.Save(live).ok());
   }
   EXPECT_FALSE(std::ifstream(writer.BasePath()).good());
-  EXPECT_EQ(writer.delta_count(), 2u);
+  EXPECT_EQ(writer.delta_count(), SnapshotChainWriter::kMaxDeltas);
 
   Result<RestoredChain> chain = LoadSnapshotChain(scheme, prefix, root());
   ASSERT_TRUE(chain.ok()) << chain.status();
-  EXPECT_EQ(chain->deltas_applied, 2u);
+  EXPECT_EQ(chain->deltas_applied, SnapshotChainWriter::kMaxDeltas);
   EXPECT_EQ(chain->base_bytes, 0u);
   EXPECT_EQ(chain->restored.ws.Materialize(), live.Materialize());
 
@@ -533,8 +571,8 @@ TEST(SnapshotChainTest, RootedChainWritesDeltasOnlyAndRejectsDamage) {
   EXPECT_EQ(unlinked->deltas_applied, 0u);
   EXPECT_EQ(unlinked->restored.ws.Materialize(), base.Materialize());
 
-  // Past max_deltas the chain collapses into one delta over the root.
-  append(2);
+  // Past kMaxDeltas the chain collapses into one delta over the root.
+  append(kFull);
   ASSERT_TRUE(writer.Save(live).ok());
   EXPECT_EQ(writer.delta_count(), 1u);
   EXPECT_FALSE(std::ifstream(writer.DeltaPath(2)).good());
@@ -544,28 +582,22 @@ TEST(SnapshotChainTest, RootedChainWritesDeltasOnlyAndRejectsDamage) {
   EXPECT_EQ(chain->restored.ws.Materialize(), live.Materialize());
 
   // Damage in a delta fails the load (never a silent end of chain).
-  append(3);
+  append(kFull + 1);
   ASSERT_TRUE(writer.Save(live).ok());
-  std::string path = writer.DeltaPath(2);
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  ASSERT_GT(bytes.size(), 40u);
-  bytes[bytes.size() - 5] ^= 0x10;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  FaultInjector fi(5);
+  testutil::DamageFileInPlace(writer.DeltaPath(2), fi,
+                              FaultSite::kSnapshotCorrupt);
   Result<RestoredChain> damaged = LoadSnapshotChain(scheme, prefix, root());
   ASSERT_FALSE(damaged.ok());
   EXPECT_EQ(damaged.status().code(), StatusCode::kInvalidArgument);
 
   // A collapse that meets the damaged record fails and keeps the
   // journal, so nothing unpersisted is lost.
-  append(4);
+  for (std::int64_t k = kFull + 2; writer.delta_count() < kFull; ++k) {
+    append(k);
+    ASSERT_TRUE(writer.Save(live).ok());
+  }
+  append(2 * kFull + 1);
   Status collapse = writer.Save(live);
   ASSERT_FALSE(collapse.ok());
   EXPECT_EQ(collapse.code(), StatusCode::kInvalidArgument);

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <utility>
@@ -17,6 +19,7 @@
 
 #include "core/satisfies.h"
 #include "core/workspace.h"
+#include "util/fault.h"
 #include "util/rng.h"
 #include "verify/verifier.h"
 
@@ -246,6 +249,29 @@ inline void ExpectObservablyEquivalent(const InternedWorkspace& a,
   EXPECT_EQ(a.stats().tuples_killed, b.stats().tuples_killed);
   EXPECT_EQ(a.stats().value_merges, b.stats().value_merges);
   EXPECT_EQ(a.stats().values_interned, b.stats().values_interned);
+}
+
+/// Bit rot on disk: rewrites the record at `path` in place, damaged by
+/// `fi` — one seeded bit flip for kSnapshotCorrupt, a seeded truncation
+/// for kSnapshotTruncate.
+inline void DamageFileInPlace(const std::string& path, FaultInjector& fi,
+                              FaultSite site) {
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good()) << "cannot read " << path;
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(bytes.empty()) << path;
+  if (site == FaultSite::kSnapshotCorrupt) {
+    fi.CorruptBytes(bytes);
+  } else {
+    fi.TruncateBytes(bytes);
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << "cannot write " << path;
 }
 
 }  // namespace testutil
