@@ -1,7 +1,7 @@
 // E12: bounded counterexample search — the id-space enumeration engine
 // (integer-coded candidates, incremental per-dependency counters, sound
-// pruning) against the per-candidate materializing engine
-// (FindCounterexampleMaterialized, the "legacy" entries), on
+// pruning) against the test-only per-candidate materializing reference
+// (reference::FindCounterexampleMaterialized, the "legacy" entries), on
 // exhaustive no-counterexample workloads where the whole bounded space
 // must be scanned. Emitted to BENCH_bounded_search.json.
 #include <cstdio>
@@ -12,6 +12,7 @@
 #include "bench/bench_main.h"
 #include "bench/reporter.h"
 #include "core/dependency.h"
+#include "reference/bounded.h"
 #include "search/bounded.h"
 #include "util/check.h"
 
@@ -90,8 +91,8 @@ std::uint64_t RunOnce(const Workload& w, bool id_space,
   Result<BoundedSearchResult> result =
       id_space ? FindCounterexample(w.scheme, w.premises, w.conclusion,
                                     w.options)
-               : FindCounterexampleMaterialized(w.scheme, w.premises,
-                                                w.conclusion, w.options);
+               : reference::FindCounterexampleMaterialized(
+                     w.scheme, w.premises, w.conclusion, w.options);
   CCFP_CHECK(result.ok());
   CCFP_CHECK(result->exhausted);
   CCFP_CHECK(result->counterexample.has_value() == w.expect_counterexample);

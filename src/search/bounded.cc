@@ -2,61 +2,13 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <set>
 
-#include "core/satisfies.h"
 #include "util/check.h"
-#include "util/strings.h"
 
 namespace ccfp {
 
 namespace {
-
-/// ------------------------------------------------------------------------
-/// Materializing engine: build every candidate database as heap Value
-/// tuples and run the model checker per candidate. The fallback when the
-/// id-space key tables would not fit, and the differential reference for
-/// the id-space engine.
-/// ------------------------------------------------------------------------
-
-// All tuples over `arity` positions with entries in {0..domain-1}, in
-// lexicographic order.
-std::vector<Tuple> TupleSpace(std::size_t arity, std::size_t domain) {
-  std::vector<Tuple> space;
-  std::uint64_t total = 1;
-  for (std::size_t i = 0; i < arity; ++i) total *= domain;
-  space.reserve(total);
-  for (std::uint64_t code = 0; code < total; ++code) {
-    Tuple t(arity);
-    std::uint64_t rest = code;
-    for (std::size_t i = 0; i < arity; ++i) {
-      t[i] = Value::Int(static_cast<std::int64_t>(rest % domain));
-      rest /= domain;
-    }
-    space.push_back(std::move(t));
-  }
-  return space;
-}
-
-// All subsets of {0..n-1} of size <= k, as index lists.
-std::vector<std::vector<std::size_t>> Combinations(std::size_t n,
-                                                   std::size_t k) {
-  std::vector<std::vector<std::size_t>> out;
-  std::vector<std::size_t> current;
-  std::function<void(std::size_t)> rec = [&](std::size_t start) {
-    out.push_back(current);
-    if (current.size() >= k) return;
-    for (std::size_t i = start; i < n; ++i) {
-      current.push_back(i);
-      rec(i + 1);
-      current.pop_back();
-    }
-  };
-  rec(0);
-  return out;
-}
 
 std::uint64_t SatMul(std::uint64_t a, std::uint64_t b) {
   if (a != 0 && b > ~std::uint64_t{0} / a) return ~std::uint64_t{0};
@@ -67,100 +19,20 @@ std::uint64_t SatAdd(std::uint64_t a, std::uint64_t b) {
   return a > ~std::uint64_t{0} - b ? ~std::uint64_t{0} : a + b;
 }
 
-/// Logical bytes MaterializedSearch allocates up front: the per-relation
-/// Value tuple spaces plus every subset index list (Combinations output).
-/// Saturating arithmetic — a saturated estimate certainly busts any real
-/// ceiling.
-std::uint64_t MaterializedBytes(const DatabaseScheme& scheme,
-                                const BoundedSearchOptions& options) {
-  std::uint64_t bytes = 0;
-  for (RelId rel = 0; rel < scheme.size(); ++rel) {
-    std::size_t arity = scheme.relation(rel).arity();
-    std::uint64_t space = 1;
-    for (std::size_t a = 0; a < arity; ++a) {
-      space = SatMul(space, options.domain_size);
-    }
-    bytes = SatAdd(bytes, SatMul(space, SatMul(arity, sizeof(Value))));
-    // Subsets of size <= k: sum_i C(space, i) lists holding sum_i i *
-    // C(space, i) indexes.
-    std::uint64_t binom = 1, subsets = 1, indexes = 0;
-    for (std::uint64_t i = 1;
-         i <= options.max_tuples_per_relation && i <= space; ++i) {
-      binom = SatMul(binom, space - i + 1) / i;
-      subsets = SatAdd(subsets, binom);
-      indexes = SatAdd(indexes, SatMul(binom, i));
-    }
-    bytes = SatAdd(bytes, SatMul(subsets, sizeof(std::vector<std::size_t>)));
-    bytes = SatAdd(bytes, SatMul(indexes, sizeof(std::size_t)));
-  }
-  return bytes;
-}
-
-Result<BoundedSearchResult> MaterializedSearch(
-    const SchemePtr& scheme, const std::vector<Dependency>& premises,
-    const Dependency& conclusion, const BoundedSearchOptions& options) {
-  BoundedSearchResult result;
-  result.engine = "bounded-search (materializing)";
-  if (MaterializedBytes(*scheme, options) > options.max_bytes) {
-    // Over the byte ceiling before the first candidate: no verdict, and
-    // refusing to allocate is the whole point.
-    result.exhausted = false;
-    return result;
-  }
-  SatisfiesOptions check;
-  check.engine = SatisfiesEngine::kLegacy;
-
-  // Per-relation candidate tuple sets.
-  std::vector<std::vector<Tuple>> spaces;
-  std::vector<std::vector<std::vector<std::size_t>>> choices;
-  for (RelId rel = 0; rel < scheme->size(); ++rel) {
-    spaces.push_back(TupleSpace(scheme->relation(rel).arity(),
-                                options.domain_size));
-    choices.push_back(Combinations(spaces.back().size(),
-                                   options.max_tuples_per_relation));
-  }
-
-  // Depth-first product over per-relation choices.
-  Database db(scheme);
-  bool budget_hit = false;
-  std::function<bool(RelId)> rec = [&](RelId rel) -> bool {
-    if (rel == scheme->size()) {
-      if (++result.candidates_tested > options.max_candidates) {
-        budget_hit = true;
-        return true;  // stop
-      }
-      if (Satisfies(db, conclusion, check)) return false;
-      for (const Dependency& p : premises) {
-        if (!Satisfies(db, p, check)) return false;
-      }
-      result.counterexample = db;  // copy: db is reused by the recursion
-      return true;
-    }
-    for (const std::vector<std::size_t>& subset : choices[rel]) {
-      Relation fresh(scheme->relation(rel).arity());
-      for (std::size_t idx : subset) fresh.Insert(spaces[rel][idx]);
-      db.relation(rel) = std::move(fresh);
-      if (rec(rel + 1)) return true;
-    }
-    return false;
-  };
-  rec(0);
-  result.exhausted = !budget_hit;
-  return result;
-}
-
 /// ------------------------------------------------------------------------
 /// Id-space engine (see bounded.h for the strategy overview). Tuples are
 /// integer codes; each dependency is compiled into a state machine with
 /// precomputed per-code projection keys and O(1) incremental counters.
 /// ------------------------------------------------------------------------
 
-/// Caps the total size of precomputed key tables / counter arrays; beyond
-/// this FindCounterexample runs the materializing engine, whose up-front
-/// allocation grows with the tuple spaces and their small subsets rather
-/// than with the squared key spaces.
+/// Caps the priced key tables and counter arrays of one search (see
+/// EstimateBoundedSearch); a shape past either cap is declined.
 constexpr std::uint64_t kMaxTableEntries = 1u << 24;
+/// Caps every tuple space and counter key space, so a code or a key
+/// always fits the uint32 tables.
 constexpr std::uint64_t kMaxTupleSpace = 1u << 20;
+
+constexpr const char* kEngine = "bounded-search (id-space)";
 
 /// Incrementally maintained satisfaction state of one dependency. Include
 /// and Exclude must be called with every code change of every relation the
@@ -201,14 +73,17 @@ std::uint64_t KeySpace(std::size_t domain, std::size_t width) {
   return s;
 }
 
+/// An FD counts distinct (lhs, rhs) pairs through their one-to-one image,
+/// the lhs ∪ rhs projection, so its pair counter is sized by that set's
+/// key space, never by the concatenated columns'.
 class FdState : public DepState {
  public:
-  FdState(const Fd& fd, std::size_t domain,
+  FdState(std::size_t lhs_width, std::size_t pair_width, std::size_t domain,
           const std::vector<std::uint32_t>& lhs_key,
           const std::vector<std::uint32_t>& pair_key)
       : lhs_key_(&lhs_key), pair_key_(&pair_key) {
-    distinct_rhs_.assign(KeySpace(domain, fd.lhs.size()), 0);
-    pair_cnt_.assign(KeySpace(domain, fd.lhs.size() + fd.rhs.size()), 0);
+    distinct_rhs_.assign(KeySpace(domain, lhs_width), 0);
+    pair_cnt_.assign(KeySpace(domain, pair_width), 0);
   }
 
   void Include(RelId, std::uint32_t code) override {
@@ -306,11 +181,37 @@ class IndState : public DepState {
   std::uint64_t missing_ = 0;
 };
 
+/// The projections an EMVD X ->> Y | Z (an MVD: Z is its complement)
+/// keys its counters by. Distinct (XY, XZ) pairs are exactly the distinct
+/// XYZ projections, so the pair counter is keyed by the union.
+struct EmvdCols {
+  RelId rel = 0;
+  std::vector<AttrId> x, xy, xz, xyz;
+};
+
+EmvdCols EmvdColumns(const DatabaseScheme& scheme, const Dependency& dep) {
+  EmvdCols c;
+  if (dep.is_emvd()) {
+    const Emvd& e = dep.emvd();
+    c.rel = e.rel;
+    c.x = e.x;
+    c.xy = AppendDistinctAttrs(e.x, e.y);
+    c.xz = AppendDistinctAttrs(e.x, e.z);
+  } else {
+    const Mvd& m = dep.mvd();
+    c.rel = m.rel;
+    c.x = m.x;
+    c.xy = AppendDistinctAttrs(m.x, m.y);
+    c.xz = AppendDistinctAttrs(m.x, MvdComplement(scheme, m));
+  }
+  c.xyz = AppendDistinctAttrs(c.xy, c.xz);
+  return c;
+}
+
 class EmvdState : public DepState {
  public:
-  EmvdState(const std::vector<AttrId>& x, const std::vector<AttrId>& xy,
-            const std::vector<AttrId>& xz, std::size_t pair_width,
-            std::size_t domain, const std::vector<std::uint32_t>& x_key,
+  EmvdState(const EmvdCols& cols, std::size_t domain,
+            const std::vector<std::uint32_t>& x_key,
             const std::vector<std::uint32_t>& xy_key,
             const std::vector<std::uint32_t>& xz_key,
             const std::vector<std::uint32_t>& pair_key)
@@ -318,12 +219,12 @@ class EmvdState : public DepState {
         xy_key_(&xy_key),
         xz_key_(&xz_key),
         pair_key_(&pair_key) {
-    ny_.assign(KeySpace(domain, x.size()), 0);
+    ny_.assign(KeySpace(domain, cols.x.size()), 0);
     nz_.assign(ny_.size(), 0);
     np_.assign(ny_.size(), 0);
-    cnt_xy_.assign(KeySpace(domain, xy.size()), 0);
-    cnt_xz_.assign(KeySpace(domain, xz.size()), 0);
-    cnt_pair_.assign(KeySpace(domain, pair_width), 0);
+    cnt_xy_.assign(KeySpace(domain, cols.xy.size()), 0);
+    cnt_xz_.assign(KeySpace(domain, cols.xz.size()), 0);
+    cnt_pair_.assign(KeySpace(domain, cols.xyz.size()), 0);
   }
 
   void Include(RelId, std::uint32_t code) override {
@@ -378,7 +279,7 @@ class IdSpaceSearcher {
                   const BoundedSearchOptions& options)
       : scheme_(std::move(scheme)), options_(options) {
     // The caller checked EstimateBoundedSearch's id_space_feasible: every
-    // tuple space and the key tables fit the hard caps.
+    // tuple space and key space fits, and so do the priced tables.
     std::size_t n = scheme_->size();
     space_.resize(n);
     pow_.resize(n);
@@ -403,7 +304,7 @@ class IdSpaceSearcher {
   }
 
   BoundedSearchResult Run() {
-    result_.engine = "bounded-search (id-space)";
+    result_.engine = kEngine;
     Enumerate(0, 0, 0);
     result_.exhausted = !budget_hit_;
     return std::move(result_);
@@ -424,29 +325,15 @@ class IdSpaceSearcher {
     return owned_tables_.back();
   }
 
-  std::unique_ptr<DepState> MakeEmvdState(RelId rel,
-                                          const std::vector<AttrId>& x,
-                                          const std::vector<AttrId>& y,
-                                          const std::vector<AttrId>& z) {
-    std::vector<AttrId> xy = AppendDistinctAttrs(x, y);
-    std::vector<AttrId> xz = AppendDistinctAttrs(x, z);
-    std::vector<AttrId> pair_cols = xy;
-    pair_cols.insert(pair_cols.end(), xz.begin(), xz.end());
-    return std::make_unique<EmvdState>(
-        x, xy, xz, pair_cols.size(), options_.domain_size, Keys(rel, x),
-        Keys(rel, xy), Keys(rel, xz), Keys(rel, pair_cols));
-  }
-
   void AddDep(const Dependency& dep, bool is_premise) {
     std::unique_ptr<DepState> state;
     switch (dep.kind()) {
       case DependencyKind::kFd: {
         const Fd& fd = dep.fd();
-        std::vector<AttrId> pair_cols = fd.lhs;
-        pair_cols.insert(pair_cols.end(), fd.rhs.begin(), fd.rhs.end());
-        state = std::make_unique<FdState>(fd, options_.domain_size,
-                                          Keys(fd.rel, fd.lhs),
-                                          Keys(fd.rel, pair_cols));
+        std::vector<AttrId> pair_cols = AppendDistinctAttrs(fd.lhs, fd.rhs);
+        state = std::make_unique<FdState>(
+            fd.lhs.size(), pair_cols.size(), options_.domain_size,
+            Keys(fd.rel, fd.lhs), Keys(fd.rel, pair_cols));
         break;
       }
       case DependencyKind::kInd: {
@@ -461,14 +348,12 @@ class IdSpaceSearcher {
                                           options_.domain_size,
                                           pow_[dep.rd().rel]);
         break;
-      case DependencyKind::kEmvd: {
-        const Emvd& e = dep.emvd();
-        state = MakeEmvdState(e.rel, e.x, e.y, e.z);
-        break;
-      }
+      case DependencyKind::kEmvd:
       case DependencyKind::kMvd: {
-        const Mvd& m = dep.mvd();
-        state = MakeEmvdState(m.rel, m.x, m.y, MvdComplement(*scheme_, m));
+        EmvdCols c = EmvdColumns(*scheme_, dep);
+        state = std::make_unique<EmvdState>(
+            c, options_.domain_size, Keys(c.rel, c.x), Keys(c.rel, c.xy),
+            Keys(c.rel, c.xz), Keys(c.rel, c.xyz));
         break;
       }
     }
@@ -525,8 +410,8 @@ class IdSpaceSearcher {
   }
 
   /// Pre-order subset DFS over relation `rel`'s tuple-space codes, visiting
-  /// the current subset as a boundary before extending it — the same
-  /// candidate order as the materializing engine's Combinations().
+  /// the current subset as a boundary before extending it: subsets in
+  /// lexicographic order of their ascending code lists.
   void Enumerate(RelId rel, std::uint32_t start, std::size_t count) {
     if (stop_) return;
     Boundary(rel);
@@ -602,31 +487,72 @@ BoundedSearchEstimate EstimateBoundedSearch(
     }
     if (space[rel] > kMaxTupleSpace) spaces_fit = false;
   }
-  // Id-space table budget: a dependency's largest array is the pair-key
-  // counter, whose key space is at most space^2 (the concatenated column
-  // lists never exceed twice the arity); the per-code key tables add
-  // O(space).
-  auto dep_cost = [&](const Dependency& dep) {
-    std::uint64_t s = 0;
-    for (RelId rel : DepRels(dep)) s = std::max(s, space[rel]);
-    return SatAdd(SatMul(s, s), SatMul(4, s));
+  // Table budget, priced by what IdSpaceSearcher allocates: one per-code
+  // key table (`space` entries) per projection a dependency keys, plus
+  // every counter array, sized by its own column set's key space. Tables
+  // shared through a workspace are counted per use, so this stays an
+  // upper bound. Dependencies are priced before they are validated (the
+  // portfolio orders its ladder at construction), so a relation outside
+  // the scheme prices as saturated instead of indexing past `space`.
+  auto rel_space = [&](RelId rel) {
+    return rel < space.size() ? space[rel] : ~std::uint64_t{0};
+  };
+  bool keys_fit = true;
+  auto counter = [&](std::size_t width) {
+    std::uint64_t keys = 1;
+    for (std::size_t i = 0; i < width; ++i) {
+      keys = SatMul(keys, options.domain_size);
+    }
+    if (keys > kMaxTupleSpace) keys_fit = false;
+    return keys;
+  };
+  auto dep_cost = [&](const Dependency& dep) -> std::uint64_t {
+    switch (dep.kind()) {
+      case DependencyKind::kFd: {
+        const Fd& fd = dep.fd();
+        return SatAdd(
+            SatMul(2, rel_space(fd.rel)),
+            SatAdd(counter(fd.lhs.size()),
+                   counter(AppendDistinctAttrs(fd.lhs, fd.rhs).size())));
+      }
+      case DependencyKind::kInd: {
+        const Ind& ind = dep.ind();
+        return SatAdd(SatAdd(rel_space(ind.lhs_rel), rel_space(ind.rhs_rel)),
+                      SatMul(2, counter(ind.width())));
+      }
+      case DependencyKind::kRd:
+        return rel_space(dep.rd().rel);
+      case DependencyKind::kEmvd:
+      case DependencyKind::kMvd: {
+        // X, XY, XZ and XYZ key tables; per X key two uint32 counts and
+        // one uint64 (four entries); one count per XY, XZ and XYZ key.
+        if (!scheme.ValidRel(dep.is_emvd() ? dep.emvd().rel : dep.mvd().rel)) {
+          return ~std::uint64_t{0};
+        }
+        EmvdCols c = EmvdColumns(scheme, dep);
+        return SatAdd(
+            SatMul(4, space[c.rel]),
+            SatAdd(SatMul(4, counter(c.x.size())),
+                   SatAdd(counter(c.xy.size()),
+                          SatAdd(counter(c.xz.size()),
+                                 counter(c.xyz.size())))));
+      }
+    }
+    return ~std::uint64_t{0};
   };
   for (const Dependency& p : premises) {
     est.table_entries = SatAdd(est.table_entries, dep_cost(p));
   }
   est.table_entries = SatAdd(est.table_entries, dep_cost(conclusion));
   est.table_bytes = SatMul(est.table_entries, sizeof(std::uint32_t));
-  est.id_space_feasible = spaces_fit &&
+  est.id_space_feasible = spaces_fit && keys_fit &&
                           est.table_entries <= kMaxTableEntries &&
                           est.table_bytes <= options.max_bytes;
-  est.materialized_bytes = MaterializedBytes(scheme, options);
-  est.materialized_feasible = est.materialized_bytes <= options.max_bytes;
   // Candidate bound: relation `rel` contributes S_rel subsets of size <=
   // max_tuples_per_relation of its tuple space, and the subset DFS visits
   // one boundary per combination of subsets chosen for relations 0..rel —
   // sum over rel of prod_{r <= rel} S_r boundaries with no pruning (the
-  // engines only ever test fewer; the materializing engine's complete-
-  // candidate count is the last prefix product, also below this sum).
+  // search only ever tests fewer).
   std::uint64_t prefix = 1;
   for (RelId rel = 0; rel < scheme.size(); ++rel) {
     std::uint64_t binom = 1, subsets = 1;
@@ -674,20 +600,13 @@ Result<BoundedSearchResult> FindCounterexample(
   CCFP_RETURN_NOT_OK(Validate(*scheme, conclusion));
   if (!EstimateBoundedSearch(*scheme, premises, conclusion, options)
            .id_space_feasible) {
-    // Key tables would not fit: run the materializing engine.
-    return MaterializedSearch(scheme, premises, conclusion, options);
+    // Declined: the tables would not fit, so no verdict either way.
+    BoundedSearchResult declined;
+    declined.exhausted = false;
+    declined.engine = kEngine;
+    return declined;
   }
   return IdSpaceSearcher(scheme, premises, conclusion, options).Run();
-}
-
-Result<BoundedSearchResult> FindCounterexampleMaterialized(
-    SchemePtr scheme, const std::vector<Dependency>& premises,
-    const Dependency& conclusion, const BoundedSearchOptions& options) {
-  for (const Dependency& p : premises) {
-    CCFP_RETURN_NOT_OK(Validate(*scheme, p));
-  }
-  CCFP_RETURN_NOT_OK(Validate(*scheme, conclusion));
-  return MaterializedSearch(scheme, premises, conclusion, options);
 }
 
 Result<bool> HasBoundedCounterexample(SchemePtr scheme,

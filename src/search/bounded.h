@@ -80,8 +80,8 @@ class BoundedSearchWorkspace {
 /// and a candidate relation is a subset of codes, enumerated by a DFS that
 /// includes/excludes one code at a time. Before the search starts, every
 /// dependency precomputes, per code, the packed integer keys of the
-/// projections it cares about (FD: lhs and lhs++rhs keys; IND: the two
-/// side keys; EMVD: X, XY, XZ and XY++XZ keys). During the DFS each
+/// projections it cares about (FD: lhs and lhs ∪ rhs keys; IND: the two
+/// side keys; EMVD: X, XY, XZ and XYZ keys). During the DFS each
 /// dependency maintains *incremental* counters — e.g. an FD keeps, per lhs
 /// key, the number of distinct rhs keys present, and a global count of lhs
 /// keys with >= 2 of them — so including or excluding a tuple is O(deps)
@@ -96,35 +96,31 @@ class BoundedSearchWorkspace {
 ///   * when the last relation the conclusion mentions is finalized and the
 ///     conclusion is satisfied, no completion can violate it.
 /// Pruning only removes subtrees that provably contain no counterexample,
-/// so the id-space and materializing engines agree on counterexample
-/// existence (differentially tested in tests/bounded_cross_oracle_test.cc).
+/// so the search agrees with a per-candidate model-checking enumeration on
+/// counterexample existence (tests/bounded_cross_oracle_test.cc checks it
+/// against the test-only materializing reference, tests/reference/bounded.h).
 ///
-/// ## Materializing engine
+/// ## What a search allocates
 ///
-/// The id-space engine's key tables grow with the square of each tuple
-/// space, so a wide relation can bust their hard cap even at the base 2x2
-/// shape. The materializing engine (FindCounterexampleMaterialized) has no
-/// such tables: it builds every candidate as Value tuples and calls the
-/// model checker per candidate, so it still runs — slowly — where the
-/// id-space engine cannot. FindCounterexample picks between the two from
-/// EstimateBoundedSearch alone.
+/// Every counter is keyed by a column *set* (an FD's lhs ∪ rhs, an
+/// EMVD's X ∪ Y ∪ Z), so no key space exceeds its relation's tuple space
+/// domain^arity. EstimateBoundedSearch prices a shape by exactly those
+/// tables — one per-code key table per projection plus each counter's key
+/// space — and a shape that does not fit is declined, never run: the
+/// search returns no counterexample with `exhausted == false`.
 
 struct BoundedSearchOptions {
   std::size_t max_tuples_per_relation = 2;
   std::size_t domain_size = 2;
   /// Overall cap on candidate evaluations, guarding combinatorial blow-up.
-  /// The materializing engine counts complete candidate databases; the
-  /// id-space engine counts *partial* candidates (each relation-subset
-  /// completion), since pruning means most complete candidates are never
-  /// reached.
+  /// Counts *partial* candidates (each relation-subset completion), since
+  /// pruning means most complete candidates are never reached.
   std::uint64_t max_candidates = 1u << 24;
-  /// Ceiling on the logical bytes a search may *materialize up front*
-  /// (precomputed key tables, counter arrays, materialized tuple spaces
-  /// and subset lists — the search's only growing allocations). Each
-  /// engine estimates its materialization before allocating and, over the
-  /// ceiling, declines to run: the search returns `exhausted == false`
-  /// with no counterexample, which the entry points surface as
-  /// ResourceExhausted — an unknown, never a wrong answer.
+  /// Ceiling on the logical bytes a search may allocate up front (key
+  /// tables and counter arrays — the search's only growing allocations).
+  /// Over the ceiling the search declines to run: it returns
+  /// `exhausted == false` with no counterexample, which the entry points
+  /// surface as ResourceExhausted — an unknown, never a wrong answer.
   std::uint64_t max_bytes = UINT64_MAX;
   /// Optional caller-owned compile cache shared across searches over the
   /// same scheme (see BoundedSearchWorkspace). Null: each search compiles
@@ -137,27 +133,23 @@ struct BoundedSearchOptions {
 /// no tables are compiled and no candidates enumerated. The refutation
 /// portfolio (search/portfolio.h) uses this to order its shape ladder and
 /// to *skip* rungs that could never run (counted, never silently), and
-/// FindCounterexample picks its engine from the same estimate, so "the
-/// estimate says infeasible" and "the id-space engine would not run" are
-/// one predicate. All arithmetic saturates at UINT64_MAX: a saturated
-/// estimate certainly busts any real cap.
+/// FindCounterexample declines from the same estimate, so "the estimate
+/// says infeasible" and "the search would not run" are one predicate. All
+/// arithmetic saturates at UINT64_MAX: a saturated estimate certainly
+/// busts any real cap.
 struct BoundedSearchEstimate {
-  /// The id-space engine would run this shape: every tuple space and the
-  /// compiled key tables fit its hard caps and `options.max_bytes`.
+  /// The search would run this shape: every tuple space and key space
+  /// fits kMaxTupleSpace, and the priced tables fit kMaxTableEntries and
+  /// `options.max_bytes`.
   bool id_space_feasible = false;
-  /// The materializing engine's up-front allocation fits
-  /// `options.max_bytes` (that engine has no other gate).
-  bool materialized_feasible = false;
-  /// Key-table + counter entries the id-space engine would compile.
+  /// Key-table + counter entries the search would allocate: an upper
+  /// bound on its up-front allocation.
   std::uint64_t table_entries = 0;
   /// ... in bytes (each entry is one uint32).
   std::uint64_t table_bytes = 0;
-  /// Bytes the materializing engine would allocate (tuple spaces +
-  /// subsets).
-  std::uint64_t materialized_bytes = 0;
   /// Upper bound on the candidates a full scan can test: the number of
-  /// subset-DFS boundary visits with no pruning (the engines only ever
-  /// test fewer). Doubles as the shape's ladder-ordering cost.
+  /// subset-DFS boundary visits with no pruning (pruning only ever tests
+  /// fewer). Doubles as the shape's ladder-ordering cost.
   std::uint64_t candidate_bound = 0;
 };
 
@@ -172,33 +164,22 @@ struct BoundedSearchResult {
   /// A database satisfying every premise and violating the conclusion, if
   /// one exists within the bound.
   std::optional<Database> counterexample;
-  /// Candidate evaluations performed (see BoundedSearchOptions for the
-  /// per-engine meaning).
+  /// Partial candidates visited (see BoundedSearchOptions).
   std::uint64_t candidates_tested = 0;
   /// True if the whole bounded space was scanned (no counterexample below
   /// the bound); false if max_candidates stopped the search early.
   bool exhausted = true;
-  /// The engine that ran, as the solver's stage reports name it:
-  /// "bounded-search (id-space)" or "bounded-search (materializing)".
+  /// The engine, as the solver's stage reports name it:
+  /// "bounded-search (id-space)".
   const char* engine = "";
 };
 
 /// Searches for a counterexample to premises |= conclusion.
 /// By symmetry of the semantics under renaming of values, candidate
 /// relations are enumerated as subsets of the domain^arity tuple space.
-/// Runs the id-space engine when EstimateBoundedSearch says it fits, and
-/// the materializing engine otherwise.
+/// Declines (no counterexample, `exhausted == false`) when
+/// EstimateBoundedSearch says the shape does not fit.
 Result<BoundedSearchResult> FindCounterexample(
-    SchemePtr scheme, const std::vector<Dependency>& premises,
-    const Dependency& conclusion, const BoundedSearchOptions& options = {});
-
-/// The materializing engine alone: every candidate database is built as
-/// heap Value tuples and model-checked per candidate. Declines (no
-/// counterexample, `exhausted == false`) when its up-front allocation
-/// exceeds `options.max_bytes`. Same pre-order enumeration as the id-space
-/// engine, so when both find a counterexample it is the same database.
-/// `options.workspace` is not used.
-Result<BoundedSearchResult> FindCounterexampleMaterialized(
     SchemePtr scheme, const std::vector<Dependency>& premises,
     const Dependency& conclusion, const BoundedSearchOptions& options = {});
 

@@ -138,16 +138,9 @@ Result<PortfolioResult> RefutationPortfolio::RunRungs(const Budget& budget,
 
   // Feasibility against *this* run's byte ceiling, over the whole ladder:
   // the SplitLadder shares below depend on every rung's funded cost, so a
-  // partial sweep funds its rungs exactly as the full sweep would. A grown
-  // rung only runs on the id-space engine: the materializing engine
-  // allocates its tuple spaces up front, so letting it loose on a grown
-  // shape under the default (unlimited) byte ceiling would allocate
-  // without bound. Rung 0 is never pre-skipped: FindCounterexample runs
-  // it on the materializing engine when the id-space tables would not
-  // fit, so a query too wide for them is still searched at the base
-  // shape.
+  // partial sweep funds its rungs exactly as the full sweep would.
   std::vector<std::uint64_t> funded_costs = costs_;
-  for (std::size_t i = 1; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     BoundedSearchEstimate estimate = EstimateBoundedSearch(
         *scheme_, premises_, conclusion_, ShapeOptions(ladder_[i], budget.bytes));
     if (!estimate.id_space_feasible) {
@@ -170,7 +163,7 @@ Result<PortfolioResult> RefutationPortfolio::RunRungs(const Budget& budget,
   for (std::size_t i = first; i < last; ++i) {
     RungReport& rung = out.rungs[i - first];
     rung.share = shares[i].steps;
-    if (i > 0 && (funded_costs[i] == 0 || shares[i].steps == 0)) {
+    if (funded_costs[i] == 0 || shares[i].steps == 0) {
       if (funded_costs[i] != 0) {
         rung.note =
             StrCat("skipped: candidate budget drained by smaller shapes (",

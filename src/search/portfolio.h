@@ -31,11 +31,10 @@ struct SearchShape {
 };
 
 struct PortfolioOptions {
-  /// Rung 0 — always present, always first, never pre-skipped, and funded
-  /// before any grown shape sees a step, so a portfolio sweep decides
-  /// everything a single fixed-shape search would (see Budget::SplitLadder).
-  /// It runs on whichever engine FindCounterexample picks, including the
-  /// materializing engine when the id-space tables would not fit.
+  /// Rung 0 — always present, always first, and funded before any grown
+  /// shape sees a step, so a portfolio sweep decides everything a single
+  /// fixed-shape search would (see Budget::SplitLadder). Like any rung it
+  /// is skipped when EstimateBoundedSearch says its tables do not fit.
   SearchShape base;
   /// How far the ladder grows each axis beyond the base shape: candidate
   /// rungs are every (t, d) with base.t <= t <= base.t + tuple_growth and

@@ -418,9 +418,16 @@ Status SolverService::Evict(SessionId id) {
   switch (s->kind) {
     case SessionKind::kSolve:
       break;  // pure capital; nothing to persist
-    case SessionKind::kMine:
-      CCFP_RETURN_NOT_OK(s->chain->Save(*s->mine_ws));
+    case SessionKind::kMine: {
+      // After a read-only life the chain tip already holds this state, so
+      // there is nothing to write. A first spill always writes: it clears
+      // stale files under the prefix.
+      const InternedWorkspace& ws = *s->mine_ws;
+      bool unchanged = s->chain->delta_count() > 0 && ws.journal().empty() &&
+                       ws.JournalValuesBase() == ws.interner().size();
+      if (!unchanged) CCFP_RETURN_NOT_OK(s->chain->Save(ws));
       break;
+    }
     case SessionKind::kArmstrong:
       // Workspace AND universe classification: revival replays zero
       // oracle calls.

@@ -181,7 +181,8 @@ class SolverService {
   /// --- lifecycle ------------------------------------------------------
 
   /// Spills the session to its snapshot chain (stateful kinds) and frees
-  /// its live engines. The next op revives it transparently.
+  /// its live engines. The next op revives it transparently. A mining
+  /// session unchanged since its last record writes nothing.
   Status Evict(SessionId id);
   /// Removes the session. Its spill chain (if any) is left on disk.
   Status Close(SessionId id);

@@ -111,17 +111,22 @@ void ExpectMatchesStandaloneRungs(const Workload& w, const Budget& budget) {
   for (std::size_t i = 0; i < run->rungs.size(); ++i) {
     const RungReport& rung = run->rungs[i];
     EXPECT_TRUE(rung.shape == ladder[i]) << "rung " << i;
+    BoundedSearchOptions alone_opts;
+    alone_opts.max_tuples_per_relation = rung.shape.max_tuples_per_relation;
+    alone_opts.domain_size = rung.shape.domain_size;
+    alone_opts.max_bytes = budget.bytes;
     if (rung.status == RungStatus::kSkipped) {
-      EXPECT_NE(i, 0u) << "rung 0 is never skipped";
+      if (i == 0) {
+        EXPECT_FALSE(EstimateBoundedSearch(*w.scheme, w.sigma, w.target,
+                                           alone_opts)
+                         .id_space_feasible)
+            << "rung 0 is skipped only when its estimate is infeasible";
+      }
       EXPECT_EQ(rung.candidates_tested, 0u);
       ++skipped;
       continue;
     }
-    BoundedSearchOptions alone_opts;
-    alone_opts.max_tuples_per_relation = rung.shape.max_tuples_per_relation;
-    alone_opts.domain_size = rung.shape.domain_size;
     alone_opts.max_candidates = rung.share;
-    alone_opts.max_bytes = budget.bytes;
     Result<BoundedSearchResult> alone =
         FindCounterexample(w.scheme, w.sigma, w.target, alone_opts);
     ASSERT_TRUE(alone.ok()) << alone.status();
@@ -269,6 +274,22 @@ TEST_P(PortfolioPropertyTest, GrowingTheShapeNeverLosesARefutation) {
           << "refutation lost growing axis " << axis << " for "
           << w.target.ToString(*w.scheme);
     }
+  }
+}
+
+TEST(PortfolioTest, ADependencyOutsideTheSchemeIsRefusedNotPriced) {
+  // The ladder is priced at construction, before RunRungs validates:
+  // relations outside the scheme must price as infeasible, never index
+  // past the per-relation tables (ASan reports the read).
+  SchemePtr scheme = MakeScheme({{"R", {"A", "B"}}});
+  for (const Dependency& bad :
+       {Dependency(Fd{7, {0}, {1}}), Dependency(Ind{0, {0}, 7, {0}}),
+        Dependency(Rd{7, {0}, {1}}), Dependency(Emvd{7, {0}, {1}, {}}),
+        Dependency(Mvd{7, {0}, {1}})}) {
+    RefutationPortfolio portfolio(scheme, {bad}, Dependency(Fd{0, {1}, {0}}));
+    Result<PortfolioResult> run = portfolio.Run(Budget());
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
   }
 }
 

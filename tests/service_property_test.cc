@@ -301,26 +301,44 @@ TEST_P(MiningRevivalPropertyTest, RevivedSessionMinesLikeItsTwin) {
   Result<SolverService::SessionId> twin = service.OpenMine(scheme, warm);
   ASSERT_TRUE(evicted.ok() && twin.ok());
 
-  std::uint64_t evictions = 0;
+  // Every eviction of a resident session that added a tuple since the
+  // last record writes one record, and so does the first; an eviction
+  // after a life that added nothing writes none. `held` models the
+  // session's tuples, so a delta of duplicates counts as adding nothing.
+  std::uint64_t evictions = 0, records = 0;
   bool resident = true;  // Evict of an evicted session is a no-op
+  bool dirty = false;
+  Database held = warm;
+  auto append = [&](const Database& delta) {
+    ASSERT_TRUE(service.Append(*evicted, delta).ok());
+    ASSERT_TRUE(service.Append(*twin, delta).ok());
+    for (RelId rel = 0; rel < scheme->size(); ++rel) {
+      for (const Tuple& t : delta.relation(rel).tuples()) {
+        dirty |= held.Insert(rel, t);
+      }
+    }
+  };
+  auto evict = [&] {
+    ASSERT_TRUE(service.Evict(*evicted).ok());
+    if (!resident) return;
+    ++evictions;
+    if (dirty || records == 0) ++records;
+    dirty = false;
+    resident = false;
+  };
   for (int step = 0; step < 40; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     std::uint64_t op = rng.Below(4);
     if (op == 2) {
-      ASSERT_TRUE(service.Evict(*evicted).ok());
-      evictions += resident ? 1 : 0;
-      resident = false;
+      evict();
       continue;
     }
     resident = true;  // every other op revives
     switch (op) {
       case 0:
-      case 1: {
-        Database delta = RandomRows(scheme, rng, 1 + rng.Below(4));
-        ASSERT_TRUE(service.Append(*evicted, delta).ok());
-        ASSERT_TRUE(service.Append(*twin, delta).ok());
+      case 1:
+        append(RandomRows(scheme, rng, 1 + rng.Below(4)));
         break;
-      }
       default: {
         RelId rel = static_cast<RelId>(rng.Below(scheme->size()));
         Result<std::vector<Fd>> got = service.MineSessionFds(*evicted, rel);
@@ -339,19 +357,16 @@ TEST_P(MiningRevivalPropertyTest, RevivedSessionMinesLikeItsTwin) {
       }
     }
   }
-  // Every eviction of a resident session writes one record; past
-  // kMaxDeltas the core-rooted chain collapses to one delta and regrows,
-  // so only the records since the last collapse are on disk.
-  while (evictions <= SnapshotChainWriter::kMaxDeltas) {
-    Database delta = RandomRows(scheme, rng, 1);
-    ASSERT_TRUE(service.Append(*evicted, delta).ok());
-    ASSERT_TRUE(service.Append(*twin, delta).ok());
-    ASSERT_TRUE(service.Evict(*evicted).ok());
-    ++evictions;
+  // Past kMaxDeltas the core-rooted chain collapses to one delta and
+  // regrows, so only the records since the last collapse are on disk.
+  while (records <= SnapshotChainWriter::kMaxDeltas) {
+    resident = true;  // the append revives
+    append(RandomRows(scheme, rng, 1));
+    evict();
   }
   std::string prefix =
       options.spill_dir + "/session_" + std::to_string(*evicted) + ".delta.";
-  std::uint64_t on_disk = (evictions - 1) % SnapshotChainWriter::kMaxDeltas + 1;
+  std::uint64_t on_disk = (records - 1) % SnapshotChainWriter::kMaxDeltas + 1;
   EXPECT_TRUE(std::filesystem::exists(prefix + std::to_string(on_disk)));
   EXPECT_FALSE(std::filesystem::exists(prefix + std::to_string(on_disk + 1)))
       << "the chain never collapsed";

@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -401,6 +404,68 @@ TEST(ServiceTest, MiningChainFoldsPastMaxDeltasAndStaysExact) {
     // charges mean the revived session holds exactly the twin's tuples.
     EXPECT_EQ(got_stats->steps_used, want_stats->steps_used);
   }
+}
+
+/// Every file under `dir` with its bytes.
+std::map<std::string, std::string> FilesUnder(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    out[entry.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return out;
+}
+
+TEST(ServiceTest, ReadOnlyMiningLivesEvictWithoutWritingARecord) {
+  // After the first spill, a life that only mines leaves the journal
+  // empty and the interner where the last record left it: the chain tip
+  // already holds the state, so Evict writes nothing and pays no fsync.
+  SolverService::Options options;
+  options.spill_dir = FreshSpillDir("read_only");
+  SolverService service(options);
+  SchemePtr scheme = RsScheme();
+  Database data = WarmData(scheme);
+  Result<SolverService::SessionId> id = service.OpenMine(scheme, data);
+  Result<SolverService::SessionId> twin = service.OpenMine(scheme, data);
+  ASSERT_TRUE(id.ok() && twin.ok());
+  std::string prefix = "session_" + std::to_string(*id);
+
+  Database delta(scheme);
+  delta.Insert(0, {Value::Int(1), Value::Int(99)});
+  ASSERT_TRUE(service.Append(*id, delta).ok());
+  ASSERT_TRUE(service.Append(*twin, delta).ok());
+  ASSERT_TRUE(service.Evict(*id).ok());
+  const std::map<std::string, std::string> spilled =
+      FilesUnder(options.spill_dir);
+  ASSERT_EQ(spilled.count(prefix + ".delta.1"), 1u);
+  EXPECT_EQ(spilled.count(prefix + ".delta.2"), 0u);
+
+  for (int life = 0; life < 3; ++life) {
+    Result<std::vector<Fd>> fds = service.MineSessionFds(*id, 0);
+    ASSERT_TRUE(fds.ok()) << fds.status();
+    ASSERT_TRUE(service.Evict(*id).ok()) << "life " << life;
+    EXPECT_EQ(FilesUnder(options.spill_dir), spilled) << "life " << life;
+  }
+
+  for (RelId rel = 0; rel < scheme->size(); ++rel) {
+    Result<std::vector<Fd>> got = service.MineSessionFds(*id, rel);
+    Result<std::vector<Fd>> want = service.MineSessionFds(*twin, rel);
+    ASSERT_TRUE(got.ok() && want.ok()) << got.status();
+    EXPECT_EQ(*got, *want);
+  }
+  Result<std::vector<Ind>> got_inds = service.MineSessionInds(*id);
+  Result<std::vector<Ind>> want_inds = service.MineSessionInds(*twin);
+  ASSERT_TRUE(got_inds.ok() && want_inds.ok());
+  EXPECT_EQ(*got_inds, *want_inds);
+  Result<std::vector<Rd>> got_rds = service.MineSessionRds(*id);
+  Result<std::vector<Rd>> want_rds = service.MineSessionRds(*twin);
+  ASSERT_TRUE(got_rds.ok() && want_rds.ok());
+  EXPECT_EQ(*got_rds, *want_rds);
+  Result<SolverService::SessionStats> stats = service.Stats(*id);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->evictions, 4u);
+  EXPECT_EQ(stats->revivals, 4u);
 }
 
 TEST(ServiceTest, MiningSpillIgnoresAForeignChainUnderItsPrefix) {

@@ -4,10 +4,18 @@
 // regression here means the façade started paying for engines the
 // fragment does not need (e.g. running the chase on pure-FD queries) or
 // rebuilding per-query state that should persist across Solve calls.
+// The allocation-cliff guards pin that a query over one wide relation
+// never makes the bounded search allocate past its estimate.
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <gtest/gtest.h>
 
 #include "core/parser.h"
+#include "search/bounded.h"
 #include "solve/solver.h"
 #include "util/strings.h"
 
@@ -158,6 +166,115 @@ TEST(SolverSmokeTest, RepeatedDivergentSeedsAreChasedOnce) {
   EXPECT_LT(later, first) << "repeated divergent seeds are chased again";
   EXPECT_EQ(solver.chase_memo_stats().chase_runs, 6u);
   EXPECT_EQ(solver.chase_memo_stats().chase_replays, 48u);
+}
+
+// --- The bounded search's allocation cliff --------------------------------
+// One relation R(A0..An-1), sigma {A0 -> A1, R[A0, A1] <= R[A1, A2]},
+// target An-1 -> A0. The cyclic IND makes the chase diverge, so the
+// bounded search decides. Each counter is priced by its own column set's
+// key space, so n = 14 and 16 fit at the 2x2 rung 0; past
+// 2^20-code tuple spaces (n >= 21) the search declines rung 0 and never
+// allocates.
+
+struct WideQuery {
+  SchemePtr scheme;
+  std::vector<Dependency> sigma;
+  Dependency target;
+};
+
+WideQuery MakeWideQuery(std::size_t n) {
+  std::vector<std::string> attrs;
+  for (std::size_t a = 0; a < n; ++a) attrs.push_back(StrCat("A", a));
+  return WideQuery{MakeScheme({{"R", attrs}}),
+                   {Dependency(Fd{0, {0}, {1}}),
+                    Dependency(Ind{0, {0, 1}, 0, {1, 2}})},
+                   Dependency(Fd{0, {static_cast<AttrId>(n - 1)}, {0}})};
+}
+
+/// Checks rung 0's estimate before anything is solved, so a pricing
+/// regression fails here instead of allocating.
+void ExpectRungZeroEstimate(const WideQuery& q, bool feasible) {
+  BoundedSearchEstimate estimate = EstimateBoundedSearch(
+      *q.scheme, q.sigma, q.target, BoundedSearchOptions());
+  ASSERT_EQ(estimate.id_space_feasible, feasible)
+      << estimate.table_entries << " table entries";
+  if (feasible) {
+    ASSERT_LT(estimate.table_bytes, std::uint64_t{64} << 20);
+  }
+}
+
+/// Solves `q`; returns what went wrong, or "" when rung 0 refuted on the
+/// id-space engine (`expect_refuted`), or when any verdict came back and
+/// a kUnknown shows rung 0's skip note.
+std::string SolveWide(const WideQuery& q, const Budget& budget,
+                      bool expect_refuted) {
+  Result<Verdict> v = SolveImplication(q.scheme, q.sigma, q.target, budget);
+  if (!v.ok()) return v.status().ToString();
+  auto rung0 = std::find_if(v->stages.begin(), v->stages.end(),
+                            [](const StageReport& r) {
+                              return r.stage == "search";
+                            });
+  if (rung0 == v->stages.end()) {
+    return "no search stage\n" + v->ToString(*q.scheme);
+  }
+  if (expect_refuted) {
+    if (v->outcome != ImplicationVerdict::kNotImplied ||
+        v->engine != "bounded-search (id-space)" ||
+        rung0->verdict != ImplicationVerdict::kNotImplied) {
+      return "rung 0 did not refute on the id-space engine\n" +
+             v->ToString(*q.scheme);
+    }
+  } else if (v->outcome == ImplicationVerdict::kUnknown &&
+             rung0->note.rfind("skipped: compiled tables", 0) != 0) {
+    return "kUnknown without a rung-0 skip note\n" + v->ToString(*q.scheme);
+  }
+  return "";
+}
+
+/// Runs SolveWide in a child limited to 1 GiB of address space, so an
+/// unbounded allocation is a failed child, not memory pressure on the
+/// host. Sanitizer shadow memory needs the address space, so sanitized
+/// builds solve in-process without the limit.
+void SolveWideGuarded(const WideQuery& q, const Budget& budget,
+                      bool expect_refuted) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  EXPECT_EQ(SolveWide(q, budget, expect_refuted), "");
+#else
+  EXPECT_EXIT(
+      {
+        rlimit limit;
+        getrlimit(RLIMIT_AS, &limit);
+        limit.rlim_cur = std::min<rlim_t>(limit.rlim_max, rlim_t{1} << 30);
+        setrlimit(RLIMIT_AS, &limit);
+        std::string failure = SolveWide(q, budget, expect_refuted);
+        std::fputs(failure.c_str(), stderr);
+        std::exit(failure.empty() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+#endif
+}
+
+TEST(SolverSmokeTest, WideRelationsRefuteOnTheIdSpaceEngineAtRungZero) {
+  for (std::size_t n : {14, 16}) {
+    SCOPED_TRACE(StrCat("arity ", n));
+    WideQuery q = MakeWideQuery(n);
+    ExpectRungZeroEstimate(q, /*feasible=*/true);
+    SolveWideGuarded(q, Budget(), /*expect_refuted=*/true);
+  }
+}
+
+TEST(SolverSmokeTest, WiderRelationsDeclineRungZeroInsteadOfAllocating) {
+  // A small step budget only keeps the divergent chase short: steps are
+  // counted per candidate, after the tables exist, so only the estimate
+  // bounds what the search allocates.
+  Budget budget;
+  budget.steps = 2000;
+  for (std::size_t n : {21, 24}) {
+    SCOPED_TRACE(StrCat("arity ", n));
+    WideQuery q = MakeWideQuery(n);
+    ExpectRungZeroEstimate(q, /*feasible=*/false);
+    SolveWideGuarded(q, budget, /*expect_refuted=*/false);
+  }
 }
 
 }  // namespace
