@@ -1,8 +1,8 @@
 // E13: the Armstrong-database builder (Fagin-Vardi substrate): build +
-// verify exactness over growing universes. BENCH_armstrong.json records a
-// legacy-vs-workspace entry pair per workload: the legacy engine re-interns
-// the seed database every repair round, the workspace engine appends into
-// one persistent InternedWorkspace and resumes its chase.
+// verify exactness over growing universes. BENCH_armstrong.json records
+// one entry per entry point on the FD workload (an ArmstrongSession grown
+// one member per Extend, and one BuildArmstrongDatabase call) plus one
+// one-shot build of a mixed FD+IND workload.
 #include <cstdio>
 
 #include <benchmark/benchmark.h>
@@ -11,7 +11,6 @@
 #include "axiom/sentence.h"
 #include "bench/bench_main.h"
 #include "bench/reporter.h"
-#include "reference/armstrong.h"
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -48,28 +47,41 @@ void BM_BuildFdArmstrong(benchmark::State& state) {
 
 BENCHMARK(BM_BuildFdArmstrong)->DenseRange(2, 6);
 
-void BM_BuildMixedArmstrong(benchmark::State& state) {
-  const std::size_t relations = static_cast<std::size_t>(state.range(0));
+/// A chain of `relations` binary relations linked by unary INDs, one FD
+/// each (acyclic: the chase terminates), with every FD of lhs size 1,
+/// unary IND and RD in the universe.
+struct MixedWorkload {
+  SchemePtr scheme;
+  std::vector<Fd> fds;
+  std::vector<Ind> inds;
+  std::vector<Dependency> universe;
+};
+
+MixedWorkload MakeMixedWorkload(std::size_t relations) {
   std::vector<std::pair<std::string, std::vector<std::string>>> rels;
   for (std::size_t r = 0; r < relations; ++r) {
     rels.emplace_back(StrCat("R", r), std::vector<std::string>{"A", "B"});
   }
-  SchemePtr scheme = MakeScheme(rels);
+  MixedWorkload w;
+  w.scheme = MakeScheme(rels);
   UniverseOptions options;
   options.max_fd_lhs = 1;
   options.max_ind_width = 1;
   options.include_rds = true;
-  std::vector<Dependency> universe = EnumerateUniverse(*scheme, options);
-  // A chain of INDs plus one FD per relation (acyclic: chase terminates).
-  std::vector<Fd> fds;
-  std::vector<Ind> inds;
+  w.universe = EnumerateUniverse(*w.scheme, options);
   for (std::size_t r = 0; r < relations; ++r) {
-    fds.push_back(Fd{static_cast<RelId>(r), {0}, {1}});
+    w.fds.push_back(Fd{static_cast<RelId>(r), {0}, {1}});
     if (r + 1 < relations) {
-      inds.push_back(
+      w.inds.push_back(
           Ind{static_cast<RelId>(r), {1}, static_cast<RelId>(r + 1), {0}});
     }
   }
+  return w;
+}
+
+void BM_BuildMixedArmstrong(benchmark::State& state) {
+  const std::size_t relations = static_cast<std::size_t>(state.range(0));
+  auto [scheme, fds, inds, universe] = MakeMixedWorkload(relations);
   ChaseOracle oracle(scheme);
   std::size_t tuples = 0;
   for (auto _ : state) {
@@ -85,18 +97,14 @@ void BM_BuildMixedArmstrong(benchmark::State& state) {
 
 BENCHMARK(BM_BuildMixedArmstrong)->DenseRange(2, 5);
 
-/// The multi-round verify-dominated workload: an ArmstrongSession whose
-/// sentence universe grows one member per Extend — the k-ary-hierarchy /
-/// interactive-schema-design shape, where after every extension the
-/// session re-establishes exactness over the entire universe so far.
-/// Emits a fullsweep/incremental entry pair; the per-round re-sweeps are
-/// exactly what ArmstrongVerifyEngine::kIncremental retires (watchers
-/// answer old members from counters, only the delta is re-processed).
-/// A second pair builds the same universe in one BuildArmstrongDatabase
-/// call under each engine: the measurement behind kAuto resolving to
-/// kFullSweep for the one-shot builder (one verification, so compiling
-/// watchers buys nothing).
-void EmitVerifyEngineReport(BenchReporter& reporter, bool smoke) {
+/// Arity-10 FD workload with a two-FD chain and every FD of lhs size <= 2
+/// in the universe, timed through both entry points: `session_*` grows an
+/// ArmstrongSession one member per Extend (the k-ary-hierarchy /
+/// interactive-schema-design shape: after every extension the session
+/// re-establishes exactness over the whole universe so far), `oneshot_*`
+/// builds the same universe in one BuildArmstrongDatabase call. The FD
+/// closure oracle keeps universe classification out of the measured cost.
+void EmitFdReport(BenchReporter& reporter, bool smoke) {
   const std::size_t arity = 10;
   std::vector<std::string> attrs;
   for (std::size_t i = 0; i < arity; ++i) attrs.push_back(StrCat("A", i));
@@ -108,138 +116,49 @@ void EmitVerifyEngineReport(BenchReporter& reporter, bool smoke) {
   std::vector<Fd> fds = {Fd{0, {0}, {1}}, Fd{0, {1}, {2}}};
   FdOracle oracle(scheme);
 
-  std::uint64_t wall[2] = {0, 0};
-  for (int engine = 0; engine < 2; ++engine) {
-    ArmstrongBuildOptions build;
-    build.verify = engine == 1 ? ArmstrongVerifyEngine::kIncremental
-                               : ArmstrongVerifyEngine::kFullSweep;
-    wall[engine] = MedianWallNs(smoke ? 1 : 3, [&] {
-      ArmstrongSession session(scheme, fds, {}, &oracle, build);
-      for (const Dependency& tau : universe) {
-        Status st = session.Extend({tau});
-        CCFP_CHECK(st.ok());
-      }
-    });
-  }
-  reporter.Add("session_fd_arity10_fullsweep", universe.size(), wall[0],
+  std::uint64_t session = MedianWallNs(smoke ? 1 : 3, [&] {
+    ArmstrongSession s(scheme, fds, {}, &oracle);
+    for (const Dependency& tau : universe) {
+      Status st = s.Extend({tau});
+      CCFP_CHECK(st.ok());
+    }
+  });
+  reporter.Add("session_fd_arity10", universe.size(), session,
                universe.size());
-  reporter.Add("session_fd_arity10_incremental", universe.size(), wall[1],
+  std::uint64_t oneshot = MedianWallNs(smoke ? 1 : 5, [&] {
+    Result<ArmstrongReport> report =
+        BuildArmstrongDatabase(scheme, fds, {}, universe, oracle);
+    CCFP_CHECK(report.ok());
+  });
+  reporter.Add("oneshot_fd_arity10", universe.size(), oneshot,
                universe.size());
   std::fprintf(stderr,
-               "session_fd_arity10 (universe %zu, one member per round): "
-               "fullsweep %.2f ms, incremental %.2f ms, speedup %.2fx\n",
-               universe.size(), wall[0] / 1e6, wall[1] / 1e6,
-               static_cast<double>(wall[0]) /
-                   static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
-
-  std::uint64_t oneshot[2] = {0, 0};
-  for (int engine = 0; engine < 2; ++engine) {
-    ArmstrongBuildOptions build;
-    build.verify = engine == 1 ? ArmstrongVerifyEngine::kIncremental
-                               : ArmstrongVerifyEngine::kFullSweep;
-    oneshot[engine] = MedianWallNs(smoke ? 1 : 5, [&] {
-      Result<ArmstrongReport> report =
-          BuildArmstrongDatabase(scheme, fds, {}, universe, oracle, build);
-      CCFP_CHECK(report.ok());
-    });
-  }
-  reporter.Add("oneshot_fd_arity10_fullsweep", universe.size(), oneshot[0],
-               universe.size());
-  reporter.Add("oneshot_fd_arity10_incremental", universe.size(),
-               oneshot[1], universe.size());
-  std::fprintf(stderr,
-               "oneshot_fd_arity10 (universe %zu, one build): "
-               "fullsweep %.2f ms, incremental %.2f ms, speedup %.2fx\n",
-               universe.size(), oneshot[0] / 1e6, oneshot[1] / 1e6,
-               static_cast<double>(oneshot[0]) /
-                   static_cast<double>(oneshot[1] == 0 ? 1 : oneshot[1]));
+               "fd_arity10 (universe %zu): session (one member per round) "
+               "%.2f ms, oneshot %.2f ms\n",
+               universe.size(), session / 1e6, oneshot / 1e6);
 }
 
-/// Times both Armstrong engines on the two recorded workloads and emits
-/// one legacy/workspace entry pair each (steps = universe size decided and
-/// verified per build).
+/// One BuildArmstrongDatabase call on the five-relation mixed workload
+/// under the chase oracle (steps = universe size decided and verified).
+void EmitMixedReport(BenchReporter& reporter) {
+  const std::size_t relations = 5;
+  MixedWorkload w = MakeMixedWorkload(relations);
+  ChaseOracle oracle(w.scheme);
+  std::uint64_t wall = MedianWallNs(5, [&] {
+    Result<ArmstrongReport> report =
+        BuildArmstrongDatabase(w.scheme, w.fds, w.inds, w.universe, oracle);
+    CCFP_CHECK(report.ok());
+  });
+  reporter.Add("build_mixed_rels5", relations, wall, w.universe.size());
+  std::fprintf(stderr, "build_mixed_rels5 (universe %zu): %.2f ms\n",
+               w.universe.size(), wall / 1e6);
+}
+
+/// Smoke mode skips the mixed build, the slow one.
 void EmitJsonReport(bool smoke) {
   BenchReporter reporter("armstrong");
-  EmitVerifyEngineReport(reporter, smoke);
-  struct Workload {
-    const char* name;
-    std::size_t n;
-    SchemePtr scheme;
-    std::vector<Fd> fds;
-    std::vector<Ind> inds;
-    std::vector<Dependency> universe;
-  };
-  std::vector<Workload> workloads;
-
-  {
-    Workload w;
-    w.name = "build_fd_arity10";
-    w.n = 10;
-    std::vector<std::string> attrs;
-    for (std::size_t i = 0; i < w.n; ++i) attrs.push_back(StrCat("A", i));
-    w.scheme = MakeScheme({{"R", attrs}});
-    UniverseOptions options;
-    options.max_fd_lhs = 2;
-    options.include_inds = false;
-    w.universe = EnumerateUniverse(*w.scheme, options);
-    w.fds = {Fd{0, {0}, {1}}, Fd{0, {1}, {2}}};
-    workloads.push_back(std::move(w));
-  }
-  {
-    Workload w;
-    w.name = "build_mixed_rels5";
-    w.n = 5;
-    std::vector<std::pair<std::string, std::vector<std::string>>> rels;
-    for (std::size_t r = 0; r < w.n; ++r) {
-      rels.emplace_back(StrCat("R", r), std::vector<std::string>{"A", "B"});
-    }
-    w.scheme = MakeScheme(rels);
-    UniverseOptions options;
-    options.max_fd_lhs = 1;
-    options.max_ind_width = 1;
-    options.include_rds = true;
-    w.universe = EnumerateUniverse(*w.scheme, options);
-    for (std::size_t r = 0; r < w.n; ++r) {
-      w.fds.push_back(Fd{static_cast<RelId>(r), {0}, {1}});
-      if (r + 1 < w.n) {
-        w.inds.push_back(
-            Ind{static_cast<RelId>(r), {1}, static_cast<RelId>(r + 1), {0}});
-      }
-    }
-    workloads.push_back(std::move(w));
-  }
-
-  if (smoke) workloads.erase(workloads.begin() + 1, workloads.end());
-  for (const Workload& w : workloads) {
-    // The FD-only workload uses the closure oracle so the measured cost is
-    // the build -> chase -> verify loop itself, not universe
-    // classification; the mixed workload needs the chase oracle.
-    FdOracle fd_oracle(w.scheme);
-    ChaseOracle chase_oracle(w.scheme);
-    const ImplicationOracle& oracle =
-        w.inds.empty() ? static_cast<const ImplicationOracle&>(fd_oracle)
-                       : chase_oracle;
-    std::uint64_t wall[2] = {0, 0};
-    for (int engine = 0; engine < 2; ++engine) {
-      wall[engine] = MedianWallNs(smoke ? 1 : 5, [&] {
-        Result<ArmstrongReport> report =
-            engine == 1 ? BuildArmstrongDatabase(w.scheme, w.fds, w.inds,
-                                                 w.universe, oracle)
-                        : reference::BuildArmstrongDatabaseLegacy(
-                              w.scheme, w.fds, w.inds, w.universe, oracle);
-        CCFP_CHECK(report.ok());
-      });
-    }
-    reporter.Add(StrCat(w.name, "_legacy"), w.n, wall[0], w.universe.size());
-    reporter.Add(StrCat(w.name, "_workspace"), w.n, wall[1],
-                 w.universe.size());
-    std::fprintf(stderr,
-                 "%s (universe %zu): legacy %.2f ms, workspace %.2f ms, "
-                 "speedup %.2fx\n",
-                 w.name, w.universe.size(), wall[0] / 1e6, wall[1] / 1e6,
-                 static_cast<double>(wall[0]) /
-                     static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
-  }
+  EmitFdReport(reporter, smoke);
+  if (!smoke) EmitMixedReport(reporter);
   reporter.WriteFile();
 }
 

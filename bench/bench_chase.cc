@@ -1,9 +1,9 @@
 // E11: FD+IND chase behaviour — the Section 7 schema chase terminates
 // (its IND graph is acyclic) and scales with n; cyclic IND sets exhaust
 // the budget (the undecidability surface of Mitchell / Chandra-Vardi).
-// Also the incremental-vs-naive engine comparison on a deep IND cascade
-// and the per-tuple cost of a divergent chase, emitted to
-// BENCH_chase.json for machine-readable perf tracking.
+// Also the delta-driven chase on a deep IND cascade and the per-tuple
+// cost of a divergent chase, emitted to BENCH_chase.json for
+// machine-readable perf tracking.
 #include <cstdio>
 #include <string_view>
 
@@ -16,7 +16,6 @@
 #include "chase/workspace_chase.h"
 #include "constructions/section7.h"
 #include "core/parser.h"
-#include "reference/chase.h"
 #include "solve/solver.h"
 #include "util/budget.h"
 #include "util/check.h"
@@ -25,30 +24,27 @@
 namespace ccfp {
 namespace {
 
-// Deep IND cascade (bench/workloads.h): restart-loop engines pay
-// O(levels^2), the delta-driven engine O(levels).
+// Deep IND cascade (bench/workloads.h): the delta-driven chase pays
+// O(levels), where a restart-loop engine would pay O(levels^2).
 
 void BM_DeepCascade(benchmark::State& state) {
   const std::size_t levels = static_cast<std::size_t>(state.range(0));
-  const bool incremental = state.range(1) != 0;
   CascadeInstance instance = MakeDeepCascade(levels);
   Chase chase(instance.scheme, instance.fds, instance.inds);
   Database seed = CascadeSeed(instance, 8);
   std::uint64_t tuples = 0;
   for (auto _ : state) {
-    Result<ChaseResult> result = incremental
-                                     ? chase.Run(seed)
-                                     : reference::NaiveChase(chase, seed);
+    Result<ChaseResult> result = chase.Run(seed);
     if (result.ok()) tuples = result->db.TotalTuples();
     benchmark::DoNotOptimize(result);
   }
   state.counters["levels"] = static_cast<double>(levels);
-  state.counters["incremental"] = incremental ? 1 : 0;
   state.counters["tuples"] = static_cast<double>(tuples);
 }
 
 BENCHMARK(BM_DeepCascade)
-    ->ArgsProduct({{32, 64, 128, 256}, {0, 1}})
+    ->RangeMultiplier(2)
+    ->Range(32, 256)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Section7ChaseLemma72(benchmark::State& state) {
@@ -160,8 +156,8 @@ void EmitDivergentCycle(BenchReporter& reporter, bool smoke) {
                    static_cast<double>(tuples == 0 ? 1 : tuples));
 }
 
-/// Times the deep-cascade workload under both engines and the divergent
-/// cycle, and writes BENCH_chase.json. Runs before the google-benchmark
+/// Times the deep-cascade workload and the divergent cycle, and writes
+/// BENCH_chase.json. Runs before the google-benchmark
 /// suite so the file exists even when benchmarks are filtered out.
 void EmitJsonReport(bool smoke) {
   BenchReporter reporter("chase");
@@ -170,26 +166,16 @@ void EmitJsonReport(bool smoke) {
     CascadeInstance instance = MakeDeepCascade(levels);
     Chase chase(instance.scheme, instance.fds, instance.inds);
     Database seed = CascadeSeed(instance, 8);
-    std::uint64_t steps[2] = {0, 0};
-    std::uint64_t wall[2] = {0, 0};
-    for (int engine = 0; engine < 2; ++engine) {
-      wall[engine] = MedianWallNs(smoke ? 1 : 5, [&] {
-        Result<ChaseResult> result = engine == 1
-                                         ? chase.Run(seed)
-                                         : reference::NaiveChase(chase, seed);
-        CCFP_CHECK(result.ok());
-        CCFP_CHECK(result->outcome == ChaseOutcome::kFixpoint);
-        steps[engine] = result->steps;
-      });
-    }
-    reporter.Add("deep_cascade_naive", levels, wall[0], steps[0]);
-    reporter.Add("deep_cascade_incremental", levels, wall[1], steps[1]);
-    std::fprintf(stderr,
-                 "deep_cascade L=%zu: naive %.2f ms, incremental %.2f ms, "
-                 "speedup %.1fx\n",
-                 levels, wall[0] / 1e6, wall[1] / 1e6,
-                 static_cast<double>(wall[0]) /
-                     static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
+    std::uint64_t steps = 0;
+    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+      Result<ChaseResult> result = chase.Run(seed);
+      CCFP_CHECK(result.ok());
+      CCFP_CHECK(result->outcome == ChaseOutcome::kFixpoint);
+      steps = result->steps;
+    });
+    reporter.Add("deep_cascade", levels, wall, steps);
+    std::fprintf(stderr, "deep_cascade L=%zu: %.2f ms\n", levels,
+                 wall / 1e6);
   }
   EmitDivergentCycle(reporter, smoke);
   reporter.WriteFile();

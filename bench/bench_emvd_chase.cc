@@ -1,8 +1,7 @@
-// E14 (PR 3): the EMVD chase engines head to head — the legacy heap-Value
-// engine copies and hashes two projected tuples per candidate pair; the
-// workspace engine reads two partition group ids off the persistent
-// InternedWorkspace and packs them into one word. BENCH_emvd_chase.json
-// records a legacy/workspace entry pair per workload.
+// E14: the EMVD chase — each candidate pair costs two partition group ids
+// read off the persistent InternedWorkspace, packed into one word.
+// BENCH_emvd_chase.json records one entry per workload: a grid fixpoint
+// and the budgeted Sagiv-Walecka family.
 #include <cstdio>
 
 #include <benchmark/benchmark.h>
@@ -11,9 +10,7 @@
 #include "bench/reporter.h"
 #include "chase/emvd_chase.h"
 #include "constructions/sagiv_walecka.h"
-#include "reference/emvd_chase.h"
 #include "util/check.h"
-#include "util/strings.h"
 
 namespace ccfp {
 namespace {
@@ -46,7 +43,6 @@ Database MakeSagivWaleckaSeed(const SagivWaleckaConstruction& c) {
 
 void BM_GridFixpoint(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
-  const bool workspace = state.range(1) != 0;
   SchemePtr scheme = MakeScheme({{"R", {"X", "Y", "Z"}}});
   std::vector<Emvd> sigma = {MakeEmvd(*scheme, "R", {"X"}, {"Y"}, {"Z"})};
   EmvdChaseOptions options;
@@ -54,23 +50,18 @@ void BM_GridFixpoint(benchmark::State& state) {
   std::uint64_t added = 0;
   for (auto _ : state) {
     Database db = MakeGridSeed(scheme, 2, side);
-    Result<std::uint64_t> result =
-        workspace ? EmvdChaseFixpoint(db, sigma, options)
-                  : reference::LegacyEmvdChaseFixpoint(db, sigma, options);
+    Result<std::uint64_t> result = EmvdChaseFixpoint(db, sigma, options);
     if (result.ok()) added = *result;
     benchmark::DoNotOptimize(result);
   }
   state.counters["side"] = side;
-  state.counters["workspace"] = workspace ? 1 : 0;
   state.counters["added"] = static_cast<double>(added);
 }
 
-BENCHMARK(BM_GridFixpoint)
-    ->ArgsProduct({{16, 32, 64}, {0, 1}});
+BENCHMARK(BM_GridFixpoint)->RangeMultiplier(2)->Range(16, 64);
 
 void BM_SagivWaleckaBudgeted(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
-  const bool workspace = state.range(1) != 0;
   SagivWaleckaConstruction c = MakeSagivWalecka(k);
   EmvdChaseOptions options;
   options.max_tuples = 2048;
@@ -78,21 +69,18 @@ void BM_SagivWaleckaBudgeted(benchmark::State& state) {
   std::uint64_t tuples = 0;
   for (auto _ : state) {
     Database db = MakeSagivWaleckaSeed(c);
-    Result<std::uint64_t> result =
-        workspace ? EmvdChaseFixpoint(db, c.sigma, options)
-                  : reference::LegacyEmvdChaseFixpoint(db, c.sigma, options);
+    Result<std::uint64_t> result = EmvdChaseFixpoint(db, c.sigma, options);
     tuples = db.TotalTuples();
     benchmark::DoNotOptimize(result);
   }
   state.counters["k"] = static_cast<double>(k);
-  state.counters["workspace"] = workspace ? 1 : 0;
   state.counters["tuples"] = static_cast<double>(tuples);
 }
 
-BENCHMARK(BM_SagivWaleckaBudgeted)->ArgsProduct({{2, 3}, {0, 1}});
+BENCHMARK(BM_SagivWaleckaBudgeted)->DenseRange(2, 3);
 
-/// One legacy/workspace pair per recorded workload; steps = tuples the
-/// chase materialized (the work both engines must do).
+/// One entry per recorded workload; steps = tuples the chase
+/// materialized.
 void EmitJsonReport(bool smoke) {
   BenchReporter reporter("emvd_chase");
   SchemePtr grid_scheme = MakeScheme({{"R", {"X", "Y", "Z"}}});
@@ -125,31 +113,18 @@ void EmitJsonReport(bool smoke) {
   // Smoke keeps only the budgeted workload; the grid fixpoint is the slow one.
   if (smoke) workloads.erase(workloads.begin());
   for (Workload& w : workloads) {
-    std::uint64_t wall[2] = {0, 0};
-    std::uint64_t tuples[2] = {0, 0};
-    for (int engine = 0; engine < 2; ++engine) {
-      wall[engine] = MedianWallNs(smoke ? 1 : 5, [&] {
-        Database db = w.seed;
-        Result<std::uint64_t> result =
-            engine == 1
-                ? EmvdChaseFixpoint(db, *w.sigma, w.options)
-                : reference::LegacyEmvdChaseFixpoint(db, *w.sigma, w.options);
-        CCFP_CHECK(result.ok() ||
-                   result.status().code() == StatusCode::kResourceExhausted);
-        tuples[engine] = db.TotalTuples();
-      });
-    }
-    CCFP_CHECK(tuples[0] == tuples[1]);
-    reporter.Add(StrCat(w.name, "_legacy"), w.n, wall[0], tuples[0]);
-    reporter.Add(StrCat(w.name, "_workspace"), w.n, wall[1], tuples[1]);
-    std::fprintf(stderr,
-                 "%s (%llu tuples): legacy %.2f ms, workspace %.2f ms, "
-                 "speedup %.2fx\n",
-                 w.name.c_str(),
-                 static_cast<unsigned long long>(tuples[0]), wall[0] / 1e6,
-                 wall[1] / 1e6,
-                 static_cast<double>(wall[0]) /
-                     static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
+    std::uint64_t tuples = 0;
+    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+      Database db = w.seed;
+      Result<std::uint64_t> result =
+          EmvdChaseFixpoint(db, *w.sigma, w.options);
+      CCFP_CHECK(result.ok() ||
+                 result.status().code() == StatusCode::kResourceExhausted);
+      tuples = db.TotalTuples();
+    });
+    reporter.Add(w.name, w.n, wall, tuples);
+    std::fprintf(stderr, "%s (%llu tuples): %.2f ms\n", w.name.c_str(),
+                 static_cast<unsigned long long>(tuples), wall / 1e6);
   }
   reporter.WriteFile();
 }

@@ -1,10 +1,8 @@
 // E7: the Theorem 6.1 construction — building the rotated Figure 6.1
 // Armstrong database and verifying property (6.1) ("obeys exactly
-// Gamma - delta") for growing k. The ObeysExactly sweep is timed under
-// both model-checking engines and emitted to BENCH_section6.json so the
-// interned-vs-legacy trajectory is machine-trackable.
+// Gamma - delta") for growing k. The ObeysExactly sweep is timed and
+// emitted to BENCH_section6.json.
 #include <cstdio>
-#include <string_view>
 
 #include <benchmark/benchmark.h>
 
@@ -49,8 +47,8 @@ void BM_VerifyProperty61(benchmark::State& state) {
 
 BENCHMARK(BM_VerifyProperty61)->RangeMultiplier(2)->Range(1, 16);
 
-/// Times the full property-(6.1) ObeysExactly sweep under the interned and
-/// legacy engines and writes BENCH_section6.json (entries: n = k,
+/// Times the full property-(6.1) ObeysExactly sweep and writes
+/// BENCH_section6.json (entries: n = k,
 /// steps = universe size). Runs before the google-benchmark suite so the
 /// file exists even when benchmarks are filtered out.
 void EmitJsonReport(bool smoke) {
@@ -60,24 +58,12 @@ void EmitJsonReport(bool smoke) {
     Section6Construction c = MakeSection6(k);
     Database d = MakeSection6Armstrong(c, 0);
     std::vector<Dependency> expected = Section6ExpectedSatisfied(c, 0);
-    std::uint64_t wall[2] = {0, 0};
-    for (int engine = 0; engine < 2; ++engine) {
-      SatisfiesOptions options;
-      options.engine = engine == 1 ? SatisfiesEngine::kInterned
-                                   : SatisfiesEngine::kLegacy;
-      wall[engine] = MedianWallNs(smoke ? 1 : 5, [&] {
-        CCFP_CHECK(!ObeysExactly(d, c.universe, expected, options)
-                        .has_value());
-      });
-    }
-    reporter.Add("obeys_exactly_legacy", k, wall[0], c.universe.size());
-    reporter.Add("obeys_exactly_interned", k, wall[1], c.universe.size());
-    std::fprintf(stderr,
-                 "obeys_exactly k=%zu (%zu sentences): legacy %.2f ms, "
-                 "interned %.2f ms, speedup %.1fx\n",
-                 k, c.universe.size(), wall[0] / 1e6, wall[1] / 1e6,
-                 static_cast<double>(wall[0]) /
-                     static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
+    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+      CCFP_CHECK(!ObeysExactly(d, c.universe, expected).has_value());
+    });
+    reporter.Add("obeys_exactly", k, wall, c.universe.size());
+    std::fprintf(stderr, "obeys_exactly k=%zu (%zu sentences): %.2f ms\n",
+                 k, c.universe.size(), wall / 1e6);
   }
   reporter.WriteFile();
 }

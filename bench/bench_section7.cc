@@ -1,9 +1,8 @@
 // E8: the Theorem 7.1 construction — chase re-derivation of Lemma 7.2 and
 // construction of the Lemma 7.9 witness databases, as n grows. The
-// universe sweep over a chased witness is timed under both model-checking
-// engines and emitted to BENCH_section7.json.
+// universe sweep over a chased witness is timed and emitted to
+// BENCH_section7.json.
 #include <cstdio>
-#include <string_view>
 
 #include <benchmark/benchmark.h>
 
@@ -72,8 +71,8 @@ void BM_Lemma79Witness(benchmark::State& state) {
 BENCHMARK(BM_Lemma79Witness)->RangeMultiplier(2)->Range(1, 16);
 
 /// Chases the Section 7 universal model and times SatisfiedSubset over the
-/// bounded sentence universe under both engines; BENCH_section7.json gets
-/// one legacy/interned entry pair per n (steps = universe size).
+/// bounded sentence universe; BENCH_section7.json gets one entry per n
+/// (steps = universe size).
 void EmitJsonReport(bool smoke) {
   BenchReporter reporter("section7");
   for (std::size_t n : {4, 8}) {
@@ -88,27 +87,14 @@ void EmitJsonReport(bool smoke) {
     seed.Insert(c.f, std::move(t));
     Result<ChaseResult> chased = chase.Run(std::move(seed));
     CCFP_CHECK(chased.ok());
-    std::uint64_t wall[2] = {0, 0};
-    std::size_t satisfied[2] = {0, 0};
-    for (int engine = 0; engine < 2; ++engine) {
-      SatisfiesOptions options;
-      options.engine = engine == 1 ? SatisfiesEngine::kInterned
-                                   : SatisfiesEngine::kLegacy;
-      wall[engine] = MedianWallNs(smoke ? 1 : 5, [&] {
-        satisfied[engine] =
-            SatisfiedSubset(chased->db, universe, options).size();
-      });
-    }
-    CCFP_CHECK(satisfied[0] == satisfied[1]);
-    reporter.Add("universe_sweep_legacy", n, wall[0], universe.size());
-    reporter.Add("universe_sweep_interned", n, wall[1], universe.size());
+    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+      benchmark::DoNotOptimize(SatisfiedSubset(chased->db, universe));
+    });
+    reporter.Add("universe_sweep", n, wall, universe.size());
     std::fprintf(stderr,
                  "universe_sweep n=%zu (%zu sentences over %zu tuples): "
-                 "legacy %.2f ms, interned %.2f ms, speedup %.1fx\n",
-                 n, universe.size(), chased->db.TotalTuples(),
-                 wall[0] / 1e6, wall[1] / 1e6,
-                 static_cast<double>(wall[0]) /
-                     static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
+                 "%.2f ms\n",
+                 n, universe.size(), chased->db.TotalTuples(), wall / 1e6);
   }
   reporter.WriteFile();
 }

@@ -1,16 +1,8 @@
 // E15: the concurrent solver service (service/service.h). BENCH_service.json
-// records two families:
-//
-//   * startup pairs — `startup_private/<n>` is the full cost of standing up
-//     a private substrate over n warm tuples (interning, sigma
-//     verification, premine partition compilation: SolverCore::Build);
-//     `startup_shared/<n>` is opening the Nth session against a service
-//     whose core is already built (a copy-on-write fork). The gap is the
-//     capital the shared core amortizes across sessions.
-//   * solve throughput — `solve_throughput/t<k>` drives k caller threads,
-//     each with its own session over one shared core, through a fixed
-//     mixed-fragment query stream (AddThreaded entries at t=1/2/4/8;
-//     steps = queries answered). Each query runs on its caller's thread.
+// records solve throughput: `solve_throughput/t<k>` drives k caller
+// threads, each with its own session over one shared core, through a
+// fixed mixed-fragment query stream (AddThreaded entries at t=1/2/4/8;
+// steps = queries answered). Each query runs on its caller's thread.
 #include <cstdint>
 #include <cstdio>
 #include <thread>
@@ -20,12 +12,10 @@
 
 #include "bench/bench_main.h"
 #include "bench/reporter.h"
-#include "core/database.h"
 #include "core/dependency.h"
 #include "core/schema.h"
 #include "service/service.h"
 #include "util/check.h"
-#include "util/rng.h"
 #include "util/strings.h"
 
 namespace ccfp {
@@ -38,20 +28,6 @@ SchemePtr BenchScheme() {
 std::vector<Dependency> BenchSigma() {
   return {Dependency(Fd{0, {0}, {1}}), Dependency(Fd{0, {1}, {2}}),
           Dependency(Ind{0, {0}, 1, {0}})};
-}
-
-/// n tuples with skewed key reuse, so the premined projections have
-/// non-trivial partitions (the compilation the shared core amortizes).
-Database WarmData(const SchemePtr& scheme, std::size_t n) {
-  SplitMix64 rng(n * 7919 + 3);
-  Database db(scheme);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::int64_t a = static_cast<std::int64_t>(i);
-    std::int64_t b = static_cast<std::int64_t>(rng.Below(n / 4 + 1));
-    db.Insert(0, {Value::Int(a), Value::Int(b), Value::Int(b % 7)});
-    db.Insert(1, {Value::Int(a), Value::Int(b)});
-  }
-  return db;
 }
 
 /// Mixed-fragment targets (non-unary, so they route through the
@@ -91,37 +67,6 @@ void EmitJsonReport(bool smoke) {
   BenchReporter reporter("service");
   SchemePtr scheme = BenchScheme();
 
-  // Startup pairs: private substrate build vs shared-core session fork.
-  for (std::size_t n : {256u, 1024u, 4096u}) {
-    if (smoke && n != 256) continue;
-    Database warm = WarmData(scheme, n);
-    std::uint64_t private_ns = MedianWallNs(smoke ? 1 : 5, [&] {
-      Result<std::shared_ptr<const SolverCore>> core =
-          SolverCore::Build(scheme, BenchSigma(), &warm);
-      CCFP_CHECK(core.ok());
-      benchmark::DoNotOptimize(core);
-    });
-
-    SolverService service;
-    Result<SolverService::SessionId> first = service.OpenMine(scheme, warm);
-    CCFP_CHECK(first.ok());  // pays the build; later opens fork it
-    std::uint64_t shared_ns = MedianWallNs(smoke ? 1 : 5, [&] {
-      Result<SolverService::SessionId> id = service.OpenMine(scheme, warm);
-      CCFP_CHECK(id.ok());
-      CCFP_CHECK(service.Close(*id).ok());
-    });
-    reporter.Add(StrCat("startup_private/", n), n, private_ns,
-                 warm.TotalTuples());
-    reporter.Add(StrCat("startup_shared/", n), n, shared_ns,
-                 warm.TotalTuples());
-    std::fprintf(stderr,
-                 "n=%zu: private build %.1f us, shared open %.1f us "
-                 "(%.0fx cheaper)\n",
-                 n, private_ns / 1e3, shared_ns / 1e3,
-                 static_cast<double>(private_ns) /
-                     static_cast<double>(shared_ns ? shared_ns : 1));
-  }
-
   // Throughput at t caller threads, one session each.
   constexpr std::size_t kRounds = 64;
   for (unsigned t : {1u, 2u, 4u, 8u}) {
@@ -147,21 +92,6 @@ void EmitJsonReport(bool smoke) {
 
   reporter.WriteFile();
 }
-
-void BM_SharedSessionOpen(benchmark::State& state) {
-  SchemePtr scheme = BenchScheme();
-  Database warm = WarmData(scheme, static_cast<std::size_t>(state.range(0)));
-  SolverService service;
-  Result<SolverService::SessionId> first = service.OpenMine(scheme, warm);
-  CCFP_CHECK(first.ok());
-  for (auto _ : state) {
-    Result<SolverService::SessionId> id = service.OpenMine(scheme, warm);
-    CCFP_CHECK(id.ok());
-    CCFP_CHECK(service.Close(*id).ok());
-  }
-}
-
-BENCHMARK(BM_SharedSessionOpen)->Range(256, 4096);
 
 void BM_ServiceSolve(benchmark::State& state) {
   SchemePtr scheme = BenchScheme();

@@ -1,9 +1,17 @@
 #include "bench/reporter.h"
 
 #include <cstdio>
+#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
+#endif
+
+#ifndef CCFP_BENCH_BUILD_TYPE
+#define CCFP_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef CCFP_BENCH_COMPILER
+#define CCFP_BENCH_COMPILER "unknown"
 #endif
 
 namespace ccfp {
@@ -61,8 +69,12 @@ void BenchReporter::AddThreaded(const std::string& name, std::uint64_t n,
 }
 
 std::string BenchReporter::ToJson() const {
-  std::string out = "{\"bench\": \"" + JsonEscape(bench_) +
-                    "\", \"entries\": [";
+  std::string out =
+      "{\"bench\": \"" + JsonEscape(bench_) + "\", \"host\": {\"nproc\": " +
+      std::to_string(std::thread::hardware_concurrency()) +
+      ", \"compiler\": \"" + JsonEscape(CCFP_BENCH_COMPILER) +
+      "\", \"build_type\": \"" + JsonEscape(CCFP_BENCH_BUILD_TYPE) +
+      "\"}, \"entries\": [";
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
     if (i > 0) out += ", ";

@@ -14,9 +14,15 @@ namespace ccfp {
 ///
 /// Schema:
 ///   {"bench": "chase",
+///    "host": {"nproc": 4, "compiler": "GNU 13.2.0",
+///             "build_type": "Release"},
 ///    "entries": [{"name": "...", "n": 32, "wall_ns": 123456, "steps": 17,
 ///                 "peak_rss_bytes": 1048576},
 ///                ...]}
+///
+/// `host` stamps the logical core count and the compiler and build type
+/// the bench was built with, so a committed report (bench/results/) says
+/// what produced its numbers.
 ///
 /// Entries recorded via AddThreaded additionally carry
 /// `"threads": <count>` (omitted entirely for plain Add entries).

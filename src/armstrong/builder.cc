@@ -63,6 +63,14 @@ ArmstrongSession::ArmstrongSession(SchemePtr scheme, std::vector<Fd> fds,
                                    std::vector<Ind> inds,
                                    const ImplicationOracle* oracle,
                                    const ArmstrongBuildOptions& options)
+    : ArmstrongSession(std::move(scheme), std::move(fds), std::move(inds),
+                       oracle, options, /*watch=*/true) {}
+
+ArmstrongSession::ArmstrongSession(SchemePtr scheme, std::vector<Fd> fds,
+                                   std::vector<Ind> inds,
+                                   const ImplicationOracle* oracle,
+                                   const ArmstrongBuildOptions& options,
+                                   bool watch)
     : scheme_(std::move(scheme)),
       fds_(std::move(fds)),
       inds_(std::move(inds)),
@@ -77,14 +85,9 @@ ArmstrongSession::ArmstrongSession(SchemePtr scheme, std::vector<Fd> fds,
     SeedGenericTupleWs(ws_, rel);
   }
   // A session exists to be extended round after round — the shape where
-  // watchers amortize. One-shot callers resolve kAuto to kFullSweep
-  // before constructing one (see BuildArmstrongDatabase).
-  if (options_.verify == ArmstrongVerifyEngine::kAuto) {
-    options_.verify = ArmstrongVerifyEngine::kIncremental;
-  }
-  if (options_.verify == ArmstrongVerifyEngine::kIncremental) {
-    verifier_ = std::make_unique<IncrementalVerifier>(&ws_);
-  }
+  // watchers amortize. Only the one-shot build sweeps instead (see
+  // BuildArmstrongDatabase).
+  if (watch) verifier_ = std::make_unique<IncrementalVerifier>(&ws_);
 }
 
 ArmstrongSession::ArmstrongSession(InternedWorkspace ws, std::vector<Fd> fds,
@@ -102,12 +105,7 @@ ArmstrongSession::ArmstrongSession(InternedWorkspace ws, std::vector<Fd> fds,
   for (const Ind& ind : inds_) sigma_deps_.push_back(Dependency(ind));
   // No seeding: the adopted workspace already carries the seeds (and
   // every chase consequence and repair) of the session that saved it.
-  if (options_.verify == ArmstrongVerifyEngine::kAuto) {
-    options_.verify = ArmstrongVerifyEngine::kIncremental;
-  }
-  if (options_.verify == ArmstrongVerifyEngine::kIncremental) {
-    verifier_ = std::make_unique<IncrementalVerifier>(&ws_);
-  }
+  verifier_ = std::make_unique<IncrementalVerifier>(&ws_);
 }
 
 ArmstrongSession::ArmstrongSession(InternedWorkspace ws,
@@ -233,15 +231,11 @@ Result<ArmstrongReport> BuildArmstrongDatabase(
   // carries seed, chase fixpoint, and verification state across every
   // repair round. Rounds after the first append only their repair seeds
   // and resume the chase — no value is re-interned, no partition is ever
-  // rebuilt, and the repaired delta is all the chase (and, under
-  // kIncremental, the verifier) re-processes. A one-shot build verifies
-  // the universe essentially once, so kAuto picks the sweep here —
-  // watchers would be compiled for a single read.
-  ArmstrongBuildOptions resolved = options;
-  if (resolved.verify == ArmstrongVerifyEngine::kAuto) {
-    resolved.verify = ArmstrongVerifyEngine::kFullSweep;
-  }
-  ArmstrongSession session(scheme, fds, inds, &oracle, resolved);
+  // rebuilt, and the repaired delta is all the chase re-processes. A
+  // one-shot build verifies the universe essentially once, so it sweeps
+  // the cached partitions — watchers would be compiled for a single read.
+  ArmstrongSession session(scheme, fds, inds, &oracle, options,
+                           /*watch=*/false);
   CCFP_RETURN_NOT_OK(session.Extend(universe));
   ArmstrongReport report(session.Snapshot());
   report.expected = session.expected();

@@ -1,7 +1,6 @@
 #ifndef CCFP_ARMSTRONG_BUILDER_H_
 #define CCFP_ARMSTRONG_BUILDER_H_
 
-#include <cstdint>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -32,31 +31,10 @@ namespace ccfp {
 /// fixpoint, verify exactness, and add repair seeds for any dependency that
 /// is accidentally satisfied; repeat to a bounded number of rounds.
 
-/// How the builder establishes truth each round.
-enum class ArmstrongVerifyEngine : std::uint8_t {
-  /// Pick per entry point: ArmstrongSession resolves to kIncremental
-  /// (multi-round sessions amortize the watcher build many times over —
-  /// ~6x end-to-end on the recorded session workload), the one-shot
-  /// BuildArmstrongDatabase to kFullSweep (a single-round build verifies
-  /// once, and one sweep is cheaper than compiling watchers it would
-  /// never reuse). The default.
-  kAuto = 0,
-  /// Incremental dependency watchers (verify/verifier.h) consume the
-  /// workspace change feed: each round re-checks only what that round's
-  /// chase delta actually touched, and the exactness check is counter
-  /// reads instead of a universe sweep.
-  kIncremental = 1,
-  /// The PR 2–4 behavior: every verification is a full partition-backed
-  /// sweep (`Satisfies` / `ObeysExactly`). Kept as the differential
-  /// reference for the watchers.
-  kFullSweep = 2,
-};
-
 struct ArmstrongBuildOptions {
   ChaseOptions chase;
   /// Maximum repair rounds before giving up.
   int max_repair_rounds = 8;
-  ArmstrongVerifyEngine verify = ArmstrongVerifyEngine::kAuto;
 };
 
 struct ArmstrongReport {
@@ -80,10 +58,12 @@ struct ArmstrongReport {
 /// rounds run out. One InternedWorkspace is threaded through every round:
 /// seeds are appended in id-space, a resumable WorkspaceChase continues
 /// from the previous fixpoint (only the repair delta is chased), and
-/// verification runs on the workspace's cached partitions. The
-/// re-chase-per-round reference in tests/reference/armstrong.h also builds
-/// verified-exact databases; its tuples may differ (this builder keeps
-/// chase consequences across rounds instead of re-deriving them).
+/// verification sweeps the workspace's cached partitions (a one-shot
+/// build verifies once, so compiling ArmstrongSession's watchers would
+/// buy nothing). The re-chase-per-round reference in
+/// tests/reference/armstrong.h also builds verified-exact databases; its
+/// tuples may differ (this builder keeps chase consequences across rounds
+/// instead of re-deriving them).
 Result<ArmstrongReport> BuildArmstrongDatabase(
     SchemePtr scheme, const std::vector<Fd>& fds,
     const std::vector<Ind>& inds, const std::vector<Dependency>& universe,
@@ -101,12 +81,11 @@ Result<ArmstrongReport> BuildArmstrongDatabase(
 /// the chase over just that delta, runs the usual repair loop, and
 /// re-verifies exactness over the *entire universe so far* — so after
 /// every Extend the session again holds a verified-exact Armstrong
-/// database for (Sigma, universe). With
-/// `ArmstrongVerifyEngine::kIncremental` the re-verification costs
-/// O(delta + new members), not O(universe * database): old members'
-/// watchers answer from counters, and only the new members pay an O(n)
-/// initialization. `kFullSweep` re-sweeps the whole universe per Extend
-/// (the differential reference and the pre-PR 5 cost model).
+/// database for (Sigma, universe). Incremental dependency watchers
+/// (verify/verifier.h) consume the workspace change feed, so the
+/// re-verification costs O(delta + new members), not O(universe *
+/// database): old members' watchers answer from counters, and only the
+/// new members pay an O(n) initialization.
 class ArmstrongSession {
  public:
   /// Seeds two generic tuples per relation (the builder's base seeds).
@@ -122,9 +101,9 @@ class ArmstrongSession {
   /// are taken as-is: nothing is re-interned and no base seeds are added.
   /// The session is immediately in the state the saver left it in:
   /// universe, expected set, and repair targets are rebuilt with zero
-  /// oracle calls, and under kIncremental the watchers initialize
-  /// straight from the adopted substrate. `ws` must be over the same
-  /// scheme, and `record` must come from the same save as `ws`.
+  /// oracle calls, and the watchers initialize straight from the adopted
+  /// substrate. `ws` must be over the same scheme, and `record` must come
+  /// from the same save as `ws`.
   ArmstrongSession(InternedWorkspace ws, SessionClassificationRecord record,
                    std::vector<Fd> fds, std::vector<Ind> inds,
                    const ImplicationOracle* oracle,
@@ -159,6 +138,17 @@ class ArmstrongSession {
   Database Snapshot() const { return ws_.Materialize(); }
 
  private:
+  friend Result<ArmstrongReport> BuildArmstrongDatabase(
+      SchemePtr scheme, const std::vector<Fd>& fds,
+      const std::vector<Ind>& inds, const std::vector<Dependency>& universe,
+      const ImplicationOracle& oracle, const ArmstrongBuildOptions& options);
+
+  /// Seeds like the public constructor; `watch` false verifies every
+  /// round by full sweep instead of watchers (BuildArmstrongDatabase's
+  /// one-Extend session).
+  ArmstrongSession(SchemePtr scheme, std::vector<Fd> fds,
+                   std::vector<Ind> inds, const ImplicationOracle* oracle,
+                   const ArmstrongBuildOptions& options, bool watch);
   /// Adopts `ws` with no base seeds and no classification (the record
   /// constructor's delegate).
   ArmstrongSession(InternedWorkspace ws, std::vector<Fd> fds,
@@ -168,7 +158,8 @@ class ArmstrongSession {
   /// The build loop body: chase to fixpoint, re-check every current
   /// non-consequence, seed repairs, repeat; then re-verify exactness.
   Status ChaseVerifyRepair();
-  /// Exactness over the whole universe, dispatched on options_.verify.
+  /// Exactness over the whole universe: watcher counters, or a sweep
+  /// when the session has no verifier.
   Status VerifyExactness();
 
   SchemePtr scheme_;
@@ -179,14 +170,14 @@ class ArmstrongSession {
 
   InternedWorkspace ws_;
   WorkspaceChase chaser_;
-  /// Present iff options_.verify == kIncremental.
+  /// Absent only in BuildArmstrongDatabase's sweep session.
   std::unique_ptr<IncrementalVerifier> verifier_;
 
   std::vector<Dependency> sigma_deps_;  ///< fds_ + inds_ for the oracle
   std::vector<Dependency> universe_;
   std::vector<Dependency> expected_;
   std::vector<Dependency> must_fail_;
-  /// Watch handles parallel to universe_ / must_fail_ (kIncremental only)
+  /// Watch handles parallel to universe_ / must_fail_ (with a verifier)
   /// — cached so re-verification rounds are pure counter reads, not
   /// dependency-hash lookups.
   std::vector<WatchId> universe_ids_;

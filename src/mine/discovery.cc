@@ -50,12 +50,13 @@ bool LhsSubsumes(const std::vector<AttrId>& small,
   return std::includes(big.begin(), big.end(), small.begin(), small.end());
 }
 
-/// Candidate enumeration shared by the sweep and watcher engines; the
-/// engines differ only in how a candidate's satisfaction is decided.
-template <typename SatisfiesFn>
-std::vector<Fd> MineFdsWith(std::size_t arity, RelId rel,
-                            const FdMiningOptions& options,
-                            SatisfiesFn&& satisfies) {
+}  // namespace
+
+std::vector<Fd> MineFds(const InternedWorkspace& ws, RelId rel,
+                        const FdMiningOptions& options) {
+  // Candidates sharing a column set hit the same cached projection
+  // partition of the workspace instead of re-hashing the relation.
+  std::size_t arity = ws.scheme().relation(rel).arity();
   std::vector<Fd> mined;
   ForEachSortedSubset(
       arity, options.max_lhs, options.include_constants,
@@ -65,7 +66,7 @@ std::vector<Fd> MineFdsWith(std::size_t arity, RelId rel,
             continue;  // trivial
           }
           Fd candidate{rel, lhs, {rhs}};
-          if (!satisfies(candidate)) continue;
+          if (!ws.Satisfies(candidate)) continue;
           mined.push_back(std::move(candidate));
         }
       });
@@ -89,15 +90,21 @@ std::vector<Fd> MineFdsWith(std::size_t arity, RelId rel,
   return minimal;
 }
 
-template <typename SatisfiesFn, typename AliveFn>
-std::vector<Ind> MineIndsWith(const DatabaseScheme& scheme,
-                              const IndMiningOptions& options,
-                              SatisfiesFn&& satisfies, AliveFn&& alive) {
+std::vector<Fd> MineFds(const Database& db, RelId rel,
+                        const FdMiningOptions& options) {
+  InternedWorkspace ws(db.scheme_ptr());
+  ws.AppendRelation(db, rel);
+  return MineFds(ws, rel, options);
+}
+
+std::vector<Ind> MineInds(const InternedWorkspace& ws,
+                          const IndMiningOptions& options) {
+  const DatabaseScheme& scheme = ws.scheme();
   std::vector<Ind> mined;
   for (std::size_t width = 1; width <= options.max_width; ++width) {
     for (RelId r1 = 0; r1 < scheme.size(); ++r1) {
       if (scheme.relation(r1).arity() < width) continue;
-      if (options.skip_vacuous && alive(r1) == 0) continue;
+      if (options.skip_vacuous && ws.AliveTuples(r1) == 0) continue;
       for (RelId r2 = 0; r2 < scheme.size(); ++r2) {
         if (scheme.relation(r2).arity() < width) continue;
         ForEachSequence(
@@ -108,7 +115,7 @@ std::vector<Ind> MineIndsWith(const DatabaseScheme& scheme,
                   [&](const std::vector<AttrId>& rhs) {
                     Ind candidate{r1, lhs, r2, rhs};
                     if (IsTrivial(candidate)) return;
-                    if (satisfies(candidate)) {
+                    if (ws.Satisfies(candidate)) {
                       mined.push_back(candidate);
                     }
                   });
@@ -119,71 +126,6 @@ std::vector<Ind> MineIndsWith(const DatabaseScheme& scheme,
   return mined;
 }
 
-template <typename SatisfiesFn, typename AliveFn>
-std::vector<Rd> MineRdsWith(const DatabaseScheme& scheme,
-                            SatisfiesFn&& satisfies, AliveFn&& alive) {
-  std::vector<Rd> mined;
-  for (RelId rel = 0; rel < scheme.size(); ++rel) {
-    if (alive(rel) == 0) continue;  // vacuous RDs are noise
-    std::size_t arity = scheme.relation(rel).arity();
-    for (AttrId a = 0; a < arity; ++a) {
-      for (AttrId b = a + 1; b < arity; ++b) {
-        Rd candidate{rel, {a}, {b}};
-        if (satisfies(candidate)) mined.push_back(candidate);
-      }
-    }
-  }
-  return mined;
-}
-
-}  // namespace
-
-std::vector<Fd> MineFds(const InternedWorkspace& ws, RelId rel,
-                        const FdMiningOptions& options) {
-  // Candidates sharing a column set hit the same cached projection
-  // partition of the workspace instead of re-hashing the relation.
-  return MineFdsWith(ws.scheme().relation(rel).arity(), rel, options,
-                     [&](const Fd& fd) { return ws.Satisfies(fd); });
-}
-
-std::vector<Fd> MineFds(IncrementalVerifier& verifier, RelId rel,
-                        const FdMiningOptions& options) {
-  // Each candidate becomes (or re-finds) a watcher: one CatchUp absorbs
-  // the workspace delta, then every verdict is a counter read. Candidates
-  // across lattice levels share the sorted column-set partitions.
-  return MineFdsWith(
-      verifier.workspace().scheme().relation(rel).arity(), rel, options,
-      [&](const Fd& fd) {
-        return verifier.Satisfies(verifier.Watch(Dependency(fd)));
-      });
-}
-
-std::vector<Fd> MineFds(const Database& db, RelId rel,
-                        const FdMiningOptions& options) {
-  InternedWorkspace ws(db.scheme_ptr());
-  ws.AppendRelation(db, rel);
-  return MineFds(ws, rel, options);
-}
-
-std::vector<Ind> MineInds(const InternedWorkspace& ws,
-                          const IndMiningOptions& options) {
-  return MineIndsWith(
-      ws.scheme(), options,
-      [&](const Ind& ind) { return ws.Satisfies(ind); },
-      [&](RelId rel) { return ws.AliveTuples(rel); });
-}
-
-std::vector<Ind> MineInds(IncrementalVerifier& verifier,
-                          const IndMiningOptions& options) {
-  const InternedWorkspace& ws = verifier.workspace();
-  return MineIndsWith(
-      ws.scheme(), options,
-      [&](const Ind& ind) {
-        return verifier.Satisfies(verifier.Watch(Dependency(ind)));
-      },
-      [&](RelId rel) { return ws.AliveTuples(rel); });
-}
-
 std::vector<Ind> MineInds(const Database& db,
                           const IndMiningOptions& options) {
   InternedWorkspace ws(db.scheme_ptr());
@@ -192,19 +134,19 @@ std::vector<Ind> MineInds(const Database& db,
 }
 
 std::vector<Rd> MineRds(const InternedWorkspace& ws) {
-  return MineRdsWith(
-      ws.scheme(), [&](const Rd& rd) { return ws.Satisfies(rd); },
-      [&](RelId rel) { return ws.AliveTuples(rel); });
-}
-
-std::vector<Rd> MineRds(IncrementalVerifier& verifier) {
-  const InternedWorkspace& ws = verifier.workspace();
-  return MineRdsWith(
-      ws.scheme(),
-      [&](const Rd& rd) {
-        return verifier.Satisfies(verifier.Watch(Dependency(rd)));
-      },
-      [&](RelId rel) { return ws.AliveTuples(rel); });
+  const DatabaseScheme& scheme = ws.scheme();
+  std::vector<Rd> mined;
+  for (RelId rel = 0; rel < scheme.size(); ++rel) {
+    if (ws.AliveTuples(rel) == 0) continue;  // vacuous RDs are noise
+    std::size_t arity = scheme.relation(rel).arity();
+    for (AttrId a = 0; a < arity; ++a) {
+      for (AttrId b = a + 1; b < arity; ++b) {
+        Rd candidate{rel, {a}, {b}};
+        if (ws.Satisfies(candidate)) mined.push_back(candidate);
+      }
+    }
+  }
+  return mined;
 }
 
 std::vector<Rd> MineRds(const Database& db) {

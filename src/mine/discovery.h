@@ -7,7 +7,6 @@
 #include "core/database.h"
 #include "core/dependency.h"
 #include "core/workspace.h"
-#include "verify/verifier.h"
 
 namespace ccfp {
 
@@ -18,19 +17,11 @@ namespace ccfp {
 /// here by direct model checking against a bounded candidate universe,
 /// which is exact and adequate for design-time schemas.
 ///
-/// Every miner has three entry points: a `Database` convenience overload
-/// that interns into a throwaway workspace; an `InternedWorkspace`
+/// Every miner has two entry points: a `Database` convenience overload
+/// that interns into a throwaway workspace, and an `InternedWorkspace`
 /// overload for callers probing the same data repeatedly — mining FDs,
 /// then INDs, then RDs (or re-mining after appends) over one caller-owned
-/// workspace shares every cached projection partition across the calls;
-/// and an `IncrementalVerifier` overload that registers every candidate
-/// as a watcher (verify/verifier.h). The verifier overloads share watcher
-/// state across candidate lattice levels — the FD sweep's sorted
-/// column-set partitions are reused between lhs sizes and between
-/// candidates — and, because watchers persist inside the caller's
-/// verifier, *re-mining after the workspace changed costs only the
-/// delta*: the sweeps below re-scan per call, the watcher overloads just
-/// catch up on the change feed and re-read counters.
+/// workspace shares every cached projection partition across the calls.
 
 struct FdMiningOptions {
   /// Maximum size of a candidate left-hand side.
@@ -48,8 +39,6 @@ std::vector<Fd> MineFds(const Database& db, RelId rel,
                         const FdMiningOptions& options = {});
 std::vector<Fd> MineFds(const InternedWorkspace& ws, RelId rel,
                         const FdMiningOptions& options = {});
-std::vector<Fd> MineFds(IncrementalVerifier& verifier, RelId rel,
-                        const FdMiningOptions& options = {});
 
 struct IndMiningOptions {
   /// Maximum IND width to consider (beware: candidates grow like the
@@ -65,14 +54,11 @@ std::vector<Ind> MineInds(const Database& db,
                           const IndMiningOptions& options = {});
 std::vector<Ind> MineInds(const InternedWorkspace& ws,
                           const IndMiningOptions& options = {});
-std::vector<Ind> MineInds(IncrementalVerifier& verifier,
-                          const IndMiningOptions& options = {});
 
 /// All nontrivial unary RDs satisfied by `db` (empty relations are skipped:
 /// their RDs hold vacuously).
 std::vector<Rd> MineRds(const Database& db);
 std::vector<Rd> MineRds(const InternedWorkspace& ws);
-std::vector<Rd> MineRds(IncrementalVerifier& verifier);
 
 }  // namespace ccfp
 

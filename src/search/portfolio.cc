@@ -164,9 +164,15 @@ Result<PortfolioResult> RefutationPortfolio::RunRungs(const Budget& budget,
     RungReport& rung = out.rungs[i - first];
     rung.share = shares[i].steps;
     if (funded_costs[i] == 0 || shares[i].steps == 0) {
+      // SplitLadder funds rungs in ladder order, so a funded rung's share
+      // is zero only when the budget had no steps or smaller shapes spent
+      // them all.
       if (funded_costs[i] != 0) {
         rung.note =
-            StrCat("skipped: candidate budget drained by smaller shapes (",
+            StrCat(budget.steps == 0
+                       ? "skipped: the ladder had no candidate budget ("
+                       : "skipped: candidate budget drained by smaller "
+                         "shapes (",
                    ladder_[i].ToString(), " needs up to ", costs_[i],
                    " candidates)");
       }  // else the note is already set: statically infeasible

@@ -227,6 +227,35 @@ TEST_P(PortfolioPropertyTest, MatchesStandaloneSearchUnderMidRungStarvation) {
   }
 }
 
+// --- (a) a zero-step budget funds no rung -------------------------------
+
+TEST_P(PortfolioPropertyTest, ZeroStepBudgetSkipsEveryRungWithItsOwnReason) {
+  SplitMix64 rng(GetParam() * 193 + 3);
+  for (int i = 0; i < 3; ++i) {
+    Workload w = RandomWorkload(rng);
+    RefutationPortfolio portfolio(w.scheme, w.sigma, w.target);
+    Budget budget;
+    budget.steps = 0;
+    Result<PortfolioResult> run = portfolio.Run(budget);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_EQ(run->winner, PortfolioResult::kNoRung);
+    EXPECT_EQ(run->candidates_tested, 0u);
+    ASSERT_EQ(run->rungs.size(), portfolio.ladder().size());
+    EXPECT_EQ(run->rungs_skipped, run->rungs.size());
+    for (const RungReport& rung : run->rungs) {
+      EXPECT_EQ(rung.status, RungStatus::kSkipped) << rung.shape.ToString();
+      EXPECT_EQ(rung.note.find("smaller shapes"), std::string::npos)
+          << "no smaller shape spent a zero budget: " << rung.note;
+    }
+    // Rung 0 has no smaller shapes; when it is feasible, its note names
+    // the empty budget.
+    if (run->rungs[0].note.starts_with("skipped: compiled tables")) continue;
+    EXPECT_NE(run->rungs[0].note.find("no candidate budget"),
+              std::string::npos)
+        << run->rungs[0].note;
+  }
+}
+
 // --- (a') a sweep split in two ranges equals one sweep -------------------
 
 TEST_P(PortfolioPropertyTest, SplitSweepEqualsOneRun) {

@@ -15,9 +15,8 @@ namespace ccfp::reference {
 /// runs a fresh `WorkspaceChase` on it and verifies the chased workspace
 /// by full sweep. Same failure modes as `BuildArmstrongDatabase`, and
 /// also verified-exact, but its tuples may differ (the library builder
-/// keeps chase consequences across rounds).
-/// `options.verify` is ignored, and
-/// `workspace_stats` stays zero.
+/// keeps chase consequences across rounds). `workspace_stats` stays
+/// zero.
 Result<ArmstrongReport> BuildArmstrongDatabaseLegacy(
     SchemePtr scheme, const std::vector<Fd>& fds,
     const std::vector<Ind>& inds, const std::vector<Dependency>& universe,

@@ -50,7 +50,6 @@ TEST(SessionSoakTest, LongFdSessionHoldsByteCeilingWithTrimmedFeeds) {
 
   constexpr std::uint64_t kCeiling = 1u << 20;
   ArmstrongBuildOptions opts;
-  opts.verify = ArmstrongVerifyEngine::kIncremental;
   opts.chase.max_bytes = kCeiling;
   ArmstrongSession session(scheme, fds, {}, &oracle, opts);
 
@@ -84,7 +83,6 @@ TEST(SessionSoakTest, MixedFdIndSessionStaysBoundedAcrossExtends) {
 
   constexpr std::uint64_t kCeiling = 1u << 21;
   ArmstrongBuildOptions opts;
-  opts.verify = ArmstrongVerifyEngine::kIncremental;
   opts.chase.max_bytes = kCeiling;
   ArmstrongSession session(scheme, fds, inds, &oracle, opts);
 
@@ -115,9 +113,7 @@ TEST(SessionSoakTest, SnapshotCycleWarmStartsAnEquivalentSession) {
   ASSERT_GT(universe.size(), 8u);
   FdOracle oracle(scheme);
 
-  ArmstrongBuildOptions opts;
-  opts.verify = ArmstrongVerifyEngine::kIncremental;
-  ArmstrongSession session(scheme, fds, {}, &oracle, opts);
+  ArmstrongSession session(scheme, fds, {}, &oracle);
 
   std::vector<Dependency> first_half(universe.begin(),
                                      universe.begin() + universe.size() / 2);
@@ -137,7 +133,7 @@ TEST(SessionSoakTest, SnapshotCycleWarmStartsAnEquivalentSession) {
   std::uint64_t interned_at_restore =
       restored->restored.ws.stats().values_interned;
   ArmstrongSession warm(std::move(restored->restored.ws), record.MoveValue(),
-                        fds, {}, &oracle, opts);
+                        fds, {}, &oracle);
   EXPECT_EQ(warm.universe(), session.universe());
   EXPECT_EQ(warm.expected(), session.expected());
 

@@ -217,9 +217,7 @@ TEST_P(SnapshotCrashPropertyTest, WarmReloadAfterMidSaveCrashMatchesControl) {
   ASSERT_GT(universe.size(), 4u);
   FdOracle oracle(scheme);
 
-  ArmstrongBuildOptions copts;
-  copts.verify = ArmstrongVerifyEngine::kIncremental;
-  ArmstrongSession control(scheme, fds, {}, &oracle, copts);
+  ArmstrongSession control(scheme, fds, {}, &oracle);
 
   std::string prefix = ::testing::TempDir() + "/ccfp_crash_session_" +
                        std::to_string(seed);
@@ -227,7 +225,7 @@ TEST_P(SnapshotCrashPropertyTest, WarmReloadAfterMidSaveCrashMatchesControl) {
   // trigger folds every few saves: the crash lands on a delta or a fold
   // by seed.
   SnapshotChainWriter chain(prefix);
-  ArmstrongSession victim(scheme, fds, {}, &oracle, copts);
+  ArmstrongSession victim(scheme, fds, {}, &oracle);
 
   std::size_t crash_at = 1 + seed % (universe.size() - 1);
   FaultSite site = kCrashSites[seed % 4];
@@ -269,7 +267,7 @@ TEST_P(SnapshotCrashPropertyTest, WarmReloadAfterMidSaveCrashMatchesControl) {
   SnapshotChainWriter chain2(prefix);
   chain2.Adopt(*loaded);
   ArmstrongSession warm(std::move(loaded->restored.ws), record.MoveValue(),
-                        fds, {}, &oracle, copts);
+                        fds, {}, &oracle);
   std::size_t folds = 0;
   for (const Dependency& dep : universe) {
     ASSERT_TRUE(warm.Extend({dep}).ok()) << dep.ToString(*scheme);

@@ -1,8 +1,8 @@
 // Unit coverage for the delta-driven verification layer: the workspace
 // change feed and surgical partition repair (core/workspace.h), the
 // incremental dependency watchers (verify/verifier.h), the solver-owned
-// witness cache (verify/witness_cache.h), the multi-round ArmstrongSession,
-// and the watcher-backed mining overloads.
+// witness cache (verify/witness_cache.h) and the multi-round
+// ArmstrongSession.
 #include <gtest/gtest.h>
 
 #include "armstrong/builder.h"
@@ -10,7 +10,6 @@
 #include "chase/workspace_chase.h"
 #include "core/satisfies.h"
 #include "core/workspace.h"
-#include "mine/discovery.h"
 #include "solve/solver.h"
 #include "util/strings.h"
 #include "verify/verifier.h"
@@ -406,8 +405,10 @@ TEST(WitnessCacheTest, SolverReplaysRefutationsAcrossSolves) {
 }
 
 TEST(ArmstrongSessionTest, IncrementalMatchesFullSweepAcrossExtends) {
-  // Universe grown in chunks; after every Extend both verify engines must
-  // hold a verified-exact database certifying the same consequence set.
+  // Universe grown in chunks; after every Extend the watcher session must
+  // hold a verified-exact database certifying the same consequence set as
+  // a fresh one-shot build (which verifies by full sweep) over the
+  // universe so far.
   SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}});
   std::vector<Fd> fds = {Fd{0, {0}, {1}}, Fd{0, {1}, {2}}};
   UniverseOptions uopts;
@@ -417,12 +418,7 @@ TEST(ArmstrongSessionTest, IncrementalMatchesFullSweepAcrossExtends) {
   ASSERT_GT(universe.size(), 8u);
   FdOracle oracle(scheme);
 
-  ArmstrongBuildOptions inc_opts;
-  inc_opts.verify = ArmstrongVerifyEngine::kIncremental;
-  ArmstrongBuildOptions sweep_opts;
-  sweep_opts.verify = ArmstrongVerifyEngine::kFullSweep;
-  ArmstrongSession inc(scheme, fds, {}, &oracle, inc_opts);
-  ArmstrongSession sweep(scheme, fds, {}, &oracle, sweep_opts);
+  ArmstrongSession inc(scheme, fds, {}, &oracle);
 
   std::size_t chunk = universe.size() / 4 + 1;
   for (std::size_t at = 0; at < universe.size(); at += chunk) {
@@ -430,14 +426,13 @@ TEST(ArmstrongSessionTest, IncrementalMatchesFullSweepAcrossExtends) {
         universe.begin() + at,
         universe.begin() + std::min(at + chunk, universe.size()));
     ASSERT_TRUE(inc.Extend(delta).ok());
-    ASSERT_TRUE(sweep.Extend(delta).ok());
-    EXPECT_EQ(inc.expected(), sweep.expected());
-    // Cross-check with the independent sweep engine on materialized dbs.
+    Result<ArmstrongReport> sweep =
+        BuildArmstrongDatabase(scheme, fds, {}, inc.universe(), oracle);
+    ASSERT_TRUE(sweep.ok()) << sweep.status();
+    EXPECT_EQ(inc.expected(), sweep->expected);
+    // Cross-check with the independent sweep engine on the materialized db.
     EXPECT_FALSE(
         ObeysExactly(inc.Snapshot(), inc.universe(), inc.expected())
-            .has_value());
-    EXPECT_FALSE(
-        ObeysExactly(sweep.Snapshot(), sweep.universe(), sweep.expected())
             .has_value());
   }
   // Extending with already-known members is a no-op beyond re-verifying.
@@ -446,6 +441,8 @@ TEST(ArmstrongSessionTest, IncrementalMatchesFullSweepAcrossExtends) {
 }
 
 TEST(ArmstrongBuilderTest, VerifyEnginesAgreeOnOneShotBuilds) {
+  // BuildArmstrongDatabase verifies by full sweep; a one-Extend session
+  // verifies through watchers. The strategy must not change the result.
   SchemePtr scheme = MakeScheme(
       {{"R0", {"A", "B"}}, {"R1", {"A", "B"}}, {"R2", {"A", "B"}}});
   std::vector<Fd> fds = {Fd{0, {0}, {1}}, Fd{1, {0}, {1}}, Fd{2, {0}, {1}}};
@@ -457,44 +454,14 @@ TEST(ArmstrongBuilderTest, VerifyEnginesAgreeOnOneShotBuilds) {
   std::vector<Dependency> universe = EnumerateUniverse(*scheme, uopts);
   ChaseOracle oracle(scheme);
 
-  ArmstrongBuildOptions options;
-  options.verify = ArmstrongVerifyEngine::kIncremental;
-  Result<ArmstrongReport> inc =
-      BuildArmstrongDatabase(scheme, fds, inds, universe, oracle, options);
-  options.verify = ArmstrongVerifyEngine::kFullSweep;
+  ArmstrongSession inc(scheme, fds, inds, &oracle);
+  ASSERT_TRUE(inc.Extend(universe).ok());
   Result<ArmstrongReport> sweep =
-      BuildArmstrongDatabase(scheme, fds, inds, universe, oracle, options);
-  ASSERT_TRUE(inc.ok()) << inc.status();
+      BuildArmstrongDatabase(scheme, fds, inds, universe, oracle);
   ASSERT_TRUE(sweep.ok()) << sweep.status();
-  EXPECT_EQ(inc->expected, sweep->expected);
-  EXPECT_EQ(inc->db, sweep->db)
+  EXPECT_EQ(inc.expected(), sweep->expected);
+  EXPECT_EQ(inc.Snapshot(), sweep->db)
       << "verification strategy must not change the built database";
-}
-
-TEST(MiningTest, WatcherOverloadsMatchSweepsAndRemineCheaply) {
-  SchemePtr scheme = MakeScheme({{"R", {"A", "B", "C"}}, {"S", {"A", "B"}}});
-  InternedWorkspace ws(scheme);
-  ws.AppendTuple(0, {Value::Int(1), Value::Int(1), Value::Int(2)});
-  ws.AppendTuple(0, {Value::Int(2), Value::Int(1), Value::Int(2)});
-  ws.AppendTuple(1, {Value::Int(1), Value::Int(1)});
-
-  IncrementalVerifier verifier(&ws);
-  FdMiningOptions fd_opts;
-  fd_opts.max_lhs = 2;
-  EXPECT_EQ(MineFds(verifier, 0, fd_opts), MineFds(ws, 0, fd_opts));
-  IndMiningOptions ind_opts;
-  EXPECT_EQ(MineInds(verifier, ind_opts), MineInds(ws, ind_opts));
-  EXPECT_EQ(MineRds(verifier), MineRds(ws));
-  std::size_t watchers = verifier.watch_count();
-
-  // Re-mining after a delta: watcher state is shared across calls (no new
-  // watchers for old candidates) and verdicts still match the sweeps.
-  ws.AppendTuple(0, {Value::Int(1), Value::Int(3), Value::Int(3)});
-  EXPECT_EQ(MineFds(verifier, 0, fd_opts), MineFds(ws, 0, fd_opts));
-  EXPECT_EQ(MineInds(verifier, ind_opts), MineInds(ws, ind_opts));
-  EXPECT_EQ(MineRds(verifier), MineRds(ws));
-  EXPECT_EQ(verifier.watch_count(), watchers)
-      << "re-mining created duplicate watchers";
 }
 
 }  // namespace
