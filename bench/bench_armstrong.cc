@@ -116,7 +116,7 @@ void EmitFdReport(BenchReporter& reporter, bool smoke) {
   std::vector<Fd> fds = {Fd{0, {0}, {1}}, Fd{0, {1}, {2}}};
   FdOracle oracle(scheme);
 
-  std::uint64_t session = MedianWallNs(smoke ? 1 : 3, [&] {
+  WallNs session = MeasureWallNs(smoke ? 1 : 3, [&] {
     ArmstrongSession s(scheme, fds, {}, &oracle);
     for (const Dependency& tau : universe) {
       Status st = s.Extend({tau});
@@ -125,7 +125,7 @@ void EmitFdReport(BenchReporter& reporter, bool smoke) {
   });
   reporter.Add("session_fd_arity10", universe.size(), session,
                universe.size());
-  std::uint64_t oneshot = MedianWallNs(smoke ? 1 : 5, [&] {
+  WallNs oneshot = MeasureWallNs(smoke ? 1 : 5, [&] {
     Result<ArmstrongReport> report =
         BuildArmstrongDatabase(scheme, fds, {}, universe, oracle);
     CCFP_CHECK(report.ok());
@@ -135,7 +135,7 @@ void EmitFdReport(BenchReporter& reporter, bool smoke) {
   std::fprintf(stderr,
                "fd_arity10 (universe %zu): session (one member per round) "
                "%.2f ms, oneshot %.2f ms\n",
-               universe.size(), session / 1e6, oneshot / 1e6);
+               universe.size(), session.median / 1e6, oneshot.median / 1e6);
 }
 
 /// One BuildArmstrongDatabase call on the five-relation mixed workload
@@ -144,14 +144,14 @@ void EmitMixedReport(BenchReporter& reporter) {
   const std::size_t relations = 5;
   MixedWorkload w = MakeMixedWorkload(relations);
   ChaseOracle oracle(w.scheme);
-  std::uint64_t wall = MedianWallNs(5, [&] {
+  WallNs wall = MeasureWallNs(5, [&] {
     Result<ArmstrongReport> report =
         BuildArmstrongDatabase(w.scheme, w.fds, w.inds, w.universe, oracle);
     CCFP_CHECK(report.ok());
   });
   reporter.Add("build_mixed_rels5", relations, wall, w.universe.size());
   std::fprintf(stderr, "build_mixed_rels5 (universe %zu): %.2f ms\n",
-               w.universe.size(), wall / 1e6);
+               w.universe.size(), wall.median / 1e6);
 }
 
 /// Smoke mode skips the mixed build, the slow one.

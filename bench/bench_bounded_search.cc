@@ -119,11 +119,11 @@ void EmitJsonReport(bool smoke) {
   if (smoke) workloads.erase(workloads.begin() + 1, workloads.end());
   for (const Workload& w : workloads) {
     std::uint64_t candidates = 0;
-    std::uint64_t wall =
-        MedianWallNs(smoke ? 1 : 5, [&] { candidates = RunOnce(w); });
+    WallNs wall =
+        MeasureWallNs(smoke ? 1 : 5, [&] { candidates = RunOnce(w); });
     reporter.Add(w.name, w.options.domain_size, wall, candidates);
     std::fprintf(stderr, "%s d=%zu: %.2f ms (%llu boundaries)\n", w.name,
-                 w.options.domain_size, wall / 1e6,
+                 w.options.domain_size, wall.median / 1e6,
                  static_cast<unsigned long long>(candidates));
   }
   reporter.WriteFile();

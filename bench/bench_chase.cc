@@ -140,7 +140,7 @@ void EmitDivergentCycle(BenchReporter& reporter, bool smoke) {
       Budget().Split(SolveOptions().mixed_stage_split));
   std::uint64_t tuples = 0;
   std::uint64_t steps = 0;
-  std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+  WallNs wall = MeasureWallNs(smoke ? 1 : 5, [&] {
     InternedWorkspace ws(scheme);
     ws.AppendDatabase(seed);
     WorkspaceChase chase(&ws, fds, inds);
@@ -151,8 +151,8 @@ void EmitDivergentCycle(BenchReporter& reporter, bool smoke) {
   reporter.Add("divergent_cycle", tuples, wall, steps);
   std::fprintf(stderr,
                "divergent_cycle: %.2f ms, %llu tuples, %.0f ns/tuple\n",
-               wall / 1e6, static_cast<unsigned long long>(tuples),
-               static_cast<double>(wall) /
+               wall.median / 1e6, static_cast<unsigned long long>(tuples),
+               static_cast<double>(wall.median) /
                    static_cast<double>(tuples == 0 ? 1 : tuples));
 }
 
@@ -167,7 +167,7 @@ void EmitJsonReport(bool smoke) {
     Chase chase(instance.scheme, instance.fds, instance.inds);
     Database seed = CascadeSeed(instance, 8);
     std::uint64_t steps = 0;
-    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs wall = MeasureWallNs(smoke ? 1 : 5, [&] {
       Result<ChaseResult> result = chase.Run(seed);
       CCFP_CHECK(result.ok());
       CCFP_CHECK(result->outcome == ChaseOutcome::kFixpoint);
@@ -175,7 +175,7 @@ void EmitJsonReport(bool smoke) {
     });
     reporter.Add("deep_cascade", levels, wall, steps);
     std::fprintf(stderr, "deep_cascade L=%zu: %.2f ms\n", levels,
-                 wall / 1e6);
+                 wall.median / 1e6);
   }
   EmitDivergentCycle(reporter, smoke);
   reporter.WriteFile();

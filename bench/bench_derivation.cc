@@ -105,14 +105,14 @@ void EmitJsonReport(bool smoke) {
     if (smoke && n != 2) continue;
     Section7Construction c = MakeSection7(n);
     std::uint64_t arsenal_steps = 0;
-    std::uint64_t arsenal_wall = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs arsenal_wall = MeasureWallNs(smoke ? 1 : 5, [&] {
       MixedDerivation engine(c.scheme, c.SigmaDeps());
       CCFP_CHECK(engine.Saturate().ok());
       CCFP_CHECK(!engine.Derives(Dependency(c.sigma)));  // Theorem 7.1
       arsenal_steps = engine.trace().size();
     });
     std::uint64_t chase_steps = 0;
-    std::uint64_t chase_wall = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs chase_wall = MeasureWallNs(smoke ? 1 : 5, [&] {
       Result<ChaseImplication> implied = ChaseImplies(
           c.scheme, c.fds, c.inds, Dependency(c.sigma), Budget());
       // Lemma 7.2
@@ -125,9 +125,9 @@ void EmitJsonReport(bool smoke) {
     std::fprintf(stderr,
                  "section7 n=%zu: arsenal %.2f ms (%llu firings, never "
                  "derives), chase %.2f ms (derives)\n",
-                 n, arsenal_wall / 1e6,
+                 n, arsenal_wall.median / 1e6,
                  static_cast<unsigned long long>(arsenal_steps),
-                 chase_wall / 1e6);
+                 chase_wall.median / 1e6);
   }
   reporter.WriteFile();
 }

@@ -114,7 +114,7 @@ void EmitJsonReport(bool smoke) {
   if (smoke) workloads.erase(workloads.begin());
   for (Workload& w : workloads) {
     std::uint64_t tuples = 0;
-    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs wall = MeasureWallNs(smoke ? 1 : 5, [&] {
       Database db = w.seed;
       Result<std::uint64_t> result =
           EmvdChaseFixpoint(db, *w.sigma, w.options);
@@ -124,7 +124,7 @@ void EmitJsonReport(bool smoke) {
     });
     reporter.Add(w.name, w.n, wall, tuples);
     std::fprintf(stderr, "%s (%llu tuples): %.2f ms\n", w.name.c_str(),
-                 static_cast<unsigned long long>(tuples), wall / 1e6);
+                 static_cast<unsigned long long>(tuples), wall.median / 1e6);
   }
   reporter.WriteFile();
 }

@@ -95,10 +95,10 @@ void EmitJsonReport(bool smoke) {
     std::vector<Fd> fds = RandomFds(attrs, fd_count, 42);
     FdClosure closure(*scheme, 0, fds);
     std::vector<AttrId> start = {0};
-    std::uint64_t query_ns = MedianWallNs(smoke ? 1 : 9, [&] {
+    WallNs query_ns = MeasureWallNs(smoke ? 1 : 9, [&] {
       benchmark::DoNotOptimize(closure.Closure(start));
     });
-    std::uint64_t build_ns = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs build_ns = MeasureWallNs(smoke ? 1 : 5, [&] {
       FdClosure fresh(*scheme, 0, fds);
       benchmark::DoNotOptimize(fresh.Closure(start));
     });

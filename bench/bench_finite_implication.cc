@@ -89,7 +89,7 @@ void EmitJsonReport(bool smoke) {
     if (smoke && k != 16) continue;
     Section6Construction c = MakeSection6(k);
     std::uint64_t rounds = 0;
-    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs wall = MeasureWallNs(smoke ? 1 : 5, [&] {
       UnaryFiniteImplication engine(c.scheme, c.fds, c.inds);
       CCFP_CHECK(engine.Implies(c.sigma_target));
       rounds = engine.rounds();
@@ -98,7 +98,7 @@ void EmitJsonReport(bool smoke) {
   }
   {
     Theorem44Gadget g = MakeTheorem44Gadget();
-    std::uint64_t wall = MedianWallNs(
+    WallNs wall = MeasureWallNs(
         smoke ? 1 : 5, [&] { CCFP_CHECK(Theorem44Separated(g)); });
     reporter.Add("theorem44_separation", 1, wall, 1);
   }

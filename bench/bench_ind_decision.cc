@@ -151,7 +151,7 @@ void EmitJsonReport(bool smoke) {
     Ind target{0, {0, 1}, static_cast<RelId>(length), {0, 1}};
     IndImplication engine(scheme, sigma);
     std::uint64_t visited = 0;
-    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs wall = MeasureWallNs(smoke ? 1 : 5, [&] {
       Result<IndDecision> decision = engine.Decide(target);
       CCFP_CHECK(decision.ok());
       visited = decision->expressions_visited;

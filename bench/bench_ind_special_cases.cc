@@ -153,11 +153,11 @@ void EmitJsonReport(bool smoke) {
     std::vector<Ind> sigma = RandomUnaryInds(*scheme, relations * 3, 5);
     Ind target{0, {0}, static_cast<RelId>(relations - 1), {0}};
     UnaryIndGraph graph(scheme, sigma);
-    std::uint64_t graph_wall =
-        MedianWallNs(smoke ? 1 : 9, [&] { graph.Implies(target); });
+    WallNs graph_wall =
+        MeasureWallNs(smoke ? 1 : 9, [&] { graph.Implies(target); });
     IndImplication engine(scheme, sigma);
-    std::uint64_t bfs_wall =
-        MedianWallNs(smoke ? 1 : 9, [&] { engine.Implies(target); });
+    WallNs bfs_wall =
+        MeasureWallNs(smoke ? 1 : 9, [&] { engine.Implies(target); });
     reporter.Add("unary_graph", relations, graph_wall, relations);
     reporter.Add("unary_general_bfs", relations, bfs_wall, relations);
   }
@@ -170,11 +170,12 @@ void EmitJsonReport(bool smoke) {
                           {0, 1, 2}});
     }
     Ind target{0, {0, 1}, static_cast<RelId>(relations - 1), {0, 1}};
-    std::uint64_t typed_wall =
-        MedianWallNs(smoke ? 1 : 9, [&] { TypedIndImplies(*scheme, sigma, target); });
+    WallNs typed_wall =
+        MeasureWallNs(smoke ? 1 : 9,
+                      [&] { TypedIndImplies(*scheme, sigma, target); });
     IndImplication engine(scheme, sigma);
-    std::uint64_t bfs_wall =
-        MedianWallNs(smoke ? 1 : 9, [&] { engine.Implies(target); });
+    WallNs bfs_wall =
+        MeasureWallNs(smoke ? 1 : 9, [&] { engine.Implies(target); });
     reporter.Add("typed", relations, typed_wall, relations);
     reporter.Add("typed_general_bfs", relations, bfs_wall, relations);
   }

@@ -70,7 +70,7 @@ void EmitJsonReport(bool smoke) {
     }
     CounterexampleOracle oracle(witnesses);
     std::uint64_t queries = 0;
-    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs wall = MeasureWallNs(smoke ? 1 : 5, [&] {
       KaryStats stats;
       auto escape = FindKaryEscape(c.universe, c.gamma, oracle, k, &stats);
       CCFP_CHECK(!escape.has_value());  // Theorem 6.1: Gamma is k-closed
@@ -82,7 +82,7 @@ void EmitJsonReport(bool smoke) {
     const std::size_t k = 4;
     Section6Construction c = MakeSection6(k);
     UnaryFiniteOracle oracle(c.scheme);
-    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs wall = MeasureWallNs(smoke ? 1 : 5, [&] {
       auto escape = FindFullEscape(c.universe, c.gamma, oracle);
       CCFP_CHECK(escape.has_value());  // sigma_k escapes the full closure
     });

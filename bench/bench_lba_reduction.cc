@@ -105,7 +105,7 @@ void EmitJsonReport(bool smoke) {
   LbaMachine machine = MakeEvenAsMachine(&a);
   std::vector<std::uint32_t> input(n, a);
   std::uint64_t inds = 0;
-  std::uint64_t build_wall = MedianWallNs(smoke ? 1 : 5, [&] {
+  WallNs build_wall = MeasureWallNs(smoke ? 1 : 5, [&] {
     Result<LbaToIndReduction> red = BuildLbaToIndReduction(machine, input);
     CCFP_CHECK(red.ok());
     inds = red->sigma.size();
@@ -113,11 +113,11 @@ void EmitJsonReport(bool smoke) {
   Result<LbaToIndReduction> red = BuildLbaToIndReduction(machine, input);
   CCFP_CHECK(red.ok());
   IndImplication engine(red->scheme, red->sigma);
-  std::uint64_t decide_wall = MedianWallNs(smoke ? 1 : 5, [&] {
+  WallNs decide_wall = MeasureWallNs(smoke ? 1 : 5, [&] {
     Result<IndDecision> decision = engine.Decide(red->target);
     CCFP_CHECK(decision.ok() && decision->implied);  // n = 6 is even
   });
-  std::uint64_t direct_wall = MedianWallNs(smoke ? 1 : 5, [&] {
+  WallNs direct_wall = MeasureWallNs(smoke ? 1 : 5, [&] {
     Result<LbaRunResult> result = LbaAccepts(machine, input);
     CCFP_CHECK(result.ok() && result->accepts);
   });

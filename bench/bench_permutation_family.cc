@@ -92,7 +92,7 @@ void EmitJsonReport(bool smoke) {
     IndDecisionOptions options;
     options.max_expressions = 1u << 26;
     std::uint64_t visited = 0;
-    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs wall = MeasureWallNs(smoke ? 1 : 5, [&] {
       Result<IndDecision> decision = engine.Decide(instance.target, options);
       CCFP_CHECK(decision.ok() && decision->implied);
       visited = decision->expressions_visited;
@@ -110,7 +110,7 @@ void EmitJsonReport(bool smoke) {
     Ind target = family.SigmaOf(Permutation::Create(rev).value());
     IndImplication engine(family.scheme, sigma);
     std::uint64_t visited = 0;
-    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs wall = MeasureWallNs(smoke ? 1 : 5, [&] {
       Result<IndDecision> decision = engine.Decide(target);
       CCFP_CHECK(decision.ok());
       visited = decision->expressions_visited;

@@ -55,10 +55,10 @@ Workload ImpliedWorkload() {
 
 /// Times one portfolio sweep; `max_rungs` 1 is the classic fixed-shape
 /// search, 0 keeps the default ladder. Returns candidates via `tested`.
-std::uint64_t TimePortfolio(const Workload& w, const Budget& budget,
+WallNs TimePortfolio(const Workload& w, const Budget& budget,
                             std::size_t max_rungs, bool smoke,
                             std::uint64_t* tested, bool* found) {
-  return MedianWallNs(smoke ? 1 : 5, [&] {
+  return MeasureWallNs(smoke ? 1 : 5, [&] {
     PortfolioOptions options;
     if (max_rungs != 0) options.max_rungs = max_rungs;
     RefutationPortfolio portfolio(w.scheme, w.sigma, w.target, options);
@@ -80,10 +80,10 @@ void EmitJsonReport(bool smoke) {
     budget.steps = smoke ? 2000 : 200000;
     std::uint64_t tested[2] = {0, 0};
     bool found[2] = {false, false};
-    std::uint64_t fixed_wall =
+    WallNs fixed_wall =
         TimePortfolio(w, budget, /*max_rungs=*/1, smoke, &tested[0],
                       &found[0]);
-    std::uint64_t ladder_wall =
+    WallNs ladder_wall =
         TimePortfolio(w, budget, /*max_rungs=*/0, smoke, &tested[1],
                       &found[1]);
     // The ladder never loses a refutation the fixed shape had.
@@ -95,9 +95,9 @@ void EmitJsonReport(bool smoke) {
     std::fprintf(stderr,
                  "%s: fixed %.2f ms (%llu candidates, found=%d), ladder "
                  "%.2f ms (%llu candidates, found=%d)\n",
-                 w.name, fixed_wall / 1e6,
+                 w.name, fixed_wall.median / 1e6,
                  static_cast<unsigned long long>(tested[0]), found[0] ? 1 : 0,
-                 ladder_wall / 1e6,
+                 ladder_wall.median / 1e6,
                  static_cast<unsigned long long>(tested[1]),
                  found[1] ? 1 : 0);
   }
@@ -108,11 +108,11 @@ void EmitJsonReport(bool smoke) {
     Budget budget;  // the default budget, identical for both solvers
     ImplicationVerdict outcome[2] = {ImplicationVerdict::kUnknown,
                                      ImplicationVerdict::kUnknown};
-    std::uint64_t wall[2] = {0, 0};
+    WallNs wall[2];
     for (int ladder = 0; ladder < 2; ++ladder) {
       SolveOptions options;
       if (ladder == 0) options.search_max_rungs = 1;
-      wall[ladder] = MedianWallNs(smoke ? 1 : 5, [&] {
+      wall[ladder] = MeasureWallNs(smoke ? 1 : 5, [&] {
         ImplicationSolver solver(w.scheme, w.sigma, options);
         Result<Verdict> v = solver.Solve(w.target, budget);
         CCFP_CHECK(v.ok());
@@ -127,7 +127,7 @@ void EmitJsonReport(bool smoke) {
     std::fprintf(stderr,
                  "solver wide: fixed %.2f ms (kUnknown), ladder %.2f ms "
                  "(kNotImplied)\n",
-                 wall[0] / 1e6, wall[1] / 1e6);
+                 wall[0].median / 1e6, wall[1].median / 1e6);
   }
 
   reporter.WriteFile();

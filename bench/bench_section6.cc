@@ -58,12 +58,12 @@ void EmitJsonReport(bool smoke) {
     Section6Construction c = MakeSection6(k);
     Database d = MakeSection6Armstrong(c, 0);
     std::vector<Dependency> expected = Section6ExpectedSatisfied(c, 0);
-    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs wall = MeasureWallNs(smoke ? 1 : 5, [&] {
       CCFP_CHECK(!ObeysExactly(d, c.universe, expected).has_value());
     });
     reporter.Add("obeys_exactly", k, wall, c.universe.size());
     std::fprintf(stderr, "obeys_exactly k=%zu (%zu sentences): %.2f ms\n",
-                 k, c.universe.size(), wall / 1e6);
+                 k, c.universe.size(), wall.median / 1e6);
   }
   reporter.WriteFile();
 }

@@ -87,14 +87,15 @@ void EmitJsonReport(bool smoke) {
     seed.Insert(c.f, std::move(t));
     Result<ChaseResult> chased = chase.Run(std::move(seed));
     CCFP_CHECK(chased.ok());
-    std::uint64_t wall = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs wall = MeasureWallNs(smoke ? 1 : 5, [&] {
       benchmark::DoNotOptimize(SatisfiedSubset(chased->db, universe));
     });
     reporter.Add("universe_sweep", n, wall, universe.size());
     std::fprintf(stderr,
                  "universe_sweep n=%zu (%zu sentences over %zu tuples): "
                  "%.2f ms\n",
-                 n, universe.size(), chased->db.TotalTuples(), wall / 1e6);
+                 n, universe.size(), chased->db.TotalTuples(),
+                 wall.median / 1e6);
   }
   reporter.WriteFile();
 }

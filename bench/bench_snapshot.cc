@@ -101,9 +101,10 @@ void EmitJsonReport(bool smoke) {
 
     // Full pair: serialize / restore the whole substrate.
     std::string full = SerializeWorkspace(ws);
-    std::uint64_t full_save_ns =
-        MedianWallNs(smoke ? 1 : 5, [&] { benchmark::DoNotOptimize(SerializeWorkspace(ws)); });
-    std::uint64_t full_load_ns = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs full_save_ns = MeasureWallNs(smoke ? 1 : 5, [&] {
+      benchmark::DoNotOptimize(SerializeWorkspace(ws));
+    });
+    WallNs full_load_ns = MeasureWallNs(smoke ? 1 : 5, [&] {
       Result<RestoredWorkspace> r = DeserializeWorkspace(scheme, full);
       CCFP_CHECK(r.ok());
     });
@@ -120,8 +121,9 @@ void EmitJsonReport(bool smoke) {
     MutateBatch(ws, rng, pool, kDeltaBatchOps);
     Result<std::string> delta = SerializeWorkspaceDelta(ws);
     CCFP_CHECK(delta.ok());
-    std::uint64_t delta_save_ns = MedianWallNs(
-        smoke ? 1 : 5, [&] { benchmark::DoNotOptimize(SerializeWorkspaceDelta(ws)); });
+    WallNs delta_save_ns = MeasureWallNs(smoke ? 1 : 5, [&] {
+      benchmark::DoNotOptimize(SerializeWorkspaceDelta(ws));
+    });
     reporter.Add(StrCat("delta_save/", n), n, delta_save_ns, delta->size());
 
     // Chain restore: base plus four batch deltas, replayed by LoadChain.
@@ -135,7 +137,7 @@ void EmitJsonReport(bool smoke) {
       MutateBatch(chain_ws, rng, chain_pool, kDeltaBatchOps);
       CCFP_CHECK(writer.Save(chain_ws).ok());
     }
-    std::uint64_t chain_load_ns = MedianWallNs(smoke ? 1 : 5, [&] {
+    WallNs chain_load_ns = MeasureWallNs(smoke ? 1 : 5, [&] {
       Result<RestoredChain> chain = LoadSnapshotChain(scheme, prefix);
       CCFP_CHECK(chain.ok());
       chain_bytes = chain->base_bytes + chain->delta_bytes;
@@ -146,11 +148,12 @@ void EmitJsonReport(bool smoke) {
                  "n=%zu: full save %.1f us (%zu B), delta save %.1f us "
                  "(%zu B, %.0fx smaller), full load %.1f us, chain load "
                  "%.1f us\n",
-                 n, full_save_ns / 1e3, full.size(), delta_save_ns / 1e3,
+                 n, full_save_ns.median / 1e3, full.size(),
+                 delta_save_ns.median / 1e3,
                  delta->size(),
                  static_cast<double>(full.size()) /
                      static_cast<double>(delta->size() ? delta->size() : 1),
-                 full_load_ns / 1e3, chain_load_ns / 1e3);
+                 full_load_ns.median / 1e3, chain_load_ns.median / 1e3);
   }
   reporter.WriteFile();
 }

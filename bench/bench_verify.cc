@@ -4,6 +4,8 @@
 // (InternedWorkspace::Satisfies over cached partitions), the incremental
 // engine consumes the workspace change feed through per-dependency watchers
 // (verify/verifier.h) and answers from counters.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 
 #include <benchmark/benchmark.h>
@@ -73,10 +75,10 @@ void BenchAppendRounds(BenchReporter& reporter, bool smoke) {
   std::vector<Dependency> universe = FdUniverse(arity);
   SchemePtr scheme = MakeSingleRelationScheme(arity);
 
-  std::uint64_t wall[2] = {0, 0};
+  WallNs wall[2];
   std::uint64_t checks = universe.size() * rounds;
   for (int engine = 0; engine < 2; ++engine) {
-    wall[engine] = MedianWallNs(smoke ? 1 : 3, [&] {
+    wall[engine] = MeasureWallNs(smoke ? 1 : 3, [&] {
       SplitMix64 rng(7);
       InternedWorkspace ws(scheme);
       for (std::size_t i = 0; i < base; ++i) {
@@ -112,9 +114,11 @@ void BenchAppendRounds(BenchReporter& reporter, bool smoke) {
   std::fprintf(stderr,
                "append_rounds (universe %zu, %zu rounds): fullsweep %.2f "
                "ms, incremental %.2f ms, speedup %.2fx\n",
-               universe.size(), rounds, wall[0] / 1e6, wall[1] / 1e6,
-               static_cast<double>(wall[0]) /
-                   static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
+               universe.size(), rounds, wall[0].median / 1e6,
+               wall[1].median / 1e6,
+               static_cast<double>(wall[0].median) /
+                   static_cast<double>(std::max<std::uint64_t>(
+                       wall[1].median, 1)));
 }
 
 /// Workload B: merge-heavy mid-chase verification — every round appends an
@@ -131,10 +135,10 @@ void BenchChaseRounds(BenchReporter& reporter, bool smoke) {
   SchemePtr scheme = MakeSingleRelationScheme(arity);
   std::vector<Fd> sigma = {Fd{0, {0}, {1}}, Fd{0, {1}, {2}}};
 
-  std::uint64_t wall[2] = {0, 0};
+  WallNs wall[2];
   std::uint64_t checks = universe.size() * rounds;
   for (int engine = 0; engine < 2; ++engine) {
-    wall[engine] = MedianWallNs(smoke ? 1 : 3, [&] {
+    wall[engine] = MeasureWallNs(smoke ? 1 : 3, [&] {
       InternedWorkspace ws(scheme);
       for (std::size_t i = 0; i < base; ++i) {
         IdTuple t(arity, 0);
@@ -179,9 +183,11 @@ void BenchChaseRounds(BenchReporter& reporter, bool smoke) {
   std::fprintf(stderr,
                "chase_rounds (universe %zu, %zu rounds): fullsweep %.2f "
                "ms, incremental %.2f ms, speedup %.2fx\n",
-               universe.size(), rounds, wall[0] / 1e6, wall[1] / 1e6,
-               static_cast<double>(wall[0]) /
-                   static_cast<double>(wall[1] == 0 ? 1 : wall[1]));
+               universe.size(), rounds, wall[0].median / 1e6,
+               wall[1].median / 1e6,
+               static_cast<double>(wall[0].median) /
+                   static_cast<double>(std::max<std::uint64_t>(
+                       wall[1].median, 1)));
 }
 
 /// Workload C: the append-rounds workload drained via CatchUp() on a wide
@@ -217,10 +223,10 @@ void BenchCatchUp(BenchReporter& reporter, bool smoke) {
     benchmark::DoNotOptimize(satisfied);
   };
 
-  std::uint64_t seq_wall = MedianWallNs(smoke ? 1 : 3, run);
+  WallNs seq_wall = MeasureWallNs(smoke ? 1 : 3, run);
   reporter.Add("catchup_sequential", universe.size(), seq_wall, checks);
   std::fprintf(stderr, "catchup (universe %zu): sequential %.2f ms\n",
-               universe.size(), seq_wall / 1e6);
+               universe.size(), seq_wall.median / 1e6);
 }
 
 void EmitJsonReport(bool smoke) {

@@ -56,16 +56,15 @@ std::uint64_t BenchReporter::PeakRssBytes() {
 #endif
 }
 
-void BenchReporter::Add(const std::string& name, std::uint64_t n,
-                        std::uint64_t wall_ns, std::uint64_t steps) {
-  entries_.push_back(Entry{name, n, wall_ns, steps, PeakRssBytes(), 0});
+void BenchReporter::Add(const std::string& name, std::uint64_t n, WallNs wall,
+                        std::uint64_t steps) {
+  entries_.push_back(Entry{name, n, wall, steps, PeakRssBytes(), 0});
 }
 
 void BenchReporter::AddThreaded(const std::string& name, std::uint64_t n,
-                                std::uint64_t wall_ns, std::uint64_t steps,
+                                WallNs wall, std::uint64_t steps,
                                 unsigned threads) {
-  entries_.push_back(
-      Entry{name, n, wall_ns, steps, PeakRssBytes(), threads});
+  entries_.push_back(Entry{name, n, wall, steps, PeakRssBytes(), threads});
 }
 
 std::string BenchReporter::ToJson() const {
@@ -79,7 +78,10 @@ std::string BenchReporter::ToJson() const {
     const Entry& e = entries_[i];
     if (i > 0) out += ", ";
     out += "{\"name\": \"" + JsonEscape(e.name) + "\", \"n\": " +
-           std::to_string(e.n) + ", \"wall_ns\": " + std::to_string(e.wall_ns) +
+           std::to_string(e.n) +
+           ", \"wall_ns\": " + std::to_string(e.wall.median) +
+           ", \"min_wall_ns\": " + std::to_string(e.wall.min) +
+           ", \"max_wall_ns\": " + std::to_string(e.wall.max) +
            ", \"steps\": " + std::to_string(e.steps) +
            ", \"peak_rss_bytes\": " + std::to_string(e.peak_rss_bytes);
     if (e.threads != 0) out += ", \"threads\": " + std::to_string(e.threads);

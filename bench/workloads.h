@@ -2,6 +2,7 @@
 #define CCFP_BENCH_WORKLOADS_H_
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -63,6 +64,63 @@ inline Database CascadeSeed(const CascadeInstance& instance,
   db.Insert(0,
             {shared, Value::Null(next_null++), Value::Null(next_null++)});
   return db;
+}
+
+/// The session_churn mining shape, shared by bench_service and the fork
+/// smoke test: R(A, B, C, D) with A a key, A -> B and C -> D; S(E, F) with
+/// E -> F and S[E] <= R[B]. The dependencies, and so the partitions a core
+/// premines over the warm data, do not depend on `scale`, which multiplies
+/// R's 1,200 warm rows (S keeps 400 draws, about 97 distinct rows).
+inline SchemePtr ChurnScheme() {
+  return MakeScheme({{"R", {"A", "B", "C", "D"}}, {"S", {"E", "F"}}});
+}
+
+/// A fixed LCG, so the churn data is the same on every host.
+class ChurnRng {
+ public:
+  std::int64_t Below(std::uint64_t n) {
+    state_ = state_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::int64_t>((state_ >> 33) % n);
+  }
+
+ private:
+  std::uint64_t state_ = 12345;
+};
+
+inline Database ChurnWarmData(const SchemePtr& scheme, std::int64_t scale) {
+  Database warm(scheme);
+  ChurnRng rng;
+  for (std::int64_t i = 0; i < 1200 * scale; ++i) {
+    std::int64_t c = rng.Below(50);
+    warm.Insert(0, {Value::Int(i), Value::Int(i % 97), Value::Int(c),
+                    Value::Int((c * 3) % 41)});
+  }
+  for (std::int64_t i = 0; i < 400; ++i) {
+    std::int64_t e = rng.Below(97);
+    warm.Insert(1, {Value::Int(e), Value::Int(e % 13)});
+  }
+  return warm;
+}
+
+/// `count` append deltas as a mining session receives them, in the text
+/// syntax of core/parser.h: each 12 R rows (keys past the 1x warm data, so
+/// they are new) and one S row, 13 lines.
+inline std::vector<std::string> ChurnDeltaTexts(std::size_t count) {
+  std::vector<std::string> texts;
+  ChurnRng rng;
+  for (std::size_t d = 0; d < count; ++d) {
+    std::string text;
+    for (std::size_t i = 0; i < 12; ++i) {
+      std::int64_t a = static_cast<std::int64_t>(1200 + 12 * d + i);
+      std::int64_t c = rng.Below(50);
+      text += StrCat("R(", a, ", ", a % 97, ", ", c, ", ", (c * 3) % 41,
+                     ")\n");
+    }
+    std::int64_t e = rng.Below(97);
+    text += StrCat("S(", e, ", ", e % 13, ")\n");
+    texts.push_back(std::move(text));
+  }
+  return texts;
 }
 
 }  // namespace ccfp

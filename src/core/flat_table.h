@@ -8,6 +8,16 @@
 
 namespace ccfp {
 
+/// The final avalanche of HashIds, for a hash computed elsewhere (such as
+/// `Value::Hash()`, whose int case is the identity) before a FlatSlotTable
+/// probes its low bits.
+inline std::uint64_t MixHash(std::uint64_t h) {
+  h ^= h >> 32;
+  h *= 0x94D049BB133111EBULL;
+  h ^= h >> 29;
+  return h;
+}
+
 /// Hash of a run of `n` dense ids (value ids, tuple rows): a multiply-xor
 /// chain with a final avalanche, so the low bits a power-of-two table
 /// probes with depend on every id.
@@ -17,10 +27,7 @@ inline std::uint64_t HashIds(const std::uint32_t* ids, std::size_t n) {
     h = (h ^ ids[i]) * 0xBF58476D1CE4E5B9ULL;
     h ^= h >> 31;
   }
-  h ^= h >> 32;
-  h *= 0x94D049BB133111EBULL;
-  h ^= h >> 29;
-  return h;
+  return MixHash(h);
 }
 
 /// Open-addressed table of (hash, payload) slots: linear probing over a

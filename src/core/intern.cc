@@ -32,7 +32,8 @@ ValueId ValueInterner::Append(const Value& v) {
   if (v.is_null() && AboveAllNulls(v.null_id())) {
     nulls_.push_back(NullEntry{v.null_id(), id});
   } else {
-    ids_.emplace(v, id);
+    // Known absent: no stored id can match.
+    ids_.Insert(TableHash(v), id, [](std::uint32_t) { return false; });
   }
   return id;
 }
@@ -45,16 +46,20 @@ bool ValueInterner::Lookup(const Value& v, ValueId* id) const {
       return true;
     }
   }
+  std::uint64_t hash = TableHash(v);
   if (base_ != nullptr) {
-    auto bit = base_->ids.find(v);
-    if (bit != base_->ids.end()) {
-      *id = bit->second;
+    const std::vector<Value>& values = base_->values;
+    std::uint32_t found = base_->ids.Find(
+        hash, [&](std::uint32_t e) { return values[e] == v; });
+    if (found != FlatSlotTable::kNone) {
+      *id = found;
       return true;
     }
   }
-  auto it = ids_.find(v);
-  if (it == ids_.end()) return false;
-  *id = it->second;
+  std::uint32_t found = ids_.Find(
+      hash, [&](std::uint32_t e) { return values_[e - base_size_] == v; });
+  if (found == FlatSlotTable::kNone) return false;
+  *id = found;
   return true;
 }
 
@@ -75,20 +80,46 @@ bool ValueInterner::InternNew(const Value& v) {
 void ValueInterner::Freeze() {
   if (values_.empty() && base_ != nullptr) return;  // nothing new to seal
   auto frozen = std::make_shared<Frozen>();
-  frozen->values.reserve(size());
-  if (base_ != nullptr) {
+  if (base_ == nullptr) {
+    // The local tables already hold every id: they become the base.
+    frozen->values = std::move(values_);
+    frozen->ids = std::move(ids_);
+    frozen->nulls = std::move(nulls_);
+  } else {
+    frozen->values.reserve(size());
     frozen->values = base_->values;
     frozen->ids = base_->ids;
     frozen->nulls = base_->nulls;
+    // The local ascending nulls are the only local values outside ids_.
+    auto null = nulls_.begin();
+    for (Value& v : values_) {
+      ValueId id = static_cast<ValueId>(frozen->values.size());
+      if (null != nulls_.end() && null->id == id) {
+        ++null;
+      } else {
+        frozen->ids.Insert(TableHash(v), id,
+                           [](std::uint32_t) { return false; });
+      }
+      frozen->values.push_back(std::move(v));
+    }
+    frozen->nulls.insert(frozen->nulls.end(), nulls_.begin(), nulls_.end());
   }
-  for (Value& v : values_) frozen->values.push_back(std::move(v));
-  frozen->ids.insert(ids_.begin(), ids_.end());
-  frozen->nulls.insert(frozen->nulls.end(), nulls_.begin(), nulls_.end());
   base_size_ = static_cast<ValueId>(frozen->values.size());
   base_ = std::move(frozen);
   values_.clear();
-  ids_.clear();
+  ids_ = FlatSlotTable();
   nulls_.clear();
+}
+
+std::uint64_t ValueInterner::SharedTableBytes() const {
+  if (base_ == nullptr) return 0;
+  return base_->values.size() * sizeof(Value) + base_->ids.bytes() +
+         base_->nulls.size() * sizeof(NullEntry);
+}
+
+std::uint64_t ValueInterner::TableBytes() const {
+  return SharedTableBytes() + values_.size() * sizeof(Value) + ids_.bytes() +
+         nulls_.size() * sizeof(NullEntry);
 }
 
 void ValueInterner::NoteNullLabel(std::uint64_t label) {

@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "core/flat_table.h"
 #include "core/value.h"
 
 namespace ccfp {
@@ -22,11 +22,15 @@ using ValueId = std::uint32_t;
 ///
 /// ## Ascending nulls
 ///
+/// Every other value is indexed by a `FlatSlotTable` of ids (core/
+/// flat_table.h), keyed by its mixed `Value::Hash()` and compared through
+/// the value vector, so interning allocates no node per value.
+///
 /// A labeled null whose label is above every null label interned so far
-/// cannot collide with anything, so it skips the hash map: it goes into a
-/// label-ascending side vector, and a null lookup binary-searches that
-/// vector before probing the map. Every fresh null lands there, so the
-/// chase's per-tuple nulls cost a vector append instead of a heap node;
+/// cannot collide with anything, so it skips the hash table: it goes into
+/// a label-ascending side vector, and a null lookup binary-searches that
+/// vector before probing the table. Every fresh null lands there, so the
+/// chase's per-tuple nulls cost a vector append and no table slot;
 /// `Intern(Value::Null(L))` still finds them. The placement depends only
 /// on the sequence of values interned, so a snapshot restore that
 /// re-interns the table in id order rebuilds the same layout.
@@ -92,7 +96,7 @@ class ValueInterner {
   std::uint64_t null_label(ValueId id) const { return value(id).null_id(); }
   std::size_t size() const { return base_size_ + values_.size(); }
   /// Values held as ascending nulls (base and local extension); the other
-  /// size() - ascending_nulls() sit in the hash maps.
+  /// size() - ascending_nulls() sit in the hash tables.
   std::size_t ascending_nulls() const {
     return base_ascending_nulls() + nulls_.size();
   }
@@ -101,17 +105,30 @@ class ValueInterner {
     return base_ != nullptr ? base_->nulls.size() : 0;
   }
 
+  /// Logical bytes of the value table: every value, the slot arrays of
+  /// the hash tables and the ascending-null vectors, base and local.
+  std::uint64_t TableBytes() const;
+  /// The part of TableBytes() held by the frozen base (0 before Freeze),
+  /// which every copy of this interner shares.
+  std::uint64_t SharedTableBytes() const;
+
  private:
   friend class WorkspaceSnapshotAccess;  ///< serialization (core/snapshot.h)
 
   /// The sealed table: values in id order plus their reverse index (the
-  /// hash map for everything but the ascending nulls). Immutable after
-  /// construction; shared across forks by shared_ptr.
+  /// hash table of ids for everything but the ascending nulls). Immutable
+  /// after construction; shared across forks by shared_ptr.
   struct Frozen {
     std::vector<Value> values;
-    std::unordered_map<Value, ValueId, ValueHash> ids;
+    FlatSlotTable ids;
     std::vector<NullEntry> nulls;  ///< label-ascending
   };
+
+  /// The table hash of `v`: Value::Hash() avalanched, so the low bits a
+  /// FlatSlotTable probes with depend on the whole value.
+  static std::uint64_t TableHash(const Value& v) {
+    return MixHash(static_cast<std::uint64_t>(v.Hash()));
+  }
 
   /// True when `label` is above every interned null label: such a null is
   /// absent everywhere and joins the ascending nulls. (The largest null
@@ -128,7 +145,8 @@ class ValueInterner {
   ValueId base_size_ = 0;               ///< == base_->values.size()
   /// Local extension: entry i holds the value with id base_size_ + i.
   std::vector<Value> values_;
-  std::unordered_map<Value, ValueId, ValueHash> ids_;
+  /// Ids (>= base_size_) of the local values that are not ascending nulls.
+  FlatSlotTable ids_;
   /// Local ascending nulls, every label above the base's.
   std::vector<NullEntry> nulls_;
   std::uint64_t next_null_label_ = 1;

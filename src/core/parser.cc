@@ -1,7 +1,8 @@
 #include "core/parser.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <string>
 
 #include "util/strings.h"
 
@@ -187,38 +188,98 @@ Value ParseValue(std::string_view token) {
   return Value::Str(std::move(s));
 }
 
-}  // namespace
+/// One trimmed value token. A plain decimal integer (an optional '-' and
+/// digits that fit an int64) parses in place; anything else — a '+' sign,
+/// overflow, `_n<k>`, quotes, text — takes ParseValue's general path.
+Value ParseToken(std::string_view token) {
+  std::int64_t x = 0;
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, x);
+  if (ec == std::errc() && ptr == end) return Value::Int(x);
+  return ParseValue(token);
+}
 
-Status ParseAndInsertTuple(Database& db, std::string_view line) {
-  std::string_view trimmed = TrimWhitespace(line);
+/// Relation lookup by name, remembering the last name resolved:
+/// consecutive lines usually name the same relation.
+class RelationNames {
+ public:
+  explicit RelationNames(const DatabaseScheme& scheme) : scheme_(scheme) {}
+
+  Result<RelId> Find(std::string_view name) {
+    if (!have_last_ || name != last_name_) {
+      CCFP_ASSIGN_OR_RETURN(last_rel_,
+                            scheme_.FindRelation(std::string(name)));
+      last_name_ = name;
+      have_last_ = true;
+    }
+    return last_rel_;
+  }
+
+ private:
+  const DatabaseScheme& scheme_;
+  std::string_view last_name_;
+  RelId last_rel_ = 0;
+  bool have_last_ = false;
+};
+
+/// Parses the trimmed tuple line "R(v1, ...)" into `db`. Every comma
+/// separates a value, quoted or not, and each value is trimmed. A line
+/// not of that form is InvalidArgument quoting `shown` (the line as the
+/// caller passed it); an unknown relation or a wrong value count is the
+/// same error Database::InsertByName reports.
+Status ParseTupleLine(Database& db, std::string_view trimmed,
+                      std::string_view shown, RelationNames& names) {
   std::size_t open = trimmed.find('(');
   if (open == std::string_view::npos || trimmed.back() != ')') {
     return Status::InvalidArgument(
-        StrCat("expected R(v1, ...) but got '", std::string(line), "'"));
+        StrCat("expected R(v1, ...) but got '", std::string(shown), "'"));
   }
-  std::string rel_name(TrimWhitespace(trimmed.substr(0, open)));
-  std::string_view inner =
-      trimmed.substr(open + 1, trimmed.size() - open - 2);
+  CCFP_ASSIGN_OR_RETURN(RelId rel,
+                        names.Find(TrimWhitespace(trimmed.substr(0, open))));
+  std::string_view inner = trimmed.substr(open + 1, trimmed.size() - open - 2);
+  const RelationScheme& rs = db.scheme().relation(rel);
   Tuple t;
+  t.reserve(rs.arity());
   if (!TrimWhitespace(inner).empty()) {
-    for (const std::string& token : SplitAndTrim(inner, ',')) {
-      t.push_back(ParseValue(token));
+    for (;;) {
+      std::size_t comma = inner.find(',');
+      t.push_back(ParseToken(TrimWhitespace(inner.substr(0, comma))));
+      if (comma == std::string_view::npos) break;
+      inner.remove_prefix(comma + 1);
     }
   }
-  return db.InsertByName(rel_name, std::move(t));
+  if (t.size() != rs.arity()) {
+    return Status::InvalidArgument(StrCat("tuple arity ", t.size(),
+                                          " does not match ", rs.ToString()));
+  }
+  db.Insert(rel, std::move(t));
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ParseAndInsertTuple(Database& db, std::string_view line) {
+  RelationNames names(db.scheme());
+  return ParseTupleLine(db, TrimWhitespace(line), line, names);
 }
 
 Result<Database> ParseDatabase(SchemePtr scheme, std::string_view text) {
   Database db(std::move(scheme));
+  RelationNames names(db.scheme());
   int line_no = 0;
-  for (const std::string& line : SplitAndTrim(text, '\n')) {
+  for (;;) {
+    std::size_t newline = text.find('\n');
+    std::string_view line = TrimWhitespace(text.substr(0, newline));
     ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    Status st = ParseAndInsertTuple(db, line);
-    if (!st.ok()) {
-      return Status::InvalidArgument(
-          StrCat("line ", line_no, ": ", st.message()));
+    if (!line.empty() && line[0] != '#') {
+      Status st = ParseTupleLine(db, line, line, names);
+      if (!st.ok()) {
+        return Status::InvalidArgument(
+            StrCat("line ", line_no, ": ", st.message()));
+      }
     }
+    if (newline == std::string_view::npos) break;
+    text.remove_prefix(newline + 1);
   }
   return db;
 }

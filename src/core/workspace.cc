@@ -84,10 +84,10 @@ bool InternedWorkspace::Append(RelId rel, const IdTuple& t) {
 }
 
 bool InternedWorkspace::AppendTuple(RelId rel, const Tuple& t) {
-  IdTuple it;
-  it.reserve(t.size());
-  for (const Value& v : t) it.push_back(Intern(v));
-  return Append(rel, std::move(it));
+  for (const Value& v : t) append_ids_.push_back(Intern(v));
+  bool added = Append(rel, append_ids_);
+  append_ids_.clear();  // empty, so copying the workspace copies nothing
+  return added;
 }
 
 void InternedWorkspace::AppendDatabase(const Database& db) {
@@ -100,8 +100,16 @@ void InternedWorkspace::AppendDatabase(const Database& db) {
 void InternedWorkspace::AppendRelation(const Database& db, RelId rel) {
   const Relation& r = db.relation(rel);
   RelStore& rs = rels_[rel];
-  rs.cells.reserve(rs.cells.size() + r.size() * rs.arity);
-  rs.alive.reserve(rs.alive.size() + r.size());
+  // Room for the whole relation in one allocation, but at least double
+  // the capacity: a stream of small appends then reallocates the arena
+  // O(log rows) times, not once per call.
+  std::size_t rows = rs.alive.size() + r.size();
+  if (rows * rs.arity > rs.cells.capacity()) {
+    rs.cells.reserve(std::max(rows * rs.arity, 2 * rs.cells.capacity()));
+  }
+  if (rows > rs.alive.capacity()) {
+    rs.alive.reserve(std::max(rows, 2 * rs.alive.capacity()));
+  }
   for (const Tuple& t : r.tuples()) AppendTuple(rel, t);
 }
 
@@ -395,27 +403,13 @@ InternedWorkspace InternedWorkspace::Fork() const {
   return fork;
 }
 
-namespace {
-
-/// Interner table bytes of `values` values, `ascending` of them ascending
-/// nulls: each value's table entry, plus its map node when hashed or its
-/// (label, id) pair when an ascending null.
-std::uint64_t ValueTableBytes(std::uint64_t values, std::uint64_t ascending) {
-  return values * sizeof(Value) +
-         (values - ascending) *
-             (sizeof(std::pair<Value, ValueId>) + memory::kHashNodeOverhead) +
-         ascending * sizeof(ValueInterner::NullEntry);
-}
-
-}  // namespace
-
 MemoryBreakdown InternedWorkspace::MemoryUsage() const {
   MemoryBreakdown mb;
   mb.journal = journal_bytes_;
   mb.occurrences =
       memory::VectorBytes(occ_cells_) + memory::VectorBytes(occ_lists_);
   // Every value: its table entry plus union-find parent/size/rep.
-  mb.interner = ValueTableBytes(interner_.size(), interner_.ascending_nulls()) +
+  mb.interner = interner_.TableBytes() +
                 static_cast<std::uint64_t>(interner_.size()) * 3 *
                     sizeof(std::uint32_t);
   for (RelId rel = 0; rel < scheme_->size(); ++rel) {
@@ -434,8 +428,7 @@ MemoryBreakdown InternedWorkspace::MemoryUsage() const {
 }
 
 std::uint64_t InternedWorkspace::SharedInternerBytes() const {
-  return ValueTableBytes(interner_.base_size(),
-                         interner_.base_ascending_nulls());
+  return interner_.SharedTableBytes();
 }
 
 namespace {

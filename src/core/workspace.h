@@ -648,6 +648,9 @@ class InternedWorkspace {
   mutable DenseUnionFind uf_;  ///< Find path-halves; logically const
   std::vector<RelStore> rels_;
   std::size_t total_alive_ = 0;
+  /// AppendTuple's interned row, reused so an append allocates only when
+  /// a container grows.
+  IdTuple append_ids_;
   /// Intrusive occurrence lists: every list's cells live in one array,
   /// chained through OccurrenceCell::next from the value's head to its
   /// tail.

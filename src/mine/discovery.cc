@@ -54,20 +54,32 @@ bool LhsSubsumes(const std::vector<AttrId>& small,
 
 std::vector<Fd> MineFds(const InternedWorkspace& ws, RelId rel,
                         const FdMiningOptions& options) {
-  // Candidates sharing a column set hit the same cached projection
-  // partition of the workspace instead of re-hashing the relation.
+  // r satisfies X -> A iff |r[X]| == |r[XA]|, and the workspace keeps each
+  // cached partition's alive-group count exact under appends and merges:
+  // a candidate is two counter reads, and re-mining after an append costs
+  // extending the cached partitions over the delta. An empty relation
+  // satisfies every candidate and compiles nothing.
   std::size_t arity = ws.scheme().relation(rel).arity();
+  bool empty = ws.AliveTuples(rel) == 0;
   std::vector<Fd> mined;
+  std::vector<AttrId> xa;
   ForEachSortedSubset(
       arity, options.max_lhs, options.include_constants,
       [&](const std::vector<AttrId>& lhs) {
+        std::uint32_t lhs_groups = 1;  // |r[{}]| once r is nonempty
+        if (!empty && !lhs.empty()) {
+          lhs_groups = ws.partition(rel, lhs).alive_groups;
+        }
         for (AttrId rhs = 0; rhs < arity; ++rhs) {
-          if (std::find(lhs.begin(), lhs.end(), rhs) != lhs.end()) {
-            continue;  // trivial
+          auto at = std::lower_bound(lhs.begin(), lhs.end(), rhs);
+          if (at != lhs.end() && *at == rhs) continue;  // trivial
+          if (!empty) {
+            xa.assign(lhs.begin(), at);
+            xa.push_back(rhs);
+            xa.insert(xa.end(), at, lhs.end());
+            if (ws.partition(rel, xa).alive_groups != lhs_groups) continue;
           }
-          Fd candidate{rel, lhs, {rhs}};
-          if (!ws.Satisfies(candidate)) continue;
-          mined.push_back(std::move(candidate));
+          mined.push_back(Fd{rel, lhs, {rhs}});
         }
       });
   if (!options.minimal_only) return mined;

@@ -17,6 +17,14 @@ namespace ccfp {
 /// here by direct model checking against a bounded candidate universe,
 /// which is exact and adequate for design-time schemas.
 ///
+/// FDs are decided by projection sizes, the paper's own reading of a
+/// dependency: r satisfies X -> A exactly when |r[X]| == |r[XA]| (X empty:
+/// when A takes at most one value). Both sizes are the `alive_groups` of
+/// cached workspace partitions, by X and by sorted(X u {A}), which the
+/// workspace keeps exact under appends and merges. So a candidate costs
+/// two counter reads, not a sweep of the relation, and re-mining after an
+/// append costs extending those partitions over the appended rows.
+///
 /// Every miner has two entry points: a `Database` convenience overload
 /// that interns into a throwaway workspace, and an `InternedWorkspace`
 /// overload for callers probing the same data repeatedly — mining FDs,

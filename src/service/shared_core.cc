@@ -1,8 +1,11 @@
 #include "service/shared_core.h"
 
+#include <algorithm>
+#include <cstring>
 #include <string_view>
 #include <utility>
 
+#include "core/flat_table.h"
 #include "core/snapshot.h"
 #include "util/strings.h"
 
@@ -10,24 +13,29 @@ namespace ccfp {
 
 namespace {
 
-/// FNV-1a 64 (Fnv1a64's constants), fed one field at a time.
+/// A word-at-a-time hash, fed one field at a time: every field is one or
+/// more 64-bit words, and each word is one multiply-xorshift step (the
+/// HashIds step of core/flat_table.h), so a step is a bijection of its
+/// word. A string is its length, then its bytes eight to a word, the last
+/// word zero-padded (the length tells the padding apart).
 class IdentityHash {
  public:
-  void U8(std::uint8_t b) {
-    h_ ^= b;
-    h_ *= 1099511628211ULL;
-  }
   void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) U8(static_cast<std::uint8_t>(v >> (8 * i)));
+    h_ = (h_ ^ v) * 0xBF58476D1CE4E5B9ULL;
+    h_ ^= h_ >> 31;
   }
   void Str(std::string_view s) {
     U64(s.size());
-    for (char c : s) U8(static_cast<std::uint8_t>(c));
+    for (std::size_t i = 0; i < s.size(); i += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, s.data() + i, std::min<std::size_t>(8, s.size() - i));
+      U64(word);
+    }
   }
-  std::uint64_t value() const { return h_; }
+  std::uint64_t value() const { return MixHash(h_); }
 
  private:
-  std::uint64_t h_ = 14695981039346656037ULL;
+  std::uint64_t h_ = 0x9E3779B97F4A7C15ULL;
 };
 
 }  // namespace
@@ -43,7 +51,7 @@ SolverCore::SolverCore(SchemePtr scheme, std::vector<Dependency> sigma)
 /// deliberately: the solver's stage pipeline and the witness cache verify
 /// sigma in order, so differently-ordered sigmas are different, if
 /// logically equal, substrates), then each warm relation's tuple count
-/// and every value as its kind byte plus its int64 payload (ints, null
+/// and every value as its kind plus its int64 payload (ints, null
 /// labels) or its length-prefixed bytes (strings). Every variable-length
 /// field carries its length, so no two distinct inputs share a stream;
 /// the per-relation counts also tell an empty warm Database from none.
@@ -60,7 +68,7 @@ std::uint64_t SolverCore::Identity(const DatabaseScheme& scheme,
     h.U64(tuples.size());
     for (const Tuple& t : tuples) {
       for (const Value& v : t) {
-        h.U8(static_cast<std::uint8_t>(v.kind()));
+        h.U64(static_cast<std::uint64_t>(v.kind()));
         if (v.is_str()) {
           h.Str(v.as_str());
         } else {

@@ -53,10 +53,11 @@ class SolverCore {
       const Database* warm = nullptr);
 
   /// Stable identity of the substrate: scheme + sigma + warm data,
-  /// hashed from a canonical byte encoding (FNV-1a) without rendering the
-  /// data to text. Two Build calls with equal inputs collide here — the
-  /// service's dedup key, and the record id a mining session's spill
-  /// chain is rooted at (the sealed base is record 0 of every such chain).
+  /// hashed a 64-bit word at a time from a canonical encoding, without
+  /// rendering the data to text. Two Build calls with equal inputs
+  /// collide here — the service's dedup key, and the record id a mining
+  /// session's spill chain is rooted at (the sealed base is record 0 of
+  /// every such chain).
   static std::uint64_t Identity(const DatabaseScheme& scheme,
                                 const std::vector<Dependency>& sigma,
                                 const Database* warm = nullptr);

@@ -1,7 +1,6 @@
 #include "verify/verifier.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "core/tuple.h"
@@ -795,22 +794,6 @@ std::optional<std::string> ObeysExactlyWatchedIds(
                           " which is inside the expected set");
   }
   return std::nullopt;
-}
-
-std::optional<std::string> ObeysExactlyWatched(
-    IncrementalVerifier& verifier, const std::vector<Dependency>& universe,
-    const std::vector<Dependency>& expected) {
-  std::unordered_set<Dependency, DependencyHash> expected_set(
-      expected.begin(), expected.end());
-  std::vector<WatchId> ids;
-  std::vector<bool> should;
-  ids.reserve(universe.size());
-  should.reserve(universe.size());
-  for (const Dependency& dep : universe) {
-    ids.push_back(verifier.Watch(dep));
-    should.push_back(expected_set.count(dep) > 0);
-  }
-  return ObeysExactlyWatchedIds(verifier, universe, should, ids);
 }
 
 }  // namespace ccfp

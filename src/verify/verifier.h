@@ -192,19 +192,12 @@ class IncrementalVerifier {
   Stats stats_;
 };
 
-/// Watcher-backed analogue of core/satisfies.h `ObeysExactly`: watches
-/// every universe member (deduped against whatever the verifier already
-/// watches) and checks that exactly the `expected` ones hold. Produces the
-/// same diagnostic strings as the sweep version, so the two are drop-in
-/// interchangeable for the Armstrong builder. Cost: O(delta + universe)
-/// per call instead of O(universe * relation).
-std::optional<std::string> ObeysExactlyWatched(
-    IncrementalVerifier& verifier, const std::vector<Dependency>& universe,
-    const std::vector<Dependency>& expected);
-
-/// Core of ObeysExactlyWatched for callers that keep the WatchIds across
-/// rounds (the ArmstrongSession): `expected[i]` says whether universe[i]
-/// must hold; re-checks are pure counter reads with no per-member lookup.
+/// Watcher-backed analogue of core/satisfies.h `ObeysExactly` for callers
+/// that keep the WatchIds across rounds (the ArmstrongSession):
+/// `expected[i]` says whether universe[i] (watched as `ids[i]`) must hold.
+/// Produces the same diagnostic strings as the sweep version; re-checks
+/// are pure counter reads, O(delta + universe) per call instead of
+/// O(universe * relation).
 std::optional<std::string> ObeysExactlyWatchedIds(
     IncrementalVerifier& verifier, const std::vector<Dependency>& universe,
     const std::vector<bool>& expected, const std::vector<WatchId>& ids);

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -697,11 +700,15 @@ TEST(ServiceTest, ResidentBytesLeaveOutTheCoresSharedValueTable) {
   std::uint64_t nulls = interner.ascending_nulls();
   ASSERT_GT(values, 0u);
   ASSERT_EQ(interner.size(), values);
-  std::uint64_t shared =
-      values * sizeof(Value) +
-      (values - nulls) *
-          (sizeof(std::pair<Value, ValueId>) + memory::kHashNodeOverhead) +
-      nulls * sizeof(ValueInterner::NullEntry);
+  // The frozen table: each value, the slot array indexing the hashed ones
+  // (8-byte slots, at most half full, 16 at least) and the ascending nulls.
+  std::uint64_t hashed = values - nulls;
+  std::uint64_t slots =
+      hashed == 0 ? 0 : std::max<std::uint64_t>(16, std::bit_ceil(2 * hashed));
+  std::uint64_t shared = values * sizeof(Value) +
+                         slots * 2 * sizeof(std::uint32_t) +
+                         nulls * sizeof(ValueInterner::NullEntry);
+  EXPECT_EQ(fork.SharedInternerBytes(), shared);
   EXPECT_EQ(opened->resident_bytes, fork.MemoryUsage().Total() - shared);
 }
 

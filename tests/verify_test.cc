@@ -5,6 +5,8 @@
 // ArmstrongSession.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "armstrong/builder.h"
 #include "axiom/sentence.h"
 #include "chase/workspace_chase.h"
@@ -234,13 +236,24 @@ TEST(IncrementalVerifierTest, ObeysExactlyWatchedMatchesSweep) {
     if (ws.Satisfies(dep)) satisfied.push_back(dep);
   }
   IncrementalVerifier verifier(&ws);
-  EXPECT_FALSE(
-      ObeysExactlyWatched(verifier, universe, satisfied).has_value());
+  std::vector<WatchId> ids;
+  for (const Dependency& dep : universe) ids.push_back(verifier.Watch(dep));
+  auto expected_of = [&](const std::vector<Dependency>& expected) {
+    std::vector<bool> should;
+    for (const Dependency& dep : universe) {
+      should.push_back(std::find(expected.begin(), expected.end(), dep) !=
+                       expected.end());
+    }
+    return should;
+  };
+  EXPECT_FALSE(ObeysExactlyWatchedIds(verifier, universe,
+                                      expected_of(satisfied), ids)
+                   .has_value());
   // Perturbations reject with the sweep's diagnostic strings.
   std::vector<Dependency> wrong = satisfied;
   wrong.pop_back();
   std::optional<std::string> watched =
-      ObeysExactlyWatched(verifier, universe, wrong);
+      ObeysExactlyWatchedIds(verifier, universe, expected_of(wrong), ids);
   std::optional<std::string> swept = ObeysExactly(ws, universe, wrong);
   ASSERT_TRUE(watched.has_value());
   ASSERT_TRUE(swept.has_value());

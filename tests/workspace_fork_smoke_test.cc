@@ -15,8 +15,13 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "bench/workloads.h"
 #include "core/database.h"
+#include "core/parser.h"
 #include "service/shared_core.h"
 
 namespace {
@@ -39,29 +44,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace ccfp {
 namespace {
 
-/// The session_churn mining shape with `scale` times its R rows:
-/// R(A, B, C, D) with A a key, A -> B and C -> D; S(E, F) with E -> F and
-/// S[E] <= R[B]. The dependencies, and so the partitions the core
-/// premines, do not depend on the scale.
-Database ChurnWarmData(const SchemePtr& scheme, std::int64_t scale) {
-  Database warm(scheme);
-  std::uint64_t state = 12345;
-  auto below = [&](std::uint64_t n) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return static_cast<std::int64_t>((state >> 33) % n);
-  };
-  for (std::int64_t i = 0; i < 1200 * scale; ++i) {
-    std::int64_t c = below(50);
-    warm.Insert(0, {Value::Int(i), Value::Int(i % 97), Value::Int(c),
-                    Value::Int((c * 3) % 41)});
-  }
-  for (std::int64_t i = 0; i < 400; ++i) {
-    std::int64_t e = below(97);
-    warm.Insert(1, {Value::Int(e), Value::Int(e % 13)});
-  }
-  return warm;
-}
-
 /// Heap allocations made by forking `core` and destroying the fork.
 std::uint64_t ForkAndDropAllocations(const SolverCore& core) {
   std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
@@ -73,8 +55,7 @@ std::uint64_t ForkAndDropAllocations(const SolverCore& core) {
 }
 
 TEST(WorkspaceForkSmokeTest, ForkAllocationsDoNotGrowWithTheWarmBase) {
-  SchemePtr scheme =
-      MakeScheme({{"R", {"A", "B", "C", "D"}}, {"S", {"E", "F"}}});
+  SchemePtr scheme = ChurnScheme();
   Database warm1 = ChurnWarmData(scheme, 1);
   Database warm2 = ChurnWarmData(scheme, 2);
   Result<std::shared_ptr<const SolverCore>> core1 =
@@ -101,6 +82,47 @@ TEST(WorkspaceForkSmokeTest, ForkAllocationsDoNotGrowWithTheWarmBase) {
                             << (*core1)->base().TotalAliveTuples()
                             << " warm rows and " << partitions
                             << " partitions";
+}
+
+TEST(WorkspaceForkSmokeTest, SmallAppendsGrowTheRowArenaGeometrically) {
+  // A mining session appends 13-row deltas to its fork. Each append must
+  // not reallocate the relation's row arena to exactly its new size: 40
+  // appends then move R's arena once or twice, and past the first append
+  // allocate less than once per append (every container grows
+  // geometrically).
+  SchemePtr scheme = ChurnScheme();
+  Database warm = ChurnWarmData(scheme, 1);
+  Result<std::shared_ptr<const SolverCore>> core =
+      SolverCore::Build(scheme, {}, &warm);
+  ASSERT_TRUE(core.ok()) << core.status();
+  constexpr int kAppends = 40;
+  std::vector<Database> deltas;
+  for (const std::string& text : ChurnDeltaTexts(kAppends)) {
+    Result<Database> delta = ParseDatabase(scheme, text);
+    ASSERT_TRUE(delta.ok()) << delta.status();
+    deltas.push_back(std::move(*delta));
+  }
+
+  InternedWorkspace fork = (*core)->ForkWorkspace();
+  const ValueId* arena = fork.tuple(0, 0).data();
+  int arena_moves = 0;
+  std::uint64_t allocs = 0;
+  for (int d = 0; d < kAppends; ++d) {
+    std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    fork.AppendDatabase(deltas[d]);
+    // The first append regrows the fork's exact-size copies; count the
+    // rest.
+    if (d > 0) allocs += g_allocations.load(std::memory_order_relaxed) - before;
+    if (fork.tuple(0, 0).data() != arena) {
+      ++arena_moves;
+      arena = fork.tuple(0, 0).data();
+    }
+  }
+  ASSERT_EQ(fork.AliveTuples(0), warm.relation(0).size() + 12 * kAppends);
+  EXPECT_LE(arena_moves, 2) << "R's arena moved on " << arena_moves
+                            << " of " << kAppends << " appends";
+  EXPECT_LT(allocs, static_cast<std::uint64_t>(kAppends - 1))
+      << allocs << " allocations for appends 2.." << kAppends;
 }
 
 }  // namespace
